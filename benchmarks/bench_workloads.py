@@ -440,28 +440,38 @@ class Paths(Workload):
         code_sol, t_sol = self.timed("solve", self._solve, seed, self.horizon)
         sim_text, sol_text = self.sim.read_text(), self.sol.read_text()
 
-        # the CSV round trip equals the sampled path
         written = _csv_columns(sim_text, 2)
+        solution = _csv_columns(sol_text, 3)
         n = grid_cells(self.horizon, self.STEP)
-        read_ok = (
-            code_sim == 0
-            and len(written) >= n + 1
-            and np.array_equal(written[:, 0], path.times)
-            and np.array_equal(written[:, 1], path.values)
-        )
         # solve re-samples the same driver (same seed, stream 0); the zero of
         # sigma = |x|^0.5 at 0 is regular (beta < 1, criterion 6), so the
-        # solution never freezes and Z = X node by node
-        solution = _csv_columns(sol_text, 3)
+        # solution never freezes and Z = X node by node: the simulated path
+        # equals the solution's (phi, z_value) columns
+        sim_ok = (
+            code_sim == 0
+            and len(written) >= n + 1
+            and np.array_equal(written, solution[:, 1:])
+        )
+        # the CSV round trip: the library's parse equals the file's rows
+        read_ok = (
+            np.array_equal(path.times, written[:, 0])
+            and np.array_equal(path.values, written[:, 1])
+        )
+        # the solution itself: it reaches the horizon from z = 0, and its
+        # clock s starts at 0 and never decreases
+        clock = solution[:, 0]
         solve_ok = (
             code_sol == 0
             and sol_text.startswith("# status=horizon_reached\n")
-            and np.array_equal(solution[:, 1], path.times)
-            and np.array_equal(solution[:, 2], path.values)
+            and len(solution) >= n + 1
+            and solution[0, 2] == 0.0
+            and clock[0] == 0.0
+            and bool(np.all(np.isfinite(clock)))
+            and bool(np.all(np.diff(clock) >= 0.0))
         )
         rows = len(written) + len(solution)
         return Round(
-            ops=[Op("simulate", t_sim, read_ok), Op("read", t_read, read_ok),
+            ops=[Op("simulate", t_sim, sim_ok), Op("read", t_read, read_ok),
                  Op("solve", t_sol, solve_ok)],
             replicates=2,
             cells=rows + len(path.times),

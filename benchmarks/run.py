@@ -2,27 +2,31 @@
 
 Run from the repository root:
 
-    python3 benchmarks/run.py --workload hitting [--seed N] [--seconds S] [--trace 0|1]
+    python3 benchmarks/run.py --workload hitting [--seed N] [--seconds S] [--trace 0|1] [--smoke]
 
 Workloads: hitting, clock, analytic, paths (see bench_workloads.py and
 BENCHMARK.json). The library is imported from ./src of the checkout, never
 from an installed copy.
 
---trace 0 repeats the workload's round for --seconds seconds and reports the
-end-to-end metrics: wall_s and the rates are trimmed means over the rounds,
-call_ms_p50 / call_ms_p90 are percentiles over the round's calls of each
-call's trimmed mean, and time_to_ci01_s is wall_s times the rounds needed
-for a 95% interval of half-width 0.01 on every estimate of the round. Set-up
-is timed once in this process and again in child processes, and the median
-is reported.
+--trace 0 repeats the workload's round for --seconds seconds (by default
+the run_seconds of BENCHMARK.json) and reports the end-to-end metrics:
+wall_s and the rates are trimmed means over the rounds, call_ms_p50 /
+call_ms_p90 are percentiles over the round's calls of each call's trimmed
+mean, and time_to_ci01_s is wall_s times the rounds needed for a 95%
+interval of half-width 0.01 on every estimate of the round. Set-up is timed
+once in this process and again in child processes, and the median is
+reported.
 
-Times are reported at a reference machine speed. On a shared virtual
+Times are reported at a reference machine speed. On a shared 2-vCPU virtual
 machine the speed of the same code drifts by up to 2x over tens of seconds
-as neighbours load the host, which no statistic of one run removes. So a
-fixed calibration loop (numpy and Python, the benchmark's own code) runs
-between operations, after every CALIBRATE_EVERY_S of operation time, and
-each operation's time is scaled by CALIBRATION_REF_S over the mean of the
-two calibrations around it. The raw times are kept in the run record.
+as neighbours load the host, which no statistic of one run removes: over
+ten seeds, raw wall times spread by up to 24% and their medians moved by up
+to 39% between two sets of runs. So a fixed calibration loop (numpy and
+Python, the benchmark's own code) runs between operations, after every
+CALIBRATE_EVERY_S of operation time, and each operation's time is scaled by
+CALIBRATION_REF_S over the mean of the two calibrations around it. Every
+time reported in s or ms is therefore in reference seconds of that loop,
+not the program's own wall time; the raw times are kept in the run record.
 
 --trace 1 runs a fixed number of rounds twice each, untraced and with the
 outside-in tracer installed, checks that both give the same estimates and
@@ -34,8 +38,8 @@ versions, seeds, threads, output digests) is written under .bench_out/, and
 the last line of standard output is one JSON object:
 {"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}.
 `attempted` counts checked operations, `failed` those whose output check
-failed; error_rate = failed / attempted. --smoke shrinks every size for a
-quick check.
+failed; error_rate = failed / attempted. --smoke shrinks every size and
+times SMOKE_SECONDS, for a quick check.
 """
 
 from __future__ import annotations
@@ -72,6 +76,8 @@ MODULES = ("stable", "funcspec", "intervals", "integrals", "functionals", "sde",
 SETUP_RUNS = 5
 #: fewest timed rounds per run, whatever --seconds says
 MIN_ROUNDS = 3
+#: timed phase length of a --smoke run
+SMOKE_SECONDS = 0.5
 #: calibration loop length, and its time at the reference machine speed
 CALIBRATION_LOOPS = 300
 CALIBRATION_REF_S = 0.03
@@ -89,11 +95,17 @@ def parse_args(argv):
                    choices=("hitting", "clock", "analytic", "paths"))
     p.add_argument("--seed", type=int, default=None,
                    help="workload seed (default: the acceptance seed)")
-    p.add_argument("--seconds", type=float, default=10.0, help="timed phase length")
+    p.add_argument("--seconds", type=float,
+                   default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"],
+                   help="timed phase length (default: run_seconds of BENCHMARK.json)")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--smoke", action="store_true", help="tiny sizes, one set-up")
+    p.add_argument("--smoke", action="store_true",
+                   help=f"tiny sizes, one set-up, {SMOKE_SECONDS} s timed")
     p.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.smoke:
+        args.seconds = SMOKE_SECONDS
+    return args
 
 
 def calibrate() -> float:
