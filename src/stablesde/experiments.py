@@ -1,32 +1,37 @@
 """Monte Carlo estimation harness: reproducible configs, per-replicate RNG
 streams, Wilson intervals, and CSV reporting.
 
-Replicate i always uses the counter-based stream keyed by (seed, i) and
-outcomes are written into an index-addressed array, so results are identical
-for any worker count.  Undetermined replicates are excluded from the point
-estimate but reported as a fraction.
+Replicates run on one thread, a block at a time: a block samples its paths
+together (`stable.sample_block`), decides hitting on the whole block and
+applies the other estimators' per-path rules row by row.  Replicate i always
+draws from the counter-based stream keyed by (seed, i), so results do not
+depend on the block size.  The `threads` arguments are kept for
+compatibility and have no effect.  Undetermined replicates are excluded from
+the point estimate but reported as a fraction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .funcspec import FunctionSpec, parse_inline
-from .functionals import (
-    Thresholds,
-    effective_contributions,
-    first_hitting_time,
-    path_integral,
-)
+from .functionals import Thresholds, effective_contributions, path_integral
 from .integrals import tail_kernel_finiteness
 from .intervals import IntervalSet, interval_capacity_upper
-from .sde import solve_time_change
-from .stable import KillingSpec, PathSample, StableParams, sample_path, stream_rng
+from .sde import _solve_on_driver
+from .stable import (
+    KillingSpec,
+    PathSample,
+    StableParams,
+    _restart_stream,
+    grid_cells,
+    sample_block,
+    stream_rng,
+)
 
 INF = math.inf
 
@@ -65,6 +70,8 @@ class ExperimentConfig:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not (math.isfinite(self.horizon) and math.isfinite(self.step)):
+            raise ValueError("horizon and step must be finite")
         if self.horizon <= 0.0 or self.step <= 0.0:
             raise ValueError("horizon and step must be positive")
         if self.estimator not in ESTIMATOR_NAMES:
@@ -72,7 +79,10 @@ class ExperimentConfig:
         if self.estimator == "hitting_prob" and self.target is None:
             raise ValueError("hitting_prob requires a target set")
         zs = self.z if isinstance(self.z, (tuple, list)) else (self.z,)
-        object.__setattr__(self, "z", tuple(float(v) for v in zs))
+        zs = tuple(float(v) for v in zs)
+        if not all(math.isfinite(v) for v in zs):
+            raise ValueError(f"starting points must be finite, got {zs}")
+        object.__setattr__(self, "z", zs)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -141,18 +151,11 @@ def _estimate_from_codes(codes: np.ndarray, seed: int) -> Estimate:
     return Estimate(yes / resolved, wilson_ci(yes, resolved), n, und / n, seed)
 
 
-# -- per-replicate outcomes: True / False / None (undetermined) --------------
+# -- per-path outcomes: True / False / None (undetermined) -------------------
 
 
-def _sample(cfg: ExperimentConfig, z: float, rng) -> PathSample:
-    return sample_path(
-        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rng, killing=cfg.killing
-    )
-
-
-def _finiteness_outcome(cfg: ExperimentConfig, z: float, rng):
+def _finiteness_outcome(cfg: ExperimentConfig, path: PathSample):
     f = cfg.f_or_sigma
-    path = _sample(cfg, z, rng)
     m = cfg.thresholds.m
     r = cfg.thresholds.escape_radius(cfg.alpha, cfg.horizon)
     total = path_integral(path, f, path.horizon)
@@ -171,28 +174,13 @@ def _finiteness_outcome(cfg: ExperimentConfig, z: float, rng):
     return None
 
 
-def _hitting_outcome(cfg: ExperimentConfig, z: float, rng):
-    path = _sample(cfg, z, rng)
-    if math.isfinite(first_hitting_time(path, cfg.target)):
-        return True
-    d = cfg.target.distance_to(float(path.values[-1]))
-    cap = interval_capacity_upper(cfg.alpha, cfg.target)
-    if d > 0.0 and cap * d ** (cfg.alpha - 1.0) < HITTING_RESIDUAL:
-        return False
-    return None
-
-
-def _freeze_outcome(cfg: ExperimentConfig, z: float, rng):
-    sol = solve_time_change(
-        cfg.alpha, cfg.f_or_sigma, z, cfg.horizon, cfg.step, rng, cfg.thresholds
-    )
+def _freeze_outcome(cfg: ExperimentConfig, path: PathSample):
+    sol = _solve_on_driver(cfg.alpha, cfg.f_or_sigma, path, cfg.thresholds)
     return sol.status == "frozen"
 
 
-def _explosion_outcome(cfg: ExperimentConfig, z: float, rng):
-    sol = solve_time_change(
-        cfg.alpha, cfg.f_or_sigma, z, cfg.horizon, cfg.step, rng, cfg.thresholds
-    )
+def _explosion_outcome(cfg: ExperimentConfig, path: PathSample):
+    sol = _solve_on_driver(cfg.alpha, cfg.f_or_sigma, path, cfg.thresholds)
     if sol.status == "exploded":
         return True
     if sol.status == "frozen":
@@ -203,9 +191,8 @@ def _explosion_outcome(cfg: ExperimentConfig, z: float, rng):
     return None
 
 
-def _smalltime_outcome(cfg: ExperimentConfig, z: float, rng):
+def _smalltime_outcome(cfg: ExperimentConfig, path: PathSample):
     f = cfg.f_or_sigma
-    path = _sample(cfg, z, rng)
     contrib = effective_contributions(path, f, cfg.alpha)
     dwell = np.diff(np.append(path.times, path.end_time))
     occupied = np.flatnonzero(dwell > 0.0)
@@ -217,33 +204,75 @@ def _smalltime_outcome(cfg: ExperimentConfig, z: float, rng):
 
 _OUTCOMES = {
     "finiteness_prob": _finiteness_outcome,
-    "hitting_prob": _hitting_outcome,
     "freeze_prob": _freeze_outcome,
     "explosion_prob": _explosion_outcome,
     "smalltime_finiteness": _smalltime_outcome,
 }
 
+#: path cells sampled per block of replicates (32 paths of 1000 cells), which
+#: keeps the block's arrays near 2 MB
+BLOCK_CELLS = 1 << 15
 
-def _run_replicates(cfg: ExperimentConfig, z: float, threads: int) -> np.ndarray:
-    fn = _OUTCOMES[cfg.estimator]
-    codes = np.full(cfg.replicates, -1, dtype=np.int8)
 
-    def work(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out = fn(cfg, z, stream_rng(cfg.seed, i))
-            codes[i] = -1 if out is None else int(bool(out))
+def _hitting_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
+    """Hit (1), certified miss (0) or undetermined (-1) for each path of a
+    block.  A path hits when one of its nodes lies in the target; a killed
+    path keeps only the nodes it reaches before its killing time."""
+    block = sample_block(
+        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rngs,
+        killing=cfg.killing,
+        # an inserted node repeats the next grid value and, without killing,
+        # no draw follows the jump times, so they can be skipped
+        jump_adapted=cfg.killing is not None,
+    )
+    inside = cfg.target.contains(block.values)
+    last = block.values[:, -1]
+    if cfg.killing is not None:
+        alive = block.visit_times() < block.killed_at[:, None]
+        alive[:, 0] = True
+        inside &= alive
+        # visit times increase along a row, so the nodes reached form a prefix
+        last = block.values[np.arange(len(block)), alive.sum(axis=1) - 1]
+    codes = np.where(inside.any(axis=1), 1, -1).astype(np.int8)
+    d = cfg.target.distance_to(last)
+    cap = interval_capacity_upper(cfg.alpha, cfg.target)
+    # the residual bound uses Python's pow: numpy's SIMD pow can differ in
+    # the last bit, which would move replicates across HITTING_RESIDUAL
+    for row in np.flatnonzero((codes < 0) & (d > 0.0)):
+        if cap * float(d[row]) ** (cfg.alpha - 1.0) < HITTING_RESIDUAL:
+            codes[row] = 0
+    return codes
 
-    if threads <= 1:
-        work(0, cfg.replicates)
-        return codes
-    chunk = max(1, -(-cfg.replicates // threads))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [
-            pool.submit(work, lo, min(lo + chunk, cfg.replicates))
-            for lo in range(0, cfg.replicates, chunk)
-        ]
-        for fut in futs:
-            fut.result()
+
+def _path_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
+    """Codes of a block for the estimators with a per-path rule; the
+    freeze and explosion drivers are never killed."""
+    killing = None if cfg.estimator in ("freeze_prob", "explosion_prob") else cfg.killing
+    block = sample_block(
+        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rngs, killing=killing
+    )
+    outcome = _OUTCOMES[cfg.estimator]
+    codes = np.empty(len(block), dtype=np.int8)
+    for i in range(len(block)):
+        out = outcome(cfg, block.path(i))
+        codes[i] = -1 if out is None else int(bool(out))
+    return codes
+
+
+def _run_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:
+    """Codes of every replicate; replicate i draws from stream_rng(seed, i)
+    whatever block it falls in.  The generators of the first block are
+    restarted on the streams of each later one."""
+    block_codes = _hitting_codes if cfg.estimator == "hitting_prob" else _path_codes
+    size = min(cfg.replicates, max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step)))
+    rngs = [stream_rng(cfg.seed, i) for i in range(size)]
+    codes = np.empty(cfg.replicates, dtype=np.int8)
+    for lo in range(0, cfg.replicates, size):
+        block = rngs[: cfg.replicates - lo]
+        if lo:
+            for i, rng in enumerate(block, start=lo):
+                _restart_stream(rng, cfg.seed, i)
+        codes[lo : lo + len(block)] = block_codes(cfg, z, block)
     return codes
 
 
@@ -251,33 +280,34 @@ CSV_HEADER = "estimator,alpha,z,point,ci_lo,ci_hi,n,undetermined,seed"
 
 
 def estimate_finiteness_probability(cfg: ExperimentConfig, threads: int = 1) -> Estimate:
-    return _single(cfg, "finiteness_prob", threads)
+    return _single(cfg, "finiteness_prob")
 
 
 def estimate_hitting_probability(cfg: ExperimentConfig, threads: int = 1) -> Estimate:
-    return _single(cfg, "hitting_prob", threads)
+    return _single(cfg, "hitting_prob")
 
 
 def estimate_smalltime_finiteness(cfg: ExperimentConfig, threads: int = 1) -> Estimate:
-    return _single(cfg, "smalltime_finiteness", threads)
+    return _single(cfg, "smalltime_finiteness")
 
 
-def _single(cfg: ExperimentConfig, name: str, threads: int) -> Estimate:
+def _single(cfg: ExperimentConfig, name: str) -> Estimate:
     if cfg.estimator != name:
         raise ValueError(f"config estimator is {cfg.estimator!r}, expected {name!r}")
     if len(cfg.z) != 1:
         raise ValueError("single-estimate entry points take exactly one z")
-    codes = _run_replicates(cfg, cfg.z[0], threads)
+    codes = _run_replicates(cfg, cfg.z[0])
     return _estimate_from_codes(codes, cfg.seed)
 
 
 def run_experiment(cfg: ExperimentConfig, sink, threads: int = 1) -> list[Estimate]:
     """Run the configured estimator for every z and write one CSV row per z;
-    byte-identical output for a given config and seed, any worker count."""
+    byte-identical output for a given config and seed.  threads has no
+    effect."""
     rows = []
     sink.write(CSV_HEADER + "\n")
     for z in cfg.z:
-        est = _estimate_from_codes(_run_replicates(cfg, z, threads), cfg.seed)
+        est = _estimate_from_codes(_run_replicates(cfg, z), cfg.seed)
         rows.append(est)
         sink.write(
             f"{cfg.estimator},{cfg.alpha!r},{z!r},{est.point!r},"

@@ -75,14 +75,15 @@ class IntervalSet:
             pieces.append((cursor, hi))
         return IntervalSet(tuple(pieces))
 
-    def distance_to(self, x: float) -> float:
-        """Distance from the point x to the set (0 if inside)."""
-        if self.contains(x):
-            return 0.0
-        best = math.inf
+    def distance_to(self, x):
+        """Distance from scalar or array x to the set (0 inside, +inf from
+        the empty set); a NaN point is at distance +inf."""
+        x = np.asarray(x, dtype=float)
+        best = np.full(x.shape, math.inf)
         for a, b in self.intervals:
-            best = min(best, abs(x - a), abs(x - b))
-        return best
+            best = np.fmin(best, np.fmin(np.abs(x - a), np.abs(x - b)))
+        out = np.where(self.contains(x), 0.0, best)
+        return float(out) if out.ndim == 0 else out
 
     def to_json(self) -> str:
         return json.dumps([[a, b] for a, b in self.intervals])

@@ -96,11 +96,19 @@ def solve_time_change(
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     rng = stream_rng(rng_state, 0) if isinstance(rng_state, int) else rng_state
     driver = sample_path(StableParams(alpha), z, horizon, step, rng)
+    return _solve_on_driver(alpha, sigma, driver, thresholds)
+
+
+def _solve_on_driver(
+    alpha: float, sigma: FunctionSpec, driver: PathSample, thresholds: Thresholds
+) -> SolutionPath:
+    """The time-changed solution read off an already sampled driver."""
+    z = driver.origin
     f = sigma.inverse_power(alpha)
     contrib = effective_contributions(driver, f, alpha)
     cum = np.concatenate(([0.0], np.cumsum(contrib)))
     m = thresholds.m
-    r = thresholds.escape_radius(alpha, horizon)
+    r = thresholds.escape_radius(alpha, driver.horizon)
 
     over = np.flatnonzero(~(cum[1:] < m))
     if over.size:

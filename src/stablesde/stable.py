@@ -5,6 +5,9 @@ truncation).  Paths are piecewise-constant skeletons on a uniform grid with
 optional jump-adapted refinement: a cell whose increment exceeds a threshold
 gets an extra node at a uniformly placed jump time, which reduces hitting and
 occupation bias without changing any grid marginal.
+
+`sample_block` samples many paths at once, one per generator, as rows of one
+array; `sample_path` is its one-row case, expanded into a `PathSample`.
 """
 
 from __future__ import annotations
@@ -16,11 +19,31 @@ from dataclasses import dataclass
 import numpy as np
 
 
+_WORD = (1 << 64) - 1
+
+
 def stream_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-stream generator keyed by (experiment seed,
     replicate index); reproducible regardless of worker count."""
-    key = (int(seed) & ((1 << 64) - 1)) << 64 | (int(index) & ((1 << 64) - 1))
+    key = (int(seed) & _WORD) << 64 | (int(index) & _WORD)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _restart_stream(rng: np.random.Generator, seed: int, index: int) -> None:
+    """Put a generator made by stream_rng at the start of stream (seed,
+    index): the same draws as stream_rng(seed, index), without a new Philox,
+    whose constructor gathers OS entropy only to discard it."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([int(index) & _WORD, int(seed) & _WORD], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -111,10 +134,9 @@ class PathSample:
         return cls(np.array(times), np.array(values), horizon=hz, killed_at=killed_at)
 
 
-def _cms_standard(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Unit-time symmetric standard stable variates (CMS transform)."""
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-    w = rng.exponential(1.0, size=size)
+def _cms(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chambers-Mallows-Stuck transform of uniforms u on (-pi/2, pi/2) and
+    unit exponentials w into unit-time symmetric standard stable variates."""
     if alpha == 1.0:
         return np.tan(u)
     return (
@@ -124,12 +146,131 @@ def _cms_standard(alpha: float, rng: np.random.Generator, size: int) -> np.ndarr
     )
 
 
+def _cms_standard(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Unit-time symmetric standard stable variates (CMS transform)."""
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+    w = rng.exponential(1.0, size=size)
+    return _cms(alpha, u, w)
+
+
 def sample_increment(params: StableParams, dt: float, rng: np.random.Generator) -> float:
     """One increment of X over a window of length dt; self-similarity scales
     a unit-time sample by dt^(1/alpha)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     return float(params.scale * dt ** (1.0 / params.alpha) * _cms_standard(params.alpha, rng, 1)[0])
+
+
+def grid_cells(horizon: float, step: float) -> int:
+    """Number of cells of the uniform grid of mesh <= step on [0, horizon]."""
+    return max(1, int(math.ceil(horizon / step)))
+
+
+@dataclass(frozen=True)
+class PathBlock:
+    """Skeletons of several paths on one uniform grid, one row per path.
+
+    Instead of inserted nodes, a refined cell k of row i keeps its jump time
+    in jump_times[i, k] (NaN in cells that were not refined); the path takes
+    the value values[i, k + 1] from that time on.  killed_at[i] is the
+    killing time of row i, +inf when it was not killed within the horizon.
+    """
+
+    times: np.ndarray  # (n + 1,) grid times
+    values: np.ndarray  # (B, n + 1) values at the grid times
+    jump_times: np.ndarray  # (B, n)
+    killed_at: np.ndarray  # (B,)
+    horizon: float
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def visit_times(self) -> np.ndarray:
+        """(B, n + 1) time from which each row holds each grid value: the
+        jump time of the cell that leads to it when that cell was refined,
+        its grid time otherwise."""
+        out = np.empty(self.values.shape)
+        out[:, 0] = self.times[0]
+        out[:, 1:] = np.where(np.isnan(self.jump_times), self.times[1:], self.jump_times)
+        return out
+
+    def path(self, i: int) -> PathSample:
+        """Row i as a PathSample, with a node inserted at every jump time and
+        the nodes at or after the killing time dropped."""
+        times, values = self.times, self.values[i]
+        grid_kind = "uniform"
+        refined = np.flatnonzero(~np.isnan(self.jump_times[i]))
+        if refined.size:
+            times = np.insert(times, refined + 1, self.jump_times[i, refined])
+            values = np.insert(values, refined + 1, values[refined + 1])
+            grid_kind = "jump-adapted"
+        killed_at = None
+        tau = float(self.killed_at[i])
+        if tau <= self.horizon:
+            keep = times < tau
+            keep[0] = True
+            times, values = times[keep], values[keep]
+            killed_at = tau
+        return PathSample(times, values, horizon=self.horizon, killed_at=killed_at, grid_kind=grid_kind)
+
+
+def sample_block(
+    params: StableParams,
+    z: float,
+    horizon: float,
+    step: float,
+    rngs: list[np.random.Generator],
+    killing: KillingSpec | None = None,
+    jump_threshold: float | None = None,
+    jump_adapted: bool = True,
+) -> PathBlock:
+    """Simulate one path from z per generator, on a shared grid of mesh <= step.
+
+    Row i reads only rngs[i], in the order a single path does: n uniforms
+    and n exponentials for the increments, one uniform per refined cell,
+    then the killing time.  With jump adaptation, any cell whose increment
+    exceeds the threshold (default 10 * step^(1/alpha)) gets a jump time
+    drawn uniformly inside it, attributing the move to a single jump there.
+    """
+    for name, value in (("z", z), ("horizon", horizon), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if horizon <= 0.0 or step <= 0.0:
+        raise ValueError("horizon and step must be positive")
+    n = grid_cells(horizon, step)
+    dt = horizon / n
+    u = np.empty((len(rngs), n))
+    w = np.empty((len(rngs), n))
+    for row, rng in enumerate(rngs):
+        u[row] = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
+        w[row] = rng.exponential(1.0, size=n)
+    incs = params.scale * dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)
+    times = np.linspace(0.0, horizon, n + 1)
+    values = np.empty((len(rngs), n + 1))
+    values[:, 0] = z
+    np.cumsum(incs, axis=1, out=values[:, 1:])
+    values[:, 1:] += z
+
+    jump_times = np.full(incs.shape, np.nan)
+    if jump_adapted:
+        thresh = jump_threshold
+        if thresh is None:
+            thresh = 10.0 * step ** (1.0 / params.alpha)
+        big = np.abs(incs) > thresh
+        eps = np.finfo(float).eps
+        for row in np.flatnonzero(big.any(axis=1)):
+            cells = np.flatnonzero(big[row])
+            jump_times[row, cells] = times[cells] + dt * rngs[row].uniform(
+                eps, 1.0 - eps, size=cells.size
+            )
+
+    killed_at = np.full(len(rngs), math.inf)
+    if killing is not None:
+        for row, rng in enumerate(rngs):
+            tau = float(rng.exponential(1.0 / killing.q))
+            if tau <= horizon:
+                killed_at[row] = tau
+    return PathBlock(times, values, jump_times, killed_at, horizon)
 
 
 def sample_path(
@@ -142,46 +283,13 @@ def sample_path(
     jump_threshold: float | None = None,
     jump_adapted: bool = True,
 ) -> PathSample:
-    """Simulate a path skeleton from z on a grid of mesh <= step.
-
-    With jump adaptation, any cell whose increment exceeds the threshold
-    (default 10 * step^(1/alpha)) receives an extra node at a uniform time
-    inside the cell, attributing the move to a single jump there.
-    """
-    if horizon <= 0.0 or step <= 0.0:
-        raise ValueError("horizon and step must be positive")
-    n = max(1, int(math.ceil(horizon / step)))
-    dt = horizon / n
-    incs = params.scale * dt ** (1.0 / params.alpha) * _cms_standard(params.alpha, rng, n)
-    times = np.linspace(0.0, horizon, n + 1)
-    values = np.empty(n + 1)
-    values[0] = z
-    np.cumsum(incs, out=values[1:])
-    values[1:] += z
-
-    grid_kind = "uniform"
-    if jump_adapted:
-        thresh = jump_threshold
-        if thresh is None:
-            thresh = 10.0 * step ** (1.0 / params.alpha)
-        big = np.flatnonzero(np.abs(incs) > thresh)
-        if big.size:
-            jump_times = times[big] + dt * rng.uniform(
-                np.finfo(float).eps, 1.0 - np.finfo(float).eps, size=big.size
-            )
-            times = np.insert(times, big + 1, jump_times)
-            values = np.insert(values, big + 1, values[big + 1])
-            grid_kind = "jump-adapted"
-
-    killed_at = None
-    if killing is not None:
-        tau = float(rng.exponential(1.0 / killing.q))
-        if tau <= horizon:
-            keep = times < tau
-            keep[0] = True
-            times, values = times[keep], values[keep]
-            killed_at = tau
-    return PathSample(times, values, horizon=horizon, killed_at=killed_at, grid_kind=grid_kind)
+    """Simulate a path skeleton from z on a grid of mesh <= step: the one-row
+    `sample_block`, with a node inserted at every jump time."""
+    block = sample_block(
+        params, z, horizon, step, [rng], killing=killing,
+        jump_threshold=jump_threshold, jump_adapted=jump_adapted,
+    )
+    return block.path(0)
 
 
 def potential_kernel(alpha: float, z: float, x: float) -> float:

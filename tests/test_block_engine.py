@@ -125,6 +125,18 @@ def test_cli_cases_are_killed_and_refined(tmp_path):
     assert driver.grid_kind == "jump-adapted"
 
 
+def test_restarted_stream_matches_new_stream():
+    rng = stream_rng(3, 0)
+    rng.uniform(size=5)
+    rng.integers(0, 7, dtype=np.uint32)  # leaves a buffered half word
+    for seed, index in ((31337, 40), (-1, 2**64 + 5), (2**70, 0)):
+        stable._restart_stream(rng, seed, index)
+        ref = stream_rng(seed, index)
+        assert np.array_equal(rng.uniform(size=9), ref.uniform(size=9))
+        assert np.array_equal(rng.exponential(size=9), ref.exponential(size=9))
+        assert rng.integers(0, 7, dtype=np.uint32) == ref.integers(0, 7, dtype=np.uint32)
+
+
 @pytest.mark.parametrize("killing", [None, KillingSpec(0.05)])
 @pytest.mark.parametrize("jump_adapted", [True, False])
 def test_block_rows_match_sample_path(killing, jump_adapted):

@@ -37,6 +37,20 @@ class TestExitCodes:
     def test_bad_alpha(self, capsys):
         assert main(["test", "--alpha", "1.5", "--beta", "0.5"]) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--alpha", "0.5"],
+        ["solve", "--alpha", "0.5", "--sigma", "const:1"],
+    ])
+    @pytest.mark.parametrize("bad", [
+        ["--horizon", "inf", "--step", "0.1"],
+        ["--horizon", "nan", "--step", "0.1"],
+        ["--horizon", "1", "--step", "inf"],
+        ["--horizon", "1", "--step", "0.1", "--z", "nan"],
+    ])
+    def test_non_finite_input_is_validation(self, capsys, command, bad):
+        assert main(command + bad) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
     def test_missing_config_file_is_validation(self, capsys):
         # unreadable input surfaces as a runtime failure
         code = main(["experiment", "--config", "/nonexistent.json"])

@@ -66,6 +66,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg_with(estimator="hitting_prob")  # no target
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for field in ("horizon", "step"):
+            with pytest.raises(ValueError):
+                cfg_with(**{field: bad})
+        with pytest.raises(ValueError):
+            cfg_with(z=(0.0, bad))
+        with pytest.raises(ValueError):
+            cfg_with(z=bad)
+
     def test_from_json(self):
         doc = {
             "alpha": 0.5,

@@ -75,6 +75,17 @@ class TestIntervalSetAlgebra:
         assert s.distance_to(3.0) == pytest.approx(1.0)
         assert IntervalSet.empty().distance_to(0.0) == math.inf
 
+    def test_distance_to_array_matches_scalar(self):
+        s = IntervalSet.of((1, 2), (-4, -3))
+        # inside, on both endpoints of each interval, between and beyond
+        xs = np.array([1.5, -3.5, 1.0, 2.0, -4.0, -3.0, 0.0, -1.0, 7.25, -9.0, math.inf])
+        out = s.distance_to(xs)
+        assert out.shape == xs.shape
+        assert np.array_equal(out, [s.distance_to(float(x)) for x in xs])
+        assert np.array_equal(out[:3], [0.0, 0.0, 0.0])
+        assert s.distance_to(xs.reshape(1, -1)).shape == (1, len(xs))
+        assert np.array_equal(IntervalSet.empty().distance_to(xs), np.full(len(xs), math.inf))
+
     def test_json_round_trip(self):
         s = IntervalSet.of((1, 2), (4.5, 7))
         assert IntervalSet.from_json(s.to_json()) == s

@@ -112,6 +112,10 @@ class TestSamplePath:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_path(StableParams(0.5), 0.0, -1.0, 0.1, stream_rng(0, 0))
+        for z, horizon, step in ((math.nan, 1.0, 0.1), (0.0, math.inf, 0.1),
+                                 (0.0, math.nan, 0.1), (0.0, 1.0, math.inf)):
+            with pytest.raises(ValueError):
+                sample_path(StableParams(0.5), z, horizon, step, stream_rng(0, 0))
         with pytest.raises(ValueError):
             StableParams(2.5)
         with pytest.raises(ValueError):
