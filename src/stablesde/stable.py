@@ -211,7 +211,9 @@ class PathBlock:
             keep[0] = True
             times, values = times[keep], values[keep]
             killed_at = tau
-        return PathSample(times, values, horizon=self.horizon, killed_at=killed_at, grid_kind=grid_kind)
+        return PathSample(
+            times, values, horizon=self.horizon, killed_at=killed_at, grid_kind=grid_kind
+        )
 
 
 def sample_block(

@@ -115,7 +115,7 @@ def test_cli_bytes_unchanged(name, tmp_path):
     assert cli_digest(name, tmp_path) == GOLDEN[name]
 
 
-def test_cli_cases_are_killed_and_refined(tmp_path):
+def test_cli_cases_are_killed_and_refined():
     """The simulate case is killed before its horizon and both CLI paths
     carry jump-adapted nodes, so the digests cover both mechanisms."""
     params = StableParams(0.5)
