@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .funcspec import FunctionSpec, parse_inline
-from .functionals import Thresholds, effective_contributions, path_integral
-from .integrals import tail_kernel_finiteness
-from .intervals import IntervalSet, interval_capacity_upper
-from .sde import _solve_on_driver
+from .functionals import Thresholds, _clock, effective_contributions, path_integral
+from .intervals import IntervalSet, _check_alpha, interval_capacity_upper
 from .stable import (
     KillingSpec,
     PathSample,
@@ -32,8 +30,6 @@ from .stable import (
     sample_block,
     stream_rng,
 )
-
-INF = math.inf
 
 ESTIMATOR_NAMES = (
     "finiteness_prob",
@@ -66,8 +62,7 @@ class ExperimentConfig:
     target: IntervalSet | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if not (math.isfinite(self.horizon) and math.isfinite(self.step)):
@@ -152,10 +147,10 @@ def _estimate_from_codes(codes: np.ndarray, seed: int) -> Estimate:
 
 
 # -- per-path outcomes: True / False / None (undetermined) -------------------
+# f is the integrand: cfg.f_or_sigma, or sigma^-alpha for freeze and explosion
 
 
-def _finiteness_outcome(cfg: ExperimentConfig, path: PathSample):
-    f = cfg.f_or_sigma
+def _finiteness_outcome(cfg: ExperimentConfig, f: FunctionSpec, path: PathSample):
     m = cfg.thresholds.m
     r = cfg.thresholds.escape_radius(cfg.alpha, cfg.horizon)
     total = path_integral(path, f, path.horizon)
@@ -174,25 +169,16 @@ def _finiteness_outcome(cfg: ExperimentConfig, path: PathSample):
     return None
 
 
-def _freeze_outcome(cfg: ExperimentConfig, path: PathSample):
-    sol = _solve_on_driver(cfg.alpha, cfg.f_or_sigma, path, cfg.thresholds)
-    return sol.status == "frozen"
+def _freeze_outcome(cfg: ExperimentConfig, f: FunctionSpec, path: PathSample):
+    return _clock(path, f, cfg.alpha, cfg.thresholds)[2] is not None
 
 
-def _explosion_outcome(cfg: ExperimentConfig, path: PathSample):
-    sol = _solve_on_driver(cfg.alpha, cfg.f_or_sigma, path, cfg.thresholds)
-    if sol.status == "exploded":
-        return True
-    if sol.status == "frozen":
-        return False
-    f = cfg.f_or_sigma.inverse_power(cfg.alpha)
-    if tail_kernel_finiteness(cfg.alpha, f) == "infinite":
-        return False
-    return None
+def _explosion_outcome(cfg: ExperimentConfig, f: FunctionSpec, path: PathSample):
+    explodes = _clock(path, f, cfg.alpha, cfg.thresholds)[3]
+    return {"yes": True, "no": False}.get(explodes)
 
 
-def _smalltime_outcome(cfg: ExperimentConfig, path: PathSample):
-    f = cfg.f_or_sigma
+def _smalltime_outcome(cfg: ExperimentConfig, f: FunctionSpec, path: PathSample):
     contrib = effective_contributions(path, f, cfg.alpha)
     dwell = np.diff(np.append(path.times, path.end_time))
     occupied = np.flatnonzero(dwell > 0.0)
@@ -245,16 +231,19 @@ def _hitting_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
 
 
 def _path_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
-    """Codes of a block for the estimators with a per-path rule; the
-    freeze and explosion drivers are never killed."""
-    killing = None if cfg.estimator in ("freeze_prob", "explosion_prob") else cfg.killing
+    """Codes of a block for the estimators with a per-path rule; freeze and
+    explosion read the clock of sigma^-alpha along drivers that are never
+    killed."""
+    clocked = cfg.estimator in ("freeze_prob", "explosion_prob")
+    f = cfg.f_or_sigma.inverse_power(cfg.alpha) if clocked else cfg.f_or_sigma
     block = sample_block(
-        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rngs, killing=killing
+        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rngs,
+        killing=None if clocked else cfg.killing,
     )
     outcome = _OUTCOMES[cfg.estimator]
     codes = np.empty(len(block), dtype=np.int8)
     for i in range(len(block)):
-        out = outcome(cfg, block.path(i))
+        out = outcome(cfg, f, block.path(i))
         codes[i] = -1 if out is None else int(bool(out))
     return codes
 
@@ -277,27 +266,6 @@ def _run_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:
 
 
 CSV_HEADER = "estimator,alpha,z,point,ci_lo,ci_hi,n,undetermined,seed"
-
-
-def estimate_finiteness_probability(cfg: ExperimentConfig, threads: int = 1) -> Estimate:
-    return _single(cfg, "finiteness_prob")
-
-
-def estimate_hitting_probability(cfg: ExperimentConfig, threads: int = 1) -> Estimate:
-    return _single(cfg, "hitting_prob")
-
-
-def estimate_smalltime_finiteness(cfg: ExperimentConfig, threads: int = 1) -> Estimate:
-    return _single(cfg, "smalltime_finiteness")
-
-
-def _single(cfg: ExperimentConfig, name: str) -> Estimate:
-    if cfg.estimator != name:
-        raise ValueError(f"config estimator is {cfg.estimator!r}, expected {name!r}")
-    if len(cfg.z) != 1:
-        raise ValueError("single-estimate entry points take exactly one z")
-    codes = _run_replicates(cfg, cfg.z[0])
-    return _estimate_from_codes(codes, cfg.seed)
 
 
 def run_experiment(cfg: ExperimentConfig, sink, threads: int = 1) -> list[Estimate]:

@@ -349,12 +349,12 @@ class FunctionSpec:
         doc = json.loads(text)
         pieces = []
         for item in doc.get("pieces", []):
-            lo, hi = (_parse_inf(v) for v in item["interval"])
+            lo, hi = (float(v) for v in item["interval"])
             form = item["form"]
             if "power" in form:
                 d = form["power"]
                 pieces.append(
-                    Piece(lo, hi, PowerForm(_parse_inf(d["c"]), d.get("e", 0.0), d.get("p", 0.0)))
+                    Piece(lo, hi, PowerForm(float(d["c"]), d.get("e", 0.0), d.get("p", 0.0)))
                 )
             elif "table" in form:
                 d = form["table"]
@@ -362,7 +362,7 @@ class FunctionSpec:
             else:
                 raise FunctionSpecError(f"unknown form {form}")
         poles = tuple(
-            PoleMark(m["at"], m.get("isolated_monotone", False), _parse_inf(m.get("delta", INF)))
+            PoleMark(m["at"], m.get("isolated_monotone", False), float(m.get("delta", INF)))
             for m in doc.get("poles", [])
         )
         zeros = []
@@ -372,7 +372,7 @@ class FunctionSpec:
                     at=z.get("at"),
                     interval=tuple(z["interval"]) if "interval" in z else None,
                     isolated_monotone=z.get("isolated_monotone", False),
-                    delta=_parse_inf(z.get("delta", INF)),
+                    delta=float(z.get("delta", INF)),
                 )
             )
         return cls(tuple(pieces), poles=poles, zeros=tuple(zeros))
@@ -399,12 +399,6 @@ def _override_with_infinite(pieces, spans):
 
 def _json_inf(x):
     return repr(x)
-
-
-def _parse_inf(v):
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
 
 
 _POWER_RE = re.compile(

@@ -3,12 +3,22 @@ right-continuous inverses, hitting and last-exit times, and the
 explosion/freezing verdict for a single path.
 
 Two occupation conventions coexist.  The plain left-point Riemann sum charges
-+inf to any cell parked on a pole of f with positive dwell.  The alpha-aware
-variant used by the SDE engine replaces the contribution of a cell parked
-exactly on an isolated pole point by the kernel integral of f over the
-spatial range dwell^(1/alpha) the process typically sweeps there; that cell
-is infinite exactly when the local exponent e of f satisfies e + alpha <= 0,
-matching the analytic small-time test instead of the grid artifact.
++inf to any cell parked on a pole of f with positive dwell; `path_integral`,
+`cumulative_integral`, `inverse_time_change`, `discretization_bias` and the
+finiteness estimator use it.  The alpha-aware `effective_contributions`
+replaces the contribution of a cell parked exactly on an isolated pole point
+by the kernel integral of f over the spatial range dwell^(1/alpha) the
+process typically sweeps there; that cell is infinite exactly when the local
+exponent e of f satisfies e + alpha <= 0, matching the analytic small-time
+test instead of the grid artifact.  The small-time estimator reads it
+directly; everything that decides freezing or explosion reads it through
+`_clock`.
+
+`_clock` is the one freeze/explode verdict: it accumulates the time-change
+clock of f = sigma^-alpha along a path and decides freezing (the clock
+reaches M at a finite time) and explosion (the clock stays finite along a
+path that escaped beyond R).  `classify_path`, `sde.solve_time_change` and
+the freeze and explosion estimators all read it.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import numpy as np
 
 from .funcspec import FunctionSpec, FunctionSpecError
 from .integrals import tail_kernel_finiteness
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _check_alpha
 from .stable import PathSample
 
 INF = math.inf
@@ -41,8 +51,8 @@ class Thresholds:
     r: float | None = None
 
     def __post_init__(self):
-        if self.m <= 0.0 or (self.r is not None and self.r <= 0.0):
-            raise ValueError("thresholds must be positive")
+        if not 0.0 < self.m < INF or (self.r is not None and not 0.0 < self.r < INF):
+            raise ValueError("thresholds must be finite and positive")
 
     def escape_radius(self, alpha: float, horizon: float) -> float:
         if self.r is not None:
@@ -123,8 +133,7 @@ def effective_contributions(path: PathSample, f: FunctionSpec, alpha: float) -> 
     the kernel integral of f over the radius-dwell^(1/alpha) window; it is
     +inf exactly when e + alpha <= 0.  All other cells use f at the node.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    _check_alpha(alpha)
     dwell, fv = _cell_values(path, f)
     with np.errstate(invalid="ignore"):
         contrib = np.where(dwell > 0.0, fv * np.maximum(dwell, 0.0), 0.0)
@@ -154,13 +163,15 @@ def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:
     if s < 0.0:
         raise ValueError("s must be nonnegative")
     edges, cum = cumulative_integral(path, f)
-    dwell, fv = _cell_values(path, f)
-    for i in range(len(dwell)):
-        if cum[i + 1] > s:
-            if math.isinf(fv[i]) or fv[i] <= 0.0:
-                return float(edges[i])
-            return float(edges[i] + (s - cum[i]) / fv[i])
-    return INF
+    # the clock never decreases, so the first cell ending above s is found
+    # by bisection
+    i = int(np.searchsorted(cum[1:], s, side="right"))
+    if i == len(cum) - 1:
+        return INF
+    rate = _cell_values(path, f)[1][i]
+    if math.isinf(rate) or rate <= 0.0:
+        return float(edges[i])
+    return float(edges[i] + (s - cum[i]) / rate)
 
 
 def first_hitting_time(path: PathSample, target: IntervalSet) -> float:
@@ -198,6 +209,35 @@ def discretization_bias(path: PathSample, f: FunctionSpec) -> float:
     return tv + top * float(dwell.max(initial=0.0))
 
 
+def _clock(path: PathSample, f: FunctionSpec, alpha: float, thresholds: Thresholds):
+    """The time-change clock of one path for the integrand f = sigma^-alpha,
+    and the one freeze/explode verdict read from it.
+
+    Returns (contrib, cum, k, explodes): the alpha-aware contribution of
+    each cell, the clock at the cell edges, the first cell at whose right
+    edge the clock is at or above M (None when it never gets there, so the
+    path does not freeze), and whether the path explodes: `no` when it
+    freezes or when the tail integral of f is infinite (slow decay at
+    infinity keeps the clock running on every transient path), `yes` when
+    it escaped beyond R and the tail integral is finite (the clock runs
+    out), `undetermined` otherwise.
+    """
+    contrib = effective_contributions(path, f, alpha)
+    cum = np.concatenate(([0.0], np.cumsum(contrib)))
+    over = np.flatnonzero(~(cum[1:] < thresholds.m))
+    if over.size:
+        return contrib, cum, int(over[0]), "no"
+    tail = tail_kernel_finiteness(alpha, f)
+    escaped = abs(float(path.values[-1])) > thresholds.escape_radius(alpha, path.horizon)
+    if tail == "infinite":
+        explodes = "no"
+    elif escaped and tail == "finite":
+        explodes = "yes"
+    else:
+        explodes = "undetermined"
+    return contrib, cum, None, explodes
+
+
 def classify_path(
     path: PathSample,
     sigma: FunctionSpec,
@@ -213,53 +253,26 @@ def classify_path(
     event out; everything else is reported `undetermined`.
     """
     f = sigma.inverse_power(alpha)
-    m = thresholds.m
-    r = thresholds.escape_radius(alpha, path.horizon)
+    contrib, cum, k, explodes = _clock(path, f, alpha, thresholds)
     edges = _cell_edges(path)
-    contrib = effective_contributions(path, f, alpha)
-    cum = np.concatenate(([0.0], np.cumsum(contrib)))
     dwell = np.diff(edges)
     step = float(np.median(dwell[dwell > 0.0])) if np.any(dwell > 0.0) else 0.0
-
-    over = np.flatnonzero(~(cum[1:] < m))
-    if over.size:
-        k = int(over[0])
+    total, freeze_time = float(cum[-1]), None
+    if k is not None:
+        total, freezes, freeze_time = INF, "yes", float(edges[k])
         if math.isfinite(contrib[k]) and contrib[k] > 0.0:
             rate = contrib[k] / dwell[k]
-            freeze_time = float(edges[k] + (m - cum[k]) / rate)
-        else:
-            freeze_time = float(edges[k])
-        return PathVerdict(
-            integral_at_horizon=INF,
-            explodes="no",
-            freezes="yes",
-            freeze_time=freeze_time,
-            step=step,
-            horizon=path.horizon,
-            m=m,
-            r=r,
-        )
-
-    total = float(cum[-1])
-    can_freeze = bool(f.pole_points()) or not f.infinite_intervals().is_empty()
-    freezes = "undetermined" if can_freeze else "no"
-    escaped = abs(float(path.values[-1])) > r
-    tail = tail_kernel_finiteness(alpha, f)
-    if tail == "infinite":
-        # slow decay at infinity keeps the clock running forever on every
-        # transient (hence every non-frozen) path
-        explodes = "no"
-    elif escaped and tail == "finite":
-        explodes, freezes = "yes", "no"
+            freeze_time = float(edges[k] + (thresholds.m - cum[k]) / rate)
     else:
-        explodes = "undetermined"
+        can_freeze = bool(f.pole_points()) or not f.infinite_intervals().is_empty()
+        freezes = "undetermined" if can_freeze and explodes != "yes" else "no"
     return PathVerdict(
         integral_at_horizon=total,
         explodes=explodes,
         freezes=freezes,
-        freeze_time=None,
+        freeze_time=freeze_time,
         step=step,
         horizon=path.horizon,
-        m=m,
-        r=r,
+        m=thresholds.m,
+        r=thresholds.escape_radius(alpha, path.horizon),
     )

@@ -17,7 +17,7 @@ from functools import lru_cache
 from scipy.integrate import IntegrationWarning, quad
 
 from .funcspec import FunctionSpec, FunctionSpecError, PowerForm, TableForm
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _check_alpha
 
 INF = math.inf
 
@@ -110,6 +110,8 @@ def kernel_integral(
     quadrature split at the kernel singularity and at pole anchors.
     """
     _check_alpha(alpha)
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     total = 0.0
     err = 0.0
     methods = set()
@@ -282,8 +284,3 @@ def tail_kernel_finiteness(alpha: float, f: FunctionSpec) -> str:
     return kernel_integral(
         alpha, 0.0, f, IntervalSet.of((-INF, -1.0), (1.0, INF))
     ).finiteness
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")

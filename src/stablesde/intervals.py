@@ -94,8 +94,12 @@ class IntervalSet:
 
 
 def _normalize(pairs):
-    """Sort, drop empty intervals, merge overlapping/adjacent ones."""
-    cleaned = sorted((float(a), float(b)) for a, b in pairs if a < b)
+    """Sort, drop empty intervals, merge overlapping/adjacent ones; NaN
+    endpoints are rejected, infinite ones are kept."""
+    pairs = [(float(a), float(b)) for a, b in pairs]
+    if any(math.isnan(a) or math.isnan(b) for a, b in pairs):
+        raise ValueError("interval endpoints must not be NaN")
+    cleaned = sorted((a, b) for a, b in pairs if a < b)
     merged: list[list[float]] = []
     for a, b in cleaned:
         if merged and a <= merged[-1][1]:
@@ -116,8 +120,8 @@ class ShellSpec:
     n_max: int = 200
 
     def __post_init__(self):
-        if self.lam <= 1:
-            raise ValueError("shell ratio must exceed 1")
+        if not 1.0 < self.lam < math.inf:
+            raise ValueError("shell ratio must be finite and exceed 1")
         if self.n_min > self.n_max:
             raise ValueError("empty shell index range")
 

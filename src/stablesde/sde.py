@@ -7,17 +7,15 @@ from __future__ import annotations
 
 import io
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .funcspec import FunctionSpec
-from .functionals import Thresholds, effective_contributions
-from .integrals import PointedSet, irregular_set, tail_kernel_finiteness, zero_set
+from .functionals import Thresholds, _clock
+from .integrals import PointedSet, irregular_set, zero_set
+from .intervals import _check_alpha
 from .stable import PathSample, StableParams, sample_path, stream_rng
-
-INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -92,47 +90,28 @@ def solve_time_change(
     finite and the path escaped beyond R (the clock ran out, lifetime
     estimate exploded_at); horizon_reached otherwise.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    _check_alpha(alpha)
     rng = stream_rng(rng_state, 0) if isinstance(rng_state, int) else rng_state
     driver = sample_path(StableParams(alpha), z, horizon, step, rng)
-    return _solve_on_driver(alpha, sigma, driver, thresholds)
-
-
-def _solve_on_driver(
-    alpha: float, sigma: FunctionSpec, driver: PathSample, thresholds: Thresholds
-) -> SolutionPath:
-    """The time-changed solution read off an already sampled driver."""
-    z = driver.origin
-    f = sigma.inverse_power(alpha)
-    contrib = effective_contributions(driver, f, alpha)
-    cum = np.concatenate(([0.0], np.cumsum(contrib)))
-    m = thresholds.m
-    r = thresholds.escape_radius(alpha, driver.horizon)
-
-    over = np.flatnonzero(~(cum[1:] < m))
-    if over.size:
-        k = int(over[0])
+    _, cum, k, explodes = _clock(driver, sigma.inverse_power(alpha), alpha, thresholds)
+    if k is not None:
         return SolutionPath(
             driver=driver,
             s_grid=cum[: k + 1],
             time_change=driver.times[: k + 1],
             values=driver.values[: k + 1],
             status="frozen",
-            z=z,
+            z=driver.origin,
             frozen_at=float(cum[k]),
         )
-
-    n = len(driver.times)
-    escaped = abs(float(driver.values[-1])) > r
-    exploded = escaped and tail_kernel_finiteness(alpha, f) == "finite"
+    exploded = explodes == "yes"
     return SolutionPath(
         driver=driver,
-        s_grid=cum[:n],
+        s_grid=cum[: len(driver.times)],
         time_change=driver.times,
         values=driver.values,
         status="exploded" if exploded else "horizon_reached",
-        z=z,
+        z=driver.origin,
         exploded_at=float(cum[-1]) if exploded else None,
     )
 

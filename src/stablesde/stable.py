@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .intervals import _check_alpha
 
 _WORD = (1 << 64) - 1
 
@@ -56,8 +57,8 @@ class StableParams:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in (0,2], got {self.alpha}")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class KillingSpec:
     q: float
 
     def __post_init__(self):
-        if self.q <= 0.0:
-            raise ValueError("killing rate must be positive")
+        if not 0.0 < self.q < math.inf:
+            raise ValueError("killing rate must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -297,8 +298,7 @@ def sample_path(
 def potential_kernel(alpha: float, z: float, x: float) -> float:
     """Density |z-x|^(alpha-1) of the potential measure U(z, dx), alpha in
     (0,1), with the normalizing constant fixed to 1; +inf at coincidence."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    _check_alpha(alpha)
     d = abs(z - x)
     if d == 0.0:
         return math.inf

@@ -51,6 +51,20 @@ class TestExitCodes:
         assert main(command + bad) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
+    @pytest.mark.parametrize("argv", [
+        ["wiener", "--alpha", "0.5", "--set", "example2.2", "--lam", "nan"],
+        ["solve", "--alpha", "0.5", "--sigma", "const:1", "--horizon", "1",
+         "--step", "0.1", "--big-m", "nan"],
+        ["simulate", "--alpha", "0.5", "--horizon", "1", "--step", "0.1",
+         "--killing", "nan"],
+        ["test", "--alpha", "0.5", "--f", "const:1", "--domain", "[[NaN,1]]"],
+    ])
+    def test_non_finite_option_is_validation(self, capsys, argv):
+        """Options outside the time grid are checked as well: NaN would
+        otherwise give a wrong answer with exit 0."""
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
     def test_missing_config_file_is_validation(self, capsys):
         # unreadable input surfaces as a runtime failure
         code = main(["experiment", "--config", "/nonexistent.json"])

@@ -4,17 +4,15 @@ import math
 
 import pytest
 
+from stablesde import experiments
 from stablesde.experiments import (
     CSV_HEADER,
     Estimate,
     ExperimentConfig,
-    estimate_finiteness_probability,
-    estimate_hitting_probability,
-    estimate_smalltime_finiteness,
     run_experiment,
     wilson_ci,
 )
-from stablesde.funcspec import FunctionSpec
+from stablesde.funcspec import FunctionSpec, Piece, PowerForm
 from stablesde.functionals import Thresholds
 from stablesde.intervals import IntervalSet
 
@@ -32,6 +30,22 @@ def cfg_with(**kw) -> ExperimentConfig:
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def estimate(cfg: ExperimentConfig) -> Estimate:
+    """The estimate for the config's single starting point."""
+    (est,) = run_experiment(cfg, io.StringIO())
+    return est
+
+
+#: sigma = x^2 outside [-1, 1]: fast enough growth for the clock to run out
+QUADRATIC_TAILS = FunctionSpec(
+    (
+        Piece(-math.inf, -1.0, PowerForm(1.0, 2.0, 0.0)),
+        Piece(-1.0, 1.0, PowerForm(1.0)),
+        Piece(1.0, math.inf, PowerForm(1.0, 2.0, 0.0)),
+    )
+)
 
 
 class TestWilson:
@@ -116,7 +130,7 @@ class TestEstimators:
         cfg = cfg_with(
             f_or_sigma=FunctionSpec.constant(0.0), estimator="finiteness_prob"
         )
-        est = estimate_finiteness_probability(cfg)
+        est = estimate(cfg)
         assert est.point == 1.0
         assert est.ci95 == (1.0, 1.0)
         assert est.undetermined_fraction == 0.0
@@ -131,7 +145,7 @@ class TestEstimators:
             step=1.0,
             thresholds=Thresholds(r=1e5),
         )
-        est = estimate_finiteness_probability(cfg)
+        est = estimate(cfg)
         assert 0.0 < est.point < 1.0
 
     def test_hitting_interior_and_empty(self):
@@ -140,7 +154,7 @@ class TestEstimators:
             target=IntervalSet.of((-1.0, 1.0)),
             replicates=50,
         )
-        assert estimate_hitting_probability(cfg).point == 1.0
+        assert estimate(cfg).point == 1.0
 
     def test_hitting_monotone_in_distance(self):
         base = dict(
@@ -163,7 +177,7 @@ class TestEstimators:
                 horizon=0.01,
                 step=0.001,
             )
-            assert estimate_smalltime_finiteness(cfg).point == side
+            assert estimate(cfg).point == side
 
     def test_freeze_dichotomy(self):
         rows = {}
@@ -174,37 +188,43 @@ class TestEstimators:
         assert rows[1.5] >= 0.99
 
     def test_explosion_estimator(self):
-        from stablesde.funcspec import Piece, PowerForm
-
-        inf = math.inf
-        sigma = FunctionSpec(
-            (
-                Piece(-inf, -1.0, PowerForm(1.0, 2.0, 0.0)),
-                Piece(-1.0, 1.0, PowerForm(1.0)),
-                Piece(1.0, inf, PowerForm(1.0, 2.0, 0.0)),
-            )
-        )
         cfg = cfg_with(
-            f_or_sigma=sigma,
+            f_or_sigma=QUADRATIC_TAILS,
             estimator="explosion_prob",
             replicates=100,
             horizon=50.0,
             step=0.1,
             thresholds=Thresholds(r=100.0),
         )
-        est = run_experiment(cfg, io.StringIO())[0]
+        est = estimate(cfg)
         assert est.point >= 0.9
         # constant sigma never explodes
-        est0 = run_experiment(
-            cfg_with(estimator="explosion_prob", replicates=50), io.StringIO()
-        )[0]
+        est0 = estimate(cfg_with(estimator="explosion_prob", replicates=50))
         assert est0.point == 0.0
         assert est0.undetermined_fraction == 0.0
 
-    def test_estimator_name_mismatch(self):
-        cfg = cfg_with(estimator="freeze_prob")
-        with pytest.raises(ValueError):
-            estimate_finiteness_probability(cfg)
+    @pytest.mark.parametrize("kw", [
+        dict(estimator="freeze_prob", f_or_sigma=FunctionSpec.power(1.5), step=0.001),
+        dict(estimator="explosion_prob", f_or_sigma=QUADRATIC_TAILS,
+             horizon=10.0, step=0.01, thresholds=Thresholds(r=30.0)),
+    ])
+    def test_sigma_inverted_once_per_block(self, monkeypatch, kw):
+        """sigma^-alpha is fixed for a run, so it is built once per block of
+        replicates, not once per replicate."""
+        calls = []
+        inverse_power = FunctionSpec.inverse_power
+
+        def counted(self, alpha):
+            calls.append(alpha)
+            return inverse_power(self, alpha)
+
+        monkeypatch.setattr(FunctionSpec, "inverse_power", counted)
+        cfg = cfg_with(z=(0.0, 3.0), replicates=100, **kw)
+        run_experiment(cfg, io.StringIO())
+        size = experiments.BLOCK_CELLS // experiments.grid_cells(cfg.horizon, cfg.step)
+        blocks = len(cfg.z) * math.ceil(cfg.replicates / size)
+        assert 1 < size < cfg.replicates
+        assert 0 < len(calls) <= blocks
 
 
 class TestRunExperiment:

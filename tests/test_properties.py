@@ -1,0 +1,107 @@
+"""Property tests: numeric parameters read from outside the program are
+accepted exactly when they are finite and in range, and `IntervalSet` and
+`FunctionSpec` survive a JSON round trip."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stablesde.funcspec import FunctionSpec, Piece, PoleMark, PowerForm, TableForm, ZeroMark
+from stablesde.functionals import Thresholds
+from stablesde.integrals import kernel_integral
+from stablesde.intervals import IntervalSet, ShellSpec
+from stablesde.stable import KillingSpec, StableParams
+
+INF = math.inf
+
+#: reproducible runs that leave no example database behind
+PROPERTY = settings(database=None, derandomize=True, deadline=None)
+
+#: every float, NaN and both infinities included
+ANY_FLOAT = st.floats()
+FINITE = st.floats(-1e6, 1e6)
+ENDPOINT = st.one_of(st.floats(allow_nan=False), st.sampled_from([-INF, INF]))
+
+
+def accepted(make) -> bool:
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+@PROPERTY
+@given(ANY_FLOAT)
+def test_thresholds_need_finite_positive_levels(x):
+    ok = math.isfinite(x) and x > 0.0
+    assert accepted(lambda: Thresholds(m=x)) == ok
+    assert accepted(lambda: Thresholds(r=x)) == ok
+
+
+@PROPERTY
+@given(ANY_FLOAT)
+def test_shell_ratio_must_be_finite_above_one(lam):
+    assert accepted(lambda: ShellSpec(lam=lam)) == (math.isfinite(lam) and lam > 1.0)
+
+
+@PROPERTY
+@given(ANY_FLOAT)
+def test_killing_rate_and_scale_must_be_finite_positive(x):
+    ok = math.isfinite(x) and x > 0.0
+    assert accepted(lambda: KillingSpec(x)) == ok
+    assert accepted(lambda: StableParams(0.5, scale=x)) == ok
+
+
+@PROPERTY
+@given(ANY_FLOAT)
+def test_kernel_integral_needs_finite_z(z):
+    domain = IntervalSet.of((-1.0, 1.0))
+    assert accepted(lambda: kernel_integral(0.5, z, FunctionSpec.constant(1.0), domain)) == (
+        math.isfinite(z)
+    )
+
+
+@PROPERTY
+@given(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT), max_size=5))
+def test_interval_endpoints_reject_only_nan(pairs):
+    has_nan = any(math.isnan(a) or math.isnan(b) for a, b in pairs)
+    assert accepted(lambda: IntervalSet.of(*pairs)) == (not has_nan)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(ENDPOINT, ENDPOINT), max_size=6))
+def test_interval_set_json_round_trip(pairs):
+    s = IntervalSet.of(*pairs)
+    assert IntervalSet.from_json(s.to_json()) == s
+
+
+@st.composite
+def function_specs(draw):
+    cuts = sorted(set(draw(st.lists(FINITE, max_size=4))))
+    edges = [-INF, *cuts, INF]
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        if math.isfinite(lo) and math.isfinite(hi) and draw(st.booleans()):
+            ys = draw(st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2))
+            pieces.append(Piece(lo, hi, TableForm((lo, hi), tuple(ys))))
+        else:
+            c = draw(st.one_of(st.floats(0.0, 1e6), st.just(INF)))
+            form = PowerForm(c, draw(st.floats(-3.0, 3.0)), draw(FINITE))
+            pieces.append(Piece(lo, hi, form))
+    delta = st.one_of(st.floats(0.0, 1e3), st.just(INF))
+    poles = draw(st.lists(st.builds(PoleMark, FINITE, st.booleans(), delta), max_size=2))
+    point_zeros = st.builds(ZeroMark, at=FINITE, isolated_monotone=st.booleans(), delta=delta)
+    interval_zeros = st.builds(
+        ZeroMark, interval=st.tuples(FINITE, FINITE).map(lambda ab: tuple(sorted(ab)))
+    )
+    zeros = draw(st.lists(st.one_of(point_zeros, interval_zeros), max_size=2))
+    return FunctionSpec(tuple(pieces), tuple(poles), tuple(zeros))
+
+
+@PROPERTY
+@given(function_specs())
+def test_function_spec_json_round_trip(f):
+    assert FunctionSpec.from_json(f.to_json()) == f
+
