@@ -1,7 +1,10 @@
 """The block replicate engine gives the same bytes as the engine it replaced,
 which drew one `sample_path` per replicate from `stream_rng(seed, i)`.
 
-The digests were recorded with that per-replicate engine. Replicate counts
+The first eight digests were recorded with that per-replicate engine; the
+pole-kernel cases (freeze from z = 0 on a pole of sigma^-alpha, small-time
+without killing) with the engine that still expanded every block row into a
+`PathSample`, before the block rules read the cell arrays.  Replicate counts
 are chosen so that every run spans several blocks and ends on a partial one.
 """
 
@@ -57,6 +60,24 @@ CASES = {
         replicates=200, horizon=10.0, step=0.1, seed=11,
         thresholds=Thresholds(r=30.0),
     ),
+    # sigma^-alpha = |x|^-0.75: infinite pole cell, every path from 0 freezes
+    "freeze_pole_15": dict(
+        estimator="freeze_prob", f_or_sigma=FunctionSpec.power(1.5),
+        z=(0.0, 0.5), replicates=400, horizon=10.0, step=0.1, seed=77,
+        thresholds=Thresholds(m=20.0),
+    ),
+    # sigma^-alpha = |x|^-0.25: the pole cell adds a finite kernel integral
+    "freeze_pole_05": dict(
+        estimator="freeze_prob", f_or_sigma=FunctionSpec.power(0.5),
+        z=(0.0, 0.5), replicates=400, horizon=10.0, step=0.1, seed=78,
+        thresholds=Thresholds(m=8.0),
+    ),
+    "smalltime": dict(
+        estimator="smalltime_finiteness",
+        f_or_sigma=FunctionSpec.power(0.5).inverse_power(0.5), z=(0.0, 0.01),
+        replicates=500, horizon=0.01, step=0.001, seed=607,
+        thresholds=Thresholds(m=0.2),
+    ),
     "smalltime_killed": dict(
         estimator="smalltime_finiteness",
         f_or_sigma=FunctionSpec.power(0.5).inverse_power(0.5), z=(0.0,),
@@ -76,13 +97,16 @@ CLI_CASES = {
     ],
 }
 
-#: sha256 of each output, recorded with the per-replicate engine
+#: sha256 of each output (see the module docstring for when each was recorded)
 GOLDEN = {
     "explosion": "d486e36dc41c5a966d308975fe1b6fba56f6c38e4f5944380c30f9d5ce312980",
     "finiteness_killed": "43f9c7f60c49f4f16a370be11b65d40eaef425ec6bec68ef02108e9d9576916f",
     "freeze": "87b21bc2192d34c6929b6520282021170d22ac4563cbe599738ad93e65f6db2f",
+    "freeze_pole_05": "1d8f78951b315f4880f69357c778d90a00035e868bb84a3536cf1b7d792a3485",
+    "freeze_pole_15": "04b232725b2e7dcfac363929946b9732727bd7355549259b83c5c102de61b14e",
     "hitting": "222f7bfa2d413912b31a90fdf3f277802f9f472de618d850101be10704069459",
     "hitting_killed": "e8ade34180aa0cc9a890aad709bdedf2c42e48c7a27d5519f88e199099fe798b",
+    "smalltime": "6e0a19894fd1d003071fdf832e030c310e52d58728e45f54f426b68b3ba1e520",
     "smalltime_killed": "4170df4a231ca3858be99fa54436c7e9e3f786bc571251eaaea52f357819820e",
     "simulate_killed": "e3b3e7359392c1b394a78dd360b903787b9fbda54f2c82d70cb8b17107c3a9d3",
     "solve": "9226e71ed9045f93aae790ab888cf71ab75f5d52dd9f8c4065e8dd665d755153",
