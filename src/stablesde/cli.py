@@ -143,9 +143,7 @@ def _dispatch(args, out) -> None:
         out.write(wiener_sum(args.alpha, spec, target).to_json() + "\n")
     elif args.command == "experiment":
         with open(args.config) as fh:
-            doc = json.loads(fh.read())
-        doc.setdefault("seed", args.seed)
-        cfg = ExperimentConfig.from_json(json.dumps(doc))
+            cfg = ExperimentConfig.from_json(fh.read(), seed=args.seed)
         run_experiment(cfg, out, threads=args.threads)
     else:  # pragma: no cover - argparse enforces the choices
         raise CliValidationError(f"unknown subcommand {args.command!r}")

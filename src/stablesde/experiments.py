@@ -2,12 +2,14 @@
 streams, Wilson intervals, and CSV reporting.
 
 Replicates run on one thread, a block at a time: a block samples its paths
-together (`stable.sample_block`), decides hitting on the whole block and
-applies the other estimators' per-path rules row by row.  Replicate i always
-draws from the counter-based stream keyed by (seed, i), so results do not
-depend on the block size.  The `threads` arguments are kept for
-compatibility and have no effect.  Undetermined replicates are excluded from
-the point estimate but reported as a fraction.
+together (`stable.sample_block`) and decides hitting, freezing, explosion and
+small-time on the whole block, from its node arrays or its cell arrays
+(`PathBlock.cells`).  Only the finiteness rule still reads each row as a
+`PathSample`, since regrouping its sums would change its output.
+Replicate i always draws from the counter-based stream keyed by (seed, i),
+so results do not depend on the block size.  The `threads` arguments are
+kept for compatibility and have no effect.  Undetermined replicates are
+excluded from the point estimate but reported as a fraction.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .funcspec import FunctionSpec, parse_inline
-from .functionals import Thresholds, _clock, effective_contributions, path_integral
+from .functionals import DEFAULT_M, Thresholds, _clock_rows, _contributions, path_integral
 from .intervals import IntervalSet, _check_alpha, interval_capacity_upper
 from .stable import (
     KillingSpec,
+    PathBlock,
     PathSample,
     StableParams,
     _restart_stream,
@@ -80,26 +83,58 @@ class ExperimentConfig:
         object.__setattr__(self, "z", zs)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str, seed: int = 0) -> "ExperimentConfig":
+        """Config from a JSON object; seed is used when it names none.  A
+        malformed document raises ValueError."""
         doc = json.loads(text)
-        fs = doc["f_or_sigma"]
-        func = parse_inline(fs) if isinstance(fs, str) else FunctionSpec.from_json(json.dumps(fs))
+        if not isinstance(doc, dict):
+            raise ValueError("an experiment config must be a JSON object")
+        missing = [key for key in _REQUIRED_KEYS if key not in doc]
+        if missing:
+            raise ValueError(f"experiment config lacks {', '.join(missing)}")
         th = doc.get("thresholds", {})
         kill = doc.get("killing")
+        if not isinstance(th, dict) or not (kill is None or isinstance(kill, dict)):
+            raise ValueError("thresholds and killing must be JSON objects")
+        fs = doc["f_or_sigma"]
+        func = parse_inline(fs) if isinstance(fs, str) else FunctionSpec.from_json(json.dumps(fs))
+        r = th.get("R")
         tgt = doc.get("target")
         return cls(
-            alpha=doc["alpha"],
+            alpha=_number(doc["alpha"], "alpha"),
             f_or_sigma=func,
-            z=doc["z"] if isinstance(doc["z"], list) else [doc["z"]],
-            replicates=int(doc["replicates"]),
-            horizon=float(doc["horizon"]),
-            step=float(doc["step"]),
+            z=[_number(v, "z") for v in (doc["z"] if isinstance(doc["z"], list) else [doc["z"]])],
+            replicates=_whole(doc["replicates"], "replicates"),
+            horizon=_number(doc["horizon"], "horizon"),
+            step=_number(doc["step"], "step"),
             estimator=doc["estimator"],
-            seed=int(doc.get("seed", 0)),
-            thresholds=Thresholds(m=float(th.get("M", 1e9)), r=th.get("R")),
-            killing=KillingSpec(float(kill["q"])) if kill else None,
+            seed=_whole(doc.get("seed", seed), "seed"),
+            thresholds=Thresholds(
+                m=_number(th.get("M", DEFAULT_M), "thresholds.M"),
+                r=None if r is None else _number(r, "thresholds.R"),
+            ),
+            killing=KillingSpec(_number(kill.get("q"), "killing.q")) if kill else None,
             target=IntervalSet.of(*tgt) if tgt else None,
         )
+
+
+_REQUIRED_KEYS = ("alpha", "f_or_sigma", "z", "replicates", "horizon", "step", "estimator")
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; strings, booleans and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _whole(value, name: str) -> int:
+    """A JSON number with no fractional part as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -146,7 +181,7 @@ def _estimate_from_codes(codes: np.ndarray, seed: int) -> Estimate:
     return Estimate(yes / resolved, wilson_ci(yes, resolved), n, und / n, seed)
 
 
-# -- per-path outcomes: True / False / None (undetermined) -------------------
+# -- block rules: one code per row, 1 yes / 0 no / -1 undetermined ---------
 # f is the integrand: cfg.f_or_sigma, or sigma^-alpha for freeze and explosion
 
 
@@ -169,30 +204,44 @@ def _finiteness_outcome(cfg: ExperimentConfig, f: FunctionSpec, path: PathSample
     return None
 
 
-def _freeze_outcome(cfg: ExperimentConfig, f: FunctionSpec, path: PathSample):
-    return _clock(path, f, cfg.alpha, cfg.thresholds)[2] is not None
+def _finiteness_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
+    """The finiteness rule, row by row on each row's PathSample: its
+    left-point sums are `np.dot`s over the occupied cells, and the
+    stagnation test compares two of them exactly, so a sum regrouped over
+    the block could change a replicate."""
+    codes = np.empty(len(block), dtype=np.int8)
+    for i in range(len(block)):
+        out = _finiteness_outcome(cfg, f, block.path(i))
+        codes[i] = -1 if out is None else int(out)
+    return codes
 
 
-def _explosion_outcome(cfg: ExperimentConfig, f: FunctionSpec, path: PathSample):
-    explodes = _clock(path, f, cfg.alpha, cfg.thresholds)[3]
-    return {"yes": True, "no": False}.get(explodes)
+def _clock_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
+    """Freeze (the clock reaches M) or explosion (the explode verdict of the
+    clock) for every row of an unkilled block."""
+    values, dwell = block.cells()
+    _, _, k, explodes = _clock_rows(
+        values, dwell, block.values[:, -1], f, cfg.alpha, cfg.thresholds, cfg.horizon
+    )
+    if cfg.estimator == "freeze_prob":
+        return (k >= 0).astype(np.int8)
+    return explodes
 
 
-def _smalltime_outcome(cfg: ExperimentConfig, f: FunctionSpec, path: PathSample):
-    contrib = effective_contributions(path, f, cfg.alpha)
-    dwell = np.diff(np.append(path.times, path.end_time))
-    occupied = np.flatnonzero(dwell > 0.0)
-    if occupied.size == 0:
-        return None
-    first = float(contrib[occupied[0]])
-    return first < cfg.thresholds.m
+def _smalltime_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
+    """Whether the first cell's contribution stays below M.  The first cell
+    is occupied unless the path is killed at time 0, which leaves it
+    undetermined."""
+    values, dwell = block.cells(1)
+    first = _contributions(values, dwell, f, cfg.alpha)[:, 0]
+    return np.where(dwell[:, 0] > 0.0, first < cfg.thresholds.m, -1).astype(np.int8)
 
 
-_OUTCOMES = {
-    "finiteness_prob": _finiteness_outcome,
-    "freeze_prob": _freeze_outcome,
-    "explosion_prob": _explosion_outcome,
-    "smalltime_finiteness": _smalltime_outcome,
+_BLOCK_RULES = {
+    "finiteness_prob": _finiteness_codes,
+    "freeze_prob": _clock_codes,
+    "explosion_prob": _clock_codes,
+    "smalltime_finiteness": _smalltime_codes,
 }
 
 #: path cells sampled per block of replicates (32 paths of 1000 cells), which
@@ -231,7 +280,7 @@ def _hitting_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
 
 
 def _path_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
-    """Codes of a block for the estimators with a per-path rule; freeze and
+    """Codes of a block for the estimators other than hitting; freeze and
     explosion read the clock of sigma^-alpha along drivers that are never
     killed."""
     clocked = cfg.estimator in ("freeze_prob", "explosion_prob")
@@ -240,12 +289,7 @@ def _path_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
         StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rngs,
         killing=None if clocked else cfg.killing,
     )
-    outcome = _OUTCOMES[cfg.estimator]
-    codes = np.empty(len(block), dtype=np.int8)
-    for i in range(len(block)):
-        out = outcome(cfg, f, block.path(i))
-        codes[i] = -1 if out is None else int(bool(out))
-    return codes
+    return _BLOCK_RULES[cfg.estimator](cfg, f, block)
 
 
 def _run_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:

@@ -10,15 +10,17 @@ replaces the contribution of a cell parked exactly on an isolated pole point
 by the kernel integral of f over the spatial range dwell^(1/alpha) the
 process typically sweeps there; that cell is infinite exactly when the local
 exponent e of f satisfies e + alpha <= 0, matching the analytic small-time
-test instead of the grid artifact.  The small-time estimator reads it
-directly; everything that decides freezing or explosion reads it through
-`_clock`.
+test instead of the grid artifact.  Its rule lives in `_contributions`, which
+takes cells of any shape: the small-time estimator applies it to the first
+cell of every row of a block, and everything that decides freezing or
+explosion reads it through the clock.
 
-`_clock` is the one freeze/explode verdict: it accumulates the time-change
-clock of f = sigma^-alpha along a path and decides freezing (the clock
-reaches M at a finite time) and explosion (the clock stays finite along a
-path that escaped beyond R).  `classify_path`, `sde.solve_time_change` and
-the freeze and explosion estimators all read it.
+`_clock_rows` is the one freeze/explode verdict: it accumulates the
+time-change clock of f = sigma^-alpha along rows of cells and decides
+freezing (the clock reaches M at a finite time) and explosion (the clock
+stays finite along a path that escaped beyond R).  The freeze and explosion
+estimators run it on the cells of a whole block; `classify_path` and
+`sde.solve_time_change` read it through `_clock`, its one-path caller.
 """
 
 from __future__ import annotations
@@ -120,26 +122,24 @@ def path_integral(path: PathSample, f: FunctionSpec, t: float) -> float:
 def cumulative_integral(path: PathSample, f: FunctionSpec):
     """(edges, I(edges)): the path integral at every cell edge; infinite
     entries propagate once an infinite-mass cell is crossed."""
-    dwell, fv = _cell_values(path, f)
+    return _cell_edges(path), _cumulative(*_cell_values(path, f))
+
+
+def _cumulative(dwell: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """Left-point integral at every cell edge from the cells' dwell and f."""
     contrib = np.where(dwell > 0.0, fv, 0.0) * np.where(dwell > 0.0, dwell, 1.0)
-    return _cell_edges(path), np.concatenate(([0.0], np.cumsum(contrib)))
+    return np.concatenate(([0.0], np.cumsum(contrib)))
 
 
-def effective_contributions(path: PathSample, f: FunctionSpec, alpha: float) -> np.ndarray:
-    """Per-cell contributions with the alpha-aware pole convention.
-
-    A cell whose node sits exactly on an isolated pole point p of f with
-    local behavior c|y-p|^e gets 2c/(e+alpha) * dwell^((e+alpha)/alpha),
-    the kernel integral of f over the radius-dwell^(1/alpha) window; it is
-    +inf exactly when e + alpha <= 0.  All other cells use f at the node.
-    """
+def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha: float):
+    """Contributions of cells of any shape, given the value and the dwell of
+    each, with the alpha-aware pole convention of `effective_contributions`."""
     _check_alpha(alpha)
-    dwell, fv = _cell_values(path, f)
     with np.errstate(invalid="ignore"):
-        contrib = np.where(dwell > 0.0, fv * np.maximum(dwell, 0.0), 0.0)
+        contrib = np.where(dwell > 0.0, np.asarray(f(values), float) * dwell, 0.0)
     contrib[np.isnan(contrib)] = 0.0
     for p in f.pole_points():
-        mask = (path.values == p) & (dwell > 0.0)
+        mask = (values == p) & (dwell > 0.0)
         if not mask.any():
             continue
         try:
@@ -157,18 +157,31 @@ def effective_contributions(path: PathSample, f: FunctionSpec, alpha: float) -> 
     return contrib
 
 
+def effective_contributions(path: PathSample, f: FunctionSpec, alpha: float) -> np.ndarray:
+    """Per-cell contributions with the alpha-aware pole convention.
+
+    A cell whose node sits exactly on an isolated pole point p of f with
+    local behavior c|y-p|^e gets 2c/(e+alpha) * dwell^((e+alpha)/alpha),
+    the kernel integral of f over the radius-dwell^(1/alpha) window; it is
+    +inf exactly when e + alpha <= 0.  All other cells use f at the node.
+    """
+    return _contributions(path.values, np.diff(_cell_edges(path)), f, alpha)
+
+
 def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:
     """phi_s = inf{t > 0 : I_t > s} on the skeleton; +inf if the integral
     never exceeds s within the horizon."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    edges, cum = cumulative_integral(path, f)
+    dwell, fv = _cell_values(path, f)
+    cum = _cumulative(dwell, fv)
     # the clock never decreases, so the first cell ending above s is found
     # by bisection
     i = int(np.searchsorted(cum[1:], s, side="right"))
     if i == len(cum) - 1:
         return INF
-    rate = _cell_values(path, f)[1][i]
+    rate = fv[i]
+    edges = _cell_edges(path)
     if math.isinf(rate) or rate <= 0.0:
         return float(edges[i])
     return float(edges[i] + (s - cum[i]) / rate)
@@ -209,33 +222,55 @@ def discretization_bias(path: PathSample, f: FunctionSpec) -> float:
     return tv + top * float(dwell.max(initial=0.0))
 
 
-def _clock(path: PathSample, f: FunctionSpec, alpha: float, thresholds: Thresholds):
-    """The time-change clock of one path for the integrand f = sigma^-alpha,
-    and the one freeze/explode verdict read from it.
+#: explode verdict codes of `_clock_rows` and their names in `_clock`
+_EXPLODES = {1: "yes", 0: "no", -1: "undetermined"}
 
-    Returns (contrib, cum, k, explodes): the alpha-aware contribution of
-    each cell, the clock at the cell edges, the first cell at whose right
-    edge the clock is at or above M (None when it never gets there, so the
-    path does not freeze), and whether the path explodes: `no` when it
-    freezes or when the tail integral of f is infinite (slow decay at
-    infinity keeps the clock running on every transient path), `yes` when
-    it escaped beyond R and the tail integral is finite (the clock runs
-    out), `undetermined` otherwise.
+
+def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
+                thresholds: Thresholds, horizon: float):
+    """The time-change clock for the integrand f = sigma^-alpha along each
+    row of cells, and the one freeze/explode verdict read from it.
+
+    values and dwell are (rows, cells) arrays, last the final position of
+    each row.  Returns (contrib, cum, k, explodes): the alpha-aware
+    contribution of each cell, the clock at the cell edges (rows,
+    cells + 1), per row the first cell at whose right edge the clock is at
+    or above M (-1 when it never gets there, so the row does not freeze),
+    and whether the row explodes: 0 (no) when it freezes or when the tail
+    integral of f is infinite (slow decay at infinity keeps the clock
+    running on every transient path), 1 (yes) when it escaped beyond R and
+    the tail integral is finite (the clock runs out), -1 (undetermined)
+    otherwise.  The tail integral is looked up once, and only when some
+    row does not freeze.
     """
-    contrib = effective_contributions(path, f, alpha)
-    cum = np.concatenate(([0.0], np.cumsum(contrib)))
-    over = np.flatnonzero(~(cum[1:] < thresholds.m))
-    if over.size:
-        return contrib, cum, int(over[0]), "no"
-    tail = tail_kernel_finiteness(alpha, f)
-    escaped = abs(float(path.values[-1])) > thresholds.escape_radius(alpha, path.horizon)
-    if tail == "infinite":
-        explodes = "no"
-    elif escaped and tail == "finite":
-        explodes = "yes"
-    else:
-        explodes = "undetermined"
-    return contrib, cum, None, explodes
+    contrib = _contributions(values, dwell, f, alpha)
+    cum = np.zeros((len(contrib), contrib.shape[1] + 1))
+    # accumulate runs sequentially along each row, so a row's clock has the
+    # bytes of the same cells summed on their own
+    np.cumsum(contrib, axis=1, out=cum[:, 1:])
+    over = ~(cum[:, 1:] < thresholds.m)
+    frozen = over.any(axis=1)
+    k = np.where(frozen, over.argmax(axis=1), -1)
+    explodes = np.zeros(len(k), dtype=np.int8)
+    if not frozen.all():
+        tail = tail_kernel_finiteness(alpha, f)
+        if tail != "infinite":
+            escaped = np.abs(last) > thresholds.escape_radius(alpha, horizon)
+            explodes[~frozen] = -1
+            if tail == "finite":
+                explodes[~frozen & escaped] = 1
+    return contrib, cum, k, explodes
+
+
+def _clock(path: PathSample, f: FunctionSpec, alpha: float, thresholds: Thresholds):
+    """`_clock_rows` of one path: (contrib, cum, k, explodes) with k None
+    when the path does not freeze and explodes yes/no/undetermined."""
+    contrib, cum, k, explodes = _clock_rows(
+        path.values[None], np.diff(_cell_edges(path))[None], path.values[-1:],
+        f, alpha, thresholds, path.horizon,
+    )
+    first = int(k[0])
+    return contrib[0], cum[0], None if first < 0 else first, _EXPLODES[int(explodes[0])]
 
 
 def classify_path(

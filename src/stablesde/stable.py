@@ -195,6 +195,44 @@ class PathBlock:
         out[:, 1:] = np.where(np.isnan(self.jump_times), self.times[1:], self.jump_times)
         return out
 
+    def cells(self, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(values, dwell), each (B, 2n + 1): the dwell cells of every row,
+        node for node those of path(i), with the dwell clipped at the
+        killing time.
+
+        Grid cell k gives two cells: grid value k up to the cell's jump time
+        and grid value k + 1 from it to the next grid time; without a jump
+        time the second cell has zero dwell.  The last cell holds the final
+        grid value.  A zero-dwell cell adds +0.0 to a row's running sum, so
+        sums along rows equal those along path(i).  With width, only the
+        first width cells are built.
+        """
+        n = self.jump_times.shape[1]
+        g = n if width is None else min(n, (width + 1) // 2)
+        t = self.times[: g + 1]
+        jump = self.jump_times[:, :g]
+        split = np.where(np.isnan(jump), t[1:], jump)
+        values = np.empty((len(self), 2 * g + 1))
+        values[:, 0::2] = self.values[:, : g + 1]
+        values[:, 1::2] = self.values[:, 1 : g + 1]
+        dwell = np.empty(values.shape)
+        np.subtract(split, t[:-1], out=dwell[:, :-1:2])
+        np.subtract(t[1:], split, out=dwell[:, 1::2])
+        # the end of the last cell is the horizon; when g < n that cell is
+        # never among the first width, which end before the jump time of g
+        dwell[:, -1] = self.horizon - t[-1]
+        killed = np.flatnonzero(self.killed_at <= self.horizon)
+        if killed.size:
+            tau = self.killed_at[killed, None]
+            d = dwell[killed]
+            np.subtract(np.minimum(split[killed], tau), t[:-1], out=d[:, :-1:2])
+            np.subtract(np.minimum(t[1:], tau), split[killed], out=d[:, 1::2])
+            d[:, -1] = np.minimum(self.horizon, tau[:, 0]) - t[-1]
+            dwell[killed] = np.maximum(d, 0.0)
+        if width is not None:
+            values, dwell = values[:, :width], dwell[:, :width]
+        return values, dwell
+
     def path(self, i: int) -> PathSample:
         """Row i as a PathSample, with a node inserted at every jump time and
         the nodes at or after the killing time dropped."""

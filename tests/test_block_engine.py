@@ -15,11 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from stablesde import stable
+from stablesde import experiments, functionals, stable
 from stablesde.cli import main
 from stablesde.experiments import ExperimentConfig, run_experiment
 from stablesde.funcspec import FunctionSpec, Piece, PowerForm
-from stablesde.functionals import Thresholds
+from stablesde.functionals import Thresholds, effective_contributions
 from stablesde.intervals import IntervalSet
 from stablesde.stable import KillingSpec, StableParams, sample_path, stream_rng
 
@@ -185,3 +185,104 @@ def test_block_rows_match_sample_path(killing, jump_adapted):
         killed += ref.killed_at is not None
     assert refined > 0 if jump_adapted else refined == 0
     assert killed > 0 if killing else killed == 0
+
+
+#: (sigma, z, thresholds): a finite and an infinite pole cell at z = 0,
+#: infinite intervals of sigma^-alpha, and drivers whose clock runs out
+CLOCK_CASES = {
+    "pole_05": (FunctionSpec.power(0.5), 0.0, Thresholds(m=8.0)),
+    "pole_15": (FunctionSpec.power(1.5), 0.0, Thresholds()),
+    "intervals": (
+        FunctionSpec.indicator_complement(IntervalSet.of((1.0, 2.0))), 0.0, Thresholds()
+    ),
+    "explosion": (QUADRATIC_TAILS, 0.0, Thresholds(r=30.0)),
+}
+
+
+def _old_smalltime(path, f, alpha, m):
+    """The small-time rule as it read a PathSample: the contribution of the
+    first cell with positive dwell."""
+    contrib = effective_contributions(path, f, alpha)
+    dwell = np.diff(np.append(path.times, path.end_time))
+    occupied = np.flatnonzero(dwell > 0.0)
+    if occupied.size == 0:
+        return -1
+    return int(contrib[occupied[0]] < m)
+
+
+@pytest.mark.parametrize("killing", [None, KillingSpec(0.2)])
+@pytest.mark.parametrize("jump_adapted", [True, False])
+@pytest.mark.parametrize("case", sorted(CLOCK_CASES))
+def test_block_verdicts_match_paths(case, jump_adapted, killing):
+    """The clock and the verdicts read off the cell arrays of a block equal
+    those of `_clock` and the old small-time rule on each row's PathSample."""
+    sigma, z, thresholds = CLOCK_CASES[case]
+    alpha, rows, horizon = 0.5, 1000, 10.0
+    f = sigma.inverse_power(alpha)
+    block = stable.sample_block(
+        StableParams(alpha), z, horizon, 0.1, [stream_rng(8, i) for i in range(rows)],
+        killing=killing, jump_adapted=jump_adapted,
+    )
+    paths = [block.path(i) for i in range(rows)]
+    # free memory of the cells' size holding -1, so an entry cells() leaves
+    # unset is likely to read -1 instead of the zero of fresh pages
+    np.full((2, rows, 2 * block.values.shape[1] - 1), -1.0)
+    values, dwell = block.cells()
+    assert values.shape == dwell.shape == (rows, 2 * (block.values.shape[1] - 1) + 1)
+    last = np.array([p.values[-1] for p in paths])
+    contrib, cum, k, explodes = functionals._clock_rows(
+        values, dwell, last, f, alpha, thresholds, horizon
+    )
+    cfg = ExperimentConfig(
+        alpha=alpha, f_or_sigma=f, z=(z,), replicates=1, horizon=horizon, step=0.1,
+        estimator="smalltime_finiteness", thresholds=thresholds,
+    )
+    smalltime = experiments._smalltime_codes(cfg, f, block)
+    for i, path in enumerate(paths):
+        p_contrib, p_cum, p_k, p_explodes = functionals._clock(path, f, alpha, thresholds)
+        path_dwell = np.diff(np.append(path.times, path.end_time))
+        occupied = dwell[i] > 0.0
+        assert np.array_equal(dwell[i][occupied], path_dwell[path_dwell > 0.0])
+        assert np.all(dwell[i][~occupied] == 0.0)
+        assert np.array_equal(values[i][occupied], path.values[path_dwell > 0.0])
+        assert np.array_equal(contrib[i][occupied], p_contrib[path_dwell > 0.0])
+        assert cum[i, -1] == p_cum[-1] or (np.isnan(cum[i, -1]) and np.isnan(p_cum[-1]))
+        assert (k[i] >= 0) == (p_k is not None)
+        if p_k is not None:
+            assert cum[i, k[i] + 1] == p_cum[p_k + 1]
+        assert functionals._EXPLODES[int(explodes[i])] == p_explodes
+        assert smalltime[i] == _old_smalltime(path, f, alpha, thresholds.m)
+    if case == "explosion":
+        assert {-1, 1} <= set(explodes.tolist())
+    else:
+        assert 0 < int(np.sum(k >= 0)) < rows or case == "pole_15"
+
+
+@pytest.mark.parametrize("estimator, sigma", [
+    ("freeze_prob", FunctionSpec.power(1.5)),
+    ("explosion_prob", QUADRATIC_TAILS),
+    ("smalltime_finiteness", FunctionSpec.power(0.5).inverse_power(0.5)),
+])
+def test_block_rules_read_cells(monkeypatch, estimator, sigma):
+    """Freeze, explosion and small-time never expand a row into a
+    PathSample, and look the tail integral up at most once per block."""
+    expanded, tails = [], []
+    path, tail = stable.PathBlock.path, functionals.tail_kernel_finiteness
+    monkeypatch.setattr(
+        stable.PathBlock, "path", lambda self, i: expanded.append(i) or path(self, i)
+    )
+    monkeypatch.setattr(
+        functionals, "tail_kernel_finiteness", lambda a, f: tails.append(a) or tail(a, f)
+    )
+    cfg = ExperimentConfig(
+        alpha=0.5, f_or_sigma=sigma, z=(0.0, 3.0), replicates=700, horizon=10.0,
+        step=0.1, estimator=estimator, thresholds=Thresholds(r=30.0),
+    )
+    run_experiment(cfg, io.StringIO())
+    size = experiments.BLOCK_CELLS // experiments.grid_cells(cfg.horizon, cfg.step)
+    blocks = len(cfg.z) * math.ceil(cfg.replicates / size)
+    assert 1 < size < cfg.replicates
+    assert expanded == []
+    assert len(tails) <= blocks
+    if estimator == "explosion_prob":
+        assert len(tails) == blocks

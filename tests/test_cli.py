@@ -21,6 +21,13 @@ class TestHelp:
             assert flag in text
 
 
+#: a valid experiment config, which the malformed ones alter
+CONFIG = {
+    "alpha": 0.5, "f_or_sigma": "const:1", "z": 0.0, "replicates": 2,
+    "horizon": 1.0, "step": 0.5, "estimator": "freeze_prob",
+}
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         assert main(["test", "--alpha", "0.5", "--beta", "0.5"]) == 0
@@ -64,6 +71,25 @@ class TestExitCodes:
         otherwise give a wrong answer with exit 0."""
         assert main(argv) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    @pytest.mark.parametrize("doc, detail", [
+        ({**CONFIG, "thresholds": {"R": "30"}}, "thresholds.R must be a number"),
+        ({k: v for k, v in CONFIG.items() if k != "alpha"}, "lacks alpha"),
+        ({**CONFIG, "replicates": 2.7}, "replicates must be a whole number"),
+        ({**CONFIG, "killing": {"rate": 1.0}}, "killing.q must be a number"),
+        ({**CONFIG, "z": [0.0, "1"]}, "z must be a number"),
+        ([CONFIG], "must be a JSON object"),
+    ])
+    def test_malformed_config_is_validation(self, tmp_path, capsys, doc, detail):
+        """A config the estimators cannot read exits 1 with a readable
+        reason, not with a Python error message and exit 2, and a fraction
+        of a replicate is not rounded away."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["experiment", "--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert detail in err["detail"]
 
     def test_missing_config_file_is_validation(self, capsys):
         # unreadable input surfaces as a runtime failure

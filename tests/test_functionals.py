@@ -100,6 +100,23 @@ class TestInverseTimeChange:
         phis = [inverse_time_change(path, f, s) for s in grid]
         assert all(b >= a for a, b in zip(phis, phis[1:]))
 
+    def test_integrand_evaluated_once(self, monkeypatch):
+        """The clock and the rate of the cell it crosses s in are read from
+        one evaluation of f along the path."""
+        calls = []
+        call = FunctionSpec.__call__
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return call(self, x)
+
+        path = make_path(10)
+        f = FunctionSpec.power(0.5, p=0.3)
+        expected = inverse_time_change(path, f, 0.2)
+        monkeypatch.setattr(FunctionSpec, "__call__", counted)
+        assert inverse_time_change(path, f, 0.2) == expected
+        assert calls == [len(path.values)]
+
 
 class TestHittingAndExit:
     def test_empty_target_conventions(self):
