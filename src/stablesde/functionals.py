@@ -135,9 +135,10 @@ def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha
     """Contributions of cells of any shape, given the value and the dwell of
     each, with the alpha-aware pole convention of `effective_contributions`."""
     _check_alpha(alpha)
+    contrib = np.asarray(f(values), float)
     with np.errstate(invalid="ignore"):
-        contrib = np.where(dwell > 0.0, np.asarray(f(values), float) * dwell, 0.0)
-    contrib[np.isnan(contrib)] = 0.0
+        contrib *= dwell
+    contrib[~(dwell > 0.0) | np.isnan(contrib)] = 0.0
     for p in f.pole_points():
         mask = (values == p) & (dwell > 0.0)
         if not mask.any():

@@ -246,7 +246,7 @@ def test_block_verdicts_match_paths(case, jump_adapted, killing):
         assert np.all(dwell[i][~occupied] == 0.0)
         assert np.array_equal(values[i][occupied], path.values[path_dwell > 0.0])
         assert np.array_equal(contrib[i][occupied], p_contrib[path_dwell > 0.0])
-        assert cum[i, -1] == p_cum[-1] or (np.isnan(cum[i, -1]) and np.isnan(p_cum[-1]))
+        assert cum[i, -1] == p_cum[-1]
         assert (k[i] >= 0) == (p_k is not None)
         if p_k is not None:
             assert cum[i, k[i] + 1] == p_cum[p_k + 1]
