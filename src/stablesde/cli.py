@@ -7,11 +7,16 @@ experiment (Monte Carlo estimators from a JSON config).
 
 Exit codes: 0 success, 1 validation error (JSON diagnostics on stderr),
 2 runtime failure.
+
+`main` builds its parser once per process and reuses it on every later
+call, since parsing leaves the parser unchanged; `build_parser()` returns a
+fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -100,6 +105,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
+
+
 def _dispatch(args, out) -> None:
     if args.command == "simulate":
         killing = KillingSpec(args.killing) if args.killing is not None else None
@@ -150,9 +160,8 @@ def _dispatch(args, out) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except CliValidationError as exc:
         sys.stderr.write(json.dumps({"error": "validation", "detail": str(exc)}) + "\n")
         return 1

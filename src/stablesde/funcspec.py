@@ -346,36 +346,41 @@ class FunctionSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "FunctionSpec":
-        doc = json.loads(text)
-        pieces = []
-        for item in doc.get("pieces", []):
-            lo, hi = (float(v) for v in item["interval"])
-            form = item["form"]
-            if "power" in form:
-                d = form["power"]
-                pieces.append(
-                    Piece(lo, hi, PowerForm(float(d["c"]), d.get("e", 0.0), d.get("p", 0.0)))
-                )
-            elif "table" in form:
-                d = form["table"]
-                pieces.append(Piece(lo, hi, TableForm(tuple(d["x"]), tuple(d["y"]))))
-            else:
-                raise FunctionSpecError(f"unknown form {form}")
-        poles = tuple(
-            PoleMark(m["at"], m.get("isolated_monotone", False), float(m.get("delta", INF)))
-            for m in doc.get("poles", [])
-        )
-        zeros = []
-        for z in doc.get("zeros", []):
-            zeros.append(
-                ZeroMark(
-                    at=z.get("at"),
-                    interval=tuple(z["interval"]) if "interval" in z else None,
-                    isolated_monotone=z.get("isolated_monotone", False),
-                    delta=float(z.get("delta", INF)),
-                )
+        """A piece, pole or zero without a key it needs raises
+        FunctionSpecError, as any other malformed spec does."""
+        try:
+            doc = json.loads(text)
+            pieces = []
+            for item in doc.get("pieces", []):
+                lo, hi = (float(v) for v in item["interval"])
+                form = item["form"]
+                if "power" in form:
+                    d = form["power"]
+                    pieces.append(
+                        Piece(lo, hi, PowerForm(float(d["c"]), d.get("e", 0.0), d.get("p", 0.0)))
+                    )
+                elif "table" in form:
+                    d = form["table"]
+                    pieces.append(Piece(lo, hi, TableForm(tuple(d["x"]), tuple(d["y"]))))
+                else:
+                    raise FunctionSpecError(f"unknown form {form}")
+            poles = tuple(
+                PoleMark(m["at"], m.get("isolated_monotone", False), float(m.get("delta", INF)))
+                for m in doc.get("poles", [])
             )
-        return cls(tuple(pieces), poles=poles, zeros=tuple(zeros))
+            zeros = []
+            for z in doc.get("zeros", []):
+                zeros.append(
+                    ZeroMark(
+                        at=z.get("at"),
+                        interval=tuple(z["interval"]) if "interval" in z else None,
+                        isolated_monotone=z.get("isolated_monotone", False),
+                        delta=float(z.get("delta", INF)),
+                    )
+                )
+            return cls(tuple(pieces), poles=poles, zeros=tuple(zeros))
+        except KeyError as exc:
+            raise FunctionSpecError(f"FunctionSpec JSON lacks the key {exc}") from None
 
 
 def _override_with_infinite(pieces, spans):

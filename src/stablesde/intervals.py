@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +53,22 @@ class IntervalSet:
         return IntervalSet(self.intervals + other.intervals)
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
+        """Overlaps of the two sets, each piece (max(a, c), min(b, d)) for a
+        piece [a, b) of self and [c, d) of other.  Each piece of the smaller
+        set bisects the sorted pieces of the larger one for those it overlaps:
+        O(m log n + k) for m and n pieces and k overlaps."""
+        swap = len(other.intervals) < len(self.intervals)
+        mine, theirs = self.intervals, other.intervals
+        small, large = (theirs, mine) if swap else (mine, theirs)
         pieces = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    pieces.append((lo, hi))
+        for a, b in small:
+            # the pieces [c, d) of large with d > a and c < b
+            i = bisect_right(large, (a, math.inf))
+            if i and large[i - 1][1] > a:
+                i -= 1
+            for c, d in large[i:bisect_left(large, (b, -math.inf))]:
+                # self's endpoint first, as max/min keep it on a tie of 0.0 and -0.0
+                pieces.append((max(c, a), min(d, b)) if swap else (max(a, c), min(b, d)))
         return IntervalSet(tuple(pieces))
 
     def complement_within(self, window: tuple[float, float]) -> "IntervalSet":

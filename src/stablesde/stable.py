@@ -297,13 +297,14 @@ def sample_block(
         thresh = jump_threshold
         if thresh is None:
             thresh = 10.0 * step ** (1.0 / params.alpha)
-        big = np.abs(incs) > thresh
         eps = np.finfo(float).eps
-        for row in np.flatnonzero(big.any(axis=1)):
-            cells = np.flatnonzero(big[row])
-            jump_times[row, cells] = times[cells] + dt * rngs[row].uniform(
-                eps, 1.0 - eps, size=cells.size
-            )
+        rows, cells = np.nonzero(np.abs(incs) > thresh)
+        if rows.size:
+            draws = [
+                rngs[row].uniform(eps, 1.0 - eps, size=count)
+                for row, count in zip(*np.unique(rows, return_counts=True))
+            ]
+            jump_times[rows, cells] = times[cells] + dt * np.concatenate(draws)
 
     killed_at = np.full(len(rngs), math.inf)
     if killing is not None:

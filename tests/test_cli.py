@@ -1,9 +1,12 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from stablesde import cli
 from stablesde.cli import build_parser, main
+from stablesde.funcspec import FunctionSpec
 from stablesde.integrals import power_law_test
 from stablesde.intervals import ShellSpec, build_example_set, wiener_sum
 
@@ -78,6 +81,7 @@ class TestExitCodes:
         ({**CONFIG, "replicates": 2.7}, "replicates must be a whole number"),
         ({**CONFIG, "killing": {"rate": 1.0}}, "killing.q must be a number"),
         ({**CONFIG, "z": [0.0, "1"]}, "z must be a number"),
+        ({**CONFIG, "f_or_sigma": {"pieces": [{"interval": [0, 1]}]}}, "lacks the key 'form'"),
         ([CONFIG], "must be a JSON object"),
     ])
     def test_malformed_config_is_validation(self, tmp_path, capsys, doc, detail):
@@ -87,6 +91,18 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert main(["experiment", "--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert detail in err["detail"]
+
+    @pytest.mark.parametrize("piece, detail", [
+        ({"interval": [0, 1]}, "lacks the key 'form'"),
+        ({"form": {"power": {"c": 1.0}}}, "lacks the key 'interval'"),
+    ])
+    def test_malformed_sigma_file_is_validation(self, tmp_path, capsys, piece, detail):
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"pieces": [piece]}))
+        assert main(["classify", "--alpha", "0.5", "--sigma", f"@{path}"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert detail in err["detail"]
@@ -165,11 +181,60 @@ class TestSubcommands:
         assert float(fields[3]) == 1.0  # beta = 1.5 freezes instantly
 
     def test_sigma_from_json_file(self, tmp_path, capsys):
-        from stablesde.funcspec import FunctionSpec
-
         spec_path = tmp_path / "sigma.json"
         spec_path.write_text(FunctionSpec.power(0.5).to_json())
         args = ["classify", "--alpha", "0.5", "--sigma", f"@{spec_path}"]
         assert main(args) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["nontrivial_global_all"] is True
+
+
+class TestSharedParser:
+    def test_main_reuses_one_parser(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._parser()
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        classify = ["classify", "--alpha", "0.5", "--sigma", "power:|x|^0.5"]
+        assert main(classify + ["--at", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["local_at"] != {}
+        assert main(classify) == 0
+        assert json.loads(capsys.readouterr().out)["local_at"] == {}
+        assert main(["test", "--alpha", "0.5", "--beta", "nope"]) == 1
+        assert main(["test", "--alpha", "0.5", "--beta", "0.5"]) == 0
+
+
+#: analytic CLI calls whose bytes must not depend on how the parser is built
+#: or how `IntervalSet.intersection` finds overlaps; "@spec" is the file of
+#: (|x|^0.5)^-0.5
+ANALYTIC_CASES = {
+    **{
+        f"wiener_{alpha}": ["wiener", "--alpha", alpha, "--set", "example2.2", "--nmax", "200"]
+        for alpha in ("0.3", "0.5", "0.7", "0.9")
+    },
+    "classify": ["classify", "--alpha", "0.5", "--sigma", "power:|x|^0.5"],
+    "test_offset": ["test", "--alpha", "0.5", "--f", "@spec", "--z", "0.5",
+                    "--domain", "[[-1.0, 1.0]]"],
+}
+
+#: sha256 of each output, recorded with a parser built per call and the
+#: nested-loop intersection
+ANALYTIC_GOLDEN = {
+    "wiener_0.3": "6d17cf8f06f69db06146c56280036cc9e620286c31711fdd30542aee31050596",
+    "wiener_0.5": "092708cf470ef8cf122ab437cb4687e22d802d9ce6f829fc3615634659ddf2b0",
+    "wiener_0.7": "0f3082807d94cae8c6ffa68246805ed4ea82fa2240891adbbd501d0481ba3a1f",
+    "wiener_0.9": "e73f8fbd097eaa9b441cc4b3b5cf2a8a9c2f8bd81586cf48977524c1b61feee7",
+    "classify": "8f17123cb0b51a5e24d2e2784622564909ccb0712d2371cd6da4d156ea460c70",
+    "test_offset": "c75ed9f5852d41d95b509692d65a3896dab0818f4a5ee7703e52a73fa67f62b0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_CASES))
+def test_analytic_bytes_unchanged(name, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(FunctionSpec.power(0.5).inverse_power(0.5).to_json())
+    argv = [f"@{spec}" if arg == "@spec" else arg for arg in ANALYTIC_CASES[name]]
+    out = tmp_path / "out.json"
+    assert main(["--out", str(out)] + argv) == 0
+    assert hashlib.sha256(out.read_text().encode()).hexdigest() == ANALYTIC_GOLDEN[name]

@@ -1,10 +1,11 @@
 """Property tests: numeric parameters read from outside the program are
-accepted exactly when they are finite and in range, and `IntervalSet` and
-`FunctionSpec` survive a JSON round trip."""
+accepted exactly when they are finite and in range, `IntervalSet` and
+`FunctionSpec` survive a JSON round trip, and `IntervalSet.intersection`
+equals the nested loop it replaced."""
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablesde.funcspec import FunctionSpec, Piece, PoleMark, PowerForm, TableForm, ZeroMark
@@ -22,6 +23,10 @@ PROPERTY = settings(database=None, derandomize=True, deadline=None)
 ANY_FLOAT = st.floats()
 FINITE = st.floats(-1e6, 1e6)
 ENDPOINT = st.one_of(st.floats(allow_nan=False), st.sampled_from([-INF, INF]))
+#: few distinct endpoints, so touching and adjacent intervals are common
+GRID_ENDPOINT = st.one_of(
+    st.sampled_from([-INF, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, INF]), FINITE
+)
 
 
 def accepted(make) -> bool:
@@ -75,6 +80,31 @@ def test_interval_endpoints_reject_only_nan(pairs):
 def test_interval_set_json_round_trip(pairs):
     s = IntervalSet.of(*pairs)
     assert IntervalSet.from_json(s.to_json()) == s
+
+
+def nested_loop_intersection(s: IntervalSet, t: IntervalSet) -> IntervalSet:
+    pieces = []
+    for a, b in s.intervals:
+        for c, d in t.intervals:
+            lo, hi = max(a, c), min(b, d)
+            if lo < hi:
+                pieces.append((lo, hi))
+    return IntervalSet(tuple(pieces))
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(GRID_ENDPOINT, GRID_ENDPOINT), max_size=8),
+    st.lists(st.tuples(GRID_ENDPOINT, GRID_ENDPOINT), max_size=8),
+)
+@example([(0.0, 1.0), (3.0, 4.0)], [(-0.0, 2.0)])
+@example([(-INF, 0.0), (1.0, INF)], [(0.0, 1.0)])
+@example([(-INF, INF)], [])
+def test_intersection_equals_nested_loop(pairs, other_pairs):
+    s, t = IntervalSet.of(*pairs), IntervalSet.of(*other_pairs)
+    for x, y in ((s, t), (t, s)):
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(x.intersection(y)) == repr(nested_loop_intersection(x, y))
 
 
 @st.composite
