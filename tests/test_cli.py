@@ -81,8 +81,8 @@ class TestExitCodes:
         ({**CONFIG, "replicates": 2.7}, "replicates must be a whole number"),
         ({**CONFIG, "killing": {"rate": 1.0}}, "killing.q must be a number"),
         ({**CONFIG, "z": [0.0, "1"]}, "z must be a number"),
-        ({**CONFIG, "f_or_sigma": {"pieces": [{"interval": [0, 1]}]}}, "lacks the key 'form'"),
         ([CONFIG], "must be a JSON object"),
+        ({**CONFIG, "f_or_sigma": {"pieces": [{"interval": [0, 1]}]}}, "lacks the key 'form'"),
     ])
     def test_malformed_config_is_validation(self, tmp_path, capsys, doc, detail):
         """A config the estimators cannot read exits 1 with a readable
