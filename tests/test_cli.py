@@ -238,3 +238,19 @@ def test_analytic_bytes_unchanged(name, tmp_path):
     out = tmp_path / "out.json"
     assert main(["--out", str(out)] + argv) == 0
     assert hashlib.sha256(out.read_text().encode()).hexdigest() == ANALYTIC_GOLDEN[name]
+
+
+def test_out_file_holds_exactly_the_last_output(tmp_path):
+    # --out overwrites in place and then cuts the file, so a longer earlier
+    # content must not survive, and a failing call leaves what it wrote
+    out = tmp_path / "out.json"
+    argv = ["test", "--alpha", "0.5", "--beta", "0.3"]
+    out.write_text("x" * 10_000)
+    assert main(["--out", str(out)] + argv) == 0
+    first = out.read_text()
+    assert json.loads(first)["finiteness"] == "finite"
+    assert main(["--out", str(out)] + argv) == 0
+    assert out.read_text() == first
+    assert main(["--out", str(out), "test", "--alpha", "0.5"]) == 1
+    assert out.read_text() == ""
+    assert main(["--out", "/dev/null"] + argv) == 0
