@@ -5,11 +5,15 @@ Replicates run on one thread, a block at a time: a block samples its paths
 together (`stable.sample_block`) and decides hitting, freezing, explosion and
 small-time on the whole block, from its node arrays or its cell arrays
 (`PathBlock.cells`).  Only the finiteness rule still reads each row as a
-`PathSample`, since regrouping its sums would change its output.
-Replicate i always draws from the counter-based stream keyed by (seed, i),
-so results do not depend on the block size.  The `threads` arguments are
-kept for compatibility and have no effect.  Undetermined replicates are
-excluded from the point estimate but reported as a fraction.
+`PathSample`, since regrouping its sums would change its output.  Replicate
+i of a path estimator draws from the counter-based stream keyed by (seed, i),
+so results do not depend on the block size.
+
+Hitting without killing samples no path: walk-on-spheres walkers jump
+straight from ball to ball, and each chunk of WALK_CHUNK walkers draws from
+the one stream keyed by (seed, chunk).  The `threads` arguments are kept for
+compatibility and have no effect.  Undetermined replicates are excluded from
+the point estimate but reported as a fraction.
 """
 
 from __future__ import annotations
@@ -42,15 +46,24 @@ ESTIMATOR_NAMES = (
     "smalltime_finiteness",
 )
 
-#: a non-hitting path is resolved once the residual hitting probability
-#: bound capacity * distance^(alpha-1) drops below this
+#: a killed path that never hit is resolved once the residual hitting
+#: probability bound capacity * distance^(alpha-1) drops below this
 HITTING_RESIDUAL = 1e-2
+
+#: walk-on-spheres: walkers per chunk (one stream each), the residual hitting
+#: bound below which a walker is a miss, and the exits after which a walker
+#: still alive is undetermined
+WALK_CHUNK = 1 << 14
+WALK_TOL = 1e-4
+WALK_STEPS = 100_000
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One estimator run.  f_or_sigma is read as the coefficient sigma by the
-    freeze/explosion estimators and as the integrand f by the others."""
+    freeze/explosion estimators and as the integrand f by the others.
+    hitting_prob without killing reads neither horizon nor step: its
+    walk-on-spheres walkers keep no time."""
 
     alpha: float
     f_or_sigma: FunctionSpec
@@ -249,25 +262,68 @@ _BLOCK_RULES = {
 BLOCK_CELLS = 1 << 15
 
 
+def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
+    """Hit (1), miss (0) or undetermined (-1) for n walk-on-spheres walkers
+    from z towards the target of an unkilled process.
+
+    A walker at distance d > 0 from the target leaves the ball (x - d, x + d)
+    at x +- d / sqrt(B), B ~ Beta(alpha/2, 1 - alpha/2), with a fair sign: the
+    exit law of Blumenthal, Getoor & Ray (1961).  It hits on landing in the
+    target (or on its boundary), and misses once capacity * d^(alpha-1), a
+    bound on its chance of ever hitting, drops below WALK_TOL, that is once d
+    exceeds (capacity / WALK_TOL)^(1/(1-alpha)).  A walker still alive after
+    WALK_STEPS exits, or whose distance overflowed without a miss, is
+    undetermined.  The walk keeps no time, which is why killing cannot use
+    it: the exit time and exit position of a ball have no explicit joint law.
+    """
+    a = cfg.alpha / 2.0
+    cap = interval_capacity_upper(cfg.alpha, cfg.target)
+    codes = np.full(n, -1, dtype=np.int8)
+    live = np.arange(n)
+    x = np.full(n, z)
+    with np.errstate(over="ignore"):
+        # 0 for the empty target; inf for an unbounded one, and where the
+        # bound stays above WALK_TOL at every finite distance
+        far = np.float64(cap / WALK_TOL) ** (1.0 / (1.0 - cfg.alpha))
+        for step in range(WALK_STEPS + 1):
+            d = cfg.target.distance_to(x)
+            hit, miss = d == 0.0, d > far
+            codes[live[hit]] = 1
+            codes[live[miss]] = 0
+            going = ~(hit | miss) & (d < math.inf)
+            live, x, d = live[going], x[going], d[going]
+            if not live.size or step == WALK_STEPS:
+                break
+            jump = d / np.sqrt(rng.beta(a, 1.0 - a, live.size))
+            # down when the uniform is below 1/2
+            x = x + np.copysign(jump, rng.random(live.size) - 0.5)
+    return codes
+
+
+def _walk_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:
+    """Codes of every walker; chunk c of WALK_CHUNK walkers draws from
+    stream_rng(seed, c), so the codes depend on neither threads nor any
+    block size."""
+    codes = np.empty(cfg.replicates, dtype=np.int8)
+    for chunk, lo in enumerate(range(0, cfg.replicates, WALK_CHUNK)):
+        n = min(WALK_CHUNK, cfg.replicates - lo)
+        codes[lo : lo + n] = _walk_codes(cfg, z, n, stream_rng(cfg.seed, chunk))
+    return codes
+
+
 def _hitting_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
-    """Hit (1), certified miss (0) or undetermined (-1) for each path of a
-    block.  A path hits when one of its nodes lies in the target; a killed
-    path keeps only the nodes it reaches before its killing time."""
+    """Hit (1), certified miss (0) or undetermined (-1) for each killed path
+    of a block.  A path hits when one of the nodes it reaches before its
+    killing time lies in the target.  One that never hit is decided by the
+    residual bound at its last live node."""
     block = sample_block(
-        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rngs,
-        killing=cfg.killing,
-        # an inserted node repeats the next grid value and, without killing,
-        # no draw follows the jump times, so they can be skipped
-        jump_adapted=cfg.killing is not None,
+        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rngs, killing=cfg.killing,
     )
-    inside = cfg.target.contains(block.values)
-    last = block.values[:, -1]
-    if cfg.killing is not None:
-        alive = block.visit_times() < block.killed_at[:, None]
-        alive[:, 0] = True
-        inside &= alive
-        # visit times increase along a row, so the nodes reached form a prefix
-        last = block.values[np.arange(len(block)), alive.sum(axis=1) - 1]
+    alive = block.visit_times() < block.killed_at[:, None]
+    alive[:, 0] = True
+    inside = cfg.target.contains(block.values) & alive
+    # visit times increase along a row, so the nodes reached form a prefix
+    last = block.values[np.arange(len(block)), alive.sum(axis=1) - 1]
     codes = np.where(inside.any(axis=1), 1, -1).astype(np.int8)
     d = cfg.target.distance_to(last)
     cap = interval_capacity_upper(cfg.alpha, cfg.target)
@@ -293,9 +349,12 @@ def _path_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
 
 
 def _run_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:
-    """Codes of every replicate; replicate i draws from stream_rng(seed, i)
-    whatever block it falls in.  The generators of the first block are
-    restarted on the streams of each later one."""
+    """Codes of every replicate.  Unkilled hitting runs walk-on-spheres
+    chunks (`_walk_replicates`).  Otherwise replicate i draws from
+    stream_rng(seed, i) whatever block it falls in, and the generators of the
+    first block are restarted on the streams of each later one."""
+    if cfg.estimator == "hitting_prob" and cfg.killing is None:
+        return _walk_replicates(cfg, z)
     block_codes = _hitting_codes if cfg.estimator == "hitting_prob" else _path_codes
     size = min(cfg.replicates, max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step)))
     rngs = [stream_rng(cfg.seed, i) for i in range(size)]

@@ -167,6 +167,29 @@ def kernel_integral(
     return TestVerdict("finite", total, err, "+".join(sorted(methods)) or "empty")
 
 
+def hitting_probability(alpha: float, z: float, interval: tuple[float, float]) -> float:
+    """P_z(the symmetric alpha-stable process ever hits [a, b]), exactly.
+
+    The potential kernel |z - y|^(alpha-1) integrated against M. Riesz's
+    equilibrium measure (sin(pi alpha/2)/pi) (r^2 - (y-c)^2)^(-alpha/2) dy of
+    the interval with centre c and half-width r, its endpoint singularities
+    taken as the algebraic weight of `quad`.  1 for z in [a, b].
+    """
+    _check_alpha(alpha)
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
+    a, b = (float(v) for v in interval)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"need a finite interval a < b, got {interval}")
+    if a <= z <= b:
+        return 1.0
+    value, _ = quad(
+        lambda y: abs(z - y) ** (alpha - 1.0), a, b,
+        weight="alg", wvar=(-alpha / 2.0, -alpha / 2.0),
+    )
+    return math.sin(math.pi * alpha / 2.0) / math.pi * value
+
+
 def _interp(g: TableForm, y: float) -> float:
     import numpy as np
 

@@ -35,6 +35,15 @@ class IntervalSet:
     def of(cls, *pairs) -> "IntervalSet":
         return cls(tuple((float(a), float(b)) for a, b in pairs))
 
+    @classmethod
+    def _trusted(cls, pairs: tuple[tuple[float, float], ...]) -> "IntervalSet":
+        """A set of float pairs already in normal form (sorted, non-empty,
+        neither overlapping nor adjacent, no NaN), kept without a second
+        `_normalize`."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "intervals", pairs)
+        return out
+
     def is_empty(self) -> bool:
         return not self.intervals
 
@@ -69,7 +78,8 @@ class IntervalSet:
             for c, d in large[i:bisect_left(large, (b, -math.inf))]:
                 # self's endpoint first, as max/min keep it on a tie of 0.0 and -0.0
                 pieces.append((max(c, a), min(d, b)) if swap else (max(a, c), min(b, d)))
-        return IntervalSet(tuple(pieces))
+        # overlaps of two normal forms, in order, are a normal form
+        return IntervalSet._trusted(tuple(pieces))
 
     def complement_within(self, window: tuple[float, float]) -> "IntervalSet":
         """Complement of the set restricted to the window [lo, hi)."""
@@ -92,9 +102,9 @@ class IntervalSet:
         x = np.asarray(x, dtype=float)
         best = np.full(x.shape, math.inf)
         for a, b in self.intervals:
-            best = np.fmin(best, np.fmin(np.abs(x - a), np.abs(x - b)))
-        out = np.where(self.contains(x), 0.0, best)
-        return float(out) if out.ndim == 0 else out
+            # fmin drops the NaN that a NaN point gives
+            best = np.fmin(best, np.maximum(np.maximum(a - x, x - b), 0.0))
+        return float(best) if best.ndim == 0 else best
 
     def to_json(self) -> str:
         return json.dumps([[a, b] for a, b in self.intervals])
@@ -141,7 +151,11 @@ def shell(spec: ShellSpec, n: int) -> IntervalSet:
     """The two-component shell at index n, as half-open intervals."""
     z, lam = spec.center, spec.lam
     r_in, r_out = lam ** (n - 1), lam ** n
-    return IntervalSet.of((z - r_out, z - r_in), (z + r_in, z + r_out))
+    a, b = float(z - r_out), float(z - r_in)
+    c, d = float(z + r_in), float(z + r_out)
+    pieces = ((a, b), (c, d))
+    # false for a NaN centre, or where rounding empties or joins the pieces
+    return IntervalSet._trusted(pieces) if a < b < c < d else IntervalSet(pieces)
 
 
 def ball_capacity(alpha: float, r: float) -> float:

@@ -6,6 +6,9 @@ pole-kernel cases (freeze from z = 0 on a pole of sigma^-alpha, small-time
 without killing) with the engine that still expanded every block row into a
 `PathSample`, before the block rules read the cell arrays.  Replicate counts
 are chosen so that every run spans several blocks and ends on a partial one.
+The unkilled `hitting` digest was re-recorded when walk-on-spheres replaced
+sampled paths there; its 300 walkers make one partial chunk, and runs of
+several chunks are checked in `test_hitting.py`.
 """
 
 import hashlib
@@ -104,7 +107,7 @@ GOLDEN = {
     "freeze": "87b21bc2192d34c6929b6520282021170d22ac4563cbe599738ad93e65f6db2f",
     "freeze_pole_05": "1d8f78951b315f4880f69357c778d90a00035e868bb84a3536cf1b7d792a3485",
     "freeze_pole_15": "04b232725b2e7dcfac363929946b9732727bd7355549259b83c5c102de61b14e",
-    "hitting": "222f7bfa2d413912b31a90fdf3f277802f9f472de618d850101be10704069459",
+    "hitting": "3447a3be5aab298e1bb98cd01d5bab957ce6793b335f9dbe48143075a966e6f0",
     "hitting_killed": "e8ade34180aa0cc9a890aad709bdedf2c42e48c7a27d5519f88e199099fe798b",
     "smalltime": "6e0a19894fd1d003071fdf832e030c310e52d58728e45f54f426b68b3ba1e520",
     "smalltime_killed": "4170df4a231ca3858be99fa54436c7e9e3f786bc571251eaaea52f357819820e",
