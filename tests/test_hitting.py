@@ -13,7 +13,7 @@ import pytest
 from scipy.special import betainc
 
 from stablesde import experiments
-from stablesde.experiments import WALK_CHUNK, WALK_TOL, ExperimentConfig, run_experiment
+from stablesde.experiments import WALK_CHUNK, ExperimentConfig, run_experiment
 from stablesde.funcspec import FunctionSpec
 from stablesde.integrals import hitting_probability
 from stablesde.intervals import IntervalSet, interval_capacity_upper
@@ -37,8 +37,8 @@ def hitting_cfg(alpha=0.5, z=(0.0,), target=IntervalSet.of(TARGET), replicates=W
 
 def band(p: float, n: int) -> float:
     """Four standard errors of a mean of n Bernoulli(p) draws, plus the bias
-    the walk's miss rule allows."""
-    return 4.0 * math.sqrt(p * (1.0 - p) / n) + WALK_TOL
+    the walk's miss rule may add: 1e-4, its tolerance."""
+    return 4.0 * math.sqrt(p * (1.0 - p) / n) + 1e-4
 
 
 def resolved(est) -> int:
