@@ -1,19 +1,19 @@
-"""Monte Carlo estimation harness: reproducible configs, per-replicate RNG
-streams, Wilson intervals, and CSV reporting.
+"""Monte Carlo estimation harness: reproducible configs, one RNG stream per
+chunk of replicates, Wilson intervals, and CSV reporting.
 
-Replicates run on one thread, a block at a time: a block samples its paths
-together (`stable.sample_block`) and decides hitting, freezing, explosion and
-small-time on the whole block, from its node arrays or its cell arrays
-(`PathBlock.cells`).  Only the finiteness rule still reads each row as a
-`PathSample`, since regrouping its sums would change its output.  Replicate
-i of a path estimator draws from the counter-based stream keyed by (seed, i),
-so results do not depend on the block size.
+Replicates run on one thread, a chunk at a time, and chunk c draws from the
+counter-based stream keyed by (seed, c); the chunk size depends on the
+config alone, so results do too.  A chunk of a path estimator samples its
+paths together (`stable.sample_block`) and decides hitting, finiteness,
+freezing, explosion and small-time on the whole block, from its node arrays
+or its cell arrays (`PathBlock.cells`).  Every rule that reads cells uses
+the alpha-aware `functionals._contributions`; only the single-path public
+functions of `functionals` keep the left-point sum.
 
 Hitting without killing samples no path: walk-on-spheres walkers jump
-straight from ball to ball, and each chunk of WALK_CHUNK walkers draws from
-the one stream keyed by (seed, chunk).  The `threads` arguments are kept for
-compatibility and have no effect.  Undetermined replicates are excluded from
-the point estimate but reported as a fraction.
+straight from ball to ball, WALK_CHUNK walkers to a chunk.  The `threads`
+arguments are kept for compatibility and have no effect.  Undetermined
+replicates are excluded from the point estimate but reported as a fraction.
 """
 
 from __future__ import annotations
@@ -25,18 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .funcspec import FunctionSpec, parse_inline
-from .functionals import DEFAULT_M, Thresholds, _clock_rows, _contributions, path_integral
+from .functionals import DEFAULT_M, Thresholds, _clock_rows, _contributions
 from .intervals import IntervalSet, _check_alpha, interval_capacity_upper
-from .stable import (
-    KillingSpec,
-    PathBlock,
-    PathSample,
-    StableParams,
-    _restart_stream,
-    grid_cells,
-    sample_block,
-    stream_rng,
-)
+from .stable import KillingSpec, PathBlock, StableParams, grid_cells, sample_block, stream_rng
 
 ESTIMATOR_NAMES = (
     "finiteness_prob",
@@ -91,6 +82,8 @@ class ExperimentConfig:
             raise ValueError("hitting_prob requires a target set")
         zs = self.z if isinstance(self.z, (tuple, list)) else (self.z,)
         zs = tuple(float(v) for v in zs)
+        if not zs:
+            raise ValueError("z must name at least one starting point")
         if not all(math.isfinite(v) for v in zs):
             raise ValueError(f"starting points must be finite, got {zs}")
         object.__setattr__(self, "z", zs)
@@ -126,8 +119,8 @@ class ExperimentConfig:
                 m=_number(th.get("M", DEFAULT_M), "thresholds.M"),
                 r=None if r is None else _number(r, "thresholds.R"),
             ),
-            killing=KillingSpec(_number(kill.get("q"), "killing.q")) if kill else None,
-            target=IntervalSet.of(*tgt) if tgt else None,
+            killing=None if kill is None else KillingSpec(_number(kill.get("q"), "killing.q")),
+            target=None if tgt is None else IntervalSet.from_json(json.dumps(tgt)),
         )
 
 
@@ -198,34 +191,25 @@ def _estimate_from_codes(codes: np.ndarray, seed: int) -> Estimate:
 # f is the integrand: cfg.f_or_sigma, or sigma^-alpha for freeze and explosion
 
 
-def _finiteness_outcome(cfg: ExperimentConfig, f: FunctionSpec, path: PathSample):
-    m = cfg.thresholds.m
-    r = cfg.thresholds.escape_radius(cfg.alpha, cfg.horizon)
-    total = path_integral(path, f, path.horizon)
-    if not total < m:
-        return False
-    if f.lower_bound() > 0.0:
-        # the integral grows without bound surely
-        return False
-    if abs(float(path.values[-1])) > r:
-        return True
-    # stagnation: no mass in the second half of the window and none at the
-    # terminal position; resolved finite only heuristically
-    half = path_integral(path, f, path.horizon / 2.0)
-    if total == half and f(float(path.values[-1])) == 0.0:
-        return True
-    return None
-
-
 def _finiteness_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
-    """The finiteness rule, row by row on each row's PathSample: its
-    left-point sums are `np.dot`s over the occupied cells, and the
-    stagnation test compares two of them exactly, so a sum regrouped over
-    the block could change a replicate."""
-    codes = np.empty(len(block), dtype=np.int8)
-    for i in range(len(block)):
-        out = _finiteness_outcome(cfg, f, block.path(i))
-        codes[i] = -1 if out is None else int(out)
+    """Whether the occupation integral of f stays finite along each row, from
+    the alpha-aware contributions of its cells.  It does not (0) once the
+    row's sum reaches M, or whenever f is bounded below by a positive
+    constant.  Otherwise it does (1) when the row ends beyond R, or when it
+    stagnates: f is 0 at its last value and every cell of the second
+    half-window contributes 0, a heuristic resolution.  The half-window is
+    the cells from grid time t[n // 2] on (horizon / 2 when n is even), and
+    the test compares contributions with 0, never two regrouped sums."""
+    if f.lower_bound() > 0.0:
+        return np.zeros(len(block), dtype=np.int8)
+    values, dwell = block.cells()
+    contrib = _contributions(values, dwell, f, cfg.alpha)
+    last = block.last_values()
+    half = 2 * (block.jump_times.shape[1] // 2)
+    stagnant = (f(last) == 0.0) & ~contrib[:, half:].any(axis=1)
+    escaped = np.abs(last) > cfg.thresholds.escape_radius(cfg.alpha, cfg.horizon)
+    codes = np.where(escaped | stagnant, 1, -1).astype(np.int8)
+    codes[~(contrib.sum(axis=1) < cfg.thresholds.m)] = 0
     return codes
 
 
@@ -300,32 +284,19 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     return codes
 
 
-def _walk_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:
-    """Codes of every walker; chunk c of WALK_CHUNK walkers draws from
-    stream_rng(seed, c), so the codes depend on neither threads nor any
-    block size."""
-    codes = np.empty(cfg.replicates, dtype=np.int8)
-    for chunk, lo in enumerate(range(0, cfg.replicates, WALK_CHUNK)):
-        n = min(WALK_CHUNK, cfg.replicates - lo)
-        codes[lo : lo + n] = _walk_codes(cfg, z, n, stream_rng(cfg.seed, chunk))
-    return codes
-
-
-def _hitting_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
-    """Hit (1), certified miss (0) or undetermined (-1) for each killed path
-    of a block.  A path hits when one of the nodes it reaches before its
-    killing time lies in the target.  One that never hit is decided by the
-    residual bound at its last live node."""
+def _hitting_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
+    """Hit (1), certified miss (0) or undetermined (-1) for n killed paths.
+    A path hits when one of the nodes it reaches before its killing time
+    lies in the target.  One killed within the horizon that never hit is a
+    certain miss; one still alive at the horizon is a miss when the residual
+    bound at its last node drops below HITTING_RESIDUAL."""
     block = sample_block(
-        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rngs, killing=cfg.killing,
+        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rng, killing=cfg.killing, rows=n,
     )
-    alive = block.visit_times() < block.killed_at[:, None]
-    alive[:, 0] = True
-    inside = cfg.target.contains(block.values) & alive
-    # visit times increase along a row, so the nodes reached form a prefix
-    last = block.values[np.arange(len(block)), alive.sum(axis=1) - 1]
+    inside = cfg.target.contains(block.values) & block.reached()
     codes = np.where(inside.any(axis=1), 1, -1).astype(np.int8)
-    d = cfg.target.distance_to(last)
+    codes[(codes < 0) & (block.killed_at <= cfg.horizon)] = 0
+    d = cfg.target.distance_to(block.values[:, -1])
     cap = interval_capacity_upper(cfg.alpha, cfg.target)
     # the residual bound uses Python's pow: numpy's SIMD pow can differ in
     # the last bit, which would move replicates across HITTING_RESIDUAL
@@ -335,36 +306,33 @@ def _hitting_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
     return codes
 
 
-def _path_codes(cfg: ExperimentConfig, z: float, rngs) -> np.ndarray:
-    """Codes of a block for the estimators other than hitting; freeze and
+def _path_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
+    """Codes of n paths for the estimators other than hitting; freeze and
     explosion read the clock of sigma^-alpha along drivers that are never
     killed."""
     clocked = cfg.estimator in ("freeze_prob", "explosion_prob")
     f = cfg.f_or_sigma.inverse_power(cfg.alpha) if clocked else cfg.f_or_sigma
     block = sample_block(
-        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rngs,
-        killing=None if clocked else cfg.killing,
+        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rng,
+        killing=None if clocked else cfg.killing, rows=n,
     )
     return _BLOCK_RULES[cfg.estimator](cfg, f, block)
 
 
 def _run_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:
-    """Codes of every replicate.  Unkilled hitting runs walk-on-spheres
-    chunks (`_walk_replicates`).  Otherwise replicate i draws from
-    stream_rng(seed, i) whatever block it falls in, and the generators of the
-    first block are restarted on the streams of each later one."""
+    """Codes of every replicate, a chunk at a time: chunk c draws from
+    stream_rng(seed, c).  A chunk is WALK_CHUNK walkers for unkilled hitting
+    and BLOCK_CELLS // grid_cells paths otherwise, so the codes depend on
+    the config alone."""
     if cfg.estimator == "hitting_prob" and cfg.killing is None:
-        return _walk_replicates(cfg, z)
-    block_codes = _hitting_codes if cfg.estimator == "hitting_prob" else _path_codes
-    size = min(cfg.replicates, max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step)))
-    rngs = [stream_rng(cfg.seed, i) for i in range(size)]
+        rule, size = _walk_codes, WALK_CHUNK
+    else:
+        rule = _hitting_codes if cfg.estimator == "hitting_prob" else _path_codes
+        size = max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step))
     codes = np.empty(cfg.replicates, dtype=np.int8)
-    for lo in range(0, cfg.replicates, size):
-        block = rngs[: cfg.replicates - lo]
-        if lo:
-            for i, rng in enumerate(block, start=lo):
-                _restart_stream(rng, cfg.seed, i)
-        codes[lo : lo + len(block)] = block_codes(cfg, z, block)
+    for chunk, lo in enumerate(range(0, cfg.replicates, size)):
+        n = min(size, cfg.replicates - lo)
+        codes[lo : lo + n] = rule(cfg, z, n, stream_rng(cfg.seed, chunk))
     return codes
 
 

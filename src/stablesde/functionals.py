@@ -2,18 +2,19 @@
 right-continuous inverses, hitting and last-exit times, and the
 explosion/freezing verdict for a single path.
 
-Two occupation conventions coexist.  The plain left-point Riemann sum charges
-+inf to any cell parked on a pole of f with positive dwell; `path_integral`,
-`cumulative_integral`, `inverse_time_change`, `discretization_bias` and the
-finiteness estimator use it.  The alpha-aware `effective_contributions`
-replaces the contribution of a cell parked exactly on an isolated pole point
-by the kernel integral of f over the spatial range dwell^(1/alpha) the
-process typically sweeps there; that cell is infinite exactly when the local
-exponent e of f satisfies e + alpha <= 0, matching the analytic small-time
-test instead of the grid artifact.  Its rule lives in `_contributions`, which
-takes cells of any shape: the small-time estimator applies it to the first
-cell of every row of a block, and everything that decides freezing or
-explosion reads it through the clock.
+Only the single-path public functions keep the plain left-point Riemann
+sum, which charges +inf to any cell parked on a pole of f with positive
+dwell: `path_integral`, `cumulative_integral`, `inverse_time_change` and
+`discretization_bias`.  Every estimator uses the alpha-aware
+`effective_contributions` instead, which replaces the contribution of a cell
+parked exactly on an isolated pole point by the kernel integral of f over
+the spatial range dwell^(1/alpha) the process typically sweeps there; that
+cell is infinite exactly when the local exponent e of f satisfies
+e + alpha <= 0, matching the analytic small-time test instead of the grid
+artifact.  Its rule lives in `_contributions`, which takes cells of any
+shape: the finiteness and small-time estimators apply it to the cells of
+every row of a block, and everything that decides freezing or explosion
+reads it through the clock.
 
 `_clock_rows` is the one freeze/explode verdict: it accumulates the
 time-change clock of f = sigma^-alpha along rows of cells and decides

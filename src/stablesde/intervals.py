@@ -111,7 +111,16 @@ class IntervalSet:
 
     @classmethod
     def from_json(cls, text: str) -> "IntervalSet":
-        return cls.of(*json.loads(text))
+        """A set from a JSON list of [a, b] pairs of numbers; any other
+        document raises ValueError."""
+        pairs = json.loads(text)
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+            for pair in pairs
+        ):
+            raise ValueError(f"an interval set must be a JSON list of [a, b] pairs, got {text}")
+        return cls.of(*pairs)
 
 
 def _normalize(pairs):

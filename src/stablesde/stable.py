@@ -6,8 +6,10 @@ optional jump-adapted refinement: a cell whose increment exceeds a threshold
 gets an extra node at a uniformly placed jump time, which reduces hitting and
 occupation bias without changing any grid marginal.
 
-`sample_block` samples many paths at once, one per generator, as rows of one
+`sample_block` samples many paths at once from one generator, as rows of one
 array; `sample_path` is its one-row case, expanded into a `PathSample`.
+Chunk c of a run of replicates draws from `stream_rng(seed, c)`; the single
+paths of `simulate` and `solve` are chunk 0.
 """
 
 from __future__ import annotations
@@ -24,27 +26,11 @@ _WORD = (1 << 64) - 1
 
 
 def stream_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-stream generator keyed by (experiment seed,
-    replicate index); reproducible regardless of worker count."""
+    """Counter-based generator keyed by (experiment seed, stream index),
+    the index of a chunk of replicates; reproducible regardless of worker
+    count."""
     key = (int(seed) & _WORD) << 64 | (int(index) & _WORD)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _restart_stream(rng: np.random.Generator, seed: int, index: int) -> None:
-    """Put a generator made by stream_rng at the start of stream (seed,
-    index): the same draws as stream_rng(seed, index), without a new Philox,
-    whose constructor gathers OS entropy only to discard it."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([int(index) & _WORD, int(seed) & _WORD], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
 
 @dataclass(frozen=True)
@@ -186,14 +172,21 @@ class PathBlock:
     def __len__(self) -> int:
         return len(self.values)
 
-    def visit_times(self) -> np.ndarray:
-        """(B, n + 1) time from which each row holds each grid value: the
-        jump time of the cell that leads to it when that cell was refined,
-        its grid time otherwise."""
-        out = np.empty(self.values.shape)
-        out[:, 0] = self.times[0]
-        out[:, 1:] = np.where(np.isnan(self.jump_times), self.times[1:], self.jump_times)
+    def reached(self) -> np.ndarray:
+        """(B, n + 1) whether each row takes each grid value before its
+        killing time.  A row takes a grid value from the jump time of the
+        cell that leads to it when that cell was refined, from its grid time
+        otherwise; the first value is always taken, and the values taken
+        form a prefix of the row."""
+        visit = np.where(np.isnan(self.jump_times), self.times[1:], self.jump_times)
+        out = np.ones(self.values.shape, dtype=bool)
+        out[:, 1:] = visit < self.killed_at[:, None]
         return out
+
+    def last_values(self) -> np.ndarray:
+        """(B,) the value each row holds at its end time, the killing time
+        or the horizon: the last value of path(i)."""
+        return self.values[np.arange(len(self)), self.reached().sum(axis=1) - 1]
 
     def cells(self, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(values, dwell), each (B, 2n + 1): the dwell cells of every row,
@@ -260,16 +253,18 @@ def sample_block(
     z: float,
     horizon: float,
     step: float,
-    rngs: list[np.random.Generator],
+    rng: np.random.Generator,
     killing: KillingSpec | None = None,
     jump_threshold: float | None = None,
     jump_adapted: bool = True,
+    rows: int = 1,
 ) -> PathBlock:
-    """Simulate one path from z per generator, on a shared grid of mesh <= step.
+    """Simulate rows paths from z on a shared grid of n cells of mesh <= step.
 
-    Row i reads only rngs[i], in the order a single path does: n uniforms
-    and n exponentials for the increments, one uniform per refined cell,
-    then the killing time.  With jump adaptation, any cell whose increment
+    The draws from rng come in this order: (rows, n) uniforms, then
+    (rows, n) exponentials for the increments, one uniform per refined cell
+    in row-major order, then rows killing times; with rows = 1 that is the
+    order of a single path.  With jump adaptation, any cell whose increment
     exceeds the threshold (default 10 * step^(1/alpha)) gets a jump time
     drawn uniformly inside it, attributing the move to a single jump there.
     """
@@ -278,16 +273,15 @@ def sample_block(
             raise ValueError(f"{name} must be finite, got {value}")
     if horizon <= 0.0 or step <= 0.0:
         raise ValueError("horizon and step must be positive")
+    if rows < 1:
+        raise ValueError(f"rows must be >= 1, got {rows}")
     n = grid_cells(horizon, step)
     dt = horizon / n
-    u = np.empty((len(rngs), n))
-    w = np.empty((len(rngs), n))
-    for row, rng in enumerate(rngs):
-        u[row] = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
-        w[row] = rng.exponential(1.0, size=n)
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(rows, n))
+    w = rng.exponential(1.0, size=(rows, n))
     incs = params.scale * dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)
     times = np.linspace(0.0, horizon, n + 1)
-    values = np.empty((len(rngs), n + 1))
+    values = np.empty((rows, n + 1))
     values[:, 0] = z
     np.cumsum(incs, axis=1, out=values[:, 1:])
     values[:, 1:] += z
@@ -298,20 +292,14 @@ def sample_block(
         if thresh is None:
             thresh = 10.0 * step ** (1.0 / params.alpha)
         eps = np.finfo(float).eps
-        rows, cells = np.nonzero(np.abs(incs) > thresh)
-        if rows.size:
-            draws = [
-                rngs[row].uniform(eps, 1.0 - eps, size=count)
-                for row, count in zip(*np.unique(rows, return_counts=True))
-            ]
-            jump_times[rows, cells] = times[cells] + dt * np.concatenate(draws)
+        row, cell = np.nonzero(np.abs(incs) > thresh)
+        if row.size:
+            jump_times[row, cell] = times[cell] + dt * rng.uniform(eps, 1.0 - eps, size=row.size)
 
-    killed_at = np.full(len(rngs), math.inf)
+    killed_at = np.full(rows, math.inf)
     if killing is not None:
-        for row, rng in enumerate(rngs):
-            tau = float(rng.exponential(1.0 / killing.q))
-            if tau <= horizon:
-                killed_at[row] = tau
+        tau = rng.exponential(1.0 / killing.q, size=rows)
+        killed_at = np.where(tau <= horizon, tau, math.inf)
     return PathBlock(times, values, jump_times, killed_at, horizon)
 
 
@@ -328,7 +316,7 @@ def sample_path(
     """Simulate a path skeleton from z on a grid of mesh <= step: the one-row
     `sample_block`, with a node inserted at every jump time."""
     block = sample_block(
-        params, z, horizon, step, [rng], killing=killing,
+        params, z, horizon, step, rng, killing=killing,
         jump_threshold=jump_threshold, jump_adapted=jump_adapted,
     )
     return block.path(0)

@@ -1,14 +1,18 @@
-"""The block replicate engine gives the same bytes as the engine it replaced,
-which drew one `sample_path` per replicate from `stream_rng(seed, i)`.
+"""The block replicate engine: its outputs are pinned by sha256 digests, and
+its blocks equal paths built node by node.
 
-The first eight digests were recorded with that per-replicate engine; the
-pole-kernel cases (freeze from z = 0 on a pole of sigma^-alpha, small-time
-without killing) with the engine that still expanded every block row into a
-`PathSample`, before the block rules read the cell arrays.  Replicate counts
-are chosen so that every run spans several blocks and ends on a partial one.
-The unkilled `hitting` digest was re-recorded when walk-on-spheres replaced
-sampled paths there; its 300 walkers make one partial chunk, and runs of
-several chunks are checked in `test_hitting.py`.
+Chunk c of the replicates of a run draws from `stream_rng(seed, c)`.  The
+eight path-estimator digests were recorded when that scheme replaced one
+stream per replicate, when the finiteness rule moved to block cells, and
+when killed hitting began to count a path killed before it hit as a miss;
+`tests/test_occupation.py` checks the sampler against the Green function
+on both sides of that change.  Replicate counts are chosen so that every run
+spans several blocks and ends on a partial one.  The unkilled `hitting`
+digest was recorded when walk-on-spheres replaced sampled paths there; its
+300 walkers make one partial chunk, and runs of several chunks are checked
+in `test_hitting.py`.  The `simulate_killed` and `solve` digests date from
+the engine that drew one `sample_path` per replicate; a single path is the
+one-row block, so they never moved.
 """
 
 import hashlib
@@ -22,7 +26,7 @@ from stablesde import experiments, functionals, stable
 from stablesde.cli import main
 from stablesde.experiments import ExperimentConfig, run_experiment
 from stablesde.funcspec import FunctionSpec, Piece, PowerForm
-from stablesde.functionals import Thresholds, effective_contributions
+from stablesde.functionals import Thresholds, effective_contributions, path_integral
 from stablesde.intervals import IntervalSet
 from stablesde.stable import KillingSpec, StableParams, sample_path, stream_rng
 
@@ -102,15 +106,15 @@ CLI_CASES = {
 
 #: sha256 of each output (see the module docstring for when each was recorded)
 GOLDEN = {
-    "explosion": "d486e36dc41c5a966d308975fe1b6fba56f6c38e4f5944380c30f9d5ce312980",
-    "finiteness_killed": "43f9c7f60c49f4f16a370be11b65d40eaef425ec6bec68ef02108e9d9576916f",
-    "freeze": "87b21bc2192d34c6929b6520282021170d22ac4563cbe599738ad93e65f6db2f",
-    "freeze_pole_05": "1d8f78951b315f4880f69357c778d90a00035e868bb84a3536cf1b7d792a3485",
-    "freeze_pole_15": "04b232725b2e7dcfac363929946b9732727bd7355549259b83c5c102de61b14e",
+    "explosion": "22e14609a9e0f6daf71328230523cf39b24e2fd46d3fe7db4028f3a86637881e",
+    "finiteness_killed": "6e2674bde1be986d05291dddbec6c4cf80406f2023b02b32f9d41928665acd4e",
+    "freeze": "2bb412cf7546a21aeb29cb66f32889edaa4b4e910eccbce277031d04e80347ea",
+    "freeze_pole_05": "1f9078b79aa66353337653040f7fa683df2d8315d2c4b8f0fda6cc722680efe5",
+    "freeze_pole_15": "f891afef48a8d4f337caf66411b47308cde459b8a4a68234d3d884fb553128be",
     "hitting": "3447a3be5aab298e1bb98cd01d5bab957ce6793b335f9dbe48143075a966e6f0",
-    "hitting_killed": "e8ade34180aa0cc9a890aad709bdedf2c42e48c7a27d5519f88e199099fe798b",
-    "smalltime": "6e0a19894fd1d003071fdf832e030c310e52d58728e45f54f426b68b3ba1e520",
-    "smalltime_killed": "4170df4a231ca3858be99fa54436c7e9e3f786bc571251eaaea52f357819820e",
+    "hitting_killed": "32ccf2d39df8eb3123fea2ed00edb12457d70584398774797af13e4768b42b4b",
+    "smalltime": "e879988f7f596129114a4ea1200ec930f068676f5356cabd5091373de68f453b",
+    "smalltime_killed": "2f5593eae4e8166a8750557f468426e8ff60153618160de7d6cd16177153738c",
     "simulate_killed": "e3b3e7359392c1b394a78dd360b903787b9fbda54f2c82d70cb8b17107c3a9d3",
     "solve": "9226e71ed9045f93aae790ab888cf71ab75f5d52dd9f8c4065e8dd665d755153",
 }
@@ -152,40 +156,89 @@ def test_cli_cases_are_killed_and_refined():
     assert driver.grid_kind == "jump-adapted"
 
 
-def test_restarted_stream_matches_new_stream():
-    rng = stream_rng(3, 0)
-    rng.uniform(size=5)
-    rng.integers(0, 7, dtype=np.uint32)  # leaves a buffered half word
-    for seed, index in ((31337, 40), (-1, 2**64 + 5), (2**70, 0)):
-        stable._restart_stream(rng, seed, index)
-        ref = stream_rng(seed, index)
-        assert np.array_equal(rng.uniform(size=9), ref.uniform(size=9))
-        assert np.array_equal(rng.exponential(size=9), ref.exponential(size=9))
-        assert rng.integers(0, 7, dtype=np.uint32) == ref.integers(0, 7, dtype=np.uint32)
+def reference_paths(params, z, horizon, step, rng, rows, killing, jump_adapted):
+    """The paths of a block built node by node, in plain Python, from draws
+    taken in the order `sample_block` documents: (rows, n) uniforms, (rows, n)
+    exponentials, one uniform per refined cell in row-major order, then rows
+    killing times."""
+    n = stable.grid_cells(horizon, step)
+    dt = horizon / n
+    grid = np.linspace(0.0, horizon, n + 1)
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(rows, n))
+    w = rng.exponential(1.0, size=(rows, n))
+    incs = params.scale * dt ** (1.0 / params.alpha) * stable._cms(params.alpha, u, w)
+    refined = np.abs(incs) > 10.0 * step ** (1.0 / params.alpha)
+    if not jump_adapted:
+        refined[:] = False
+    eps = np.finfo(float).eps
+    jumps = iter(rng.uniform(eps, 1.0 - eps, size=int(refined.sum())).tolist())
+    taus = rng.exponential(1.0 / killing.q, size=rows).tolist() if killing else [math.inf] * rows
+    paths = []
+    for i in range(rows):
+        times, values, total = [0.0], [z], 0.0
+        for k in range(n):
+            total += incs[i, k]
+            if refined[i, k]:
+                times.append(grid[k] + dt * next(jumps))
+                values.append(total + z)
+            times.append(grid[k + 1])
+            values.append(total + z)
+        tau = taus[i]
+        kept = [j for j, t in enumerate(times) if j == 0 or t < tau]
+        paths.append(stable.PathSample(
+            np.array(times)[kept], np.array(values)[kept], horizon=horizon,
+            killed_at=tau if tau <= horizon else None,
+            grid_kind="jump-adapted" if refined[i].any() else "uniform",
+        ))
+    return paths
+
+
+def assert_same_path(row, ref):
+    assert np.array_equal(row.times, ref.times)
+    assert np.array_equal(row.values, ref.values)
+    assert row.killed_at == ref.killed_at
+    assert row.grid_kind == ref.grid_kind
+    assert row.horizon == ref.horizon
+
+
+def test_one_row_block_is_sample_path():
+    """`sample_path` is the one-row block, and both draw in the order of
+    the node-by-node reference."""
+    params, z, horizon, step = StableParams(0.5), 0.5, 50.0, 0.5
+    for killing in (None, KillingSpec(0.05)):
+        for jump_adapted in (True, False):
+            for seed in range(5):
+                kw = dict(killing=killing, jump_adapted=jump_adapted)
+                path = sample_path(params, z, horizon, step, stream_rng(seed, 0), **kw)
+                block = stable.sample_block(params, z, horizon, step, stream_rng(seed, 0), **kw)
+                (ref,) = reference_paths(
+                    params, z, horizon, step, stream_rng(seed, 0), 1, killing, jump_adapted
+                )
+                assert len(block) == 1
+                assert_same_path(block.path(0), ref)
+                assert_same_path(path, ref)
 
 
 @pytest.mark.parametrize("killing", [None, KillingSpec(0.05)])
 @pytest.mark.parametrize("jump_adapted", [True, False])
 def test_block_rows_match_sample_path(killing, jump_adapted):
-    params, z, horizon, step, seed = StableParams(0.5), 0.5, 50.0, 0.5, 2024
+    """Every row of a block drawn from one generator is the path the
+    node-by-node reference builds from the same generator."""
+    params, z, horizon, step, seed, rows = StableParams(0.5), 0.5, 50.0, 0.5, 2024, 40
     block = stable.sample_block(
-        params, z, horizon, step, [stream_rng(seed, i) for i in range(40)],
-        killing=killing, jump_adapted=jump_adapted,
+        params, z, horizon, step, stream_rng(seed, 0),
+        killing=killing, jump_adapted=jump_adapted, rows=rows,
     )
-    refined = killed = 0
-    for i in range(40):
-        row = block.path(i)
-        ref = sample_path(
-            params, z, horizon, step, stream_rng(seed, i),
-            killing=killing, jump_adapted=jump_adapted,
-        )
-        assert np.array_equal(row.times, ref.times)
-        assert np.array_equal(row.values, ref.values)
-        assert row.killed_at == ref.killed_at
-        assert row.grid_kind == ref.grid_kind
-        assert row.horizon == ref.horizon
-        refined += ref.grid_kind == "jump-adapted"
-        killed += ref.killed_at is not None
+    refs = reference_paths(
+        params, z, horizon, step, stream_rng(seed, 0), rows, killing, jump_adapted
+    )
+    assert len(block) == rows
+    last = block.last_values()
+    for i, ref in enumerate(refs):
+        assert_same_path(block.path(i), ref)
+        assert last[i] == ref.values[-1]
+    refined = sum(ref.grid_kind == "jump-adapted" for ref in refs)
+    killed = sum(ref.killed_at is not None for ref in refs)
     assert refined > 0 if jump_adapted else refined == 0
     assert killed > 0 if killing else killed == 0
 
@@ -223,8 +276,8 @@ def test_block_verdicts_match_paths(case, jump_adapted, killing):
     alpha, rows, horizon = 0.5, 1000, 10.0
     f = sigma.inverse_power(alpha)
     block = stable.sample_block(
-        StableParams(alpha), z, horizon, 0.1, [stream_rng(8, i) for i in range(rows)],
-        killing=killing, jump_adapted=jump_adapted,
+        StableParams(alpha), z, horizon, 0.1, stream_rng(8, 0),
+        killing=killing, jump_adapted=jump_adapted, rows=rows,
     )
     paths = [block.path(i) for i in range(rows)]
     # free memory of the cells' size holding -1, so an entry cells() leaves
@@ -261,14 +314,81 @@ def test_block_verdicts_match_paths(case, jump_adapted, killing):
         assert 0 < int(np.sum(k >= 0)) < rows or case == "pole_15"
 
 
+def _old_finiteness(cfg, f, path):
+    """The finiteness rule as it read a PathSample, with left-point sums and
+    a half-window cut at horizon / 2."""
+    total = path_integral(path, f, path.horizon)
+    if not total < cfg.thresholds.m or f.lower_bound() > 0.0:
+        return 0
+    last = float(path.values[-1])
+    if abs(last) > cfg.thresholds.escape_radius(cfg.alpha, cfg.horizon):
+        return 1
+    if total == path_integral(path, f, path.horizon / 2.0) and f(last) == 0.0:
+        return 1
+    return -1
+
+
+#: integrands without pole points, so left-point and alpha-aware cells agree
+FINITENESS_CASES = {
+    "infinite_indicator": FunctionSpec.infinite_indicator(IntervalSet.of((1.0, 2.0))),
+    "indicator_complement": FunctionSpec.indicator_complement(IntervalSet.of((-1e4, 1e4))),
+    "power": FunctionSpec.power(0.5, c=1e-3),
+}
+
+
+@pytest.mark.parametrize("killing", [None, KillingSpec(0.02)])
+@pytest.mark.parametrize("case", sorted(FINITENESS_CASES))
+def test_finiteness_off_poles_matches_path_rule(case, killing):
+    """Off the pole points of f, the finiteness rule on block cells gives
+    every row the code the left-point rule gave its PathSample."""
+    f = FINITENESS_CASES[case]
+    cfg = ExperimentConfig(
+        alpha=0.5, f_or_sigma=f, z=(0.0,), replicates=1, horizon=100.0, step=1.0,
+        estimator="finiteness_prob", thresholds=Thresholds(m=50.0, r=100.0), killing=killing,
+    )
+    codes = []
+    for z in (0.0, 0.3, -3.0):
+        block = stable.sample_block(
+            StableParams(0.5), z, cfg.horizon, cfg.step, stream_rng(3, 0),
+            killing=killing, rows=500,
+        )
+        new = experiments._finiteness_codes(cfg, f, block)
+        assert new.tolist() == [_old_finiteness(cfg, f, block.path(i)) for i in range(500)]
+        codes += new.tolist()
+    assert len(set(codes)) > 1
+
+
+def test_finiteness_stagnation_cut_at_half_window():
+    """On a grid of 4 cells the half-window starts at t[2] = 2: mass before
+    it leaves a row stagnant (1), mass after it or f > 0 at the last value
+    leaves it undetermined (-1), and nothing counts after a kill at 1.5."""
+    f = FunctionSpec.indicator_complement(IntervalSet.of((-1.0, 1.0)))
+    values = np.array([
+        [0.0, 5.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 5.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 5.0],
+        [0.0, 0.0, 5.0, 5.0, 5.0],
+    ])
+    block = stable.PathBlock(
+        np.linspace(0.0, 4.0, 5), values, np.full((4, 4), np.nan),
+        np.array([math.inf, math.inf, math.inf, 1.5]), 4.0,
+    )
+    cfg = ExperimentConfig(
+        alpha=0.5, f_or_sigma=f, z=(0.0,), replicates=1, horizon=4.0, step=1.0,
+        estimator="finiteness_prob", thresholds=Thresholds(m=100.0, r=100.0),
+    )
+    assert experiments._finiteness_codes(cfg, f, block).tolist() == [1, -1, -1, 1]
+
+
 @pytest.mark.parametrize("estimator, sigma", [
     ("freeze_prob", FunctionSpec.power(1.5)),
     ("explosion_prob", QUADRATIC_TAILS),
     ("smalltime_finiteness", FunctionSpec.power(0.5).inverse_power(0.5)),
+    ("finiteness_prob", FunctionSpec.power(0.5).inverse_power(0.5)),
 ])
 def test_block_rules_read_cells(monkeypatch, estimator, sigma):
-    """Freeze, explosion and small-time never expand a row into a
-    PathSample, and look the tail integral up at most once per block."""
+    """Freeze, explosion, small-time and finiteness never expand a row into
+    a PathSample, and look the tail integral up at most once per block."""
     expanded, tails = [], []
     path, tail = stable.PathBlock.path, functionals.tail_kernel_finiteness
     monkeypatch.setattr(

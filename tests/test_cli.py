@@ -68,10 +68,13 @@ class TestExitCodes:
         ["simulate", "--alpha", "0.5", "--horizon", "1", "--step", "0.1",
          "--killing", "nan"],
         ["test", "--alpha", "0.5", "--f", "const:1", "--domain", "[[NaN,1]]"],
+        ["wiener", "--alpha", "0.5", "--set", "5"],
+        ["test", "--alpha", "0.5", "--f", "const:1", "--domain", "5"],
     ])
     def test_non_finite_option_is_validation(self, capsys, argv):
         """Options outside the time grid are checked as well: NaN would
-        otherwise give a wrong answer with exit 0."""
+        otherwise give a wrong answer with exit 0, and a set that is not a
+        list of pairs would crash with exit 2."""
         assert main(argv) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
@@ -83,6 +86,9 @@ class TestExitCodes:
         ({**CONFIG, "z": [0.0, "1"]}, "z must be a number"),
         ([CONFIG], "must be a JSON object"),
         ({**CONFIG, "f_or_sigma": {"pieces": [{"interval": [0, 1]}]}}, "lacks the key 'form'"),
+        ({**CONFIG, "killing": {}}, "killing.q must be a number"),
+        ({**CONFIG, "z": []}, "at least one starting point"),
+        ({**CONFIG, "target": 5}, "list of [a, b] pairs"),
     ])
     def test_malformed_config_is_validation(self, tmp_path, capsys, doc, detail):
         """A config the estimators cannot read exits 1 with a readable

@@ -14,6 +14,7 @@ from stablesde.experiments import (
 )
 from stablesde.funcspec import FunctionSpec, Piece, PowerForm
 from stablesde.functionals import Thresholds
+from stablesde.integrals import monotone_pole_test
 from stablesde.intervals import IntervalSet
 
 
@@ -178,6 +179,25 @@ class TestEstimators:
                 step=0.001,
             )
             assert estimate(cfg).point == side
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 1.0, 1.1, 1.5])
+    def test_finiteness_from_a_pole(self, beta):
+        """From z = 0, the pole of f = |x|^(-alpha beta), the occupation
+        integral is finite exactly when e + alpha > 0, as the analytic pole
+        test says: the first cell sits on the pole, and its alpha-aware
+        contribution is infinite only when e + alpha <= 0.  Finite rows are
+        resolved by escaping beyond R."""
+        f = FunctionSpec.power(beta).inverse_power(0.5)
+        finite = monotone_pole_test(0.5, 0.0, f, 1.0).finiteness == "finite"
+        est = estimate(cfg_with(
+            f_or_sigma=f, estimator="finiteness_prob", replicates=400,
+            horizon=0.01, step=0.001, thresholds=Thresholds(r=0.01),
+        ))
+        assert finite == (beta < 1.0)
+        assert est.undetermined_fraction < 1.0
+        assert (est.point > 0.0) == finite
+        if not finite:
+            assert est.point == 0.0 and est.undetermined_fraction == 0.0
 
     def test_freeze_dichotomy(self):
         rows = {}

@@ -17,7 +17,7 @@ from stablesde.experiments import WALK_CHUNK, ExperimentConfig, run_experiment
 from stablesde.funcspec import FunctionSpec
 from stablesde.integrals import hitting_probability
 from stablesde.intervals import IntervalSet, interval_capacity_upper
-from stablesde.stable import KillingSpec
+from stablesde.stable import KillingSpec, StableParams, sample_block, stream_rng
 
 ALPHAS = (0.3, 0.5, 0.7, 0.9)
 TARGET = (1.0, 2.0)
@@ -81,7 +81,7 @@ class TestWalkEdges:
         target = IntervalSet.of((1.0, math.inf))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            codes = experiments._walk_replicates(hitting_cfg(target=target, replicates=2000), 0.0)
+            codes = experiments._run_replicates(hitting_cfg(target=target, replicates=2000), 0.0)
         assert set(codes.tolist()) <= {1, -1}
         assert np.any(codes == 1)
 
@@ -91,14 +91,14 @@ class TestWalkEdges:
         float overflows within a few exits and is left undetermined."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            codes = experiments._walk_replicates(hitting_cfg(alpha=0.99, replicates=100), -1e300)
+            codes = experiments._run_replicates(hitting_cfg(alpha=0.99, replicates=100), -1e300)
         assert set(codes.tolist()) == {-1}
 
     def test_step_cap_leaves_walkers_undetermined(self, monkeypatch):
         cfg = hitting_cfg(alpha=0.9, replicates=500)
-        assert set(experiments._walk_replicates(cfg, 0.0).tolist()) <= {0, 1}
+        assert set(experiments._run_replicates(cfg, 0.0).tolist()) <= {0, 1}
         monkeypatch.setattr(experiments, "WALK_STEPS", 1)
-        assert set(experiments._walk_replicates(cfg, 0.0).tolist()) == {-1, 1}
+        assert set(experiments._run_replicates(cfg, 0.0).tolist()) == {-1, 1}
 
     def test_bytes_independent_of_threads(self):
         cfg = hitting_cfg(z=(0.0, -5.0), replicates=3000)
@@ -113,9 +113,9 @@ class TestWalkEdges:
         """A run of one full chunk and a partial one gives the same codes
         twice, and its first chunk is the run of one chunk alone."""
         cfg = hitting_cfg(replicates=WALK_CHUNK + 37)
-        first = experiments._walk_replicates(cfg, 0.0)
-        again = experiments._walk_replicates(cfg, 0.0)
-        alone = experiments._walk_replicates(hitting_cfg(replicates=WALK_CHUNK), 0.0)
+        first = experiments._run_replicates(cfg, 0.0)
+        again = experiments._run_replicates(cfg, 0.0)
+        alone = experiments._run_replicates(hitting_cfg(replicates=WALK_CHUNK), 0.0)
         assert np.array_equal(first, again)
         assert np.array_equal(first[:WALK_CHUNK], alone)
 
@@ -124,6 +124,38 @@ class TestWalkEdges:
         monkeypatch.setattr(experiments, "_walk_codes", None)
         killed = dataclasses.replace(hitting_cfg(replicates=20), killing=KillingSpec(0.1))
         run_experiment(killed, io.StringIO())
+
+
+class TestKilledHitting:
+    def test_killed_rows_that_never_hit_are_misses(self):
+        """A process killed before it reached the target never will, so
+        every row killed within the horizon is a hit or a miss; only rows
+        alive at the horizon are left to the residual bound."""
+        cfg = dataclasses.replace(
+            hitting_cfg(z=(0.0, -5.0), replicates=300), killing=KillingSpec(0.002),
+            horizon=1000.0, step=1.0,
+        )
+        for z in cfg.z:
+            block = sample_block(
+                StableParams(cfg.alpha), z, cfg.horizon, cfg.step, stream_rng(cfg.seed, 0),
+                killing=cfg.killing, rows=300,
+            )
+            codes = experiments._hitting_codes(cfg, z, 300, stream_rng(cfg.seed, 0))
+            hit = (cfg.target.contains(block.values) & block.reached()).any(axis=1)
+            killed = block.killed_at <= cfg.horizon
+            assert np.array_equal(codes == 1, hit)
+            assert np.all(codes[killed & ~hit] == 0)
+            assert 0 < np.sum(killed & ~hit) and np.sum(killed) > 200
+
+    def test_rows_alive_at_the_horizon_keep_the_residual_bound(self):
+        """Without a kill inside a short horizon a row that never hit is
+        decided by the residual bound at its last node, which near the
+        target stays above HITTING_RESIDUAL."""
+        cfg = dataclasses.replace(
+            hitting_cfg(replicates=300), killing=KillingSpec(1e-6), horizon=1.0, step=0.1,
+        )
+        (est,) = run_experiment(cfg, io.StringIO())
+        assert est.undetermined_fraction > 0.5
 
 
 def riesz_closed_form(alpha: float, z: float, interval) -> float:

@@ -90,6 +90,12 @@ class TestIntervalSetAlgebra:
         s = IntervalSet.of((1, 2), (4.5, 7))
         assert IntervalSet.from_json(s.to_json()) == s
 
+    @pytest.mark.parametrize("text", ["5", "null", '{"a": 1}', "[5]", "[[1]]", "[[1, 2, 3]]",
+                                      '[[null, 1]]', '[["0", 1]]', "[[true, 1]]"])
+    def test_from_json_rejects_what_is_not_a_list_of_pairs(self, text):
+        with pytest.raises(ValueError, match="list of \\[a, b\\] pairs"):
+            IntervalSet.from_json(text)
+
 
 class TestShells:
     def test_unit_shell(self):

@@ -40,8 +40,7 @@ def test_occupation_matches_green_function():
     occupation, tail = [], []
     for b in range(BLOCKS):
         block = sample_block(
-            StableParams(ALPHA), 0.0, HORIZON, STEP,
-            [stream_rng(SEED, b * ROWS + i) for i in range(ROWS)],
+            StableParams(ALPHA), 0.0, HORIZON, STEP, stream_rng(SEED, b), rows=ROWS,
         )
         values, dwell = block.cells()
         occupation.append(np.sum(np.where(A.contains(values), dwell, 0.0), axis=1))
