@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from scipy.special import beta as beta_fn, hyp2f1
 
 from stablesde.funcspec import (
     FunctionSpec,
@@ -31,6 +32,34 @@ BETAS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
 def integrand_for(alpha: float, beta: float) -> FunctionSpec:
     return FunctionSpec.power(beta).inverse_power(alpha)
+
+
+def off_pole_exact(alpha: float, e: float, z: float) -> float:
+    """int_{-1}^{1} |y|^e |z - y|^(alpha-1) dy for 0 < z < 1 and e > -1, in
+    closed form: the cells [0, z], [-1, 0] and [z, 1] give a Beta function
+    and two Gauss hypergeometric functions."""
+    k = alpha - 1.0
+    middle = z ** (e + k + 1.0) * beta_fn(e + 1.0, k + 1.0)
+    left = z ** k / (e + 1.0) * hyp2f1(-k, e + 1.0, e + 2.0, -1.0 / z)
+    right = (z ** e * (1.0 - z) ** (k + 1.0) / (k + 1.0)
+             * hyp2f1(-e, k + 1.0, k + 2.0, -(1.0 - z) / z))
+    return middle + left + right
+
+
+def test_off_pole_kernel_closed_form():
+    # the off-pole quadrature of the criterion 1 integrands against the
+    # closed form, on the grid the analytic benchmark runs at z = 0.5
+    count = 0
+    for alpha in ALPHAS:
+        for beta in BETAS:
+            e = -alpha * beta
+            if e <= -1.0:
+                continue
+            count += 1
+            v = kernel_integral(alpha, 0.5, integrand_for(alpha, beta), IntervalSet.of((-1, 1)))
+            assert v.finiteness == "finite"
+            assert v.value_or_bound == pytest.approx(off_pole_exact(alpha, e, 0.5), rel=1e-9)
+    assert count == 22
 
 
 class TestKernelIntegral:
