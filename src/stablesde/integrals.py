@@ -3,7 +3,10 @@ the monotone-pole small-time test, the closed-form power-law test, and the
 construction of the irregular set O and zero set N for structured sigma.
 
 Finiteness is always decided analytically from local exponents; quadrature is
-only used to produce values for integrals already known to converge.
+only used to produce values for integrals already known to converge.  It is
+split at the singular points, and on each finite cell the singular factors
+anchored at the cell's ends are taken as quad's algebraic endpoint weights
+(QUADPACK's QAWS); cells with an infinite end still use plain quad.
 """
 
 from __future__ import annotations
@@ -81,18 +84,54 @@ def _anchored_power_integral(cp: float, k: float, s: float, a: float, b: float):
     return (cp * v, True) if ok else (INF, False)
 
 
-def _quad_with_breaks(fn, a: float, b: float, breaks, tol: float):
-    """Adaptive quadrature split at interior singular points; returns
-    (value, err, converged)."""
-    pts = sorted({a, b, *(x for x in breaks if a < x < b)})
+def _quad_with_breaks(fn, lo: float, hi: float, singular, tol: float):
+    """int_lo^hi fn(y) prod |y - anchor|^exponent dy over the (anchor,
+    exponent) factors in `singular`, split at the anchors inside (lo, hi);
+    returns (value, err, converged).
+
+    On a finite cell, the factors anchored at its ends are quad's algebraic
+    endpoint weight (QUADPACK's QAWS, weight="alg", wvar=(s, t)), so no
+    extrapolation into them is needed; the other factors multiply fn.  A
+    cell with an infinite end, or with no anchored end, gets plain quad.
+    """
+    pts = sorted({lo, hi, *(x for x, _ in singular if lo < x < hi)})
+    opts = dict(limit=300, epsabs=tol / max(1, len(pts)), epsrel=1e-10)
     total = err = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(pts, pts[1:]):
-            v, e = quad(fn, lo, hi, limit=300, epsabs=tol / max(1, len(pts)), epsrel=1e-10)
+        for a, b in zip(pts, pts[1:]):
+            finite = math.isfinite(a) and math.isfinite(b)
+            s = t = 0.0
+            rest = []
+            for x, k in singular:
+                if finite and x == a:
+                    s += k
+                elif finite and x == b:
+                    t += k
+                else:
+                    rest.append((x, k))
+            g = _times(fn, rest)
+            if len(rest) < len(singular):
+                v, e = quad(g, a, b, weight="alg", wvar=(s, t), **opts)
+            else:
+                v, e = quad(g, a, b, **opts)
             total += v
             err += e
     return total, err, err <= max(tol, 1e-8 * abs(total) + 1e-300) * 10.0
+
+
+def _times(fn, factors):
+    """y -> fn(y) prod |y - anchor|^exponent over `factors`."""
+    if not factors:
+        return fn
+
+    def g(y):
+        v = fn(y)
+        for x, k in factors:
+            v *= abs(y - x) ** k
+        return v
+
+    return g
 
 
 def kernel_integral(
@@ -107,7 +146,10 @@ def kernel_integral(
     Power pieces anchored at z (and pieces constant in y) are integrated in
     closed form including the singular cell; divergence is decided from the
     combined exponent.  Remaining pieces are integrated by adaptive
-    quadrature split at the kernel singularity and at pole anchors.
+    quadrature split at the kernel singularity and at pole anchors: on a
+    finite cell, |y - z|^(alpha-1) and |y - p|^e anchored at the cell's ends
+    are quad's algebraic endpoint weights, and a cell with an infinite end
+    uses plain quad.
     """
     _check_alpha(alpha)
     if not math.isfinite(z):
@@ -125,9 +167,8 @@ def kernel_integral(
                     return TestVerdict(
                         "inconclusive", INF, method="pole inside tabulated piece"
                     )
-                g = pc.form
-                fn = lambda y, g=g: _interp(g, y) * abs(y - z) ** (alpha - 1.0)
-                v, e, ok = _quad_with_breaks(fn, lo, hi, [z], tol)
+                fn = lambda y, g=pc.form: _interp(g, y)
+                v, e, ok = _quad_with_breaks(fn, lo, hi, [(z, alpha - 1.0)], tol)
                 if not ok:
                     return TestVerdict("inconclusive", v, e, "quadrature stalled")
                 total += v
@@ -155,10 +196,9 @@ def kernel_integral(
                 return TestVerdict("infinite", INF, method="exponent criterion")
             if (math.isinf(lo) or math.isinf(hi)) and e_ + alpha - 1.0 >= -1.0:
                 return TestVerdict("infinite", INF, method="tail criterion")
-            fn = lambda y, c=c, e_=e_, p=p: (
-                c * abs(y - p) ** e_ * abs(y - z) ** (alpha - 1.0)
+            v, e, ok = _quad_with_breaks(
+                lambda y, c=c: c, lo, hi, [(z, alpha - 1.0), (p, e_)], tol
             )
-            v, e, ok = _quad_with_breaks(fn, lo, hi, [z, p], tol)
             if not ok:
                 return TestVerdict("inconclusive", v, e, "quadrature stalled")
             total += v

@@ -70,6 +70,8 @@ class TestExitCodes:
         ["test", "--alpha", "0.5", "--f", "const:1", "--domain", "[[NaN,1]]"],
         ["wiener", "--alpha", "0.5", "--set", "5"],
         ["test", "--alpha", "0.5", "--f", "const:1", "--domain", "5"],
+        ["wiener", "--alpha", "0.5", "--set", "[[2,1]]"],
+        ["test", "--alpha", "0.5", "--f", "const:1", "--domain", "[[1,1]]"],
     ])
     def test_non_finite_option_is_validation(self, capsys, argv):
         """Options outside the time grid are checked as well: NaN would
@@ -89,6 +91,7 @@ class TestExitCodes:
         ({**CONFIG, "killing": {}}, "killing.q must be a number"),
         ({**CONFIG, "z": []}, "at least one starting point"),
         ({**CONFIG, "target": 5}, "list of [a, b] pairs"),
+        ({**CONFIG, "target": [[2.0, 1.0]]}, "pairs with a < b"),
     ])
     def test_malformed_config_is_validation(self, tmp_path, capsys, doc, detail):
         """A config the estimators cannot read exits 1 with a readable
@@ -225,14 +228,16 @@ ANALYTIC_CASES = {
 }
 
 #: sha256 of each output, recorded with a parser built per call and the
-#: nested-loop intersection
+#: nested-loop intersection; test_offset re-recorded when off-pole kernel
+#: integrals took their singular factors as quad's endpoint weights (value
+#: 5.032601136800225, within 2 ulp of the closed form)
 ANALYTIC_GOLDEN = {
     "wiener_0.3": "6d17cf8f06f69db06146c56280036cc9e620286c31711fdd30542aee31050596",
     "wiener_0.5": "092708cf470ef8cf122ab437cb4687e22d802d9ce6f829fc3615634659ddf2b0",
     "wiener_0.7": "0f3082807d94cae8c6ffa68246805ed4ea82fa2240891adbbd501d0481ba3a1f",
     "wiener_0.9": "e73f8fbd097eaa9b441cc4b3b5cf2a8a9c2f8bd81586cf48977524c1b61feee7",
     "classify": "8f17123cb0b51a5e24d2e2784622564909ccb0712d2371cd6da4d156ea460c70",
-    "test_offset": "c75ed9f5852d41d95b509692d65a3896dab0818f4a5ee7703e52a73fa67f62b0",
+    "test_offset": "bf99db994c491482306cc37e6c91e2836f814faf44c401fbe40442dc263b0ebd",
 }
 
 

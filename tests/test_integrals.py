@@ -62,6 +62,35 @@ def test_off_pole_kernel_closed_form():
     assert count == 22
 
 
+@pytest.mark.parametrize("z", [0.25, 0.5, 0.9])
+def test_off_pole_kernel_near_both_exponent_limits(z):
+    # alpha = 0.1 and e = -0.95: both endpoint singularities are close to
+    # non-integrable, which plain adaptive quadrature could not resolve
+    f = FunctionSpec((Piece(-INF, INF, PowerForm(1.0, -0.95, 0.0)),))
+    v = kernel_integral(0.1, z, f, IntervalSet.of((-1, 1)))
+    assert v.finiteness == "finite"
+    assert v.value_or_bound == pytest.approx(off_pole_exact(0.1, -0.95, z), rel=1e-12)
+
+
+def test_off_pole_kernel_abs_error_covers_true_error():
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        for e in (-0.95, -0.9, -0.5, -0.1, 0.5, 1.5):
+            f = FunctionSpec((Piece(-INF, INF, PowerForm(1.0, e, 0.0)),))
+            for z in (0.01, 0.1, 0.25, 0.5, 0.9, 0.99):
+                v = kernel_integral(alpha, z, f, IntervalSet.of((-1, 1)))
+                assert v.finiteness == "finite", (alpha, e, z)
+                exact = off_pole_exact(alpha, e, z)
+                assert abs(v.value_or_bound - exact) <= v.abs_error_estimate, (alpha, e, z)
+
+
+def test_tabulated_piece_against_the_kernel_singularity():
+    # f = 1 + y on [0, 2], z = 1: int_{-1}^{1} (2 + u)|u|^(-1/2) du = 4/alpha
+    f = FunctionSpec((Piece(0.0, 2.0, TableForm((0.0, 2.0), (1.0, 3.0))),))
+    v = kernel_integral(0.5, 1.0, f, IntervalSet.of((0.0, 2.0)))
+    assert v.finiteness == "finite"
+    assert v.value_or_bound == pytest.approx(8.0, rel=1e-12)
+
+
 class TestKernelIntegral:
     def test_constant_integrand(self):
         v = kernel_integral(0.5, 0.0, FunctionSpec.constant(1.0), IntervalSet.of((-1, 1)))
