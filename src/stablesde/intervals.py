@@ -111,15 +111,19 @@ class IntervalSet:
 
     @classmethod
     def from_json(cls, text: str) -> "IntervalSet":
-        """A set from a JSON list of [a, b] pairs of numbers; any other
-        document raises ValueError."""
+        """A set from a JSON list of [a, b] pairs of numbers with a < b; any
+        other document, an inverted or empty pair among them, raises
+        ValueError."""
         pairs = json.loads(text)
         if not isinstance(pairs, list) or not all(
             isinstance(pair, list) and len(pair) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+            and pair[0] < pair[1]
             for pair in pairs
         ):
-            raise ValueError(f"an interval set must be a JSON list of [a, b] pairs, got {text}")
+            raise ValueError(
+                f"an interval set must be a JSON list of [a, b] pairs with a < b, got {text}"
+            )
         return cls.of(*pairs)
 
 

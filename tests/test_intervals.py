@@ -91,7 +91,8 @@ class TestIntervalSetAlgebra:
         assert IntervalSet.from_json(s.to_json()) == s
 
     @pytest.mark.parametrize("text", ["5", "null", '{"a": 1}', "[5]", "[[1]]", "[[1, 2, 3]]",
-                                      '[[null, 1]]', '[["0", 1]]', "[[true, 1]]"])
+                                      '[[null, 1]]', '[["0", 1]]', "[[true, 1]]",
+                                      "[[2, 1]]", "[[1, 1]]", "[[0, 1], [3, 2]]"])
     def test_from_json_rejects_what_is_not_a_list_of_pairs(self, text):
         with pytest.raises(ValueError, match="list of \\[a, b\\] pairs"):
             IntervalSet.from_json(text)
