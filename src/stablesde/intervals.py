@@ -111,9 +111,8 @@ class IntervalSet:
 
     @classmethod
     def from_json(cls, text: str) -> "IntervalSet":
-        """A set from a JSON list of [a, b] pairs of numbers with a < b; any
-        other document, an inverted or empty pair among them, raises
-        ValueError."""
+        """A set from a JSON list of [a, b] number pairs with a < b; any
+        other document, or an inverted or empty pair, raises ValueError."""
         pairs = json.loads(text)
         if not isinstance(pairs, list) or not all(
             isinstance(pair, list) and len(pair) == 2
