@@ -3,24 +3,30 @@ chunk of replicates, Wilson intervals, and CSV reporting.
 
 Replicates run on one thread, a chunk at a time, and chunk c draws from the
 counter-based stream keyed by (seed, c); the chunk size depends on the
-config alone, so results do too.  A chunk of a path estimator samples its
-paths together (`stable.sample_block`) and decides hitting, finiteness,
-freezing, explosion and small-time on the whole block, from its node arrays
-or its cell arrays (`PathBlock.cells`).  Every rule that reads cells uses
-the alpha-aware `functionals._contributions`; only the single-path public
-functions of `functionals` keep the left-point sum.
+config alone, so results do too.  `ESTIMATORS` is the one table of
+estimators: it names each one's block rule and whether it reads the clock of
+sigma^-alpha along drivers that are never killed.  `_path_codes` samples a
+chunk's paths together (`stable.sample_block`) and hands the block to the
+rule, which decides hitting, finiteness, freezing, explosion or small-time
+on the whole block, from its node arrays or its cell arrays
+(`PathBlock.cells`).  Every rule that reads cells uses the alpha-aware
+`functionals._contributions`; only the single-path public functions of
+`functionals` keep the left-point sum.
 
 Hitting without killing samples no path: walk-on-spheres walkers jump
-straight from ball to ball, WALK_CHUNK walkers to a chunk.  The `threads`
-arguments are kept for compatibility and have no effect.  Undetermined
-replicates are excluded from the point estimate but reported as a fraction.
+straight from ball to ball, WALK_CHUNK walkers to a chunk.  A walker, or a
+killed path alive at the horizon, is a miss beyond `_miss_distance`, where
+the bound capacity * distance^(alpha-1) on its chance of ever hitting drops
+below WALK_TOL or HITTING_RESIDUAL.  The `threads` arguments are kept for
+compatibility and have no effect.  Undetermined replicates are excluded from
+the point estimate but reported as a fraction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +35,9 @@ from .functionals import DEFAULT_M, Thresholds, _clock_rows, _contributions
 from .intervals import IntervalSet, _check_alpha, interval_capacity_upper
 from .stable import KillingSpec, PathBlock, StableParams, grid_cells, sample_block, stream_rng
 
-ESTIMATOR_NAMES = (
-    "finiteness_prob",
-    "hitting_prob",
-    "freeze_prob",
-    "explosion_prob",
-    "smalltime_finiteness",
-)
-
-#: a killed path that never hit is resolved once the residual hitting
-#: probability bound capacity * distance^(alpha-1) drops below this
+#: a killed path alive at the horizon that never hit is a miss once the
+#: residual hitting probability bound capacity * distance^(alpha-1) drops
+#: below this
 HITTING_RESIDUAL = 1e-2
 
 #: walk-on-spheres: walkers per chunk (one stream each), the residual hitting
@@ -76,7 +75,7 @@ class ExperimentConfig:
             raise ValueError("horizon and step must be finite")
         if self.horizon <= 0.0 or self.step <= 0.0:
             raise ValueError("horizon and step must be positive")
-        if self.estimator not in ESTIMATOR_NAMES:
+        if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "hitting_prob" and self.target is None:
             raise ValueError("hitting_prob requires a target set")
@@ -159,9 +158,14 @@ class Estimate:
             raise ValueError("undetermined fraction out of range")
 
 
-def wilson_ci(k: int, n: int, z: float = 1.9599639845400545) -> tuple[float, float]:
+#: the standard normal quantile of a two-sided 95% interval
+Z95 = 1.9599639845400545
+
+
+def wilson_ci(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval; unanimous outcomes degenerate to a point
     (the sampling says nothing about sub-resolution failure rates)."""
+    z = Z95
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if n == 0:
@@ -234,16 +238,43 @@ def _smalltime_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -
     return np.where(dwell[:, 0] > 0.0, first < cfg.thresholds.m, -1).astype(np.int8)
 
 
-_BLOCK_RULES = {
-    "finiteness_prob": _finiteness_codes,
-    "freeze_prob": _clock_codes,
-    "explosion_prob": _clock_codes,
-    "smalltime_finiteness": _smalltime_codes,
+def _hitting_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
+    """Hit (1), certified miss (0) or undetermined (-1) for the rows of a
+    killed block.  A row hits when one of the nodes it reaches before its
+    killing time lies in the target.  One killed within the horizon that
+    never hit is a certain miss; one still alive at the horizon is a miss
+    when its last node lies beyond the miss distance for HITTING_RESIDUAL."""
+    inside = cfg.target.contains(block.values) & block.reached()
+    codes = np.where(inside.any(axis=1), 1, -1).astype(np.int8)
+    far = cfg.target.distance_to(block.values[:, -1]) > _miss_distance(cfg, HITTING_RESIDUAL)
+    codes[(codes < 0) & ((block.killed_at <= cfg.horizon) | far)] = 0
+    return codes
+
+
+#: each estimator's block rule, and whether it reads the clock of
+#: sigma^-alpha along drivers that are never killed; hitting without
+#: killing bypasses the blocks for the walk
+ESTIMATORS = {
+    "finiteness_prob": (_finiteness_codes, False),
+    "hitting_prob": (_hitting_codes, False),
+    "freeze_prob": (_clock_codes, True),
+    "explosion_prob": (_clock_codes, True),
+    "smalltime_finiteness": (_smalltime_codes, False),
 }
 
 #: path cells sampled per block of replicates (32 paths of 1000 cells), which
 #: keeps the block's arrays near 2 MB
 BLOCK_CELLS = 1 << 15
+
+
+def _miss_distance(cfg: ExperimentConfig, tol: float) -> float:
+    """The distance to the target beyond which capacity * d^(alpha-1), a
+    bound on the chance of ever hitting it, drops below tol: 0 for the empty
+    target; inf for an unbounded one, and where the bound stays above tol at
+    every finite distance."""
+    cap = interval_capacity_upper(cfg.alpha, cfg.target)
+    with np.errstate(over="ignore"):
+        return np.float64(cap / tol) ** (1.0 / (1.0 - cfg.alpha))
 
 
 def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
@@ -253,22 +284,18 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     A walker at distance d > 0 from the target leaves the ball (x - d, x + d)
     at x +- d / sqrt(B), B ~ Beta(alpha/2, 1 - alpha/2), with a fair sign: the
     exit law of Blumenthal, Getoor & Ray (1961).  It hits on landing in the
-    target (or on its boundary), and misses once capacity * d^(alpha-1), a
-    bound on its chance of ever hitting, drops below WALK_TOL, that is once d
-    exceeds (capacity / WALK_TOL)^(1/(1-alpha)).  A walker still alive after
-    WALK_STEPS exits, or whose distance overflowed without a miss, is
-    undetermined.  The walk keeps no time, which is why killing cannot use
-    it: the exit time and exit position of a ball have no explicit joint law.
+    target (or on its boundary), and misses beyond the miss distance for
+    WALK_TOL.  A walker still alive after WALK_STEPS exits, or whose
+    distance overflowed without a miss, is undetermined.  The walk keeps no
+    time, which is why killing cannot use it: the exit time and exit
+    position of a ball have no explicit joint law.
     """
     a = cfg.alpha / 2.0
-    cap = interval_capacity_upper(cfg.alpha, cfg.target)
+    far = _miss_distance(cfg, WALK_TOL)
     codes = np.full(n, -1, dtype=np.int8)
     live = np.arange(n)
     x = np.full(n, z)
     with np.errstate(over="ignore"):
-        # 0 for the empty target; inf for an unbounded one, and where the
-        # bound stays above WALK_TOL at every finite distance
-        far = np.float64(cap / WALK_TOL) ** (1.0 / (1.0 - cfg.alpha))
         for step in range(WALK_STEPS + 1):
             d = cfg.target.distance_to(x)
             hit, miss = d == 0.0, d > far
@@ -284,39 +311,17 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     return codes
 
 
-def _hitting_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
-    """Hit (1), certified miss (0) or undetermined (-1) for n killed paths.
-    A path hits when one of the nodes it reaches before its killing time
-    lies in the target.  One killed within the horizon that never hit is a
-    certain miss; one still alive at the horizon is a miss when the residual
-    bound at its last node drops below HITTING_RESIDUAL."""
-    block = sample_block(
-        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rng, killing=cfg.killing, rows=n,
-    )
-    inside = cfg.target.contains(block.values) & block.reached()
-    codes = np.where(inside.any(axis=1), 1, -1).astype(np.int8)
-    codes[(codes < 0) & (block.killed_at <= cfg.horizon)] = 0
-    d = cfg.target.distance_to(block.values[:, -1])
-    cap = interval_capacity_upper(cfg.alpha, cfg.target)
-    # the residual bound uses Python's pow: numpy's SIMD pow can differ in
-    # the last bit, which would move replicates across HITTING_RESIDUAL
-    for row in np.flatnonzero((codes < 0) & (d > 0.0)):
-        if cap * float(d[row]) ** (cfg.alpha - 1.0) < HITTING_RESIDUAL:
-            codes[row] = 0
-    return codes
-
-
 def _path_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
-    """Codes of n paths for the estimators other than hitting; freeze and
-    explosion read the clock of sigma^-alpha along drivers that are never
-    killed."""
-    clocked = cfg.estimator in ("freeze_prob", "explosion_prob")
+    """Codes of n paths sampled as one block and decided by the estimator's
+    block rule, on f_or_sigma or, for a clocked estimator, on sigma^-alpha
+    along drivers that are never killed."""
+    rule, clocked = ESTIMATORS[cfg.estimator]
     f = cfg.f_or_sigma.inverse_power(cfg.alpha) if clocked else cfg.f_or_sigma
     block = sample_block(
         StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rng,
         killing=None if clocked else cfg.killing, rows=n,
     )
-    return _BLOCK_RULES[cfg.estimator](cfg, f, block)
+    return rule(cfg, f, block)
 
 
 def _run_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:
@@ -327,8 +332,7 @@ def _run_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:
     if cfg.estimator == "hitting_prob" and cfg.killing is None:
         rule, size = _walk_codes, WALK_CHUNK
     else:
-        rule = _hitting_codes if cfg.estimator == "hitting_prob" else _path_codes
-        size = max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step))
+        rule, size = _path_codes, max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step))
     codes = np.empty(cfg.replicates, dtype=np.int8)
     for chunk, lo in enumerate(range(0, cfg.replicates, size)):
         n = min(size, cfg.replicates - lo)

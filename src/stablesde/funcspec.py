@@ -130,31 +130,13 @@ class FunctionSpec:
     @classmethod
     def indicator_complement(cls, s: IntervalSet, value: float = 1.0) -> "FunctionSpec":
         """`value` off the set, 0 on it; the set is recorded as interval zeros."""
-        pieces = []
-        cursor = -INF
-        for a, b in s.intervals:
-            if cursor < a:
-                pieces.append(Piece(cursor, a, PowerForm(c=float(value))))
-            pieces.append(Piece(a, b, PowerForm(c=0.0)))
-            cursor = b
-        if cursor < INF:
-            pieces.append(Piece(cursor, INF, PowerForm(c=float(value))))
         zeros = tuple(ZeroMark(interval=(a, b)) for a, b in s.intervals)
-        return cls(tuple(pieces), zeros=zeros)
+        return cls(_two_level(s, 0.0, float(value)), zeros=zeros)
 
     @classmethod
     def infinite_indicator(cls, s: IntervalSet) -> "FunctionSpec":
         """+inf on the set, 0 elsewhere (the drastic path-integral example)."""
-        pieces = []
-        cursor = -INF
-        for a, b in s.intervals:
-            if cursor < a:
-                pieces.append(Piece(cursor, a, PowerForm(c=0.0)))
-            pieces.append(Piece(a, b, PowerForm(c=INF)))
-            cursor = b
-        if cursor < INF:
-            pieces.append(Piece(cursor, INF, PowerForm(c=0.0)))
-        return cls(tuple(pieces))
+        return cls(_two_level(s, INF, 0.0))
 
     # -- evaluation --------------------------------------------------------
 
@@ -342,7 +324,7 @@ class FunctionSpec:
             else:
                 entry["interval"] = list(z.interval)
             doc["zeros"].append(entry)
-        return json.dumps(doc, default=_json_inf)
+        return json.dumps(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "FunctionSpec":
@@ -383,6 +365,15 @@ class FunctionSpec:
             raise FunctionSpecError(f"FunctionSpec JSON lacks the key {exc}") from None
 
 
+def _two_level(s: IntervalSet, inside: float, outside: float) -> tuple[Piece, ...]:
+    """Constant pieces covering the line: `inside` on the set, `outside` off it."""
+    off = s.complement_within((-INF, INF)).intervals
+    return tuple(
+        [Piece(a, b, PowerForm(c=outside)) for a, b in off]
+        + [Piece(a, b, PowerForm(c=inside)) for a, b in s.intervals]
+    )
+
+
 def _override_with_infinite(pieces, spans):
     """Replace piece content with +inf on the given spans."""
     out = list(pieces)
@@ -400,10 +391,6 @@ def _override_with_infinite(pieces, spans):
                 new.append(Piece(hi, pc.hi, pc.form))
         out = new
     return out
-
-
-def _json_inf(x):
-    return repr(x)
 
 
 _POWER_RE = re.compile(

@@ -6,7 +6,8 @@ Finiteness is always decided analytically from local exponents; quadrature is
 only used to produce values for integrals already known to converge.  It is
 split at the singular points, and on each finite cell the singular factors
 anchored at the cell's ends are taken as quad's algebraic endpoint weights
-(QUADPACK's QAWS); cells with an infinite end still use plain quad.
+(QUADPACK's QAWS); cells with an infinite end still use plain quad.  Every
+quadrature aims at the absolute tolerance QUAD_TOL.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .funcspec import FunctionSpec, FunctionSpecError, PowerForm, TableForm
 from .intervals import IntervalSet, _check_alpha
 
 INF = math.inf
+#: absolute tolerance of every kernel quadrature
+QUAD_TOL = 1e-9
 
 
 class UnflaggedZeroError(FunctionSpecError):
@@ -84,7 +88,7 @@ def _anchored_power_integral(cp: float, k: float, s: float, a: float, b: float):
     return (cp * v, True) if ok else (INF, False)
 
 
-def _quad_with_breaks(fn, lo: float, hi: float, singular, tol: float):
+def _quad_with_breaks(fn, lo: float, hi: float, singular):
     """int_lo^hi fn(y) prod |y - anchor|^exponent dy over the (anchor,
     exponent) factors in `singular`, split at the anchors inside (lo, hi);
     returns (value, err, converged).
@@ -95,7 +99,7 @@ def _quad_with_breaks(fn, lo: float, hi: float, singular, tol: float):
     cell with an infinite end, or with no anchored end, gets plain quad.
     """
     pts = sorted({lo, hi, *(x for x, _ in singular if lo < x < hi)})
-    opts = dict(limit=300, epsabs=tol / max(1, len(pts)), epsrel=1e-10)
+    opts = dict(limit=300, epsabs=QUAD_TOL / max(1, len(pts)), epsrel=1e-10)
     total = err = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -117,7 +121,7 @@ def _quad_with_breaks(fn, lo: float, hi: float, singular, tol: float):
                 v, e = quad(g, a, b, **opts)
             total += v
             err += e
-    return total, err, err <= max(tol, 1e-8 * abs(total) + 1e-300) * 10.0
+    return total, err, err <= max(QUAD_TOL, 1e-8 * abs(total) + 1e-300) * 10.0
 
 
 def _times(fn, factors):
@@ -134,13 +138,7 @@ def _times(fn, factors):
     return g
 
 
-def kernel_integral(
-    alpha: float,
-    z: float,
-    f: FunctionSpec,
-    domain: IntervalSet,
-    tol: float = 1e-9,
-) -> TestVerdict:
+def kernel_integral(alpha: float, z: float, f: FunctionSpec, domain: IntervalSet) -> TestVerdict:
     """Evaluate int_domain f(y)|z-y|^(alpha-1) dy.
 
     Power pieces anchored at z (and pieces constant in y) are integrated in
@@ -167,8 +165,8 @@ def kernel_integral(
                     return TestVerdict(
                         "inconclusive", INF, method="pole inside tabulated piece"
                     )
-                fn = lambda y, g=pc.form: _interp(g, y)
-                v, e, ok = _quad_with_breaks(fn, lo, hi, [(z, alpha - 1.0)], tol)
+                fn = lambda y, g=pc.form: float(np.interp(y, g.xs, g.ys))
+                v, e, ok = _quad_with_breaks(fn, lo, hi, [(z, alpha - 1.0)])
                 if not ok:
                     return TestVerdict("inconclusive", v, e, "quadrature stalled")
                 total += v
@@ -196,9 +194,7 @@ def kernel_integral(
                 return TestVerdict("infinite", INF, method="exponent criterion")
             if (math.isinf(lo) or math.isinf(hi)) and e_ + alpha - 1.0 >= -1.0:
                 return TestVerdict("infinite", INF, method="tail criterion")
-            v, e, ok = _quad_with_breaks(
-                lambda y, c=c: c, lo, hi, [(z, alpha - 1.0), (p, e_)], tol
-            )
+            v, e, ok = _quad_with_breaks(lambda y, c=c: c, lo, hi, [(z, alpha - 1.0), (p, e_)])
             if not ok:
                 return TestVerdict("inconclusive", v, e, "quadrature stalled")
             total += v
@@ -230,15 +226,7 @@ def hitting_probability(alpha: float, z: float, interval: tuple[float, float]) -
     return math.sin(math.pi * alpha / 2.0) / math.pi * value
 
 
-def _interp(g: TableForm, y: float) -> float:
-    import numpy as np
-
-    return float(np.interp(y, g.xs, g.ys))
-
-
-def monotone_pole_test(
-    alpha: float, z: float, f: FunctionSpec, epsilon: float, tol: float = 1e-9
-) -> TestVerdict:
+def monotone_pole_test(alpha: float, z: float, f: FunctionSpec, epsilon: float) -> TestVerdict:
     """Small-time finiteness test at an isolated monotone pole of f: finite
     iff int_{z-eps}^{z+eps} f(y)|z-y|^(alpha-1) dy < inf.  A finite verdict
     certifies almost-sure small-time finiteness of the path integral from z;
@@ -254,7 +242,7 @@ def monotone_pole_test(
         )
     if epsilon > mark.delta:
         raise ValueError("epsilon exceeds the flagged neighborhood radius")
-    return kernel_integral(alpha, z, f, IntervalSet.of((z - epsilon, z + epsilon)), tol)
+    return kernel_integral(alpha, z, f, IntervalSet.of((z - epsilon, z + epsilon)))
 
 
 def power_law_test(alpha: float, beta: float) -> TestVerdict:
@@ -309,7 +297,7 @@ def zero_set(sigma: FunctionSpec) -> PointedSet:
     return PointedSet(pts, spans)
 
 
-def irregular_set(alpha: float, sigma: FunctionSpec, tol: float = 1e-9) -> PointedSet:
+def irregular_set(alpha: float, sigma: FunctionSpec) -> PointedSet:
     """Points from which the time-change integral is instantly infinite.
 
     For point zeros flagged isolated_monotone the thin set drops out of the
@@ -331,7 +319,7 @@ def irregular_set(alpha: float, sigma: FunctionSpec, tol: float = 1e-9) -> Point
         if z.at is None:
             continue
         eps = z.delta if math.isfinite(z.delta) else 1.0
-        verdict = monotone_pole_test(alpha, z.at, f, eps, tol)
+        verdict = monotone_pole_test(alpha, z.at, f, eps)
         if verdict.finiteness == "infinite":
             pts.append(z.at)
     spans = IntervalSet.of(*(z.interval for z in sigma.zeros if z.interval is not None))

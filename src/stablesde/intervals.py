@@ -198,6 +198,10 @@ def interval_capacity_upper(alpha: float, s: IntervalSet) -> float:
     return float(sum(ball_capacity(alpha, (b - a) / 2.0) for a, b in s.intervals))
 
 
+#: partial sums a JSON verdict reports, the last ones
+REPORTED_SUMS = 50
+
+
 @dataclass
 class SeriesVerdict:
     """Outcome of the Wiener summation test.  partial_sums accumulates the
@@ -213,11 +217,12 @@ class SeriesVerdict:
     def total(self) -> float:
         return self.partial_sums[-1] if self.partial_sums else 0.0
 
-    def to_json(self, max_sums: int = 50) -> str:
+    def to_json(self) -> str:
+        """The verdict with the last REPORTED_SUMS partial sums."""
         return json.dumps(
             {
                 "verdict": self.verdict,
-                "partial_sums": self.partial_sums[-max_sums:],
+                "partial_sums": self.partial_sums[-REPORTED_SUMS:],
                 "ratio_estimate": self.ratio_estimate,
                 "terms_used": self.terms_used,
             }
@@ -227,22 +232,18 @@ class SeriesVerdict:
 #: ratio test needs this many consecutive contracting term ratios
 RATIO_RUN = 20
 RATIO_MARGIN = 1e-3
+#: lower-bound partial sums above this certify divergence
 DIVERGENCE_BOUND = 1e6
 
 
-def wiener_sum(
-    alpha: float,
-    spec: ShellSpec,
-    s: IntervalSet,
-    divergence_bound: float = DIVERGENCE_BOUND,
-) -> SeriesVerdict:
+def wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
     """Wiener summation test sum_n lambda^{n(alpha-1)} C(B cap S_n).
 
     The per-shell capacity is bracketed by the isoperimetric lower bound and
     the per-component subadditive upper bound.  `convergent` when the
     upper-bound terms contract geometrically over a sustained run;
-    `divergent` when the lower-bound partial sums exceed the divergence
-    bound or the lower-bound terms stop decaying; `inconclusive` otherwise.
+    `divergent` when the lower-bound partial sums exceed DIVERGENCE_BOUND
+    or the lower-bound terms stop decaying; `inconclusive` otherwise.
     """
     _check_alpha(alpha)
     upper_sums: list[float] = []
@@ -276,7 +277,7 @@ def wiener_sum(
     if ratios:
         out.ratio_estimate = float(np.median(ratios))
 
-    if lo_total > divergence_bound:
+    if lo_total > DIVERGENCE_BOUND:
         out.verdict = "divergent"
         return out
     # non-decaying positive lower-bound terms certify divergence even before

@@ -153,10 +153,10 @@ class ClassificationReport:
         )
 
 
-def classify_sde(alpha: float, sigma: FunctionSpec, tol: float = 1e-9) -> ClassificationReport:
+def classify_sde(alpha: float, sigma: FunctionSpec) -> ClassificationReport:
     """Compute O and N and fill the four-way classification by set
     comparison."""
-    o = irregular_set(alpha, sigma, tol)
+    o = irregular_set(alpha, sigma)
     n = zero_set(sigma)
     return ClassificationReport(
         irregular=o,

@@ -133,19 +133,14 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     )
 
 
-def _cms_standard(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Unit-time symmetric standard stable variates (CMS transform)."""
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
-    w = rng.exponential(1.0, size=size)
-    return _cms(alpha, u, w)
-
-
 def sample_increment(params: StableParams, dt: float, rng: np.random.Generator) -> float:
     """One increment of X over a window of length dt; self-similarity scales
     a unit-time sample by dt^(1/alpha)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return float(params.scale * dt ** (1.0 / params.alpha) * _cms_standard(params.alpha, rng, 1)[0])
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=1)
+    w = rng.exponential(1.0, size=1)
+    return float(params.scale * dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)[0])
 
 
 def grid_cells(horizon: float, step: float) -> int:

@@ -140,7 +140,7 @@ class TestKilledHitting:
                 StableParams(cfg.alpha), z, cfg.horizon, cfg.step, stream_rng(cfg.seed, 0),
                 killing=cfg.killing, rows=300,
             )
-            codes = experiments._hitting_codes(cfg, z, 300, stream_rng(cfg.seed, 0))
+            codes = experiments._path_codes(cfg, z, 300, stream_rng(cfg.seed, 0))
             hit = (cfg.target.contains(block.values) & block.reached()).any(axis=1)
             killed = block.killed_at <= cfg.horizon
             assert np.array_equal(codes == 1, hit)
