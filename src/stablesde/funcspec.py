@@ -33,8 +33,10 @@ class PowerForm:
     p: float = 0.0
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("power coefficient must be nonnegative")
+        if not self.c >= 0:
+            raise ValueError(f"power coefficient must be nonnegative, got {self.c}")
+        if not (math.isfinite(self.e) and math.isfinite(self.p)):
+            raise ValueError(f"power exponent and anchor must be finite, got {self.e}, {self.p}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,7 @@ class ZeroMark:
     def __post_init__(self):
         if (self.at is None) == (self.interval is None):
             raise ValueError("a zero mark is either a point or an interval")
+        _check_mark_at(self.at)
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,14 @@ class PoleMark:
     at: float
     isolated_monotone: bool = False
     delta: float = INF
+
+    def __post_init__(self):
+        _check_mark_at(self.at)
+
+
+def _check_mark_at(at) -> None:
+    if at is not None and math.isnan(at):
+        raise ValueError("a marked zero or pole must not sit at NaN")
 
 
 class FunctionSpecError(ValueError):
@@ -328,7 +339,9 @@ class FunctionSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "FunctionSpec":
-        """A piece, pole or zero without a key it needs raises
+        """A spec from JSON, every number read through float().  A piece,
+        pole or zero without a key it needs, or a document of the wrong
+        shape (not an object, a list or number that is not one), raises
         FunctionSpecError, as any other malformed spec does."""
         try:
             doc = json.loads(text)
@@ -338,24 +351,26 @@ class FunctionSpec:
                 form = item["form"]
                 if "power" in form:
                     d = form["power"]
-                    pieces.append(
-                        Piece(lo, hi, PowerForm(float(d["c"]), d.get("e", 0.0), d.get("p", 0.0)))
-                    )
+                    power = PowerForm(float(d["c"]), float(d.get("e", 0.0)), float(d.get("p", 0.0)))
+                    pieces.append(Piece(lo, hi, power))
                 elif "table" in form:
                     d = form["table"]
-                    pieces.append(Piece(lo, hi, TableForm(tuple(d["x"]), tuple(d["y"]))))
+                    table = TableForm(tuple(map(float, d["x"])), tuple(map(float, d["y"])))
+                    pieces.append(Piece(lo, hi, table))
                 else:
                     raise FunctionSpecError(f"unknown form {form}")
             poles = tuple(
-                PoleMark(m["at"], m.get("isolated_monotone", False), float(m.get("delta", INF)))
+                PoleMark(
+                    float(m["at"]), m.get("isolated_monotone", False), float(m.get("delta", INF))
+                )
                 for m in doc.get("poles", [])
             )
             zeros = []
             for z in doc.get("zeros", []):
                 zeros.append(
                     ZeroMark(
-                        at=z.get("at"),
-                        interval=tuple(z["interval"]) if "interval" in z else None,
+                        at=None if z.get("at") is None else float(z["at"]),
+                        interval=tuple(map(float, z["interval"])) if "interval" in z else None,
                         isolated_monotone=z.get("isolated_monotone", False),
                         delta=float(z.get("delta", INF)),
                     )
@@ -363,6 +378,8 @@ class FunctionSpec:
             return cls(tuple(pieces), poles=poles, zeros=tuple(zeros))
         except KeyError as exc:
             raise FunctionSpecError(f"FunctionSpec JSON lacks the key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise FunctionSpecError(f"malformed FunctionSpec JSON: {exc}") from None
 
 
 def _two_level(s: IntervalSet, inside: float, outside: float) -> tuple[Piece, ...]:

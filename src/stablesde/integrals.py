@@ -251,8 +251,8 @@ def power_law_test(alpha: float, beta: float) -> TestVerdict:
     2 eps^(alpha(1-beta)) / (alpha(1-beta)) at radius eps = 1.  The boundary
     beta = 1 diverges logarithmically."""
     _check_alpha(alpha)
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    if not 0.0 <= beta < INF:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     expo = alpha * (1.0 - beta)
     if expo <= 0.0:
         return TestVerdict("infinite", INF, method="closed-form")

@@ -153,6 +153,8 @@ class ShellSpec:
     n_max: int = 200
 
     def __post_init__(self):
+        if not math.isfinite(self.center):
+            raise ValueError(f"shell centre must be finite, got {self.center}")
         if not 1.0 < self.lam < math.inf:
             raise ValueError("shell ratio must be finite and exceed 1")
         if self.n_min > self.n_max:
@@ -246,6 +248,14 @@ def wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
     or the lower-bound terms stop decaying; `inconclusive` otherwise.
     """
     _check_alpha(alpha)
+    try:
+        # bounds the outer radius lam^n_max and the weights up to lam^-n_min
+        float(spec.lam) ** max(spec.n_max, 1 - spec.n_min)
+    except OverflowError:
+        raise ValueError(
+            f"shell radii lam^n leave the float range for lam={spec.lam}, "
+            f"n from {spec.n_min} to {spec.n_max}"
+        ) from None
     upper_sums: list[float] = []
     lower_sums: list[float] = []
     upper_terms: list[float] = []
@@ -312,8 +322,8 @@ def build_example_set(n_max: int) -> IntervalSet:
     """Union of the intervals [2^n - 2^((n-1)/3), 2^n) for n = 1..n_max:
     shrinking (relative to scale) blocks drifting to infinity, avoidable for
     every alpha in (0,1) yet of infinite potential for alpha > 2/3."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not 1 <= n_max < 1024:
+        raise ValueError(f"n_max must lie in [1, 1024), where 2^n stays finite, got {n_max}")
     pieces = [
         (2.0 ** n - 2.0 ** ((n - 1) / 3.0), 2.0 ** n) for n in range(1, n_max + 1)
     ]

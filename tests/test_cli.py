@@ -72,6 +72,12 @@ class TestExitCodes:
         ["test", "--alpha", "0.5", "--f", "const:1", "--domain", "5"],
         ["wiener", "--alpha", "0.5", "--set", "[[2,1]]"],
         ["test", "--alpha", "0.5", "--f", "const:1", "--domain", "[[1,1]]"],
+        ["wiener", "--alpha", "0.5", "--set", "[[0,1]]", "--center", "inf"],
+        ["wiener", "--alpha", "0.5", "--set", "[[0,1]]", "--nmax", "1100"],
+        ["wiener", "--alpha", "0.5", "--set", "example2.2", "--nmax", "1100"],
+        ["wiener", "--alpha", "0.5", "--set", "[[0,1]]", "--lam", "1e308", "--nmax", "3"],
+        ["wiener", "--alpha", "0.5", "--set", "[[0,1]]", "--nmin", "-3000", "--nmax", "0"],
+        ["test", "--alpha", "0.5", "--beta", "inf"],
     ])
     def test_non_finite_option_is_validation(self, capsys, argv):
         """Options outside the time grid are checked as well: NaN would
@@ -92,6 +98,7 @@ class TestExitCodes:
         ({**CONFIG, "z": []}, "at least one starting point"),
         ({**CONFIG, "target": 5}, "list of [a, b] pairs"),
         ({**CONFIG, "target": [[2.0, 1.0]]}, "pairs with a < b"),
+        ({**CONFIG, "f_or_sigma": [1]}, "malformed FunctionSpec JSON"),
     ])
     def test_malformed_config_is_validation(self, tmp_path, capsys, doc, detail):
         """A config the estimators cannot read exits 1 with a readable
@@ -107,10 +114,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("piece, detail", [
         ({"interval": [0, 1]}, "lacks the key 'form'"),
         ({"form": {"power": {"c": 1.0}}}, "lacks the key 'interval'"),
+        ("[1, 2]", "malformed FunctionSpec JSON"),
+        ('{"pieces": 5}', "malformed FunctionSpec JSON"),
+        ({"interval": [0, 1], "form": "power"}, "malformed FunctionSpec JSON"),
+        ({"interval": [0, 1], "form": {"power": {"c": None}}}, "malformed FunctionSpec JSON"),
+        ({"interval": [0, 1], "form": {"power": {"c": 1.0, "e": "x"}}}, "to float: 'x'"),
+        ({"interval": [0, 1], "form": {"table": {"x": [0, 1], "y": ["a", "b"]}}}, "to float"),
+        ({"interval": [0, 1], "form": {"power": {"c": "nan"}}}, "must be nonnegative"),
+        ({"interval": [0, 1], "form": {"power": {"c": 1.0, "p": "nan"}}}, "must be finite"),
+        ('{"pieces": [], "poles": [{"at": "nan"}]}', "must not sit at NaN"),
+        ('{"pieces": [], "zeros": [{"at": NaN}]}', "must not sit at NaN"),
     ])
     def test_malformed_sigma_file_is_validation(self, tmp_path, capsys, piece, detail):
+        """A piece is written as the only one of the file; a string is the
+        whole file.  Every number is read as a float, and NaN is refused
+        wherever it would change the answer."""
         path = tmp_path / "sigma.json"
-        path.write_text(json.dumps({"pieces": [piece]}))
+        path.write_text(piece if isinstance(piece, str) else json.dumps({"pieces": [piece]}))
         assert main(["classify", "--alpha", "0.5", "--sigma", f"@{path}"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"

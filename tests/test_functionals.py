@@ -190,6 +190,19 @@ class TestClassifyPath:
         assert v.freezes == "no"
         assert v.integral_at_horizon == pytest.approx(path.horizon)
 
+    @pytest.mark.parametrize("c, big_m", [(2.0, 3.0), (0.7, 1.3)])
+    def test_constant_sigma_freezes_at_m_times_c_to_the_alpha(self, c, big_m):
+        """With sigma = c the clock runs at rate c^-alpha, so it reaches M at
+        driver time M c^alpha: inside the cell where it crosses M, not at
+        the cell's left edge."""
+        path = make_path(19, horizon=10.0, step=0.1)
+        sigma = FunctionSpec.constant(c)
+        v = classify_path(path, sigma, 0.5, Thresholds(m=big_m))
+        assert v.freezes == "yes"
+        assert v.freeze_time == pytest.approx(big_m * c ** 0.5, rel=1e-12)
+        phi = inverse_time_change(path, sigma.inverse_power(0.5), big_m)
+        assert v.freeze_time == pytest.approx(phi, rel=1e-12)
+
     def test_indicator_sigma_freezes_at_hit(self):
         target = IntervalSet.of((1, 2))
         sigma = FunctionSpec.indicator_complement(target)

@@ -256,6 +256,13 @@ class TestPowerLawTest:
         with pytest.raises(ValueError):
             power_law_test(0.5, -0.5)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_beta_is_refused(self, beta):
+        """inf would read as an infinite integral and NaN would fail only on
+        the verdict it produces; both are refused as a beta."""
+        with pytest.raises(ValueError, match="beta must be finite"):
+            power_law_test(0.5, beta)
+
 
 class TestIrregularAndZeroSets:
     def test_power_below_one_empty(self):

@@ -52,6 +52,14 @@ def test_shell_ratio_must_be_finite_above_one(lam):
 
 
 @PROPERTY
+@given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+def test_power_form_needs_nonnegative_c_and_finite_exponent_and_anchor(c, e, p):
+    # +inf is a legal coefficient: the piece is infinite on its interval
+    ok = c >= 0.0 and math.isfinite(e) and math.isfinite(p)
+    assert accepted(lambda: PowerForm(c, e, p)) == ok
+
+
+@PROPERTY
 @given(ANY_FLOAT)
 def test_killing_rate_and_scale_must_be_finite_positive(x):
     ok = math.isfinite(x) and x > 0.0
