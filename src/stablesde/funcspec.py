@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class ZeroMark:
     def __post_init__(self):
         if (self.at is None) == (self.interval is None):
             raise ValueError("a zero mark is either a point or an interval")
-        _check_mark_at(self.at)
+        _check_mark(self.at, self.delta)
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,12 @@ class PoleMark:
     delta: float = INF
 
     def __post_init__(self):
-        _check_mark_at(self.at)
+        _check_mark(self.at, self.delta)
 
 
-def _check_mark_at(at) -> None:
-    if at is not None and math.isnan(at):
-        raise ValueError("a marked zero or pole must not sit at NaN")
+def _check_mark(at, delta) -> None:
+    if (at is not None and math.isnan(at)) or math.isnan(delta):
+        raise ValueError("a marked zero or pole must not sit at NaN or have a NaN delta")
 
 
 class FunctionSpecError(ValueError):
@@ -341,7 +341,7 @@ class FunctionSpec:
     def from_json(cls, text: str) -> "FunctionSpec":
         """A spec from JSON, every number read through float().  A piece,
         pole or zero without a key it needs, or a document of the wrong
-        shape (not an object, a list or number that is not one), raises
+        shape (say a list where an object belongs), raises
         FunctionSpecError, as any other malformed spec does."""
         try:
             doc = json.loads(text)

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .funcspec import FunctionSpec, FunctionSpecError, PowerForm, TableForm
+from .funcspec import FunctionSpec, FunctionSpecError, TableForm
 from .intervals import IntervalSet, _check_alpha
 
 INF = math.inf

@@ -124,6 +124,7 @@ class TestExitCodes:
         ({"interval": [0, 1], "form": {"power": {"c": 1.0, "p": "nan"}}}, "must be finite"),
         ('{"pieces": [], "poles": [{"at": "nan"}]}', "must not sit at NaN"),
         ('{"pieces": [], "zeros": [{"at": NaN}]}', "must not sit at NaN"),
+        ('{"pieces": [], "poles": [{"at": 0, "delta": NaN}]}', "NaN delta"),
     ])
     def test_malformed_sigma_file_is_validation(self, tmp_path, capsys, piece, detail):
         """A piece is written as the only one of the file; a string is the
