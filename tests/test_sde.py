@@ -87,6 +87,27 @@ class TestSolveTimeChange:
         assert lines[1] == "s,phi,z_value"
         assert len(lines) == 2 + len(sol.s_grid)
 
+    def test_csv_comment_lines_of_frozen_and_exploded(self):
+        frozen = solve_time_change(0.5, FunctionSpec.power(1.5), 0.0, 10.0, 0.1, 0)
+        assert frozen.to_csv().splitlines()[:4] == [
+            "# status=frozen", "# frozen_at=0.0", "s,phi,z_value", "0.0,0.0,0.0",
+        ]
+        # sigma = x^2 outside [-1, 1]: the clock runs out before the horizon
+        quadratic_tails = FunctionSpec(
+            (
+                Piece(-INF, -1.0, PowerForm(1.0, 2.0, 0.0)),
+                Piece(-1.0, 1.0, PowerForm(1.0)),
+                Piece(1.0, INF, PowerForm(1.0, 2.0, 0.0)),
+            )
+        )
+        exploded = solve_time_change(
+            0.5, quadratic_tails, 0.0, 10.0, 0.1, 0, Thresholds(r=30.0)
+        )
+        assert exploded.to_csv().splitlines()[:4] == [
+            "# status=exploded", "# exploded_at=2.0514609952679326", "s,phi,z_value",
+            "0.0,0.0,0.0",
+        ]
+
 
 class TestClassifySde:
     def test_constant_sigma_all_four(self):
