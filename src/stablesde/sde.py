@@ -5,7 +5,6 @@ replicates.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ from .funcspec import FunctionSpec
 from .functionals import Thresholds, _clock
 from .integrals import PointedSet, irregular_set, zero_set
 from .intervals import _check_alpha
-from .stable import PathSample, StableParams, sample_path, stream_rng
+from .stable import PathSample, StableParams, _node_csv, sample_path, stream_rng
 
 
 @dataclass(frozen=True)
@@ -61,16 +60,10 @@ class SolutionPath:
         return bool(np.any(self.values != self.values[0]))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# status={self.status}\n")
-        if self.frozen_at is not None:
-            buf.write(f"# frozen_at={self.frozen_at!r}\n")
-        if self.exploded_at is not None:
-            buf.write(f"# exploded_at={self.exploded_at!r}\n")
-        buf.write("s,phi,z_value\n")
-        for s, phi, v in zip(self.s_grid, self.time_change, self.values):
-            buf.write(f"{float(s)!r},{float(phi)!r},{float(v)!r}\n")
-        return buf.getvalue()
+        comments = {
+            "status": self.status, "frozen_at": self.frozen_at, "exploded_at": self.exploded_at
+        }
+        return _node_csv(comments, "s,phi,z_value", self.s_grid, self.time_change, self.values)
 
 
 def solve_time_change(
@@ -94,24 +87,16 @@ def solve_time_change(
     rng = stream_rng(rng_state, 0) if isinstance(rng_state, int) else rng_state
     driver = sample_path(StableParams(alpha), z, horizon, step, rng)
     _, cum, k, explodes = _clock(driver, sigma.inverse_power(alpha), alpha, thresholds)
-    if k is not None:
-        return SolutionPath(
-            driver=driver,
-            s_grid=cum[: k + 1],
-            time_change=driver.times[: k + 1],
-            values=driver.values[: k + 1],
-            status="frozen",
-            z=driver.origin,
-            frozen_at=float(cum[k]),
-        )
-    exploded = explodes == "yes"
+    frozen, exploded = k is not None, k is None and explodes == "yes"
+    end = k + 1 if frozen else len(driver.times)
     return SolutionPath(
         driver=driver,
-        s_grid=cum[: len(driver.times)],
-        time_change=driver.times,
-        values=driver.values,
-        status="exploded" if exploded else "horizon_reached",
+        s_grid=cum[:end],
+        time_change=driver.times[:end],
+        values=driver.values[:end],
+        status="frozen" if frozen else "exploded" if exploded else "horizon_reached",
         z=driver.origin,
+        frozen_at=float(cum[k]) if frozen else None,
         exploded_at=float(cum[-1]) if exploded else None,
     )
 

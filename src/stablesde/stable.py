@@ -2,9 +2,9 @@
 
 Increments use the Chambers-Mallows-Stuck transform (exact, no series
 truncation).  Paths are piecewise-constant skeletons on a uniform grid with
-optional jump-adapted refinement: a cell whose increment exceeds a threshold
-gets an extra node at a uniformly placed jump time, which reduces hitting and
-occupation bias without changing any grid marginal.
+jump-adapted refinement: a cell whose increment exceeds JUMP_FACTOR *
+step^(1/alpha) gets an extra node at a uniformly placed jump time, which
+reduces hitting and occupation bias without changing any grid marginal.
 
 `sample_block` samples many paths at once from one generator, as rows of one
 array; `sample_path` is its one-row case, expanded into a `PathSample`.
@@ -23,6 +23,9 @@ import numpy as np
 from .intervals import _check_alpha
 
 _WORD = (1 << 64) - 1
+#: a cell is refined when its increment exceeds JUMP_FACTOR * step^(1/alpha)
+JUMP_FACTOR = 10.0
+_CSV_ROWS = 4096
 
 
 def stream_rng(seed: int, index: int) -> np.random.Generator:
@@ -35,16 +38,13 @@ def stream_rng(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class StableParams:
-    """Driving law: stability index alpha and scale (CMS parametrization)."""
+    """Driving law: stability index alpha, unit scale (CMS parametrization)."""
 
     alpha: float
-    scale: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in (0,2], got {self.alpha}")
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError("scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,22 @@ class KillingSpec:
             raise ValueError("killing rate must be finite and positive")
 
 
+def _node_csv(comments: dict, header: str, *columns) -> str:
+    """CSV text of a node table: a `# key=value` line for each comment that
+    is not None, the header, then one row of float reprs per node, formatted
+    _CSV_ROWS rows at a time."""
+    buf = io.StringIO()
+    for key, value in comments.items():
+        if value is not None:
+            buf.write(f"# {key}={value}\n")
+    buf.write(header + "\n")
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    table = np.column_stack([np.asarray(c, float) for c in columns])
+    for part in np.split(table, range(_CSV_ROWS, len(table), _CSV_ROWS)):
+        buf.write(row * len(part) % tuple(part.ravel().tolist()))
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class PathSample:
     """Piecewise-constant right-continuous path skeleton."""
@@ -66,7 +82,6 @@ class PathSample:
     values: np.ndarray
     horizon: float
     killed_at: float | None = None
-    grid_kind: str = "uniform"
 
     def __post_init__(self):
         t, v = np.asarray(self.times, float), np.asarray(self.values, float)
@@ -92,13 +107,7 @@ class PathSample:
         return self.horizon if self.killed_at is None else self.killed_at
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        if self.killed_at is not None:
-            buf.write(f"# killed_at={self.killed_at!r}\n")
-        buf.write("t,x\n")
-        for t, x in zip(self.times, self.values):
-            buf.write(f"{float(t)!r},{float(x)!r}\n")
-        return buf.getvalue()
+        return _node_csv({"killed_at": self.killed_at}, "t,x", self.times, self.values)
 
     @classmethod
     def from_csv(cls, text: str, horizon: float | None = None) -> "PathSample":
@@ -115,10 +124,9 @@ class PathSample:
             t, x = line.split(",")
             times.append(float(t))
             values.append(float(x))
-        hz = horizon
-        if hz is None:
-            hz = killed_at if killed_at is not None else times[-1]
-        return cls(np.array(times), np.array(values), horizon=hz, killed_at=killed_at)
+        if horizon is None:
+            horizon = killed_at if killed_at is not None else times[-1]
+        return cls(np.array(times), np.array(values), horizon=horizon, killed_at=killed_at)
 
 
 def _cms(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -140,7 +148,7 @@ def sample_increment(params: StableParams, dt: float, rng: np.random.Generator) 
         raise ValueError("dt must be positive")
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=1)
     w = rng.exponential(1.0, size=1)
-    return float(params.scale * dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)[0])
+    return float(dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)[0])
 
 
 def grid_cells(horizon: float, step: float) -> int:
@@ -225,12 +233,10 @@ class PathBlock:
         """Row i as a PathSample, with a node inserted at every jump time and
         the nodes at or after the killing time dropped."""
         times, values = self.times, self.values[i]
-        grid_kind = "uniform"
         refined = np.flatnonzero(~np.isnan(self.jump_times[i]))
         if refined.size:
             times = np.insert(times, refined + 1, self.jump_times[i, refined])
             values = np.insert(values, refined + 1, values[refined + 1])
-            grid_kind = "jump-adapted"
         killed_at = None
         tau = float(self.killed_at[i])
         if tau <= self.horizon:
@@ -238,9 +244,7 @@ class PathBlock:
             keep[0] = True
             times, values = times[keep], values[keep]
             killed_at = tau
-        return PathSample(
-            times, values, horizon=self.horizon, killed_at=killed_at, grid_kind=grid_kind
-        )
+        return PathSample(times, values, horizon=self.horizon, killed_at=killed_at)
 
 
 def sample_block(
@@ -250,8 +254,6 @@ def sample_block(
     step: float,
     rng: np.random.Generator,
     killing: KillingSpec | None = None,
-    jump_threshold: float | None = None,
-    jump_adapted: bool = True,
     rows: int = 1,
 ) -> PathBlock:
     """Simulate rows paths from z on a shared grid of n cells of mesh <= step.
@@ -259,9 +261,9 @@ def sample_block(
     The draws from rng come in this order: (rows, n) uniforms, then
     (rows, n) exponentials for the increments, one uniform per refined cell
     in row-major order, then rows killing times; with rows = 1 that is the
-    order of a single path.  With jump adaptation, any cell whose increment
-    exceeds the threshold (default 10 * step^(1/alpha)) gets a jump time
-    drawn uniformly inside it, attributing the move to a single jump there.
+    order of a single path.  Any cell whose increment exceeds JUMP_FACTOR *
+    step^(1/alpha) gets a jump time drawn uniformly inside it, attributing
+    the move to a single jump there; values holds the unrefined skeleton.
     """
     for name, value in (("z", z), ("horizon", horizon), ("step", step)):
         if not math.isfinite(value):
@@ -274,7 +276,7 @@ def sample_block(
     dt = horizon / n
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(rows, n))
     w = rng.exponential(1.0, size=(rows, n))
-    incs = params.scale * dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)
+    incs = dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)
     times = np.linspace(0.0, horizon, n + 1)
     values = np.empty((rows, n + 1))
     values[:, 0] = z
@@ -282,14 +284,9 @@ def sample_block(
     values[:, 1:] += z
 
     jump_times = np.full(incs.shape, np.nan)
-    if jump_adapted:
-        thresh = jump_threshold
-        if thresh is None:
-            thresh = 10.0 * step ** (1.0 / params.alpha)
-        eps = np.finfo(float).eps
-        row, cell = np.nonzero(np.abs(incs) > thresh)
-        if row.size:
-            jump_times[row, cell] = times[cell] + dt * rng.uniform(eps, 1.0 - eps, size=row.size)
+    eps = np.finfo(float).eps
+    row, cell = np.nonzero(np.abs(incs) > JUMP_FACTOR * step ** (1.0 / params.alpha))
+    jump_times[row, cell] = times[cell] + dt * rng.uniform(eps, 1.0 - eps, size=row.size)
 
     killed_at = np.full(rows, math.inf)
     if killing is not None:
@@ -305,16 +302,10 @@ def sample_path(
     step: float,
     rng: np.random.Generator,
     killing: KillingSpec | None = None,
-    jump_threshold: float | None = None,
-    jump_adapted: bool = True,
 ) -> PathSample:
     """Simulate a path skeleton from z on a grid of mesh <= step: the one-row
     `sample_block`, with a node inserted at every jump time."""
-    block = sample_block(
-        params, z, horizon, step, rng, killing=killing,
-        jump_threshold=jump_threshold, jump_adapted=jump_adapted,
-    )
-    return block.path(0)
+    return sample_block(params, z, horizon, step, rng, killing=killing).path(0)
 
 
 def potential_kernel(alpha: float, z: float, x: float) -> float:

@@ -15,6 +15,7 @@ the engine that drew one `sample_path` per replicate; a single path is the
 one-row block, so they never moved.
 """
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -150,13 +151,15 @@ def test_cli_cases_are_killed_and_refined():
     """The simulate case is killed before its horizon and both CLI paths
     carry jump-adapted nodes, so the digests cover both mechanisms."""
     params = StableParams(0.5)
+    grid = np.linspace(0.0, 10.0, stable.grid_cells(10.0, 0.1) + 1)
     killed = sample_path(params, 0.0, 10.0, 0.1, stream_rng(5, 0), killing=KillingSpec(0.2))
-    assert killed.killed_at is not None and killed.grid_kind == "jump-adapted"
+    assert killed.killed_at is not None
+    assert len(killed.times) > np.sum(grid < killed.killed_at)
     driver = sample_path(params, 0.0, 10.0, 0.1, stream_rng(9, 0))
-    assert driver.grid_kind == "jump-adapted"
+    assert len(driver.times) > len(grid)
 
 
-def reference_paths(params, z, horizon, step, rng, rows, killing, jump_adapted):
+def reference_paths(params, z, horizon, step, rng, rows, killing):
     """The paths of a block built node by node, in plain Python, from draws
     taken in the order `sample_block` documents: (rows, n) uniforms, (rows, n)
     exponentials, one uniform per refined cell in row-major order, then rows
@@ -166,10 +169,8 @@ def reference_paths(params, z, horizon, step, rng, rows, killing, jump_adapted):
     grid = np.linspace(0.0, horizon, n + 1)
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(rows, n))
     w = rng.exponential(1.0, size=(rows, n))
-    incs = params.scale * dt ** (1.0 / params.alpha) * stable._cms(params.alpha, u, w)
-    refined = np.abs(incs) > 10.0 * step ** (1.0 / params.alpha)
-    if not jump_adapted:
-        refined[:] = False
+    incs = dt ** (1.0 / params.alpha) * stable._cms(params.alpha, u, w)
+    refined = np.abs(incs) > stable.JUMP_FACTOR * step ** (1.0 / params.alpha)
     eps = np.finfo(float).eps
     jumps = iter(rng.uniform(eps, 1.0 - eps, size=int(refined.sum())).tolist())
     taus = rng.exponential(1.0 / killing.q, size=rows).tolist() if killing else [math.inf] * rows
@@ -188,7 +189,6 @@ def reference_paths(params, z, horizon, step, rng, rows, killing, jump_adapted):
         paths.append(stable.PathSample(
             np.array(times)[kept], np.array(values)[kept], horizon=horizon,
             killed_at=tau if tau <= horizon else None,
-            grid_kind="jump-adapted" if refined[i].any() else "uniform",
         ))
     return paths
 
@@ -197,8 +197,20 @@ def assert_same_path(row, ref):
     assert np.array_equal(row.times, ref.times)
     assert np.array_equal(row.values, ref.values)
     assert row.killed_at == ref.killed_at
-    assert row.grid_kind == ref.grid_kind
     assert row.horizon == ref.horizon
+
+
+def unrefined(block):
+    """The block with its jump times cleared: each row is its grid skeleton."""
+    return dataclasses.replace(block, jump_times=np.full(block.jump_times.shape, np.nan))
+
+
+def grid_skeleton(path, grid):
+    """The path without the nodes it has off the grid."""
+    keep = np.isin(path.times, grid)
+    return stable.PathSample(
+        path.times[keep], path.values[keep], horizon=path.horizon, killed_at=path.killed_at
+    )
 
 
 def test_one_row_block_is_sample_path():
@@ -206,40 +218,38 @@ def test_one_row_block_is_sample_path():
     the node-by-node reference."""
     params, z, horizon, step = StableParams(0.5), 0.5, 50.0, 0.5
     for killing in (None, KillingSpec(0.05)):
-        for jump_adapted in (True, False):
-            for seed in range(5):
-                kw = dict(killing=killing, jump_adapted=jump_adapted)
-                path = sample_path(params, z, horizon, step, stream_rng(seed, 0), **kw)
-                block = stable.sample_block(params, z, horizon, step, stream_rng(seed, 0), **kw)
-                (ref,) = reference_paths(
-                    params, z, horizon, step, stream_rng(seed, 0), 1, killing, jump_adapted
-                )
-                assert len(block) == 1
-                assert_same_path(block.path(0), ref)
-                assert_same_path(path, ref)
+        for seed in range(5):
+            path = sample_path(params, z, horizon, step, stream_rng(seed, 0), killing=killing)
+            block = stable.sample_block(
+                params, z, horizon, step, stream_rng(seed, 0), killing=killing
+            )
+            (ref,) = reference_paths(params, z, horizon, step, stream_rng(seed, 0), 1, killing)
+            assert len(block) == 1
+            assert_same_path(block.path(0), ref)
+            assert_same_path(path, ref)
 
 
 @pytest.mark.parametrize("killing", [None, KillingSpec(0.05)])
-@pytest.mark.parametrize("jump_adapted", [True, False])
-def test_block_rows_match_sample_path(killing, jump_adapted):
+@pytest.mark.parametrize("refined", [True, False])
+def test_block_rows_match_sample_path(killing, refined):
     """Every row of a block drawn from one generator is the path the
-    node-by-node reference builds from the same generator."""
+    node-by-node reference builds from the same generator; with the jump
+    times cleared, every row is the grid skeleton of that path."""
     params, z, horizon, step, seed, rows = StableParams(0.5), 0.5, 50.0, 0.5, 2024, 40
     block = stable.sample_block(
-        params, z, horizon, step, stream_rng(seed, 0),
-        killing=killing, jump_adapted=jump_adapted, rows=rows,
+        params, z, horizon, step, stream_rng(seed, 0), killing=killing, rows=rows
     )
-    refs = reference_paths(
-        params, z, horizon, step, stream_rng(seed, 0), rows, killing, jump_adapted
-    )
+    refs = reference_paths(params, z, horizon, step, stream_rng(seed, 0), rows, killing)
+    assert np.any(~np.isnan(block.jump_times))
+    if not refined:
+        block = unrefined(block)
+        refs = [grid_skeleton(ref, block.times) for ref in refs]
     assert len(block) == rows
     last = block.last_values()
     for i, ref in enumerate(refs):
         assert_same_path(block.path(i), ref)
         assert last[i] == ref.values[-1]
-    refined = sum(ref.grid_kind == "jump-adapted" for ref in refs)
     killed = sum(ref.killed_at is not None for ref in refs)
-    assert refined > 0 if jump_adapted else refined == 0
     assert killed > 0 if killing else killed == 0
 
 
@@ -267,18 +277,20 @@ def _old_smalltime(path, f, alpha, m):
 
 
 @pytest.mark.parametrize("killing", [None, KillingSpec(0.2)])
-@pytest.mark.parametrize("jump_adapted", [True, False])
+@pytest.mark.parametrize("refined", [True, False])
 @pytest.mark.parametrize("case", sorted(CLOCK_CASES))
-def test_block_verdicts_match_paths(case, jump_adapted, killing):
+def test_block_verdicts_match_paths(case, refined, killing):
     """The clock and the verdicts read off the cell arrays of a block equal
-    those of `_clock` and the old small-time rule on each row's PathSample."""
+    those of `_clock` and the old small-time rule on each row's PathSample,
+    also with the block's jump times cleared."""
     sigma, z, thresholds = CLOCK_CASES[case]
     alpha, rows, horizon = 0.5, 1000, 10.0
     f = sigma.inverse_power(alpha)
     block = stable.sample_block(
-        StableParams(alpha), z, horizon, 0.1, stream_rng(8, 0),
-        killing=killing, jump_adapted=jump_adapted, rows=rows,
+        StableParams(alpha), z, horizon, 0.1, stream_rng(8, 0), killing=killing, rows=rows
     )
+    if not refined:
+        block = unrefined(block)
     paths = [block.path(i) for i in range(rows)]
     # free memory of the cells' size holding -1, so an entry cells() leaves
     # unset is likely to read -1 instead of the zero of fresh pages

@@ -18,7 +18,7 @@ from stablesde.functionals import (
     path_integral,
 )
 from stablesde.intervals import IntervalSet
-from stablesde.stable import PathSample, StableParams, sample_path, stream_rng
+from stablesde.stable import PathSample, StableParams, sample_block, sample_path, stream_rng
 
 INF = math.inf
 
@@ -280,7 +280,9 @@ class TestDiscretization:
         ok = 0
         n_paths = 200
         for seed in range(n_paths):
-            fine = make_path(seed, horizon=1.0, step=0.005, jump_adapted=False)
+            # the block's grid values: the fine path without jump-adapted nodes
+            block = sample_block(StableParams(0.5), 0.0, 1.0, 0.005, stream_rng(seed, 0))
+            fine = PathSample(block.times, block.values[0], horizon=1.0)
             coarse = PathSample(
                 fine.times[::2], fine.values[::2], horizon=fine.horizon
             )

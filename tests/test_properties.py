@@ -64,7 +64,6 @@ def test_power_form_needs_nonnegative_c_and_finite_exponent_and_anchor(c, e, p):
 def test_killing_rate_and_scale_must_be_finite_positive(x):
     ok = math.isfinite(x) and x > 0.0
     assert accepted(lambda: KillingSpec(x)) == ok
-    assert accepted(lambda: StableParams(0.5, scale=x)) == ok
 
 
 @PROPERTY

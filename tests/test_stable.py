@@ -9,6 +9,7 @@ from stablesde.stable import (
     PathSample,
     StableParams,
     potential_kernel,
+    sample_block,
     sample_increment,
     sample_path,
     stream_rng,
@@ -81,17 +82,12 @@ class TestSamplePath:
         assert np.all(np.diff(path.times) > 0.0)
 
     def test_jump_adapted_nodes(self):
-        path = sample_path(
-            StableParams(0.4), 0.0, 10.0, 0.01, stream_rng(7, 0), jump_threshold=0.5
-        )
-        assert path.grid_kind == "jump-adapted"
-        plain = sample_path(
-            StableParams(0.4), 0.0, 10.0, 0.01, stream_rng(7, 0), jump_adapted=False
-        )
-        assert len(path.times) > len(plain.times)
+        path = sample_path(StableParams(0.4), 0.0, 10.0, 0.01, stream_rng(7, 0))
+        block = sample_block(StableParams(0.4), 0.0, 10.0, 0.01, stream_rng(7, 0))
+        assert len(path.times) > len(block.times)
         # uniform-grid nodes and their values are preserved
-        mask = np.isin(path.times, plain.times)
-        assert np.array_equal(path.values[mask], plain.values)
+        mask = np.isin(path.times, block.times)
+        assert np.array_equal(path.values[mask], block.values[0])
 
     def test_killing_consistency(self):
         q, horizon = 0.5, 2.0
