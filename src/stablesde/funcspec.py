@@ -78,6 +78,10 @@ class ZeroMark:
     def __post_init__(self):
         if (self.at is None) == (self.interval is None):
             raise ValueError("a zero mark is either a point or an interval")
+        if self.interval is not None and not (
+            len(self.interval) == 2 and self.interval[0] < self.interval[1]
+        ):
+            raise ValueError(f"an interval zero must be a pair [a, b] with a < b, got {self.interval}")
         _check_mark(self.at, self.delta)
 
 
@@ -341,27 +345,32 @@ class FunctionSpec:
     def from_json(cls, text: str) -> "FunctionSpec":
         """A spec from JSON, every number read through float().  A piece,
         pole or zero without a key it needs, or a document of the wrong
-        shape (say a list where an object belongs), raises
+        shape (say a list where an object belongs, a boolean where a number
+        belongs or a string where a boolean belongs), raises
         FunctionSpecError, as any other malformed spec does."""
         try:
             doc = json.loads(text)
             pieces = []
             for item in doc.get("pieces", []):
-                lo, hi = (float(v) for v in item["interval"])
+                lo, hi = _numbers(item["interval"])
                 form = item["form"]
                 if "power" in form:
                     d = form["power"]
-                    power = PowerForm(float(d["c"]), float(d.get("e", 0.0)), float(d.get("p", 0.0)))
+                    power = PowerForm(
+                        _number(d["c"]), _number(d.get("e", 0.0)), _number(d.get("p", 0.0))
+                    )
                     pieces.append(Piece(lo, hi, power))
                 elif "table" in form:
                     d = form["table"]
-                    table = TableForm(tuple(map(float, d["x"])), tuple(map(float, d["y"])))
+                    table = TableForm(_numbers(d["x"]), _numbers(d["y"]))
                     pieces.append(Piece(lo, hi, table))
                 else:
                     raise FunctionSpecError(f"unknown form {form}")
             poles = tuple(
                 PoleMark(
-                    float(m["at"]), m.get("isolated_monotone", False), float(m.get("delta", INF))
+                    _number(m["at"]),
+                    _flag(m.get("isolated_monotone", False)),
+                    _number(m.get("delta", INF)),
                 )
                 for m in doc.get("poles", [])
             )
@@ -369,10 +378,10 @@ class FunctionSpec:
             for z in doc.get("zeros", []):
                 zeros.append(
                     ZeroMark(
-                        at=None if z.get("at") is None else float(z["at"]),
-                        interval=tuple(map(float, z["interval"])) if "interval" in z else None,
-                        isolated_monotone=z.get("isolated_monotone", False),
-                        delta=float(z.get("delta", INF)),
+                        at=None if z.get("at") is None else _number(z["at"]),
+                        interval=_numbers(z["interval"]) if "interval" in z else None,
+                        isolated_monotone=_flag(z.get("isolated_monotone", False)),
+                        delta=_number(z.get("delta", INF)),
                     )
                 )
             return cls(tuple(pieces), poles=poles, zeros=tuple(zeros))
@@ -380,6 +389,29 @@ class FunctionSpec:
             raise FunctionSpecError(f"FunctionSpec JSON lacks the key {exc}") from None
         except (TypeError, AttributeError) as exc:
             raise FunctionSpecError(f"malformed FunctionSpec JSON: {exc}") from None
+
+
+def _number(value) -> float:
+    """A JSON number, or a string float() reads; a boolean is refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} where a number belongs")
+    return float(value)
+
+
+def _numbers(value) -> tuple[float, ...]:
+    """A JSON list of numbers; a string is refused, not read character by
+    character."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} where a list of numbers belongs")
+    return tuple(map(_number, value))
+
+
+def _flag(value) -> bool:
+    """A JSON boolean; a string such as "false" is refused, not read as
+    true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} where true or false belongs")
+    return value
 
 
 def _two_level(s: IntervalSet, inside: float, outside: float) -> tuple[Piece, ...]:

@@ -125,6 +125,17 @@ class TestExitCodes:
         ('{"pieces": [], "poles": [{"at": "nan"}]}', "must not sit at NaN"),
         ('{"pieces": [], "zeros": [{"at": NaN}]}', "must not sit at NaN"),
         ('{"pieces": [], "poles": [{"at": 0, "delta": NaN}]}', "NaN delta"),
+        ({"interval": [0, 1], "form": {"power": {"c": True}}}, "True where a number belongs"),
+        ({"interval": "05", "form": {"power": {"c": 1.0}}}, "'05' where a list of numbers"),
+        ({"interval": [0, 2], "form": {"table": {"x": "02", "y": [1, 1]}}}, "where a list of"),
+        ('{"pieces": [{"interval": [-Infinity, Infinity], "form": {"power": {"c": 1, "e": 0.5}}}],'
+         ' "zeros": [{"at": 0, "isolated_monotone": "false"}]}', "where true or false belongs"),
+        ('{"pieces": [{"interval": [-Infinity, Infinity], "form": {"power": {"c": 1}}}],'
+         ' "zeros": [{"interval": [2, 1]}]}', "pair [a, b] with a < b"),
+        ('{"pieces": [{"interval": [-Infinity, Infinity], "form": {"power": {"c": 1}}}],'
+         ' "zeros": [{"interval": [1, 2, 3]}]}', "pair [a, b] with a < b"),
+        ('{"pieces": [{"interval": [-Infinity, Infinity], "form": {"power": {"c": 1}}}],'
+         ' "poles": [{"at": true}]}', "True where a number belongs"),
     ])
     def test_malformed_sigma_file_is_validation(self, tmp_path, capsys, piece, detail):
         """A piece is written as the only one of the file; a string is the
