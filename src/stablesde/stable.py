@@ -87,6 +87,9 @@ class PathSample:
         t, v = np.asarray(self.times, float), np.asarray(self.values, float)
         if len(t) != len(v) or len(t) < 1:
             raise ValueError("times and values must be nonempty and aligned")
+        # +-inf values stay legal: a tiny alpha can overflow an increment
+        if np.isnan(t).any() or np.isnan(v).any() or np.isnan([self.horizon, self.end_time]).any():
+            raise ValueError("times, values, horizon and killing time must not be NaN")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be strictly increasing")
         if t[-1] > self.horizon:
@@ -124,6 +127,8 @@ class PathSample:
             t, x = line.split(",")
             times.append(float(t))
             values.append(float(x))
+        if not times:
+            raise ValueError("a path CSV needs at least one row")
         if horizon is None:
             horizon = killed_at if killed_at is not None else times[-1]
         return cls(np.array(times), np.array(values), horizon=horizon, killed_at=killed_at)

@@ -140,6 +140,24 @@ class TestPathSampleCsv:
         assert back.killed_at == path.killed_at
         assert np.array_equal(back.values, path.values)
 
+    @pytest.mark.parametrize("text", [
+        "# killed_at=nan\nt,x\n0.0,0.0\n",
+        "t,x\n0.0,0.0\nnan,1.0\n",
+        "t,x\nnan,0.0\n",
+        "t,x\n0.0,nan\n",
+        "t,x\n",
+        "",
+    ])
+    def test_nan_or_empty_is_refused(self, text):
+        with pytest.raises(ValueError):
+            PathSample.from_csv(text)
+
+    def test_nan_horizon_is_refused_and_infinite_values_are_kept(self):
+        with pytest.raises(ValueError):
+            PathSample(np.array([0.0]), np.array([0.0]), horizon=math.nan)
+        path = PathSample.from_csv("t,x\n0.0,0.0\n0.5,inf\n0.75,-inf\n", horizon=1.0)
+        assert path.values.tolist() == [0.0, math.inf, -math.inf]
+
 
 class TestPotentialKernel:
     def test_values(self):
