@@ -78,10 +78,9 @@ class ZeroMark:
     def __post_init__(self):
         if (self.at is None) == (self.interval is None):
             raise ValueError("a zero mark is either a point or an interval")
-        if self.interval is not None and not (
-            len(self.interval) == 2 and self.interval[0] < self.interval[1]
-        ):
-            raise ValueError(f"an interval zero must be a pair [a, b] with a < b, got {self.interval}")
+        iv = self.interval
+        if iv is not None and not (len(iv) == 2 and iv[0] < iv[1]):
+            raise ValueError(f"an interval zero must be a pair [a, b] with a < b, got {iv}")
         _check_mark(self.at, self.delta)
 
 
@@ -399,16 +398,14 @@ def _number(value) -> float:
 
 
 def _numbers(value) -> tuple[float, ...]:
-    """A JSON list of numbers; a string is refused, not read character by
-    character."""
+    """A JSON list of numbers; a string is not read character by character."""
     if not isinstance(value, list):
         raise TypeError(f"{value!r} where a list of numbers belongs")
     return tuple(map(_number, value))
 
 
 def _flag(value) -> bool:
-    """A JSON boolean; a string such as "false" is refused, not read as
-    true."""
+    """A JSON boolean; the string "false" is not read as true."""
     if not isinstance(value, bool):
         raise TypeError(f"{value!r} where true or false belongs")
     return value

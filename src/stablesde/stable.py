@@ -25,6 +25,8 @@ from .intervals import _check_alpha
 _WORD = (1 << 64) - 1
 #: a cell is refined when its increment exceeds JUMP_FACTOR * step^(1/alpha)
 JUMP_FACTOR = 10.0
+#: rows per format operation in _node_csv: one % over many rows is faster
+#: than one per row, and a bounded chunk keeps the argument tuple small
 _CSV_ROWS = 4096
 
 
