@@ -12,7 +12,7 @@ from stablesde.funcspec import FunctionSpec, Piece, PoleMark, PowerForm, TableFo
 from stablesde.functionals import Thresholds
 from stablesde.integrals import kernel_integral
 from stablesde.intervals import IntervalSet, ShellSpec
-from stablesde.stable import KillingSpec, StableParams
+from stablesde.stable import KillingSpec
 
 INF = math.inf
 
