@@ -16,17 +16,15 @@ from .functionals import (
     PathVerdict,
     Thresholds,
     classify_path,
-    discretization_bias,
     effective_contributions,
-    first_hitting_time,
     inverse_time_change,
-    last_exit_time,
     path_integral,
 )
 from .integrals import (
     PointedSet,
     TestVerdict,
     UnflaggedZeroError,
+    green_constant,
     hitting_probability,
     irregular_set,
     kernel_integral,
@@ -49,9 +47,7 @@ from .intervals import (
 from .sde import (
     ClassificationReport,
     SolutionPath,
-    StatusSummary,
     classify_sde,
-    solution_status_summary,
     solve_time_change,
 )
 from .experiments import (
@@ -64,7 +60,6 @@ from .stable import (
     KillingSpec,
     PathSample,
     StableParams,
-    potential_kernel,
     sample_increment,
     sample_path,
     stream_rng,
@@ -82,15 +77,13 @@ __all__ = [
     "PathVerdict",
     "Thresholds",
     "classify_path",
-    "discretization_bias",
     "effective_contributions",
-    "first_hitting_time",
     "inverse_time_change",
-    "last_exit_time",
     "path_integral",
     "PointedSet",
     "TestVerdict",
     "UnflaggedZeroError",
+    "green_constant",
     "hitting_probability",
     "irregular_set",
     "kernel_integral",
@@ -109,9 +102,7 @@ __all__ = [
     "wiener_sum",
     "ClassificationReport",
     "SolutionPath",
-    "StatusSummary",
     "classify_sde",
-    "solution_status_summary",
     "solve_time_change",
     "Estimate",
     "ExperimentConfig",
@@ -120,7 +111,6 @@ __all__ = [
     "KillingSpec",
     "PathSample",
     "StableParams",
-    "potential_kernel",
     "sample_increment",
     "sample_path",
     "stream_rng",

@@ -351,7 +351,12 @@ class FunctionSpec:
             doc = json.loads(text)
             pieces = []
             for item in doc.get("pieces", []):
-                lo, hi = _numbers(item["interval"])
+                interval = _numbers(item["interval"])
+                if len(interval) != 2:
+                    raise FunctionSpecError(
+                        f"a piece interval must be a pair [a, b] with a < b, got {interval}"
+                    )
+                lo, hi = interval
                 form = item["form"]
                 if "power" in form:
                     d = form["power"]

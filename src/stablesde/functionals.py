@@ -1,20 +1,19 @@
 """Path integrals I_t = int_0^t f(X_s) ds on sampled skeletons, their
-right-continuous inverses, hitting and last-exit times, and the
-explosion/freezing verdict for a single path.
+right-continuous inverses, and the explosion/freezing verdict for a single
+path.
 
 Only the single-path public functions keep the plain left-point Riemann
 sum, which charges +inf to any cell parked on a pole of f with positive
-dwell: `path_integral`, `cumulative_integral`, `inverse_time_change` and
-`discretization_bias`.  Every estimator uses the alpha-aware
-`effective_contributions` instead, which replaces the contribution of a cell
-parked exactly on an isolated pole point by the kernel integral of f over
-the spatial range dwell^(1/alpha) the process typically sweeps there; that
-cell is infinite exactly when the local exponent e of f satisfies
-e + alpha <= 0, matching the analytic small-time test instead of the grid
-artifact.  Its rule lives in `_contributions`, which takes cells of any
-shape: the finiteness and small-time estimators apply it to the cells of
-every row of a block, and everything that decides freezing or explosion
-reads it through the clock.
+dwell: `path_integral` and `inverse_time_change`.  Every estimator uses the
+alpha-aware `effective_contributions` instead, which replaces the
+contribution of a cell parked exactly on an isolated pole point by the
+kernel integral of f over the spatial range dwell^(1/alpha) the process
+typically sweeps there; that cell is infinite exactly when the local
+exponent e of f satisfies e + alpha <= 0, matching the analytic small-time
+test instead of the grid artifact.  Its rule lives in `_contributions`,
+which takes cells of any shape: the finiteness and small-time estimators
+apply it to the cells of every row of a block, and everything that decides
+freezing or explosion reads it through the clock.
 
 `_clock_rows` is the one freeze/explode verdict: it accumulates the
 time-change clock of f = sigma^-alpha along rows of cells and decides
@@ -26,7 +25,6 @@ estimators run it on the cells of a whole block; `classify_path` and
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,7 +32,7 @@ import numpy as np
 
 from .funcspec import FunctionSpec, FunctionSpecError
 from .integrals import tail_kernel_finiteness
-from .intervals import IntervalSet, _check_alpha
+from .intervals import _check_alpha
 from .stable import PathSample
 
 INF = math.inf
@@ -71,39 +69,14 @@ class PathVerdict:
     explodes: str  # yes | no | undetermined
     freezes: str
     freeze_time: float | None = None
-    step: float = 0.0
-    horizon: float = 0.0
-    m: float = DEFAULT_M
-    r: float = 0.0
 
     def __post_init__(self):
         if self.explodes == "yes" and self.freezes == "yes":
             raise ValueError("explosion and freezing preclude one another")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "integral": None if math.isinf(self.integral_at_horizon) else self.integral_at_horizon,
-                "explodes": self.explodes,
-                "freezes": self.freezes,
-                "freeze_time": self.freeze_time,
-                "step": self.step,
-                "horizon": self.horizon,
-                "M": self.m,
-                "R": self.r,
-            }
-        )
-
 
 def _cell_edges(path: PathSample) -> np.ndarray:
     return np.append(path.times, path.end_time)
-
-
-def _cell_values(path: PathSample, f: FunctionSpec):
-    """(dwell, f(values)) per skeleton cell; the last cell extends to the
-    killing time or horizon and may be empty."""
-    dwell = np.diff(_cell_edges(path))
-    return dwell, np.asarray(f(path.values), float)
 
 
 def path_integral(path: PathSample, f: FunctionSpec, t: float) -> float:
@@ -118,18 +91,6 @@ def path_integral(path: PathSample, f: FunctionSpec, t: float) -> float:
     if np.any(np.isinf(fv) & occupied):
         return INF
     return float(np.dot(fv[occupied], dwell[occupied]))
-
-
-def cumulative_integral(path: PathSample, f: FunctionSpec):
-    """(edges, I(edges)): the path integral at every cell edge; infinite
-    entries propagate once an infinite-mass cell is crossed."""
-    return _cell_edges(path), _cumulative(*_cell_values(path, f))
-
-
-def _cumulative(dwell: np.ndarray, fv: np.ndarray) -> np.ndarray:
-    """Left-point integral at every cell edge from the cells' dwell and f."""
-    contrib = np.where(dwell > 0.0, fv, 0.0) * np.where(dwell > 0.0, dwell, 1.0)
-    return np.concatenate(([0.0], np.cumsum(contrib)))
 
 
 def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha: float):
@@ -175,53 +136,21 @@ def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:
     never exceeds s within the horizon."""
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    dwell, fv = _cell_values(path, f)
-    cum = _cumulative(dwell, fv)
+    edges = _cell_edges(path)
+    dwell, fv = np.diff(edges), np.asarray(f(path.values), float)
+    # the left-point clock at every cell edge; a cell without dwell adds 0
+    # even where f is infinite
+    contrib = np.where(dwell > 0.0, fv, 0.0) * np.where(dwell > 0.0, dwell, 1.0)
+    cum = np.concatenate(([0.0], np.cumsum(contrib)))
     # the clock never decreases, so the first cell ending above s is found
     # by bisection
     i = int(np.searchsorted(cum[1:], s, side="right"))
     if i == len(cum) - 1:
         return INF
     rate = fv[i]
-    edges = _cell_edges(path)
     if math.isinf(rate) or rate <= 0.0:
         return float(edges[i])
     return float(edges[i] + (s - cum[i]) / rate)
-
-
-def first_hitting_time(path: PathSample, target: IntervalSet) -> float:
-    """First grid time with value in the target; +inf if never (inf of the
-    empty set)."""
-    if target.is_empty():
-        return INF
-    hits = np.flatnonzero(target.contains(path.values))
-    if hits.size == 0:
-        return INF
-    return float(path.times[hits[0]])
-
-
-def last_exit_time(path: PathSample, target: IntervalSet) -> float:
-    """Last grid time with value in the target; 0 if never (sup of the
-    empty set)."""
-    if target.is_empty():
-        return 0.0
-    hits = np.flatnonzero(target.contains(path.values))
-    if hits.size == 0:
-        return 0.0
-    return float(path.times[hits[-1]])
-
-
-def discretization_bias(path: PathSample, f: FunctionSpec) -> float:
-    """Crude bound on the left-point discretization error of the integral at
-    the horizon: total variation of f along the skeleton weighted by dwell,
-    plus one cell of slack at the largest observed level."""
-    dwell, fv = _cell_values(path, f)
-    fin = np.isfinite(fv)
-    if not fin.all():
-        return INF
-    tv = float(np.dot(np.abs(np.diff(fv)), dwell[:-1])) if len(fv) > 1 else 0.0
-    top = float(fv.max()) if len(fv) else 0.0
-    return tv + top * float(dwell.max(initial=0.0))
 
 
 #: explode verdict codes of `_clock_rows` and their names in `_clock`
@@ -293,7 +222,6 @@ def classify_path(
     contrib, cum, k, explodes = _clock(path, f, alpha, thresholds)
     edges = _cell_edges(path)
     dwell = np.diff(edges)
-    step = float(np.median(dwell[dwell > 0.0])) if np.any(dwell > 0.0) else 0.0
     total, freeze_time = float(cum[-1]), None
     if k is not None:
         total, freezes, freeze_time = INF, "yes", float(edges[k])
@@ -308,8 +236,4 @@ def classify_path(
         explodes=explodes,
         freezes=freezes,
         freeze_time=freeze_time,
-        step=step,
-        horizon=path.horizon,
-        m=thresholds.m,
-        r=thresholds.escape_radius(alpha, path.horizon),
     )

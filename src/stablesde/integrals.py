@@ -203,6 +203,13 @@ def kernel_integral(alpha: float, z: float, f: FunctionSpec, domain: IntervalSet
     return TestVerdict("finite", total, err, "+".join(sorted(methods)) or "empty")
 
 
+def green_constant(alpha: float) -> float:
+    """C_alpha = Gamma(1 - alpha) sin(pi alpha/2)/pi: the Green function of
+    the symmetric alpha-stable process is C_alpha |x - y|^(alpha-1)."""
+    _check_alpha(alpha)
+    return math.gamma(1.0 - alpha) * math.sin(math.pi * alpha / 2.0) / math.pi
+
+
 def hitting_probability(alpha: float, z: float, interval: tuple[float, float]) -> float:
     """P_z(the symmetric alpha-stable process ever hits [a, b]), exactly.
 

@@ -1,6 +1,5 @@
-"""Weak solutions of dZ = sigma(Z-) dX by time change (Z = X_phi), the
-four-way existence/uniqueness classification, and status summaries across
-replicates.
+"""Weak solutions of dZ = sigma(Z-) dX by time change (Z = X_phi) and the
+four-way existence/uniqueness classification.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class SolutionPath:
             raise ValueError("s must be nonnegative")
         idx = int(np.searchsorted(self.s_grid, s, side="right")) - 1
         return float(self.values[max(idx, 0)])
-
-    @property
-    def nonconstant(self) -> bool:
-        return bool(np.any(self.values != self.values[0]))
 
     def to_csv(self) -> str:
         comments = {
@@ -149,49 +144,4 @@ def classify_sde(alpha: float, sigma: FunctionSpec) -> ClassificationReport:
         global_all_z=o.issubset(n),
         nontrivial_global_all_z=o.is_empty(),
         unique_global_all_z=o == n,
-    )
-
-
-@dataclass(frozen=True)
-class StatusSummary:
-    n: int
-    frozen_fraction: float
-    exploded_fraction: float
-    neither_fraction: float
-    frozen_ci95: tuple[float, float]
-    exploded_ci95: tuple[float, float]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "frozen": self.frozen_fraction,
-                "exploded": self.exploded_fraction,
-                "neither": self.neither_fraction,
-                "frozen_ci95": list(self.frozen_ci95),
-                "exploded_ci95": list(self.exploded_ci95),
-            }
-        )
-
-
-def solution_status_summary(paths: list[SolutionPath]) -> StatusSummary:
-    """Fractions frozen/exploded/neither with Wilson intervals; asserts
-    per-path exclusivity."""
-    from .experiments import wilson_ci
-
-    if not paths:
-        raise ValueError("summary of an empty list")
-    n = len(paths)
-    frozen = sum(1 for p in paths if p.status == "frozen")
-    exploded = sum(1 for p in paths if p.status == "exploded")
-    for p in paths:
-        if p.frozen_at is not None and p.exploded_at is not None:
-            raise AssertionError("path both frozen and exploded")
-    return StatusSummary(
-        n=n,
-        frozen_fraction=frozen / n,
-        exploded_fraction=exploded / n,
-        neither_fraction=(n - frozen - exploded) / n,
-        frozen_ci95=wilson_ci(frozen, n),
-        exploded_ci95=wilson_ci(exploded, n),
     )

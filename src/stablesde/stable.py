@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import _check_alpha
-
 _WORD = (1 << 64) - 1
 #: a cell is refined when its increment exceeds JUMP_FACTOR * step^(1/alpha)
 JUMP_FACTOR = 10.0
@@ -90,8 +88,9 @@ class PathSample:
         if len(t) != len(v) or len(t) < 1:
             raise ValueError("times and values must be nonempty and aligned")
         # +-inf values stay legal: a tiny alpha can overflow an increment
-        if np.isnan(t).any() or np.isnan(v).any() or np.isnan([self.horizon, self.end_time]).any():
-            raise ValueError("times, values, horizon and killing time must not be NaN")
+        ends = [self.horizon, self.end_time]
+        if not (np.isfinite(t).all() and np.isfinite(ends).all()) or np.isnan(v).any():
+            raise ValueError("times, horizon and killing time must be finite, values not NaN")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be strictly increasing")
         if t[-1] > self.horizon:
@@ -313,13 +312,3 @@ def sample_path(
     """Simulate a path skeleton from z on a grid of mesh <= step: the one-row
     `sample_block`, with a node inserted at every jump time."""
     return sample_block(params, z, horizon, step, rng, killing=killing).path(0)
-
-
-def potential_kernel(alpha: float, z: float, x: float) -> float:
-    """Density |z-x|^(alpha-1) of the potential measure U(z, dx), alpha in
-    (0,1), with the normalizing constant fixed to 1; +inf at coincidence."""
-    _check_alpha(alpha)
-    d = abs(z - x)
-    if d == 0.0:
-        return math.inf
-    return d ** (alpha - 1.0)

@@ -136,6 +136,8 @@ class TestExitCodes:
          ' "zeros": [{"interval": [1, 2, 3]}]}', "pair [a, b] with a < b"),
         ('{"pieces": [{"interval": [-Infinity, Infinity], "form": {"power": {"c": 1}}}],'
          ' "poles": [{"at": true}]}', "True where a number belongs"),
+        ({"interval": [0, 1, 2], "form": {"power": {"c": 1.0}}}, "pair [a, b] with a < b"),
+        ({"interval": [1], "form": {"power": {"c": 1.0}}}, "pair [a, b] with a < b"),
     ])
     def test_malformed_sigma_file_is_validation(self, tmp_path, capsys, piece, detail):
         """A piece is written as the only one of the file; a string is the

@@ -16,6 +16,7 @@ from stablesde.integrals import (
     PointedSet,
     TestVerdict as Verdict,  # aliased so pytest does not try to collect it
     UnflaggedZeroError,
+    green_constant,
     irregular_set,
     kernel_integral,
     monotone_pole_test,
@@ -324,3 +325,21 @@ class TestTailFiniteness:
 
     def test_fast_decay_finite(self):
         assert tail_kernel_finiteness(0.5, FunctionSpec.power(-2.0)) == "finite"
+
+
+class TestGreenConstant:
+    def test_half(self):
+        assert green_constant(0.5) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
+
+    def test_riesz_composition_form(self):
+        """C_alpha = 1/g(alpha), g(a) = sqrt(pi) 2^a Gamma(a/2)/Gamma((1-a)/2),
+        the constant of M. Riesz's composition formula."""
+        for k in range(1, 100):
+            a = k / 100
+            g = math.sqrt(math.pi) * 2.0 ** a * math.gamma(a / 2.0) / math.gamma((1.0 - a) / 2.0)
+            assert green_constant(a) == pytest.approx(1.0 / g, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_alpha_out_of_range_is_refused(self, alpha):
+        with pytest.raises(ValueError):
+            green_constant(alpha)

@@ -7,7 +7,6 @@ import pytest
 
 from stablesde.intervals import (
     IntervalSet,
-    SeriesVerdict,
     ShellSpec,
     ball_capacity,
     build_example_set,

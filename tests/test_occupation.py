@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from stablesde.funcspec import FunctionSpec
-from stablesde.integrals import kernel_integral
+from stablesde.integrals import green_constant, kernel_integral
 from stablesde.intervals import IntervalSet
 from stablesde.stable import StableParams, sample_block, stream_rng
 
@@ -27,10 +27,6 @@ HORIZON, STEP = 200.0, 0.1
 #: 4000 paths in 10 blocks of 400
 BLOCKS, ROWS = 10, 400
 SEED = 1954
-
-
-def green_constant(alpha: float) -> float:
-    return math.gamma(1.0 - alpha) * math.sin(math.pi * alpha / 2.0) / math.pi
 
 
 def test_occupation_matches_green_function():

@@ -8,7 +8,6 @@ from stablesde.stable import (
     KillingSpec,
     PathSample,
     StableParams,
-    potential_kernel,
     sample_block,
     sample_increment,
     sample_path,
@@ -147,6 +146,8 @@ class TestPathSampleCsv:
         "t,x\n0.0,nan\n",
         "t,x\n",
         "",
+        "t,x\n0,0\ninf,1\n",
+        "t,x\n-inf,0\n0,1\n",
     ])
     def test_nan_or_empty_is_refused(self, text):
         with pytest.raises(ValueError):
@@ -155,18 +156,7 @@ class TestPathSampleCsv:
     def test_nan_horizon_is_refused_and_infinite_values_are_kept(self):
         with pytest.raises(ValueError):
             PathSample(np.array([0.0]), np.array([0.0]), horizon=math.nan)
+        with pytest.raises(ValueError):
+            PathSample(np.array([0.0]), np.array([0.0]), horizon=math.inf)
         path = PathSample.from_csv("t,x\n0.0,0.0\n0.5,inf\n0.75,-inf\n", horizon=1.0)
         assert path.values.tolist() == [0.0, math.inf, -math.inf]
-
-
-class TestPotentialKernel:
-    def test_values(self):
-        assert potential_kernel(0.5, 0.0, 4.0) == pytest.approx(0.5)
-        assert potential_kernel(0.5, 1.0, 1.0) == math.inf
-
-    def test_symmetry(self):
-        assert potential_kernel(0.3, 2.0, 5.0) == potential_kernel(0.3, 5.0, 2.0)
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            potential_kernel(1.2, 0.0, 1.0)
