@@ -209,7 +209,8 @@ def _finiteness_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) 
     values, dwell = block.cells()
     contrib = _contributions(values, dwell, f, cfg.alpha)
     last = block.last_values()
-    half = 2 * (block.jump_times.shape[1] // 2)
+    n = block.values.shape[1] // 2  # grid cells
+    half = 2 * (n // 2)
     stagnant = (f(last) == 0.0) & ~contrib[:, half:].any(axis=1)
     escaped = np.abs(last) > cfg.thresholds.escape_radius(cfg.alpha, cfg.horizon)
     codes = np.where(escaped | stagnant, 1, -1).astype(np.int8)

@@ -142,10 +142,10 @@ class FunctionSpec:
         return spec
 
     @classmethod
-    def indicator_complement(cls, s: IntervalSet, value: float = 1.0) -> "FunctionSpec":
-        """`value` off the set, 0 on it; the set is recorded as interval zeros."""
+    def indicator_complement(cls, s: IntervalSet) -> "FunctionSpec":
+        """1 off the set, 0 on it; the set is recorded as interval zeros."""
         zeros = tuple(ZeroMark(interval=(a, b)) for a, b in s.intervals)
-        return cls(_two_level(s, 0.0, float(value)), zeros=zeros)
+        return cls(_two_level(s, 0.0, 1.0), zeros=zeros)
 
     @classmethod
     def infinite_indicator(cls, s: IntervalSet) -> "FunctionSpec":

@@ -33,7 +33,7 @@ import numpy as np
 from .funcspec import FunctionSpec, FunctionSpecError
 from .integrals import tail_kernel_finiteness
 from .intervals import _check_alpha
-from .stable import PathSample
+from .stable import PathSample, cell_dwell
 
 INF = math.inf
 
@@ -75,17 +75,12 @@ class PathVerdict:
             raise ValueError("explosion and freezing preclude one another")
 
 
-def _cell_edges(path: PathSample) -> np.ndarray:
-    return np.append(path.times, path.end_time)
-
-
 def path_integral(path: PathSample, f: FunctionSpec, t: float) -> float:
     """Left-point Riemann sum of f along the skeleton up to time t; +inf as
     soon as any occupied cell has f = +inf with positive dwell."""
     if not 0.0 <= t <= path.horizon:
         raise ValueError("t must lie in [0, horizon]")
-    edges = _cell_edges(path)
-    dwell = np.clip(np.minimum(edges[1:], t) - edges[:-1], 0.0, None)
+    dwell = cell_dwell(path.times, min(t, path.end_time))
     fv = np.asarray(f(path.values), float)
     occupied = dwell > 0.0
     if np.any(np.isinf(fv) & occupied):
@@ -128,16 +123,16 @@ def effective_contributions(path: PathSample, f: FunctionSpec, alpha: float) -> 
     the kernel integral of f over the radius-dwell^(1/alpha) window; it is
     +inf exactly when e + alpha <= 0.  All other cells use f at the node.
     """
-    return _contributions(path.values, np.diff(_cell_edges(path)), f, alpha)
+    return _contributions(path.values, cell_dwell(path.times, path.end_time), f, alpha)
 
 
 def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:
     """phi_s = inf{t > 0 : I_t > s} on the skeleton; +inf if the integral
     never exceeds s within the horizon."""
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
-    edges = _cell_edges(path)
-    dwell, fv = np.diff(edges), np.asarray(f(path.values), float)
+    if not s >= 0.0:
+        raise ValueError(f"s must be nonnegative, got {s}")
+    dwell = cell_dwell(path.times, path.end_time)
+    fv = np.asarray(f(path.values), float)
     # the left-point clock at every cell edge; a cell without dwell adds 0
     # even where f is infinite
     contrib = np.where(dwell > 0.0, fv, 0.0) * np.where(dwell > 0.0, dwell, 1.0)
@@ -149,8 +144,8 @@ def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:
         return INF
     rate = fv[i]
     if math.isinf(rate) or rate <= 0.0:
-        return float(edges[i])
-    return float(edges[i] + (s - cum[i]) / rate)
+        return float(path.times[i])
+    return float(path.times[i] + (s - cum[i]) / rate)
 
 
 #: explode verdict codes of `_clock_rows` and their names in `_clock`
@@ -197,7 +192,7 @@ def _clock(path: PathSample, f: FunctionSpec, alpha: float, thresholds: Threshol
     """`_clock_rows` of one path: (contrib, cum, k, explodes) with k None
     when the path does not freeze and explodes yes/no/undetermined."""
     contrib, cum, k, explodes = _clock_rows(
-        path.values[None], np.diff(_cell_edges(path))[None], path.values[-1:],
+        path.values[None], cell_dwell(path.times, path.end_time)[None], path.values[-1:],
         f, alpha, thresholds, path.horizon,
     )
     first = int(k[0])
@@ -220,14 +215,12 @@ def classify_path(
     """
     f = sigma.inverse_power(alpha)
     contrib, cum, k, explodes = _clock(path, f, alpha, thresholds)
-    edges = _cell_edges(path)
-    dwell = np.diff(edges)
     total, freeze_time = float(cum[-1]), None
     if k is not None:
-        total, freezes, freeze_time = INF, "yes", float(edges[k])
+        total, freezes, freeze_time = INF, "yes", float(path.times[k])
         if math.isfinite(contrib[k]) and contrib[k] > 0.0:
-            rate = contrib[k] / dwell[k]
-            freeze_time = float(edges[k] + (thresholds.m - cum[k]) / rate)
+            rate = contrib[k] / cell_dwell(path.times, path.end_time)[k]
+            freeze_time = float(path.times[k] + (thresholds.m - cum[k]) / rate)
     else:
         can_freeze = bool(f.pole_points()) or not f.infinite_intervals().is_empty()
         freezes = "undetermined" if can_freeze and explodes != "yes" else "no"

@@ -177,8 +177,8 @@ def ball_capacity(alpha: float, r: float) -> float:
     process on the line, alpha in (0,1): C(B_r) = r^(1-alpha) * C(B_1) with
     C(B_1) = Gamma(1/2) / (Gamma(alpha/2) * Gamma((1-alpha)/2 + 1))."""
     _check_alpha(alpha)
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not r > 0:
+        raise ValueError(f"radius must be positive, got {r}")
     c1 = gamma(0.5) / (gamma(alpha / 2.0) * gamma((1.0 - alpha) / 2.0 + 1.0))
     return float(r ** (1.0 - alpha) * c1)
 
@@ -322,8 +322,7 @@ def build_example_set(n_max: int) -> IntervalSet:
     """Union of the intervals [2^n - 2^((n-1)/3), 2^n) for n = 1..n_max:
     shrinking (relative to scale) blocks drifting to infinity, avoidable for
     every alpha in (0,1) yet of infinite potential for alpha > 2/3."""
-    if not 1 <= n_max < 1024:
-        raise ValueError(f"n_max must lie in [1, 1024), where 2^n stays finite, got {n_max}")
+    _check_n_max(n_max)
     pieces = [
         (2.0 ** n - 2.0 ** ((n - 1) / 3.0), 2.0 ** n) for n in range(1, n_max + 1)
     ]
@@ -335,6 +334,7 @@ def example_set_potential_partial_sums(alpha: float, n_max: int):
     sum_n (2^{n a} - (2^n - 2^{(n-1)/3})^a) / a, together with a geometric
     tail bound.  Divergent for alpha > 2/3, convergent below."""
     _check_alpha(alpha)
+    _check_n_max(n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     # 2^{n a}(1 - (1 - w/2^n)^a)/a with w = 2^{(n-1)/3}, via expm1/log1p to
     # dodge catastrophic cancellation once w/2^n nears machine epsilon
@@ -344,6 +344,11 @@ def example_set_potential_partial_sums(alpha: float, n_max: int):
     ratio = 2.0 ** (alpha - 2.0 / 3.0)
     tail = math.inf if ratio >= 1.0 else float(terms[-1] * ratio / (1.0 - ratio))
     return sums, tail
+
+
+def _check_n_max(n_max: int) -> None:
+    if not 1 <= n_max < 1024:
+        raise ValueError(f"n_max must lie in [1, 1024), where 2^n stays finite, got {n_max}")
 
 
 def _check_alpha(alpha: float) -> None:

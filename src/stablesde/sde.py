@@ -49,8 +49,8 @@ class SolutionPath:
     def value_at(self, s: float) -> float:
         """Z_s: right-continuous step interpolation; constant after the grid
         ends (frozen paths stay at their terminal value)."""
-        if s < 0.0:
-            raise ValueError("s must be nonnegative")
+        if not s >= 0.0:
+            raise ValueError(f"s must be nonnegative, got {s}")
         idx = int(np.searchsorted(self.s_grid, s, side="right")) - 1
         return float(self.values[max(idx, 0)])
 

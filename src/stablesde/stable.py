@@ -6,10 +6,12 @@ jump-adapted refinement: a cell whose increment exceeds JUMP_FACTOR *
 step^(1/alpha) gets an extra node at a uniformly placed jump time, which
 reduces hitting and occupation bias without changing any grid marginal.
 
-`sample_block` samples many paths at once from one generator, as rows of one
-array; `sample_path` is its one-row case, expanded into a `PathSample`.
-Chunk c of a run of replicates draws from `stream_rng(seed, c)`; the single
-paths of `simulate` and `solve` are chunk 0.
+`sample_block` samples many paths from one generator, a row of 2n + 1 nodes
+per path on a grid of n cells; `sample_path` is its one-row case, without
+the nodes that dwell for no time.  `cell_dwell` is the one rule that turns
+node times into dwell, cut at the killing time or the horizon.  Chunk c of
+a run of replicates draws from `stream_rng(seed, c)`; the single paths of
+`simulate` and `solve` are chunk 0.
 """
 
 from __future__ import annotations
@@ -125,9 +127,11 @@ class PathSample:
                 if "killed_at=" in line:
                     killed_at = float(line.split("killed_at=")[1])
                 continue
-            t, x = line.split(",")
-            times.append(float(t))
-            values.append(float(x))
+            row = line.split(",")
+            if len(row) != 2:
+                raise ValueError(f"a path CSV row must be t,x, got {line!r}")
+            times.append(float(row[0]))
+            values.append(float(row[1]))
         if not times:
             raise ValueError("a path CSV needs at least one row")
         if horizon is None:
@@ -150,8 +154,8 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 def sample_increment(params: StableParams, dt: float, rng: np.random.Generator) -> float:
     """One increment of X over a window of length dt; self-similarity scales
     a unit-time sample by dt^(1/alpha)."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=1)
     w = rng.exponential(1.0, size=1)
     return float(dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)[0])
@@ -162,34 +166,38 @@ def grid_cells(horizon: float, step: float) -> int:
     return max(1, int(math.ceil(horizon / step)))
 
 
+def cell_dwell(times, end) -> np.ndarray:
+    """The dwell of every node of times (a node list, or rows of them, never
+    decreasing): the time to the next node or to end, whichever comes
+    first, and 0 from end on.  end is one end per node list."""
+    end = np.asarray(end, float)[..., None]
+    return np.diff(np.minimum(times, end), append=end)
+
+
 @dataclass(frozen=True)
 class PathBlock:
-    """Skeletons of several paths on one uniform grid, one row per path.
+    """Skeletons of several paths on one uniform grid of n cells, one row of
+    2n + 1 nodes per path.
 
-    Instead of inserted nodes, a refined cell k of row i keeps its jump time
-    in jump_times[i, k] (NaN in cells that were not refined); the path takes
-    the value values[i, k + 1] from that time on.  killed_at[i] is the
-    killing time of row i, +inf when it was not killed within the horizon.
+    Node 2k holds grid value k from grid time k.  Node 2k + 1 holds grid
+    value k + 1 from the cell's jump time when cell k was refined, and from
+    grid time k + 1 otherwise, where it dwells for no time.
     """
 
-    times: np.ndarray  # (n + 1,) grid times
-    values: np.ndarray  # (B, n + 1) values at the grid times
-    jump_times: np.ndarray  # (B, n)
-    killed_at: np.ndarray  # (B,)
+    times: np.ndarray  # (B, 2n + 1) node times
+    values: np.ndarray  # (B, 2n + 1) node values
+    killed_at: np.ndarray  # (B,) killing times, +inf for rows alive at the horizon
     horizon: float
 
     def __len__(self) -> int:
         return len(self.values)
 
     def reached(self) -> np.ndarray:
-        """(B, n + 1) whether each row takes each grid value before its
-        killing time.  A row takes a grid value from the jump time of the
-        cell that leads to it when that cell was refined, from its grid time
-        otherwise; the first value is always taken, and the values taken
-        form a prefix of the row."""
-        visit = np.where(np.isnan(self.jump_times), self.times[1:], self.jump_times)
-        out = np.ones(self.values.shape, dtype=bool)
-        out[:, 1:] = visit < self.killed_at[:, None]
+        """(B, 2n + 1) whether each row takes each node's value before its
+        killing time; the first node is always reached, and the nodes
+        reached form a prefix of the row."""
+        out = self.times < self.killed_at[:, None]
+        out[:, 0] = True
         return out
 
     def last_values(self) -> np.ndarray:
@@ -198,59 +206,24 @@ class PathBlock:
         return self.values[np.arange(len(self)), self.reached().sum(axis=1) - 1]
 
     def cells(self, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(values, dwell), each (B, 2n + 1): the dwell cells of every row,
-        node for node those of path(i), with the dwell clipped at the
-        killing time.
-
-        Grid cell k gives two cells: grid value k up to the cell's jump time
-        and grid value k + 1 from it to the next grid time; without a jump
-        time the second cell has zero dwell.  The last cell holds the final
-        grid value.  A zero-dwell cell adds +0.0 to a row's running sum, so
-        sums along rows equal those along path(i).  With width, only the
-        first width cells are built.
-        """
-        n = self.jump_times.shape[1]
-        g = n if width is None else min(n, (width + 1) // 2)
-        t = self.times[: g + 1]
-        jump = self.jump_times[:, :g]
-        split = np.where(np.isnan(jump), t[1:], jump)
-        values = np.empty((len(self), 2 * g + 1))
-        values[:, 0::2] = self.values[:, : g + 1]
-        values[:, 1::2] = self.values[:, 1 : g + 1]
-        dwell = np.empty(values.shape)
-        np.subtract(split, t[:-1], out=dwell[:, :-1:2])
-        np.subtract(t[1:], split, out=dwell[:, 1::2])
-        # the end of the last cell is the horizon; when g < n that cell is
-        # never among the first width, which end before the jump time of g
-        dwell[:, -1] = self.horizon - t[-1]
-        killed = np.flatnonzero(self.killed_at <= self.horizon)
-        if killed.size:
-            tau = self.killed_at[killed, None]
-            d = dwell[killed]
-            np.subtract(np.minimum(split[killed], tau), t[:-1], out=d[:, :-1:2])
-            np.subtract(np.minimum(t[1:], tau), split[killed], out=d[:, 1::2])
-            d[:, -1] = np.minimum(self.horizon, tau[:, 0]) - t[-1]
-            dwell[killed] = np.maximum(d, 0.0)
-        if width is not None:
-            values, dwell = values[:, :width], dwell[:, :width]
-        return values, dwell
+        """(values, dwell) of the first width nodes of every row (all of them
+        without width), with `cell_dwell` cut at the killing time.  A node
+        without dwell adds +0.0 to a row's running sum, so sums along rows
+        equal those along path(i)."""
+        stop = None if width is None else width + 1
+        end = np.minimum(self.killed_at, self.horizon)
+        return self.values[:, :width], cell_dwell(self.times[:, :stop], end)[:, :width]
 
     def path(self, i: int) -> PathSample:
-        """Row i as a PathSample, with a node inserted at every jump time and
-        the nodes at or after the killing time dropped."""
-        times, values = self.times, self.values[i]
-        refined = np.flatnonzero(~np.isnan(self.jump_times[i]))
-        if refined.size:
-            times = np.insert(times, refined + 1, self.jump_times[i, refined])
-            values = np.insert(values, refined + 1, values[refined + 1])
-        killed_at = None
-        tau = float(self.killed_at[i])
-        if tau <= self.horizon:
-            keep = times < tau
-            keep[0] = True
-            times, values = times[keep], values[keep]
-            killed_at = tau
-        return PathSample(times, values, horizon=self.horizon, killed_at=killed_at)
+        """Row i as a PathSample: the nodes whose time is below both the next
+        node's time and the killing time, and always the first."""
+        times, tau = self.times[i], float(self.killed_at[i])
+        keep = np.append(times[:-1] < times[1:], True) & (times < tau)
+        keep[0] = True
+        return PathSample(
+            times[keep], self.values[i, keep], horizon=self.horizon,
+            killed_at=tau if tau <= self.horizon else None,
+        )
 
 
 def sample_block(
@@ -269,7 +242,7 @@ def sample_block(
     in row-major order, then rows killing times; with rows = 1 that is the
     order of a single path.  Any cell whose increment exceeds JUMP_FACTOR *
     step^(1/alpha) gets a jump time drawn uniformly inside it, attributing
-    the move to a single jump there; values holds the unrefined skeleton.
+    the move to a single jump there: the time of the cell's odd node.
     """
     for name, value in (("z", z), ("horizon", horizon), ("step", step)):
         if not math.isfinite(value):
@@ -283,22 +256,24 @@ def sample_block(
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(rows, n))
     w = rng.exponential(1.0, size=(rows, n))
     incs = dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)
-    times = np.linspace(0.0, horizon, n + 1)
-    values = np.empty((rows, n + 1))
+    # the grid on the even nodes, each odd node a copy of the next even one
+    times, values = np.empty((rows, 2 * n + 1)), np.empty((rows, 2 * n + 1))
+    times[:, 0::2] = np.linspace(0.0, horizon, n + 1)
+    times[:, 1::2] = times[:, 2::2]
     values[:, 0] = z
-    np.cumsum(incs, axis=1, out=values[:, 1:])
-    values[:, 1:] += z
+    np.cumsum(incs, axis=1, out=values[:, 2::2])
+    values[:, 2::2] += z
+    values[:, 1::2] = values[:, 2::2]
 
-    jump_times = np.full(incs.shape, np.nan)
     eps = np.finfo(float).eps
     row, cell = np.nonzero(np.abs(incs) > JUMP_FACTOR * step ** (1.0 / params.alpha))
-    jump_times[row, cell] = times[cell] + dt * rng.uniform(eps, 1.0 - eps, size=row.size)
+    times[row, 2 * cell + 1] = times[row, 2 * cell] + dt * rng.uniform(eps, 1.0 - eps, row.size)
 
     killed_at = np.full(rows, math.inf)
     if killing is not None:
         tau = rng.exponential(1.0 / killing.q, size=rows)
         killed_at = np.where(tau <= horizon, tau, math.inf)
-    return PathBlock(times, values, jump_times, killed_at, horizon)
+    return PathBlock(times, values, killed_at, horizon)
 
 
 def sample_path(
@@ -310,5 +285,5 @@ def sample_path(
     killing: KillingSpec | None = None,
 ) -> PathSample:
     """Simulate a path skeleton from z on a grid of mesh <= step: the one-row
-    `sample_block`, with a node inserted at every jump time."""
+    `sample_block`, without the nodes that dwell for no time."""
     return sample_block(params, z, horizon, step, rng, killing=killing).path(0)

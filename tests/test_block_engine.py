@@ -201,8 +201,11 @@ def assert_same_path(row, ref):
 
 
 def unrefined(block):
-    """The block with its jump times cleared: each row is its grid skeleton."""
-    return dataclasses.replace(block, jump_times=np.full(block.jump_times.shape, np.nan))
+    """The block with its jump times cleared: each odd node sits at the next
+    grid time, so each row is its grid skeleton."""
+    times = block.times.copy()
+    times[:, 1::2] = times[:, 2::2]
+    return dataclasses.replace(block, times=times)
 
 
 def grid_skeleton(path, grid):
@@ -240,10 +243,10 @@ def test_block_rows_match_sample_path(killing, refined):
         params, z, horizon, step, stream_rng(seed, 0), killing=killing, rows=rows
     )
     refs = reference_paths(params, z, horizon, step, stream_rng(seed, 0), rows, killing)
-    assert np.any(~np.isnan(block.jump_times))
+    assert np.any(block.times[:, 1::2] < block.times[:, 2::2])
     if not refined:
         block = unrefined(block)
-        refs = [grid_skeleton(ref, block.times) for ref in refs]
+        refs = [grid_skeleton(ref, block.times[0, ::2]) for ref in refs]
     assert len(block) == rows
     last = block.last_values()
     for i, ref in enumerate(refs):
@@ -294,9 +297,10 @@ def test_block_verdicts_match_paths(case, refined, killing):
     paths = [block.path(i) for i in range(rows)]
     # free memory of the cells' size holding -1, so an entry cells() leaves
     # unset is likely to read -1 instead of the zero of fresh pages
-    np.full((2, rows, 2 * block.values.shape[1] - 1), -1.0)
+    np.full((2, *block.times.shape), -1.0)
     values, dwell = block.cells()
-    assert values.shape == dwell.shape == (rows, 2 * (block.values.shape[1] - 1) + 1)
+    n = stable.grid_cells(horizon, 0.1)
+    assert values.shape == dwell.shape == block.times.shape == (rows, 2 * n + 1)
     last = np.array([p.values[-1] for p in paths])
     contrib, cum, k, explodes = functionals._clock_rows(
         values, dwell, last, f, alpha, thresholds, horizon
@@ -375,16 +379,15 @@ def test_finiteness_stagnation_cut_at_half_window():
     it leaves a row stagnant (1), mass after it or f > 0 at the last value
     leaves it undetermined (-1), and nothing counts after a kill at 1.5."""
     f = FunctionSpec.indicator_complement(IntervalSet.of((-1.0, 1.0)))
+    # nodes 2k and 2k + 1 hold grid values k and k + 1 from grid time k on
+    times = np.tile([0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0], (4, 1))
     values = np.array([
-        [0.0, 5.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 5.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 5.0],
-        [0.0, 0.0, 5.0, 5.0, 5.0],
+        [0.0, 5.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 5.0, 5.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 5.0],
+        [0.0, 0.0, 0.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0],
     ])
-    block = stable.PathBlock(
-        np.linspace(0.0, 4.0, 5), values, np.full((4, 4), np.nan),
-        np.array([math.inf, math.inf, math.inf, 1.5]), 4.0,
-    )
+    block = stable.PathBlock(times, values, np.array([math.inf, math.inf, math.inf, 1.5]), 4.0)
     cfg = ExperimentConfig(
         alpha=0.5, f_or_sigma=f, z=(0.0,), replicates=1, horizon=4.0, step=1.0,
         estimator="finiteness_prob", thresholds=Thresholds(m=100.0, r=100.0),

@@ -73,6 +73,12 @@ class TestInverseTimeChange:
         path = make_path(8)
         assert inverse_time_change(path, FunctionSpec.constant(1.0), 100.0) == INF
 
+    def test_nan_level_is_refused_and_infinite_level_kept(self):
+        path = make_path(8)
+        with pytest.raises(ValueError):
+            inverse_time_change(path, FunctionSpec.constant(1.0), math.nan)
+        assert inverse_time_change(path, FunctionSpec.constant(1.0), INF) == INF
+
     def test_galois_inequalities(self):
         # I(phi_s) >= s and phi(I_t) <= t at grid points, on 1000 paths
         f = FunctionSpec.constant(0.5)
@@ -247,7 +253,7 @@ class TestDiscretization:
         for seed in range(n_paths):
             # the block's grid values: the fine path without jump-adapted nodes
             block = sample_block(StableParams(0.5), 0.0, 1.0, 0.005, stream_rng(seed, 0))
-            fine = PathSample(block.times, block.values[0], horizon=1.0)
+            fine = PathSample(block.times[0, ::2], block.values[0, ::2], horizon=1.0)
             coarse = PathSample(
                 fine.times[::2], fine.values[::2], horizon=fine.horizon
             )

@@ -1,7 +1,9 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package or of the tests imports a name it never uses,
+and no module of the package defines a private helper nothing reads.
 
-The package's `__init__.py` is left out: its imports are the re-exports.
-A name counts as used when it appears anywhere in the module.
+The package's `__init__.py` is left out of the import check: its imports are
+the re-exports.  An imported name counts as used when it appears anywhere in
+the module; a private name when it is read anywhere in the package.
 """
 
 import ast
@@ -38,3 +40,38 @@ def test_no_unused_imports():
         ]
     assert CHECKED
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def _private_definitions(tree: ast.Module):
+    """(line, name) for every module-level private name (`_x`, not a dunder)
+    a def, class or assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_no_orphaned_private_helpers():
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((ROOT / "src" / "stablesde").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, tree in trees.items()
+        for line, name in _private_definitions(tree)
+        if name not in read
+    ]
+    assert trees
+    assert not orphans, "defined but never read:\n" + "\n".join(orphans)

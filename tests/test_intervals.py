@@ -145,6 +145,13 @@ class TestCapacity:
             with pytest.raises(ValueError):
                 ball_capacity(alpha, 1.0)
 
+    def test_radius_validation(self):
+        for r in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                ball_capacity(0.5, r)
+        # an unbounded target has infinite capacity
+        assert ball_capacity(0.5, math.inf) == math.inf
+
     def test_lower_bound_values(self):
         assert capacity_lower_bound(0.5, IntervalSet.empty()) == 0.0
         # ball of measure 2 has radius 1: the bound is tight
@@ -229,6 +236,13 @@ class TestExampleSet:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_example_set(0)
+        message = r"n_max must lie in \[1, 1024\)"
+        for n_max in (0, -1, 1024):
+            with pytest.raises(ValueError, match=message):
+                build_example_set(n_max)
+            for alpha in (0.5, 0.8):
+                with pytest.raises(ValueError, match=message):
+                    example_set_potential_partial_sums(alpha, n_max)
 
     def test_potential_divergence_above_two_thirds(self):
         sums, tail = example_set_potential_partial_sums(0.8, 200)

@@ -79,6 +79,11 @@ class TestSolveTimeChange:
         with pytest.raises(ValueError):
             solve_time_change(1.5, FunctionSpec.constant(1.0), 0.0, 1.0, 0.1, 0)
 
+    def test_value_at_refuses_nan(self):
+        sol = solve_time_change(0.5, FunctionSpec.constant(1.0), 0.0, 1.0, 0.1, 3)
+        with pytest.raises(ValueError):
+            sol.value_at(math.nan)
+
     def test_csv_format(self):
         sol = solve_time_change(0.5, FunctionSpec.constant(1.0), 0.0, 0.5, 0.1, 5)
         lines = sol.to_csv().splitlines()

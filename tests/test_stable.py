@@ -8,6 +8,7 @@ from stablesde.stable import (
     KillingSpec,
     PathSample,
     StableParams,
+    cell_dwell,
     sample_block,
     sample_increment,
     sample_path,
@@ -62,6 +63,11 @@ class TestCmsSampler:
         )
         assert stats.ks_2samp(x, y).pvalue > 0.01
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError):
+            sample_increment(StableParams(0.5), dt, stream_rng(0, 0))
+
     def test_heavy_tail_exponent(self):
         # P(|X| > x) ~ c x^-alpha: compare tail mass at two levels
         rng = stream_rng(5, 0)
@@ -83,10 +89,11 @@ class TestSamplePath:
     def test_jump_adapted_nodes(self):
         path = sample_path(StableParams(0.4), 0.0, 10.0, 0.01, stream_rng(7, 0))
         block = sample_block(StableParams(0.4), 0.0, 10.0, 0.01, stream_rng(7, 0))
-        assert len(path.times) > len(block.times)
+        grid = block.times[0, ::2]
+        assert len(path.times) > len(grid)
         # uniform-grid nodes and their values are preserved
-        mask = np.isin(path.times, block.times)
-        assert np.array_equal(path.values[mask], block.values[0])
+        mask = np.isin(path.times, grid)
+        assert np.array_equal(path.values[mask], block.values[0, ::2])
 
     def test_killing_consistency(self):
         q, horizon = 0.5, 2.0
@@ -115,6 +122,35 @@ class TestSamplePath:
             StableParams(2.5)
         with pytest.raises(ValueError):
             KillingSpec(0.0)
+
+
+class TestCellDwell:
+    """`cell_dwell` is the one cut rule: the time to the next node or to the
+    end, and nothing from the end on."""
+
+    @pytest.mark.parametrize("killing", [None, KillingSpec(0.1)])
+    def test_equals_node_differences_on_sampled_paths(self, killing):
+        killed = 0
+        for seed in range(40):
+            path = sample_path(StableParams(0.5), 0.0, 10.0, 0.1, stream_rng(seed, 0), killing)
+            killed += path.killed_at is not None
+            expected = np.diff(np.append(path.times, path.end_time))
+            assert cell_dwell(path.times, path.end_time).tobytes() == expected.tobytes()
+        assert 0 < killed < 40 if killing else killed == 0
+
+    def test_killed_blocks(self):
+        block = sample_block(
+            StableParams(0.5), 0.0, 10.0, 0.1, stream_rng(5, 0), KillingSpec(0.2), rows=300
+        )
+        killed = block.killed_at <= block.horizon
+        assert killed.any() and not killed.all()
+        assert np.any(block.times[:, 1::2] < block.times[:, 2::2])
+        assert np.all(np.diff(block.times, axis=1) >= 0.0)
+        end = np.minimum(block.killed_at, block.horizon)
+        dwell = cell_dwell(block.times, end)
+        assert np.all(dwell >= 0.0)
+        assert np.all(dwell[block.times >= block.killed_at[:, None]] == 0.0)
+        assert dwell.sum(axis=1) == pytest.approx(end, rel=1e-12)
 
 
 class TestPathSampleCsv:
@@ -148,10 +184,15 @@ class TestPathSampleCsv:
         "",
         "t,x\n0,0\ninf,1\n",
         "t,x\n-inf,0\n0,1\n",
+        "t,x\n0\n",
     ])
     def test_nan_or_empty_is_refused(self, text):
         with pytest.raises(ValueError):
             PathSample.from_csv(text)
+
+    def test_malformed_row_is_quoted(self):
+        with pytest.raises(ValueError, match="a path CSV row must be t,x, got '0,0,0'"):
+            PathSample.from_csv("t,x\n0,0,0\n")
 
     def test_nan_horizon_is_refused_and_infinite_values_are_kept(self):
         with pytest.raises(ValueError):
