@@ -14,12 +14,14 @@ on the whole block, from its node arrays or its cell arrays
 `functionals` keep the left-point sum.
 
 Hitting without killing samples no path: walk-on-spheres walkers jump
-straight from ball to ball, WALK_CHUNK walkers to a chunk.  A walker, or a
-killed path alive at the horizon, is a miss beyond `_miss_distance`, where
-the bound capacity * distance^(alpha-1) on its chance of ever hitting drops
-below WALK_TOL or HITTING_RESIDUAL.  The `threads` arguments are kept for
-compatibility and have no effect.  Undetermined replicates are excluded from
-the point estimate but reported as a fraction.
+straight from ball to ball, WALK_CHUNK walkers to a chunk.  A walker more
+than WALK_FINISH lengths from a single finite interval is finished by one
+uniform against its exact chance of ever hitting it.  For a union or an
+unbounded target, a walker, like a killed path alive at the horizon, is a
+miss beyond `_miss_distance`, where the bound capacity * distance^(alpha-1)
+on that chance drops below WALK_TOL or HITTING_RESIDUAL.  The `threads`
+arguments are kept for compatibility and have no effect.  Undetermined
+replicates are excluded from the point estimate but reported as a fraction.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from .funcspec import FunctionSpec, parse_inline
 from .functionals import DEFAULT_M, Thresholds, _clock_rows, _contributions
+from .integrals import _hitting_chance
 from .intervals import IntervalSet, _check_alpha, interval_capacity_upper
 from .stable import KillingSpec, PathBlock, StableParams, grid_cells, sample_block, stream_rng
 
@@ -40,12 +43,18 @@ from .stable import KillingSpec, PathBlock, StableParams, grid_cells, sample_blo
 #: below this
 HITTING_RESIDUAL = 1e-2
 
-#: walk-on-spheres: walkers per chunk (one stream each), the residual hitting
-#: bound below which a walker is a miss, and the exits after which a walker
-#: still alive is undetermined
+#: walk-on-spheres: walkers per chunk (one stream each), and the exits after
+#: which a walker still alive is undetermined
 WALK_CHUNK = 1 << 14
-WALK_TOL = 1e-4
 WALK_STEPS = 100_000
+#: a walker further than this many target lengths from a single finite
+#: interval is finished by one uniform against its exact hitting chance
+WALK_FINISH = 1e3
+#: the miss rule for unions and unbounded targets: a walker is a miss where
+#: the bound capacity * distance^(alpha-1) on its chance of ever hitting
+#: drops below this.  For a single interval that distance is nearer than
+#: WALK_FINISH lengths only for alpha below about 0.09, where it still acts
+WALK_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -71,10 +80,7 @@ class ExperimentConfig:
         _check_alpha(self.alpha)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not (math.isfinite(self.horizon) and math.isfinite(self.step)):
-            raise ValueError("horizon and step must be finite")
-        if self.horizon <= 0.0 or self.step <= 0.0:
-            raise ValueError("horizon and step must be positive")
+        grid_cells(self.horizon, self.step)  # refuses a bad horizon or step
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "hitting_prob" and self.target is None:
@@ -285,30 +291,48 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     A walker at distance d > 0 from the target leaves the ball (x - d, x + d)
     at x +- d / sqrt(B), B ~ Beta(alpha/2, 1 - alpha/2), with a fair sign: the
     exit law of Blumenthal, Getoor & Ray (1961).  It hits on landing in the
-    target (or on its boundary), and misses beyond the miss distance for
-    WALK_TOL.  A walker still alive after WALK_STEPS exits, or whose
-    distance overflowed without a miss, is undetermined.  The walk keeps no
-    time, which is why killing cannot use it: the exit time and exit
-    position of a ball have no explicit joint law.
+    target (or on its boundary).  When the target is one finite interval
+    [a, b], a walker more than WALK_FINISH * (b - a) away is finished: by the
+    strong Markov property it hits with `_hitting_chance`, and one uniform
+    drawn against that chance decides it exactly.  Otherwise it misses
+    beyond the miss distance for WALK_TOL.  A walker still alive after
+    WALK_STEPS exits, or whose distance overflowed without a miss, is
+    undetermined.  Each exit draws one uniform per walker it finishes, then
+    a beta variate and a sign uniform per walker still alive; the chances of
+    the finished walkers are computed together after the last exit.  The
+    walk keeps no time, which is why killing cannot use it: the exit time
+    and exit position of a ball have no explicit joint law.
     """
     a = cfg.alpha / 2.0
-    far = _miss_distance(cfg, WALK_TOL)
+    far, finish = _miss_distance(cfg, WALK_TOL), math.inf
+    if len(cfg.target.intervals) == 1:
+        lo, hi = cfg.target.intervals[0]
+        finish = WALK_FINISH * (hi - lo)
     codes = np.full(n, -1, dtype=np.int8)
+    # where each finished walker stopped and its uniform; NaN for the others
+    stopped, coin = np.full(n, math.nan), np.full(n, math.nan)
     live = np.arange(n)
     x = np.full(n, z)
     with np.errstate(over="ignore"):
         for step in range(WALK_STEPS + 1):
             d = cfg.target.distance_to(x)
-            hit, miss = d == 0.0, d > far
+            hit, done = d == 0.0, d > finish
+            miss = (d > far) & ~done
             codes[live[hit]] = 1
             codes[live[miss]] = 0
-            going = ~(hit | miss) & (d < math.inf)
+            stopped[live[done]] = x[done]
+            # an empty draw leaves the stream where it was
+            coin[live[done]] = rng.random(np.count_nonzero(done))
+            going = ~(hit | miss | done) & (d < math.inf)
             live, x, d = live[going], x[going], d[going]
             if not live.size or step == WALK_STEPS:
                 break
             jump = d / np.sqrt(rng.beta(a, 1.0 - a, live.size))
             # down when the uniform is below 1/2
             x = x + np.copysign(jump, rng.random(live.size) - 0.5)
+    done = ~np.isnan(coin)
+    if done.any():
+        codes[done] = coin[done] < _hitting_chance(cfg.alpha, stopped[done], lo, hi)
     return codes
 
 

@@ -1,6 +1,7 @@
 """Singularity-aware evaluation of kernel integrals int f(y)|z-y|^(alpha-1) dy,
-the monotone-pole small-time test, the closed-form power-law test, and the
-construction of the irregular set O and zero set N for structured sigma.
+the monotone-pole small-time test, the closed-form power-law test, the exact
+chance of ever hitting an interval, and the construction of the irregular set
+O and zero set N for structured sigma.
 
 Finiteness is always decided analytically from local exponents; quadrature is
 only used to produce values for integrals already known to converge.  It is
@@ -20,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import betainc, betaln
 
 from .funcspec import FunctionSpec, FunctionSpecError, TableForm
 from .intervals import IntervalSet, _check_alpha
@@ -211,13 +213,8 @@ def green_constant(alpha: float) -> float:
 
 
 def hitting_probability(alpha: float, z: float, interval: tuple[float, float]) -> float:
-    """P_z(the symmetric alpha-stable process ever hits [a, b]), exactly.
-
-    The potential kernel |z - y|^(alpha-1) integrated against M. Riesz's
-    equilibrium measure (sin(pi alpha/2)/pi) (r^2 - (y-c)^2)^(-alpha/2) dy of
-    the interval with centre c and half-width r, its endpoint singularities
-    taken as the algebraic weight of `quad`.  1 for z in [a, b].
-    """
+    """P_z(the symmetric alpha-stable process ever hits [a, b]), exactly: 1
+    for z in [a, b], and `_hitting_chance` outside it."""
     _check_alpha(alpha)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
@@ -226,11 +223,22 @@ def hitting_probability(alpha: float, z: float, interval: tuple[float, float]) -
         raise ValueError(f"need a finite interval a < b, got {interval}")
     if a <= z <= b:
         return 1.0
-    value, _ = quad(
-        lambda y: abs(z - y) ** (alpha - 1.0), a, b,
-        weight="alg", wvar=(-alpha / 2.0, -alpha / 2.0),
-    )
-    return math.sin(math.pi * alpha / 2.0) / math.pi * value
+    return float(_hitting_chance(alpha, z, a, b))
+
+
+def _hitting_chance(alpha: float, x, a: float, b: float) -> np.ndarray:
+    """P_x(hit [a, b]) for x (scalar or array) outside [a, b]: Blumenthal,
+    Getoor & Ray's (1961) closed form I_t((1 - alpha)/2, alpha/2), the
+    regularised incomplete beta function at t = r^2/(x - c)^2, with c the
+    centre and r the half-width.  Where t is below the smallest normal
+    float, the leading term t^p / (p B(p, q)) of I_t(p, q), exact to
+    rounding there, is taken from log t = 2 log(r/|x - c|)."""
+    p, q = (1.0 - alpha) / 2.0, alpha / 2.0
+    c, r = (a + b) / 2.0, (b - a) / 2.0
+    dist = np.abs(np.asarray(x, dtype=float) - c)
+    t = (r / dist) ** 2
+    lead = np.exp(2.0 * p * (math.log(r) - np.log(dist)) - math.log(p) - betaln(p, q))
+    return np.where(t < np.finfo(float).tiny, lead, betainc(p, q, t))
 
 
 def monotone_pole_test(alpha: float, z: float, f: FunctionSpec, epsilon: float) -> TestVerdict:

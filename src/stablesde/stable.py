@@ -162,7 +162,14 @@ def sample_increment(params: StableParams, dt: float, rng: np.random.Generator) 
 
 
 def grid_cells(horizon: float, step: float) -> int:
-    """Number of cells of the uniform grid of mesh <= step on [0, horizon]."""
+    """Number of cells of the uniform grid of mesh <= step on [0, horizon];
+    a horizon or step that is not finite and positive, or whose ratio
+    overflows, raises ValueError."""
+    if not (0.0 < horizon < math.inf and 0.0 < step < math.inf and horizon / step < math.inf):
+        raise ValueError(
+            f"horizon and step must be finite and positive, with a finite ratio, "
+            f"got {horizon}, {step}"
+        )
     return max(1, int(math.ceil(horizon / step)))
 
 
@@ -244,11 +251,8 @@ def sample_block(
     step^(1/alpha) gets a jump time drawn uniformly inside it, attributing
     the move to a single jump there: the time of the cell's odd node.
     """
-    for name, value in (("z", z), ("horizon", horizon), ("step", step)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if horizon <= 0.0 or step <= 0.0:
-        raise ValueError("horizon and step must be positive")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
     n = grid_cells(horizon, step)

@@ -1,5 +1,6 @@
-"""The walk-on-spheres hitting estimator against M. Riesz's exact hitting
-probability of an interval, and that probability against its closed form.
+"""The walk-on-spheres hitting estimator against the exact hitting
+probability of an interval, and that probability's closed form against
+quadrature of M. Riesz's equilibrium measure.
 
 Seeds and sizes were fixed before the estimator was first run."""
 
@@ -10,12 +11,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.integrate import quad
+from scipy.special import beta
 
 from stablesde import experiments
 from stablesde.experiments import WALK_CHUNK, ExperimentConfig, run_experiment
 from stablesde.funcspec import FunctionSpec
-from stablesde.integrals import hitting_probability
+from stablesde.integrals import _hitting_chance, hitting_probability
 from stablesde.intervals import IntervalSet, interval_capacity_upper
 from stablesde.stable import KillingSpec, StableParams, sample_block, stream_rng
 
@@ -54,6 +56,31 @@ def test_walk_matches_oracle(alpha, z):
     assert abs(est.point - exact) <= band(exact, resolved(est))
 
 
+#: a run near alpha = 1 that the capacity miss alone got wrong; its start,
+#: walkers and seed were fixed before its first run
+NEAR_ONE = dict(z=(-2.0,), replicates=2000, seed=1)
+
+
+@pytest.mark.parametrize("alpha", [0.95, 0.99, 0.995, 0.999])
+def test_walk_covers_oracle_near_alpha_one(alpha):
+    """Near alpha = 1 an escaping walker would need more exits than
+    WALK_STEPS, or more than the float range, to be a capacity miss; the
+    finish resolves every walker and the interval covers the exact value."""
+    (est,) = run_experiment(hitting_cfg(alpha, **NEAR_ONE), io.StringIO())
+    lo, hi = est.ci95
+    assert est.undetermined_fraction == 0.0
+    assert lo <= hitting_probability(alpha, -2.0, TARGET) <= hi
+
+
+def test_capacity_miss_covers_oracle_without_the_finish(monkeypatch):
+    """At alpha = 0.95 the capacity miss alone still decides the run
+    rightly: this run leans on no formula."""
+    monkeypatch.setattr(experiments, "WALK_FINISH", math.inf)
+    (est,) = run_experiment(hitting_cfg(0.95, **NEAR_ONE), io.StringIO())
+    lo, hi = est.ci95
+    assert lo <= hitting_probability(0.95, -2.0, TARGET) <= hi
+
+
 def test_two_intervals_between_single_oracles():
     """P(hit A or B) lies between the larger of P(hit A), P(hit B) and
     their sum."""
@@ -86,13 +113,32 @@ class TestWalkEdges:
         assert np.any(codes == 1)
 
     def test_overflowed_walkers_undetermined(self):
-        """Near alpha = 1 the bound stays above WALK_TOL at every float
-        distance, so a walker is never a miss: one started near the largest
-        float overflows within a few exits and is left undetermined."""
+        """Near alpha = 1 the bound on a union stays above WALK_TOL at every
+        float distance, so a walker is never a miss: one started near the
+        largest float overflows within a few exits and is left
+        undetermined."""
+        target = IntervalSet.of((1.0, 2.0), (-4.0, -3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            codes = experiments._run_replicates(hitting_cfg(alpha=0.99, replicates=100), -1e300)
+            codes = experiments._run_replicates(
+                hitting_cfg(alpha=0.99, target=target, replicates=100), -1e300
+            )
         assert set(codes.tolist()) == {-1}
+
+    def test_far_walkers_finished_on_a_single_interval(self):
+        """From the same start a single interval finishes every walker at
+        once, against a chance that is positive and, t = r^2/(z - c)^2
+        having underflowed, the leading term t^p / (p B(p, q))."""
+        alpha, z = 0.99, -1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = experiments._run_replicates(hitting_cfg(alpha=alpha, replicates=100), z)
+            chance = float(_hitting_chance(alpha, z, *TARGET))
+        assert set(codes.tolist()) <= {0, 1}
+        p, q = (1.0 - alpha) / 2.0, alpha / 2.0
+        log_t = 2.0 * math.log(0.5 / (1.5 - z))
+        assert chance > 0.0
+        assert chance == pytest.approx(math.exp(p * log_t) / (p * beta(p, q)), rel=1e-12)
 
     def test_step_cap_leaves_walkers_undetermined(self, monkeypatch):
         cfg = hitting_cfg(alpha=0.9, replicates=500)
@@ -158,13 +204,18 @@ class TestKilledHitting:
         assert est.undetermined_fraction > 0.5
 
 
-def riesz_closed_form(alpha: float, z: float, interval) -> float:
-    """Blumenthal, Getoor & Ray's hitting probability of the interval with
-    centre c and half-width r from |z - c| > r: the regularised incomplete
-    beta function I_x((1 - alpha)/2, alpha/2) at x = r^2 / (z - c)^2."""
+def riesz_quadrature(alpha: float, z: float, interval) -> float:
+    """The reference for the closed form, by quadrature: the potential
+    kernel |z - y|^(alpha-1) integrated against M. Riesz's equilibrium
+    measure (sin(pi alpha/2)/pi) (r^2 - (y-c)^2)^(-alpha/2) dy of the
+    interval with centre c and half-width r, its endpoint singularities
+    taken as the algebraic weight of `quad` (QUADPACK's QAWS)."""
     a, b = interval
-    c, r = (a + b) / 2.0, (b - a) / 2.0
-    return float(betainc((1.0 - alpha) / 2.0, alpha / 2.0, r * r / (z - c) ** 2))
+    value, _ = quad(
+        lambda y: abs(z - y) ** (alpha - 1.0), a, b,
+        weight="alg", wvar=(-alpha / 2.0, -alpha / 2.0),
+    )
+    return math.sin(math.pi * alpha / 2.0) / math.pi * value
 
 
 class TestHittingProbability:
@@ -175,9 +226,10 @@ class TestHittingProbability:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_matches_closed_form(self, alpha):
+        """The closed form against the quadrature reference."""
         for z in (-100.0, -3.0, 0.0, 1.0 - 1e-6, 2.0 + 1e-3, 7.5):
             assert hitting_probability(alpha, z, TARGET) == pytest.approx(
-                riesz_closed_form(alpha, z, TARGET), rel=1e-7
+                riesz_quadrature(alpha, z, TARGET), rel=1e-7
             )
 
     @pytest.mark.parametrize("alpha", ALPHAS)

@@ -9,6 +9,7 @@ from stablesde.stable import (
     PathSample,
     StableParams,
     cell_dwell,
+    grid_cells,
     sample_block,
     sample_increment,
     sample_path,
@@ -122,6 +123,17 @@ class TestSamplePath:
             StableParams(2.5)
         with pytest.raises(ValueError):
             KillingSpec(0.0)
+
+
+class TestGridCells:
+    @pytest.mark.parametrize(
+        "horizon, step",
+        [(1.0, -1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, 0.0),
+         (1.0, math.nan), (1.0, math.inf), (0.0, 1.0), (-1.0, 1.0), (1e300, 1e-300)],
+    )
+    def test_horizon_and_step_must_be_finite_and_positive(self, horizon, step):
+        with pytest.raises(ValueError, match="finite and positive"):
+            grid_cells(horizon, step)
 
 
 class TestCellDwell:
