@@ -41,7 +41,6 @@ from .intervals import (
     capacity_lower_bound,
     example_set_potential_partial_sums,
     interval_capacity_upper,
-    shell,
     wiener_sum,
 )
 from .sde import (
@@ -98,7 +97,6 @@ __all__ = [
     "capacity_lower_bound",
     "example_set_potential_partial_sums",
     "interval_capacity_upper",
-    "shell",
     "wiener_sum",
     "ClassificationReport",
     "SolutionPath",

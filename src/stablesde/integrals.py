@@ -93,7 +93,8 @@ def _anchored_power_integral(cp: float, k: float, s: float, a: float, b: float):
 def _quad_with_breaks(fn, lo: float, hi: float, singular):
     """int_lo^hi fn(y) prod |y - anchor|^exponent dy over the (anchor,
     exponent) factors in `singular`, split at the anchors inside (lo, hi);
-    returns (value, err, converged).
+    returns (value, err, converged).  A factor that leaves the float range
+    stops it, unconverged with err inf.
 
     On a finite cell, the factors anchored at its ends are quad's algebraic
     endpoint weight (QUADPACK's QAWS, weight="alg", wvar=(s, t)), so no
@@ -116,11 +117,15 @@ def _quad_with_breaks(fn, lo: float, hi: float, singular):
                     t += k
                 else:
                     rest.append((x, k))
-            g = _times(fn, rest)
-            if len(rest) < len(singular):
-                v, e = quad(g, a, b, weight="alg", wvar=(s, t), **opts)
-            else:
-                v, e = quad(g, a, b, **opts)
+            weight = dict(weight="alg", wvar=(s, t)) if len(rest) < len(singular) else {}
+            try:
+                v, e = quad(_times(fn, rest), a, b, **weight, **opts)
+            except (ZeroDivisionError, OverflowError):
+                # on a cell 2^53 times wider than its end is far from 0,
+                # QUADPACK's end node (centre minus half-length) loses that
+                # end and can land on an anchor outside the cell; a positive
+                # power of a width near 1e300 overflows
+                return total, INF, False
             total += v
             err += e
     return total, err, err <= max(QUAD_TOL, 1e-8 * abs(total) + 1e-300) * 10.0

@@ -5,6 +5,7 @@ four-way existence/uniqueness classification.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,8 @@ class ClassificationReport:
             raise ValueError("nontrivial existence everywhere implies existence")
 
     def local_nontrivial_at(self, z: float) -> bool:
+        if not math.isfinite(z):
+            raise ValueError(f"z must be finite, got {z}")
         return not self.irregular.contains(z)
 
     def to_json(self, at: tuple[float, ...] = ()) -> str:

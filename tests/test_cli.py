@@ -78,6 +78,9 @@ class TestExitCodes:
         ["wiener", "--alpha", "0.5", "--set", "[[0,1]]", "--lam", "1e308", "--nmax", "3"],
         ["wiener", "--alpha", "0.5", "--set", "[[0,1]]", "--nmin", "-3000", "--nmax", "0"],
         ["test", "--alpha", "0.5", "--beta", "inf"],
+        ["classify", "--alpha", "0.5", "--sigma", "power:|x|^0.5", "--at", "nan"],
+        ["classify", "--alpha", "0.5", "--sigma", "power:|x|^0.5", "--at", "inf"],
+        ["classify", "--alpha", "0.5", "--sigma", "power:|x|^0.5", "--at", "0", "--at=-inf"],
     ])
     def test_non_finite_option_is_validation(self, capsys, argv):
         """Options outside the time grid are checked as well: NaN would
@@ -163,6 +166,14 @@ class TestSubcommands:
         lib = json.loads(power_law_test(0.5, 0.5).to_json())
         assert doc == lib
         assert doc["finiteness"] == "finite" and doc["value"] == 8.0
+
+    def test_test_on_a_huge_domain_is_inconclusive(self, capsys):
+        """A QUADPACK node that rounds onto a pole outside its 1e300-wide
+        cell leaves the integral inconclusive; it was a crash, exit 2."""
+        args = ["test", "--alpha", "0.5", "--f", "power:|x|^-0.5", "--z", "0.5",
+                "--domain", "[[-1e300,1e300]]"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["finiteness"] == "inconclusive"
 
     def test_classify_power(self, capsys):
         assert main(["classify", "--alpha", "0.5", "--sigma", "power:|x|^1.5"]) == 0

@@ -190,6 +190,20 @@ class TestKernelIntegral:
         v = kernel_integral(0.5, 0.0, f, IntervalSet.of((0.0, 2.0)))
         assert v.finiteness == "inconclusive"
 
+    @pytest.mark.parametrize("f, z, domain", [
+        (FunctionSpec.power(-0.5), 0.5, (-1e300, 1e300)),
+        (FunctionSpec.power(-0.5), 0.5, (0.5, 1e20)),
+        (FunctionSpec((Piece(-INF, INF, PowerForm(1.0, 3.0, 1.0)),)), 0.0, (2.0, 1e300)),
+    ])
+    def test_factor_out_of_range_inconclusive(self, f, z, domain):
+        """On a cell 2^53 times wider than its end is far from 0, QUADPACK's
+        end node rounds onto the pole at 0 outside it, where 0.0 ** -0.5
+        raised; the cube of a width near 1e300 overflowed.  Both are an
+        inconclusive quadrature, not a crash."""
+        v = kernel_integral(0.5, z, f, IntervalSet.of(domain))
+        assert v.finiteness == "inconclusive"
+        assert v.abs_error_estimate == INF
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             kernel_integral(1.0, 0.0, FunctionSpec.constant(1.0), IntervalSet.of((0, 1)))

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from stablesde.intervals import (
+    DIVERGENCE_BOUND,
+    RATIO_MARGIN,
+    RATIO_RUN,
     IntervalSet,
+    SeriesVerdict,
     ShellSpec,
     ball_capacity,
     build_example_set,
     capacity_lower_bound,
     example_set_potential_partial_sums,
     interval_capacity_upper,
-    shell,
     wiener_sum,
 )
 
@@ -95,6 +98,83 @@ class TestIntervalSetAlgebra:
     def test_from_json_rejects_what_is_not_a_list_of_pairs(self, text):
         with pytest.raises(ValueError, match="list of \\[a, b\\] pairs"):
             IntervalSet.from_json(text)
+
+
+def shell(spec: ShellSpec, n: int) -> IntervalSet:
+    """The two-component shell at index n, as half-open intervals; rounding
+    may empty or join its pieces."""
+    r_in, r_out = spec.lam ** (n - 1), spec.lam ** n
+    return IntervalSet.of(
+        (spec.center - r_out, spec.center - r_in), (spec.center + r_in, spec.center + r_out)
+    )
+
+
+def reference_wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
+    """`wiener_sum` one shell at a time: each shell is intersected with the
+    target and its capacity bracketed by the two capacity helpers, and the
+    verdict is read from Python lists."""
+    upper_terms, lower_terms, upper_sums, lower_sums = [], [], [], []
+    up_total = lo_total = 0.0
+    for n in range(spec.n_min, spec.n_max + 1):
+        piece = s.intersection(shell(spec, n))
+        weight = spec.lam ** (n * (alpha - 1.0))
+        u = weight * interval_capacity_upper(alpha, piece)
+        l = weight * capacity_lower_bound(alpha, piece)
+        up_total += u
+        lo_total += l
+        upper_terms.append(u)
+        lower_terms.append(l)
+        upper_sums.append(up_total)
+        lower_sums.append(lo_total)
+    out = SeriesVerdict(upper_sums, lower_sums, terms_used=len(upper_terms))
+    nz = [t for t in upper_terms if t > 0.0]
+    if not nz:
+        out.verdict, out.ratio_estimate = "convergent", 0.0
+        return out
+    ratios = [b / a for a, b in zip(nz, nz[1:])]
+    if ratios:
+        out.ratio_estimate = float(np.median(ratios))
+    lnz = [t for t in lower_terms if t > 0.0]
+    lratios = [b / a for a, b in zip(lnz, lnz[1:])]
+    best = run = 0
+    for r in ratios:
+        run = run + 1 if r <= 1.0 - RATIO_MARGIN else 0
+        best = max(best, run)
+    if lo_total > DIVERGENCE_BOUND or (
+        len(lratios) >= RATIO_RUN and all(r >= 1.0 - RATIO_MARGIN for r in lratios[-RATIO_RUN:])
+    ):
+        out.verdict = "divergent"
+    elif best >= RATIO_RUN and nz[-1] <= nz[0]:
+        out.verdict = "convergent"
+    return out
+
+
+#: seed and number of the random series cases, fixed before the test was
+#: first run; the ratios and huge centres are the ones the cases must cover
+SERIES_SEED, SERIES_CASES = 140, 400
+SERIES_LAMS = (1.0000001, 1.1, 2, 3.7)
+HUGE_CENTRES = (1e20, -1e20, 2.0 ** 60, 1e300)
+
+
+def random_series_case(rng: random.Random):
+    """alpha, shells and a target of up to 9 pieces: some at shell radii,
+    some across the centre, some unbounded."""
+    lam = rng.choice(SERIES_LAMS)
+    center = rng.choice(HUGE_CENTRES) if rng.random() < 0.4 else rng.uniform(-10.0, 10.0)
+    n_min = rng.randint(-40, 3)
+    n_max = n_min + rng.randint(0, 100)
+    radius = lambda: lam ** rng.uniform(n_min - 2, n_max + 2)
+    pieces = []
+    for _ in range(rng.randint(0, 6)):
+        x = center + rng.choice((-1.0, 1.0)) * radius()
+        pieces.append((x, x + abs(x - center) * rng.uniform(0.0, 1.5)))
+    if rng.random() < 0.3:
+        pieces.append((center - radius(), center + radius()))
+    if rng.random() < 0.25:
+        pieces.append((-math.inf, center - radius()))
+    if rng.random() < 0.25:
+        pieces.append((center + radius(), math.inf))
+    return rng.uniform(0.05, 0.95), ShellSpec(center, lam, n_min, n_max), IntervalSet.of(*pieces)
 
 
 class TestShells:
@@ -218,6 +298,25 @@ class TestWienerSum:
         assert v.verdict == "convergent"
         assert v.total == 0.0
 
+    def test_matches_the_shell_loop_bit_for_bit(self):
+        rng = random.Random(SERIES_SEED)
+        seen = set()
+        for _ in range(SERIES_CASES):
+            alpha, spec, s = random_series_case(rng)
+            got, ref = wiener_sum(alpha, spec, s), reference_wiener_sum(alpha, spec, s)
+            assert repr(got) == repr(ref), (alpha, spec, s)
+            seen.add(spec.lam)
+            seen.add("n_min <= 0" if spec.n_min <= 0 else "n_min > 0")
+            seen.add("empty" if s.is_empty() else "not empty")
+            if any(math.isinf(end) for pair in s.intervals for end in pair):
+                seen.add("unbounded")
+            shells = [shell(spec, n).intervals for n in range(spec.n_min, spec.n_max + 1)]
+            seen.add("joined or emptied" if any(len(p) < 2 for p in shells) else "two pieces")
+            seen.add(got.verdict)
+        assert seen >= {*SERIES_LAMS, "n_min <= 0", "n_min > 0", "empty", "unbounded",
+                        "joined or emptied", "two pieces", "convergent", "divergent",
+                        "inconclusive"}
+
     def test_json(self):
         v = wiener_sum(0.5, ShellSpec(0.0, 2.0, 1, 30), build_example_set(30))
         doc = json.loads(v.to_json())
@@ -232,6 +331,12 @@ class TestExampleSet:
         assert two.intervals[1] == (4.0 - 2.0 ** (1.0 / 3.0), 4.0)
         three = build_example_set(3)
         assert three.intervals[2] == (8.0 - 2.0 ** (2.0 / 3.0), 8.0)
+
+    def test_normal_form_for_every_n_max(self):
+        pieces = []
+        for n in range(1, 1024):
+            pieces.append((2.0 ** n - 2.0 ** ((n - 1) / 3.0), 2.0 ** n))
+            assert build_example_set(n) == IntervalSet.of(*pieces)
 
     def test_validation(self):
         with pytest.raises(ValueError):
