@@ -38,7 +38,6 @@ from .intervals import (
     ShellSpec,
     ball_capacity,
     build_example_set,
-    capacity_lower_bound,
     example_set_potential_partial_sums,
     interval_capacity_upper,
     wiener_sum,
@@ -94,7 +93,6 @@ __all__ = [
     "ShellSpec",
     "ball_capacity",
     "build_example_set",
-    "capacity_lower_bound",
     "example_set_potential_partial_sums",
     "interval_capacity_upper",
     "wiener_sum",

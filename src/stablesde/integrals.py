@@ -29,6 +29,11 @@ from .intervals import IntervalSet, _check_alpha
 INF = math.inf
 #: absolute tolerance of every kernel quadrature
 QUAD_TOL = 1e-9
+#: a finite cell whose far end is more than CUT_RATIO times as far from an
+#: anchor outside it as its near end is cut at that distance times powers of
+#: CUT_RATIO: QUADPACK places a node to about 2^-53 of its cell's width, so
+#: on wider cells a node could land on the anchor
+CUT_RATIO = 2.0**32
 
 
 class UnflaggedZeroError(FunctionSpecError):
@@ -102,6 +107,7 @@ def _quad_with_breaks(fn, lo: float, hi: float, singular):
     cell with an infinite end, or with no anchored end, gets plain quad.
     """
     pts = sorted({lo, hi, *(x for x, _ in singular if lo < x < hi)})
+    pts = sorted({*pts, *(c for a, b in zip(pts, pts[1:]) for c in _far_cuts(a, b, singular))})
     opts = dict(limit=300, epsabs=QUAD_TOL / max(1, len(pts)), epsrel=1e-10)
     total = err = 0.0
     with warnings.catch_warnings():
@@ -121,14 +127,28 @@ def _quad_with_breaks(fn, lo: float, hi: float, singular):
             try:
                 v, e = quad(_times(fn, rest), a, b, **weight, **opts)
             except (ZeroDivisionError, OverflowError):
-                # on a cell 2^53 times wider than its end is far from 0,
-                # QUADPACK's end node (centre minus half-length) loses that
-                # end and can land on an anchor outside the cell; a positive
-                # power of a width near 1e300 overflows
+                # a positive power of a width near 1e300 overflows
                 return total, INF, False
             total += v
             err += e
     return total, err, err <= max(QUAD_TOL, 1e-8 * abs(total) + 1e-300) * 10.0
+
+
+def _far_cuts(a: float, b: float, singular) -> list[float]:
+    """Points of the finite cell (a, b) at distance d * CUT_RATIO^j from each
+    anchor outside it, for d the anchor's distance to the cell and j >= 1, so
+    no piece between them is more than CUT_RATIO times as far from the
+    anchor at one end as at the other."""
+    cuts = []
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return cuts
+    for x, _ in singular:
+        near, far = sorted((abs(a - x), abs(b - x)))
+        d = near * CUT_RATIO
+        while 0.0 < d < far:
+            cuts.append(x + d if x <= a else x - d)
+            d *= CUT_RATIO
+    return cuts
 
 
 def _times(fn, factors):

@@ -172,16 +172,6 @@ def ball_capacity(alpha: float, r: float) -> float:
     return float(r ** (1.0 - alpha) * c1)
 
 
-def capacity_lower_bound(alpha: float, s: IntervalSet) -> float:
-    """Isoperimetric lower bound: any set of Lebesgue measure m has capacity
-    at least that of the ball of the same measure (radius m/2)."""
-    _check_alpha(alpha)
-    m = s.measure()
-    if m == 0.0:
-        return 0.0
-    return ball_capacity(alpha, 1.0) * 2.0 ** (alpha - 1.0) * m ** (1.0 - alpha)
-
-
 def interval_capacity_upper(alpha: float, s: IntervalSet) -> float:
     """Subadditive upper bound: sum of per-component ball capacities.
     Exact for a single interval (which is a translated ball)."""
@@ -230,17 +220,18 @@ DIVERGENCE_BOUND = 1e6
 def wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
     """Wiener summation test sum_n lambda^{n(alpha-1)} C(B cap S_n).
 
-    The per-shell capacity is bracketed by the isoperimetric lower bound and
-    the per-component subadditive upper bound.  `convergent` when the
+    The per-shell capacity is bracketed by the isoperimetric lower bound
+    (a set of measure m has at least the capacity of a ball of radius m/2)
+    and the per-component subadditive upper bound.  `convergent` when the
     upper-bound terms contract geometrically over a sustained run;
     `divergent` when the lower-bound partial sums exceed DIVERGENCE_BOUND
     or the lower-bound terms stop decaying; `inconclusive` otherwise.
 
     Every shell is intersected with the target at once: each shell piece
     finds the target pieces it overlaps by bisecting their sorted ends and
-    starts.  The terms are `interval_capacity_upper` and
-    `capacity_lower_bound` of each intersection, to the bit: every power is
-    Python's `**`, and each shell sums its overlaps in order.
+    starts.  The upper terms are `interval_capacity_upper` of each
+    intersection, to the bit: every power is Python's `**`, and each shell
+    sums its overlaps in order.
     """
     _check_alpha(alpha)
     try:

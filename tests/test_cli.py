@@ -1,14 +1,19 @@
 import hashlib
 import json
+import math
+import os
 from pathlib import Path
 
 import pytest
 
-from stablesde import cli
+from stablesde import cli, stable
 from stablesde.cli import build_parser, main
-from stablesde.funcspec import FunctionSpec
+from stablesde.funcspec import FunctionSpec, parse_inline
+from stablesde.functionals import Thresholds
 from stablesde.integrals import power_law_test
 from stablesde.intervals import ShellSpec, build_example_set, wiener_sum
+from stablesde.sde import solve_time_change
+from stablesde.stable import StableParams, sample_path, stream_rng
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,13 +172,19 @@ class TestSubcommands:
         assert doc == lib
         assert doc["finiteness"] == "finite" and doc["value"] == 8.0
 
-    def test_test_on_a_huge_domain_is_inconclusive(self, capsys):
-        """A QUADPACK node that rounds onto a pole outside its 1e300-wide
-        cell leaves the integral inconclusive; it was a crash, exit 2."""
+    def test_test_on_a_huge_domain_matches_closed_form(self, capsys):
+        """Cells 1e300 wide beside the pole at 0 are cut geometrically away
+        from it, so no QUADPACK node rounds onto it (that was a crash, then
+        an inconclusive verdict).  The exact value is
+        2 arsinh(sqrt(2e300)) + pi + 2 arcosh(sqrt(2e300))."""
         args = ["test", "--alpha", "0.5", "--f", "power:|x|^-0.5", "--z", "0.5",
                 "--domain", "[[-1e300,1e300]]"]
         assert main(args) == 0
-        assert json.loads(capsys.readouterr().out)["finiteness"] == "inconclusive"
+        doc = json.loads(capsys.readouterr().out)
+        root = math.sqrt(2e300)
+        exact = 2.0 * math.asinh(root) + math.pi + 2.0 * math.acosh(root)
+        assert doc["finiteness"] == "finite"
+        assert doc["value"] == pytest.approx(exact, rel=1e-8)
 
     def test_classify_power(self, capsys):
         assert main(["classify", "--alpha", "0.5", "--sigma", "power:|x|^1.5"]) == 0
@@ -241,6 +252,56 @@ class TestSubcommands:
         assert main(args) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["nontrivial_global_all"] is True
+
+
+#: the paths benchmark's 1e5-cell path, whose CSVs are formatted in slices
+BIG_PATH = ["--alpha", "0.5", "--horizon", "1000", "--step", "0.01"]
+
+
+def set_cpus(monkeypatch, k: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+class TestLargePathCsv:
+    def test_same_bytes_for_any_slice_count(self, monkeypatch, tmp_path):
+        """simulate and solve write a per-row reference of the library's
+        path and solution, byte for byte, for 1 to 4 usable CPUs."""
+        path = sample_path(StableParams(0.5), 0.0, 1000.0, 0.01, stream_rng(5, 0))
+        sol = solve_time_change(0.5, parse_inline("power:|x|^0.5"), 0.0, 1000.0, 0.01,
+                                stream_rng(5, 0), Thresholds(m=1e9))
+        assert sol.status == "horizon_reached"
+        sim_rows = zip(path.times.tolist(), path.values.tolist())
+        sim_ref = "t,x\n" + "".join(f"{t!r},{x!r}\n" for t, x in sim_rows)
+        sol_rows = zip(sol.s_grid.tolist(), sol.time_change.tolist(), sol.values.tolist())
+        sol_ref = "# status=horizon_reached\ns,phi,z_value\n" + "".join(
+            f"{s!r},{p!r},{z!r}\n" for s, p, z in sol_rows
+        )
+        out = tmp_path / "out.csv"
+        for k in (1, 2, 3, 4):
+            set_cpus(monkeypatch, k)
+            assert main(["--seed", "5", "--out", str(out), "simulate", *BIG_PATH]) == 0
+            assert out.read_text() == sim_ref, k
+            args = ["--seed", "5", "--out", str(out), "solve", "--sigma", "power:|x|^0.5"]
+            assert main(args + BIG_PATH) == 0
+            assert out.read_text() == sol_ref, k
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_child_exits_2(self, monkeypatch, tmp_path, capsys):
+        parent, write_rows = os.getpid(), stable._write_rows
+
+        def rows_in_parent_only(out, table):
+            if os.getpid() != parent:
+                raise MemoryError("slice")
+            write_rows(out, table)
+
+        monkeypatch.setattr(stable, "_write_rows", rows_in_parent_only)
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "out.csv"
+        assert main(["--seed", "5", "--out", str(out), "simulate", *BIG_PATH]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "runtime"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSharedParser:

@@ -47,6 +47,16 @@ def off_pole_exact(alpha: float, e: float, z: float) -> float:
     return middle + left + right
 
 
+def far_right_exact(big: float) -> float:
+    """int_0.5^big |y|^-1/2 |0.5 - y|^-1/2 dy = 2 arcosh(sqrt(big/0.5))."""
+    return 2.0 * math.acosh(math.sqrt(big / 0.5))
+
+
+def far_left_exact(big: float) -> float:
+    """int_-big^0 |y|^-1/2 |0.5 - y|^-1/2 dy = 2 arsinh(sqrt(big/0.5))."""
+    return 2.0 * math.asinh(math.sqrt(big / 0.5))
+
+
 def test_off_pole_kernel_closed_form():
     # the off-pole quadrature of the criterion 1 integrands against the
     # closed form, on the grid the analytic benchmark runs at z = 0.5
@@ -190,17 +200,29 @@ class TestKernelIntegral:
         v = kernel_integral(0.5, 0.0, f, IntervalSet.of((0.0, 2.0)))
         assert v.finiteness == "inconclusive"
 
-    @pytest.mark.parametrize("f, z, domain", [
-        (FunctionSpec.power(-0.5), 0.5, (-1e300, 1e300)),
-        (FunctionSpec.power(-0.5), 0.5, (0.5, 1e20)),
-        (FunctionSpec((Piece(-INF, INF, PowerForm(1.0, 3.0, 1.0)),)), 0.0, (2.0, 1e300)),
-    ])
-    def test_factor_out_of_range_inconclusive(self, f, z, domain):
-        """On a cell 2^53 times wider than its end is far from 0, QUADPACK's
-        end node rounds onto the pole at 0 outside it, where 0.0 ** -0.5
-        raised; the cube of a width near 1e300 overflowed.  Both are an
-        inconclusive quadrature, not a crash."""
-        v = kernel_integral(0.5, z, f, IntervalSet.of(domain))
+    @pytest.mark.parametrize("domain, exact", [
+        ((0.5, 1e16), far_right_exact(1e16)),
+        ((0.5, 1e20), far_right_exact(1e20)),
+        ((0.5, 1e300), far_right_exact(1e300)),
+        ((-1e100, 0.0), far_left_exact(1e100)),
+        ((-1e300, 0.0), far_left_exact(1e300)),
+        ((-1e300, 1e300), far_left_exact(1e300) + math.pi + far_right_exact(1e300)),
+    ], ids=["right-1e16", "right-1e20", "right-1e300", "left-1e100", "left-1e300", "whole-1e300"])
+    def test_far_cells_against_closed_form(self, domain, exact):
+        """|y|^-1/2 |0.5 - y|^-1/2 on cells up to 2^1000 times farther from
+        the pole at 0 than their near end.  QUADPACK places a node to about
+        2^-53 of a cell's width, so on one such cell a node rounded onto the
+        pole and the integral was inconclusive; cut geometrically away from
+        the pole, it matches the closed form."""
+        v = kernel_integral(0.5, 0.5, FunctionSpec.power(-0.5), IntervalSet.of(domain))
+        assert v.finiteness == "finite"
+        assert v.value_or_bound == pytest.approx(exact, rel=1e-8)
+
+    def test_cube_of_a_huge_width_inconclusive(self):
+        """The cube of a width near 1e300 overflows: an inconclusive
+        quadrature, not a crash."""
+        f = FunctionSpec((Piece(-INF, INF, PowerForm(1.0, 3.0, 1.0)),))
+        v = kernel_integral(0.5, 0.0, f, IntervalSet.of((2.0, 1e300)))
         assert v.finiteness == "inconclusive"
         assert v.abs_error_estimate == INF
 

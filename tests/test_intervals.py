@@ -14,7 +14,6 @@ from stablesde.intervals import (
     ShellSpec,
     ball_capacity,
     build_example_set,
-    capacity_lower_bound,
     example_set_potential_partial_sums,
     interval_capacity_upper,
     wiener_sum,
@@ -109,10 +108,19 @@ def shell(spec: ShellSpec, n: int) -> IntervalSet:
     )
 
 
+def capacity_lower_bound(alpha: float, s: IntervalSet) -> float:
+    """Isoperimetric lower bound: any set of Lebesgue measure m has capacity
+    at least that of the ball of the same measure (radius m/2)."""
+    m = s.measure()
+    if m == 0.0:
+        return 0.0
+    return ball_capacity(alpha, 1.0) * 2.0 ** (alpha - 1.0) * m ** (1.0 - alpha)
+
+
 def reference_wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
     """`wiener_sum` one shell at a time: each shell is intersected with the
-    target and its capacity bracketed by the two capacity helpers, and the
-    verdict is read from Python lists."""
+    target and its capacity bracketed by `interval_capacity_upper` and
+    `capacity_lower_bound`, and the verdict is read from Python lists."""
     upper_terms, lower_terms, upper_sums, lower_sums = [], [], [], []
     up_total = lo_total = 0.0
     for n in range(spec.n_min, spec.n_max + 1):

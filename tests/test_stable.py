@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from stablesde import stable
 from stablesde.stable import (
     KillingSpec,
     PathSample,
@@ -213,3 +215,112 @@ class TestPathSampleCsv:
             PathSample(np.array([0.0]), np.array([0.0]), horizon=math.inf)
         path = PathSample.from_csv("t,x\n0.0,0.0\n0.5,inf\n0.75,-inf\n", horizon=1.0)
         assert path.values.tolist() == [0.0, math.inf, -math.inf]
+
+
+#: floats whose repr takes every form: signed zeros and infinities,
+#: subnormals, and the switches to and from exponent form at 1e16 and 1e-5
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+           1e16, 9999999999999998.0, 1e-05, 9.999999999999999e-06, 0.0001, -1e300, 0.1]
+#: row counts below, at and above one and two slices' minimum, and the
+#: rows of a 1e5-cell path from the paths benchmark
+ROW_COUNTS = (stable._SLICE_ROWS - 1, stable._SLICE_ROWS, 2 * stable._SLICE_ROWS - 1,
+              2 * stable._SLICE_ROWS, 2 * stable._SLICE_ROWS + 1, 122290)
+
+
+def set_cpus(monkeypatch, k: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def assert_no_children() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def no_fd_left():
+    """Fails a test that leaves a file descriptor open, such as a pipe end."""
+    before = sorted(os.listdir("/dev/fd"))
+    yield
+    assert sorted(os.listdir("/dev/fd")) == before
+
+
+@pytest.fixture(scope="module")
+def node_columns():
+    """Two columns of 122 290 floats over the whole exponent range, the
+    SPECIAL values spread through them, and their rows as per-row reprs."""
+    rng = np.random.default_rng(15)
+    n = ROW_COUNTS[-1]
+    cols = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-320, 300, (2, n))
+    cols[0, ::997] = np.resize(SPECIAL, cols[0, ::997].size)
+    cols[1, 5::1009] = np.resize(SPECIAL[::-1], cols[1, 5::1009].size)
+    a, b = cols.tolist()
+    return cols, [f"{x!r},{y!r}\n" for x, y in zip(a, b)]
+
+
+@pytest.mark.usefixtures("no_fd_left")
+class TestNodeCsv:
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_same_bytes_for_any_slice_count(self, monkeypatch, node_columns, rows):
+        cols, lines = node_columns
+        comments = {"status": "frozen", "frozen_at": 0.5, "exploded_at": None}
+        expected = "# status=frozen\n# frozen_at=0.5\ns,x\n" + "".join(lines[:rows])
+        for k in (1, 2, 3, 4):
+            set_cpus(monkeypatch, k)
+            assert stable._node_csv(comments, "s,x", *cols[:, :rows]) == expected, k
+        assert_no_children()
+
+    def test_slices_of_at_least_the_minimum(self, monkeypatch):
+        forks = []
+        fork_slice = stable._fork_slice
+
+        def counted(table):
+            forks.append(len(table))
+            return fork_slice(table)
+
+        monkeypatch.setattr(stable, "_fork_slice", counted)
+        col = np.arange(3 * stable._SLICE_ROWS - 1, dtype=float)
+        set_cpus(monkeypatch, 4)
+        stable._node_csv({}, "t", col)
+        assert len(forks) == 1 and min(forks) >= stable._SLICE_ROWS
+        # without sched_getaffinity the CPU count decides
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        forks.clear()
+        stable._node_csv({}, "t", np.arange(3 * stable._SLICE_ROWS, dtype=float))
+        assert forks == [stable._SLICE_ROWS] * 2
+        # without os.fork there is one slice
+        monkeypatch.delattr(os, "fork")
+        forks.clear()
+        text = stable._node_csv({}, "t", col)
+        assert forks == [] and text == "t\n" + "".join(f"{x!r}\n" for x in col.tolist())
+
+    def test_failing_child_raises_and_is_reaped(self, monkeypatch):
+        parent, write_rows = os.getpid(), stable._write_rows
+
+        def rows_in_parent_only(out, table):
+            if os.getpid() != parent:
+                raise MemoryError("slice")
+            write_rows(out, table)
+
+        monkeypatch.setattr(stable, "_write_rows", rows_in_parent_only)
+        set_cpus(monkeypatch, 3)
+        col = np.zeros(3 * stable._SLICE_ROWS)
+        with pytest.raises(RuntimeError, match="2 of 2 forked CSV slices failed"):
+            stable._node_csv({}, "t", col)
+        assert_no_children()
+
+    def test_failing_parent_slice_reaps_its_children(self, monkeypatch):
+        """The parent raises before reading a pipe; each child, blocked on
+        its full pipe, gets EPIPE when the parent closes it, and exits."""
+        parent, write_rows = os.getpid(), stable._write_rows
+
+        def rows_in_children_only(out, table):
+            if os.getpid() == parent:
+                raise MemoryError("slice 0")
+            write_rows(out, table)
+
+        monkeypatch.setattr(stable, "_write_rows", rows_in_children_only)
+        set_cpus(monkeypatch, 3)
+        with pytest.raises(MemoryError, match="slice 0"):
+            stable._node_csv({}, "t", np.zeros(3 * stable._SLICE_ROWS))
+        assert_no_children()
