@@ -6,10 +6,8 @@ from .funcspec import (
     FunctionSpec,
     FunctionSpecError,
     Piece,
-    PoleMark,
     PowerForm,
     TableForm,
-    ZeroMark,
     parse_inline,
 )
 from .functionals import (
@@ -23,7 +21,6 @@ from .functionals import (
 from .integrals import (
     PointedSet,
     TestVerdict,
-    UnflaggedZeroError,
     green_constant,
     hitting_probability,
     irregular_set,
@@ -67,10 +64,8 @@ __all__ = [
     "FunctionSpec",
     "FunctionSpecError",
     "Piece",
-    "PoleMark",
     "PowerForm",
     "TableForm",
-    "ZeroMark",
     "parse_inline",
     "PathVerdict",
     "Thresholds",
@@ -80,7 +75,6 @@ __all__ = [
     "path_integral",
     "PointedSet",
     "TestVerdict",
-    "UnflaggedZeroError",
     "green_constant",
     "hitting_probability",
     "irregular_set",

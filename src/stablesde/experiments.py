@@ -313,7 +313,9 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     stopped, coin = np.full(n, math.nan), np.full(n, math.nan)
     live = np.arange(n)
     x = np.full(n, z)
-    with np.errstate(over="ignore"):
+    # a beta variate that underflows to 0 (alpha near 0) sends its walker to
+    # +-inf, where it is finished
+    with np.errstate(over="ignore", divide="ignore"):
         for step in range(WALK_STEPS + 1):
             d = cfg.target.distance_to(x)
             hit, done = d == 0.0, d > finish

@@ -1,12 +1,14 @@
-"""Structured nonnegative functions: piecewise power laws and bounded tables,
-with marked poles and zeros.
+"""Structured nonnegative functions: piecewise power laws and bounded tables.
 
 A FunctionSpec describes sigma (the SDE coefficient) or an integrand f with
 values in [0, +inf].  Pieces cover the line without overlap; each piece is
-either a power law c*|x-p|^e or a finite tabulated function.  Zeros and poles
-are marked explicitly because finiteness verdicts hinge on them; a zero (of
-sigma) may carry the `isolated_monotone` flag meaning sigma is monotone on a
-one-sided neighborhood of radius delta on each side.
+either a power law c*|x-p|^e or a finite tabulated function.  The pieces are
+the whole spec: where the function vanishes (`zero_points`,
+`zero_intervals`), where it is infinite (`pole_points`,
+`infinite_intervals`) and how far it is monotone on each side of a point
+(`monotone_radius`) are all derived from them, and finiteness verdicts read
+nothing else.  The "poles" and "zeros" marks of the JSON format are checked
+against the pieces and then dropped.
 """
 
 from __future__ import annotations
@@ -64,52 +66,15 @@ class Piece:
             raise ValueError("piece interval is empty")
 
 
-@dataclass(frozen=True)
-class ZeroMark:
-    """A marked zero: either a point (`at`) or an interval.  The monotone
-    flag applies to point zeros only and certifies a one-sided monotone
-    neighborhood of radius delta."""
-
-    at: float | None = None
-    interval: tuple[float, float] | None = None
-    isolated_monotone: bool = False
-    delta: float = INF
-
-    def __post_init__(self):
-        if (self.at is None) == (self.interval is None):
-            raise ValueError("a zero mark is either a point or an interval")
-        iv = self.interval
-        if iv is not None and not (len(iv) == 2 and iv[0] < iv[1]):
-            raise ValueError(f"an interval zero must be a pair [a, b] with a < b, got {iv}")
-        _check_mark(self.at, self.delta)
-
-
-@dataclass(frozen=True)
-class PoleMark:
-    at: float
-    isolated_monotone: bool = False
-    delta: float = INF
-
-    def __post_init__(self):
-        _check_mark(self.at, self.delta)
-
-
-def _check_mark(at, delta) -> None:
-    if (at is not None and math.isnan(at)) or math.isnan(delta):
-        raise ValueError("a marked zero or pole must not sit at NaN or have a NaN delta")
-
-
 class FunctionSpecError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Piecewise power-law / tabulated function with marked poles and zeros."""
+    """Piecewise power-law / tabulated function."""
 
     pieces: tuple[Piece, ...]
-    poles: tuple[PoleMark, ...] = ()
-    zeros: tuple[ZeroMark, ...] = ()
 
     def __post_init__(self):
         ordered = tuple(sorted(self.pieces, key=lambda pc: pc.lo))
@@ -126,26 +91,15 @@ class FunctionSpec:
 
     @classmethod
     def power(cls, e: float, c: float = 1.0, p: float = 0.0) -> "FunctionSpec":
-        """c*|x-p|^e on the whole line.  e > 0 marks a monotone zero at p,
-        e < 0 marks a monotone pole at p."""
-        spec = cls((Piece(-INF, INF, PowerForm(c=float(c), e=float(e), p=float(p))),))
-        if e > 0 and c > 0:
-            spec = cls(
-                spec.pieces,
-                zeros=(ZeroMark(at=float(p), isolated_monotone=True),),
-            )
-        elif e < 0 and c > 0:
-            spec = cls(
-                spec.pieces,
-                poles=(PoleMark(at=float(p), isolated_monotone=True),),
-            )
-        return spec
+        """c*|x-p|^e on the whole line.  For finite c > 0 its pieces give a
+        zero at p when e > 0 and a pole when e < 0, monotone on each side
+        without bound."""
+        return cls((Piece(-INF, INF, PowerForm(c=float(c), e=float(e), p=float(p))),))
 
     @classmethod
     def indicator_complement(cls, s: IntervalSet) -> "FunctionSpec":
-        """1 off the set, 0 on it; the set is recorded as interval zeros."""
-        zeros = tuple(ZeroMark(interval=(a, b)) for a, b in s.intervals)
-        return cls(_two_level(s, 0.0, 1.0), zeros=zeros)
+        """1 off the set, 0 on it: the set is the spec's `zero_intervals`."""
+        return cls(_two_level(s, 0.0, 1.0))
 
     @classmethod
     def infinite_indicator(cls, s: IntervalSet) -> "FunctionSpec":
@@ -179,14 +133,6 @@ class FunctionSpec:
                         out[mask] = c * d ** e
             else:
                 out[mask] = np.interp(xs, pc.form.xs, pc.form.ys)
-        for mark in self.poles:
-            out[arr == mark.at] = INF
-        for mark in self.zeros:
-            if mark.at is not None:
-                out[arr == mark.at] = 0.0
-            else:
-                a, b = mark.interval
-                out[(arr >= a) & (arr < b)] = 0.0
         if np.isnan(out).any():
             raise FunctionSpecError("evaluation outside the declared domain")
         return float(out[0]) if scalar else out
@@ -199,35 +145,57 @@ class FunctionSpec:
                 return pc
         raise FunctionSpecError(f"no piece covers x={x}")
 
-    def pole_mark_at(self, x: float) -> PoleMark | None:
-        for mark in self.poles:
-            if mark.at == x:
-                return mark
-        return None
-
     def pole_points(self) -> tuple[float, ...]:
-        """All points where the function is +inf on an isolated point: marked
-        poles plus anchors of negative-exponent power pieces."""
-        pts = {m.at for m in self.poles}
+        """The isolated points where the function blows up: the anchors p in
+        [lo, hi] of power pieces with finite c > 0 and e < 0."""
+        return tuple(sorted({pc.form.p for pc in self._anchored(-1.0)
+                              if pc.lo <= pc.form.p <= pc.hi}))
+
+    def zero_points(self) -> tuple[float, ...]:
+        """The isolated points where the function vanishes: the anchors p in
+        [lo, hi) of power pieces with finite c > 0 and e > 0."""
+        return tuple(sorted({pc.form.p for pc in self._anchored(1.0)
+                              if pc.lo <= pc.form.p < pc.hi}))
+
+    def _anchored(self, sign: float):
+        """The power pieces with finite c > 0 whose exponent has this sign."""
         for pc in self.pieces:
-            if (
-                isinstance(pc.form, PowerForm)
-                and pc.form.c > 0
-                and math.isfinite(pc.form.c)
-                and pc.form.e < 0
-                and pc.lo <= pc.form.p <= pc.hi
-            ):
-                pts.add(pc.form.p)
-        return tuple(sorted(pts))
+            form = pc.form
+            if isinstance(form, PowerForm) and 0.0 < form.c < INF and form.e * sign > 0.0:
+                yield pc
 
     def infinite_intervals(self) -> IntervalSet:
         """Intervals of positive measure where the function is +inf."""
-        pieces = [
-            (pc.lo, pc.hi)
-            for pc in self.pieces
-            if isinstance(pc.form, PowerForm) and not math.isfinite(pc.form.c)
-        ]
-        return IntervalSet.of(*pieces)
+        return self._level_intervals(INF)
+
+    def zero_intervals(self) -> IntervalSet:
+        """Intervals of positive measure where the function vanishes."""
+        return self._level_intervals(0.0)
+
+    def _level_intervals(self, c: float) -> IntervalSet:
+        return IntervalSet.of(*(
+            (pc.lo, pc.hi) for pc in self.pieces
+            if isinstance(pc.form, PowerForm) and pc.form.c == c
+        ))
+
+    def monotone_radius(self, x: float) -> float:
+        """How far the pieces make the function monotone on each side of x:
+        the distance from x to the nearest piece end other than x, when up
+        to it each side lies in one power piece (a constant counts) with no
+        anchor strictly inside; 0.0 when they do not.  inverse_power keeps
+        every piece's ends and anchor, so sigma and sigma^-alpha share it."""
+        left = [pc for pc in self.pieces if pc.lo < x <= pc.hi]
+        right = [pc for pc in self.pieces if pc.lo <= x < pc.hi]
+        if not (left and right):
+            return 0.0
+        radius = min(x - left[0].lo, right[0].hi - x)
+        for pc, a, b in ((left[0], x - radius, x), (right[0], x, x + radius)):
+            form = pc.form
+            if not isinstance(form, PowerForm):
+                return 0.0
+            if form.e != 0.0 and 0.0 < form.c < INF and a < form.p < b:
+                return 0.0
+        return radius
 
     def local_power(self, x: float) -> tuple[float, float]:
         """(c, e) of the power behavior c*|y-x|^e of the function near x.
@@ -245,8 +213,6 @@ class FunctionSpec:
 
     def lower_bound(self) -> float:
         """Global infimum of the function over the line."""
-        if self.zeros:
-            return 0.0
         best = INF
         for pc in self.pieces:
             if isinstance(pc.form, TableForm):
@@ -276,7 +242,8 @@ class FunctionSpec:
 
     def inverse_power(self, alpha: float) -> "FunctionSpec":
         """The integrand sigma^(-alpha) of the time change: power pieces map
-        (c, e) -> (c^-alpha, -alpha*e); zeros become poles and vice versa."""
+        (c, e) -> (c^-alpha, -alpha*e), so zeros become poles and vice versa
+        (a c = 0 piece becomes a c = +inf one); tables map pointwise."""
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         pieces = []
@@ -284,8 +251,8 @@ class FunctionSpec:
             if isinstance(pc.form, TableForm):
                 if any(y == 0.0 for y in pc.form.ys):
                     raise FunctionSpecError(
-                        "tabulated sigma with zeros cannot be inverted; mark "
-                        "the zero and cover it with a power piece"
+                        "tabulated sigma with zeros cannot be inverted; cover "
+                        "the zero with a power piece"
                     )
                 ys = tuple(y ** (-alpha) for y in pc.form.ys)
                 pieces.append(Piece(pc.lo, pc.hi, TableForm(pc.form.xs, ys)))
@@ -298,46 +265,18 @@ class FunctionSpec:
             else:
                 nc = c ** (-alpha)
             pieces.append(Piece(pc.lo, pc.hi, PowerForm(c=nc, e=-alpha * e, p=p)))
-        poles = tuple(
-            PoleMark(at=z.at, isolated_monotone=z.isolated_monotone, delta=z.delta)
-            for z in self.zeros
-            if z.at is not None
-        )
-        zeros = tuple(
-            ZeroMark(at=m.at, isolated_monotone=m.isolated_monotone, delta=m.delta)
-            for m in self.poles
-        )
-        # interval zeros of sigma turn into infinite pieces of the integrand
-        extra = []
-        for z in self.zeros:
-            if z.interval is not None:
-                a, b = z.interval
-                extra.append((a, b))
-        if extra:
-            pieces = _override_with_infinite(pieces, extra)
-        return FunctionSpec(tuple(pieces), poles=poles, zeros=zeros)
+        return FunctionSpec(tuple(pieces))
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {"pieces": [], "poles": [], "zeros": []}
+        doc = {"pieces": []}
         for pc in self.pieces:
             if isinstance(pc.form, PowerForm):
                 form = {"power": {"c": pc.form.c, "e": pc.form.e, "p": pc.form.p}}
             else:
                 form = {"table": {"x": list(pc.form.xs), "y": list(pc.form.ys)}}
             doc["pieces"].append({"interval": [pc.lo, pc.hi], "form": form})
-        for m in self.poles:
-            doc["poles"].append(
-                {"at": m.at, "isolated_monotone": m.isolated_monotone, "delta": m.delta}
-            )
-        for z in self.zeros:
-            entry = {"isolated_monotone": z.isolated_monotone, "delta": z.delta}
-            if z.at is not None:
-                entry["at"] = z.at
-            else:
-                entry["interval"] = list(z.interval)
-            doc["zeros"].append(entry)
         return json.dumps(doc)
 
     @classmethod
@@ -346,7 +285,9 @@ class FunctionSpec:
         pole or zero without a key it needs, or a document of the wrong
         shape (say a list where an object belongs, a boolean where a number
         belongs or a string where a boolean belongs), raises
-        FunctionSpecError, as any other malformed spec does."""
+        FunctionSpecError, as any other malformed spec does.  The "poles"
+        and "zeros" marks are checked against the pieces (`_check_marks`)
+        and not kept."""
         try:
             doc = json.loads(text)
             pieces = []
@@ -370,25 +311,9 @@ class FunctionSpec:
                     pieces.append(Piece(lo, hi, table))
                 else:
                     raise FunctionSpecError(f"unknown form {form}")
-            poles = tuple(
-                PoleMark(
-                    _number(m["at"]),
-                    _flag(m.get("isolated_monotone", False)),
-                    _number(m.get("delta", INF)),
-                )
-                for m in doc.get("poles", [])
-            )
-            zeros = []
-            for z in doc.get("zeros", []):
-                zeros.append(
-                    ZeroMark(
-                        at=None if z.get("at") is None else _number(z["at"]),
-                        interval=_numbers(z["interval"]) if "interval" in z else None,
-                        isolated_monotone=_flag(z.get("isolated_monotone", False)),
-                        delta=_number(z.get("delta", INF)),
-                    )
-                )
-            return cls(tuple(pieces), poles=poles, zeros=tuple(zeros))
+            spec = cls(tuple(pieces))
+            _check_marks(spec, doc.get("poles", []), doc.get("zeros", []))
+            return spec
         except KeyError as exc:
             raise FunctionSpecError(f"FunctionSpec JSON lacks the key {exc}") from None
         except (TypeError, AttributeError) as exc:
@@ -416,6 +341,43 @@ def _flag(value) -> bool:
     return value
 
 
+def _check_marks(spec: FunctionSpec, poles, zeros) -> None:
+    """Refuse a JSON mark its spec's pieces do not bear out.  A pole mark
+    needs an `at` among `pole_points`; a zero mark needs an `at` where the
+    pieces vanish, or an `interval` [a, b] inside `zero_intervals`.  An
+    `isolated_monotone` flag needs `monotone_radius` at least `delta`."""
+    vanish = spec.zero_intervals()
+    marks = [("pole", m, m["at"]) for m in poles] + [("zero", m, m.get("at")) for m in zeros]
+    for kind, mark, at in marks:
+        flag = _flag(mark.get("isolated_monotone", False))
+        delta = _number(mark.get("delta", INF))
+        at = None if at is None else _number(at)
+        iv = _numbers(mark["interval"]) if kind == "zero" and "interval" in mark else None
+        if (at is None) == (iv is None):
+            raise FunctionSpecError(f"a {kind} mark needs one point, or a zero one interval")
+        if (at is not None and math.isnan(at)) or math.isnan(delta):
+            raise FunctionSpecError("a marked zero or pole must not sit at NaN or have a NaN delta")
+        if iv is not None:
+            if not (len(iv) == 2 and iv[0] < iv[1]):
+                raise FunctionSpecError(
+                    f"an interval zero must be a pair [a, b] with a < b, got {iv}"
+                )
+            if not any(a <= iv[0] and iv[1] <= b for a, b in vanish.intervals):
+                raise FunctionSpecError(f"the pieces do not vanish on all of the zero mark {iv}")
+            continue
+        if kind == "pole":
+            named = at in spec.pole_points()
+        else:
+            named = at in spec.zero_points() or vanish.contains(at)
+        if not named:
+            raise FunctionSpecError(f"the {kind} mark at {at} names no {kind} of the pieces")
+        if flag and not spec.monotone_radius(at) >= delta:
+            raise FunctionSpecError(
+                f"the pieces are monotone on each side of {at} up to "
+                f"{spec.monotone_radius(at)}, not up to the marked delta {delta}"
+            )
+
+
 def _two_level(s: IntervalSet, inside: float, outside: float) -> tuple[Piece, ...]:
     """Constant pieces covering the line: `inside` on the set, `outside` off it."""
     off = s.complement_within((-INF, INF)).intervals
@@ -423,25 +385,6 @@ def _two_level(s: IntervalSet, inside: float, outside: float) -> tuple[Piece, ..
         [Piece(a, b, PowerForm(c=outside)) for a, b in off]
         + [Piece(a, b, PowerForm(c=inside)) for a, b in s.intervals]
     )
-
-
-def _override_with_infinite(pieces, spans):
-    """Replace piece content with +inf on the given spans."""
-    out = list(pieces)
-    for a, b in spans:
-        new = []
-        for pc in out:
-            lo, hi = max(pc.lo, a), min(pc.hi, b)
-            if lo >= hi:
-                new.append(pc)
-                continue
-            if pc.lo < lo:
-                new.append(Piece(pc.lo, lo, pc.form))
-            new.append(Piece(lo, hi, PowerForm(c=INF)))
-            if hi < pc.hi:
-                new.append(Piece(hi, pc.hi, pc.form))
-        out = new
-    return out
 
 
 _POWER_RE = re.compile(

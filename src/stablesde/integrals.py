@@ -1,7 +1,10 @@
 """Singularity-aware evaluation of kernel integrals int f(y)|z-y|^(alpha-1) dy,
 the monotone-pole small-time test, the closed-form power-law test, the exact
 chance of ever hitting an interval, and the construction of the irregular set
-O and zero set N for structured sigma.
+O and zero set N for structured sigma.  N, the candidate points of O and the
+pole test's monotone hypothesis are all read from sigma's pieces, through
+`FunctionSpec.zero_points`, `zero_intervals`, `pole_points` and
+`monotone_radius`; no declared mark enters a verdict.
 
 Finiteness is always decided analytically from local exponents; quadrature is
 only used to produce values for integrals already known to converge.  It is
@@ -34,11 +37,6 @@ QUAD_TOL = 1e-9
 #: CUT_RATIO: QUADPACK places a node to about 2^-53 of its cell's width, so
 #: on wider cells a node could land on the anchor
 CUT_RATIO = 2.0**32
-
-
-class UnflaggedZeroError(FunctionSpecError):
-    """Raised when a verdict would require deciding thinness of an arbitrary
-    set; only monotone-flagged point zeros and interval zeros are decidable."""
 
 
 @dataclass
@@ -188,10 +186,6 @@ def kernel_integral(alpha: float, z: float, f: FunctionSpec, domain: IntervalSet
             if lo >= hi:
                 continue
             if isinstance(pc.form, TableForm):
-                if any(m.at is not None and lo < m.at < hi for m in f.poles):
-                    return TestVerdict(
-                        "inconclusive", INF, method="pole inside tabulated piece"
-                    )
                 fn = lambda y, g=pc.form: float(np.interp(y, g.xs, g.ys))
                 v, e, ok = _quad_with_breaks(fn, lo, hi, [(z, alpha - 1.0)])
                 if not ok:
@@ -238,50 +232,53 @@ def green_constant(alpha: float) -> float:
 
 
 def hitting_probability(alpha: float, z: float, interval: tuple[float, float]) -> float:
-    """P_z(the symmetric alpha-stable process ever hits [a, b]), exactly: 1
-    for z in [a, b], and `_hitting_chance` outside it."""
+    """P_z(the symmetric alpha-stable process ever hits [a, b]), exactly, by
+    `_hitting_chance`."""
     _check_alpha(alpha)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     a, b = (float(v) for v in interval)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need a finite interval a < b, got {interval}")
-    if a <= z <= b:
-        return 1.0
     return float(_hitting_chance(alpha, z, a, b))
 
 
 def _hitting_chance(alpha: float, x, a: float, b: float) -> np.ndarray:
-    """P_x(hit [a, b]) for x (scalar or array) outside [a, b]: Blumenthal,
-    Getoor & Ray's (1961) closed form I_t((1 - alpha)/2, alpha/2), the
-    regularised incomplete beta function at t = r^2/(x - c)^2, with c the
-    centre and r the half-width.  Where t is below the smallest normal
-    float, the leading term t^p / (p B(p, q)) of I_t(p, q), exact to
-    rounding there, is taken from log t = 2 log(r/|x - c|)."""
+    """P_x(hit [a, b]) for x (scalar or array): 1 on [a, b], and outside it
+    Blumenthal, Getoor & Ray's (1961) closed form I_t((1 - alpha)/2,
+    alpha/2), the regularised incomplete beta function at
+    t = r^2/(x - c)^2, with c the centre and r the half-width.  Where t is
+    below the smallest normal float, the leading term t^p / (p B(p, q)) of
+    I_t(p, q), exact to rounding there, is taken from
+    log t = 2 log(r/|x - c|)."""
     p, q = (1.0 - alpha) / 2.0, alpha / 2.0
     c, r = (a + b) / 2.0, (b - a) / 2.0
-    dist = np.abs(np.asarray(x, dtype=float) - c)
+    # on [a, b] the distance is r, so t = 1 and I_1 = 1
+    dist = np.maximum(np.abs(np.asarray(x, dtype=float) - c), r)
     t = (r / dist) ** 2
     lead = np.exp(2.0 * p * (math.log(r) - np.log(dist)) - math.log(p) - betaln(p, q))
     return np.where(t < np.finfo(float).tiny, lead, betainc(p, q, t))
 
 
 def monotone_pole_test(alpha: float, z: float, f: FunctionSpec, epsilon: float) -> TestVerdict:
-    """Small-time finiteness test at an isolated monotone pole of f: finite
-    iff int_{z-eps}^{z+eps} f(y)|z-y|^(alpha-1) dy < inf.  A finite verdict
-    certifies almost-sure small-time finiteness of the path integral from z;
-    an infinite verdict puts z among the irregular points."""
+    """Small-time finiteness test at a point z where f's pieces make it
+    monotone on each side (an isolated pole, say): finite iff
+    int_{z-eps}^{z+eps} f(y)|z-y|^(alpha-1) dy < inf, for eps up to
+    `f.monotone_radius(z)`.  A finite verdict certifies almost-sure
+    small-time finiteness of the path integral from z; an infinite verdict
+    puts z among the irregular points.  Where the pieces do not give the
+    hypothesis, FunctionSpecError names z."""
     _check_alpha(alpha)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    mark = f.pole_mark_at(z)
-    if mark is None or not mark.isolated_monotone:
-        raise UnflaggedZeroError(
-            f"no isolated_monotone pole flag at z={z}; the test hypothesis "
-            "cannot be checked from tabulated data"
+    radius = f.monotone_radius(z)
+    if radius == 0.0:
+        raise FunctionSpecError(
+            f"the pieces do not make f monotone on each side of z={z}, "
+            "which the monotone pole test needs"
         )
-    if epsilon > mark.delta:
-        raise ValueError("epsilon exceeds the flagged neighborhood radius")
+    if not 0.0 < epsilon <= radius:
+        raise ValueError(
+            f"epsilon must be positive and at most {radius}, the monotone radius at z={z}"
+        )
     return kernel_integral(alpha, z, f, IntervalSet.of((z - epsilon, z + epsilon)))
 
 
@@ -331,39 +328,29 @@ class PointedSet:
 
 
 def zero_set(sigma: FunctionSpec) -> PointedSet:
-    """The marked zeros of sigma (points and intervals)."""
-    pts = tuple(z.at for z in sigma.zeros if z.at is not None)
-    spans = IntervalSet.of(*(z.interval for z in sigma.zeros if z.interval is not None))
-    return PointedSet(pts, spans)
+    """Where sigma's pieces vanish: the anchors of its power pieces with
+    e > 0 (`zero_points`) and its c = 0 pieces (`zero_intervals`)."""
+    return PointedSet(sigma.zero_points(), sigma.zero_intervals())
 
 
 def irregular_set(alpha: float, sigma: FunctionSpec) -> PointedSet:
     """Points from which the time-change integral is instantly infinite.
 
-    For point zeros flagged isolated_monotone the thin set drops out of the
-    integral test, so membership reduces to the monotone-pole test on
-    f = sigma^(-alpha).  Zeros on nondegenerate intervals are included
-    wholesale (f = +inf on a set of positive measure and positive potential).
-    Unflagged point zeros are refused rather than guessed.
+    The candidate points are the poles of f = sigma^(-alpha), the same
+    `pole_points` the clock reads.  Where the pieces make f monotone on each
+    side of one, the thin set drops out of the integral test, so membership
+    reduces to the monotone-pole test at radius min(1, `monotone_radius`);
+    where they do not, the test refuses the point.  Zeros of sigma on
+    nondegenerate intervals are included wholesale (f = +inf on a set of
+    positive measure and positive potential).
     """
     _check_alpha(alpha)
-    for z in sigma.zeros:
-        if z.at is not None and not z.isolated_monotone:
-            raise UnflaggedZeroError(
-                f"zero of sigma at {z.at} lacks the isolated_monotone flag; "
-                "membership in the irregular set is undecidable"
-            )
     f = sigma.inverse_power(alpha)
-    pts = []
-    for z in sigma.zeros:
-        if z.at is None:
-            continue
-        eps = z.delta if math.isfinite(z.delta) else 1.0
-        verdict = monotone_pole_test(alpha, z.at, f, eps)
-        if verdict.finiteness == "infinite":
-            pts.append(z.at)
-    spans = IntervalSet.of(*(z.interval for z in sigma.zeros if z.interval is not None))
-    return PointedSet(tuple(pts), spans)
+    pts = tuple(
+        p for p in f.pole_points()
+        if monotone_pole_test(alpha, p, f, min(1.0, f.monotone_radius(p))).finiteness == "infinite"
+    )
+    return PointedSet(pts, sigma.zero_intervals())
 
 
 @lru_cache(maxsize=256)

@@ -8,7 +8,7 @@ import pytest
 
 from stablesde import cli, stable
 from stablesde.cli import build_parser, main
-from stablesde.funcspec import FunctionSpec, parse_inline
+from stablesde.funcspec import FunctionSpec, Piece, PowerForm, parse_inline
 from stablesde.functionals import Thresholds
 from stablesde.integrals import power_law_test
 from stablesde.intervals import ShellSpec, build_example_set, wiener_sum
@@ -16,6 +16,7 @@ from stablesde.sde import solve_time_change
 from stablesde.stable import StableParams, sample_path, stream_rng
 
 DATA = Path(__file__).parent / "data"
+INF = math.inf
 
 
 class TestHelp:
@@ -146,6 +147,17 @@ class TestExitCodes:
          ' "poles": [{"at": true}]}', "True where a number belongs"),
         ({"interval": [0, 1, 2], "form": {"power": {"c": 1.0}}}, "pair [a, b] with a < b"),
         ({"interval": [1], "form": {"power": {"c": 1.0}}}, "pair [a, b] with a < b"),
+        ('{"pieces": [{"interval": [-Infinity, Infinity], "form": {"power": {"c": 1}}}],'
+         ' "zeros": [{"at": 3.0, "isolated_monotone": true}]}', "names no zero of the pieces"),
+        ('{"pieces": [{"interval": [-Infinity, Infinity], "form": {"power": {"c": 1, "e": 0.5}}}],'
+         ' "poles": [{"at": 0.0}]}', "names no pole of the pieces"),
+        ('{"pieces": [{"interval": [-Infinity, Infinity], "form": {"power": {"c": 1}}}],'
+         ' "zeros": [{"interval": [1, 2]}]}', "do not vanish on all of the zero mark"),
+        ('{"pieces": [{"interval": [-Infinity, 0], "form": {"power": {"c": 1}}},'
+         ' {"interval": [0, 1], "form": {"power": {"c": 1, "e": 1.5}}},'
+         ' {"interval": [1, Infinity], "form": {"power": {"c": 1}}}],'
+         ' "zeros": [{"at": 0.0, "isolated_monotone": true, "delta": 2.0}]}',
+         "not up to the marked delta"),
     ])
     def test_malformed_sigma_file_is_validation(self, tmp_path, capsys, piece, detail):
         """A piece is written as the only one of the file; a string is the
@@ -191,6 +203,48 @@ class TestSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["unique_all"] is True
         assert doc["O"]["points"] == [0.0]
+
+    def test_classify_reads_the_pieces(self, tmp_path, capsys):
+        """|x|^1.5 from a file without marks classifies as `power:|x|^1.5`
+        does: O = N = {0}."""
+        path = tmp_path / "sigma.json"
+        path.write_text(FunctionSpec((Piece(-INF, INF, PowerForm(1.0, 1.5, 0.0)),)).to_json())
+        docs = []
+        for sigma in (f"@{path}", "power:|x|^1.5"):
+            assert main(["classify", "--alpha", "0.5", "--sigma", sigma, "--at", "0"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0] == docs[1]
+        assert docs[0]["O"]["points"] == [0.0] and docs[0]["local_at"] == {"0.0": False}
+
+    def test_classify_zero_piece_without_mark(self, tmp_path, capsys):
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"pieces": [
+            {"interval": [-INF, 1.0], "form": {"power": {"c": 1.0}}},
+            {"interval": [1.0, 2.0], "form": {"power": {"c": 0.0}}},
+            {"interval": [2.0, INF], "form": {"power": {"c": 1.0}}},
+        ]}))
+        assert main(["classify", "--alpha", "0.5", "--sigma", f"@{path}"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["O"] == doc["N"] == {"points": [], "intervals": [[1.0, 2.0]]}
+        assert doc["nontrivial_global_all"] is False
+
+    def test_stray_zero_mark_is_validation(self, tmp_path, capsys):
+        """sigma = 1 does not vanish at 3, whatever a mark says."""
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({
+            "pieces": [{"interval": [-INF, INF], "form": {"power": {"c": 1.0}}}],
+            "zeros": [{"at": 3.0, "isolated_monotone": True}],
+        }))
+        assert main(["classify", "--alpha", "0.5", "--sigma", f"@{path}"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    def test_pole_test_without_mark(self, tmp_path, capsys):
+        """|x|^-0.25 at alpha = 0.5: 2 / 0.25 = 8, from the pieces alone."""
+        path = tmp_path / "f.json"
+        path.write_text(FunctionSpec((Piece(-INF, INF, PowerForm(1.0, -0.25, 0.0)),)).to_json())
+        assert main(["test", "--alpha", "0.5", "--f", f"@{path}", "--epsilon", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["finiteness"] == "finite" and doc["value"] == 8.0
 
     def test_wiener_example(self, capsys):
         args = ["wiener", "--alpha", "0.5", "--set", "example2.2", "--nmax", "200"]

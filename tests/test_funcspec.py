@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,8 @@ from stablesde.funcspec import (
     FunctionSpec,
     FunctionSpecError,
     Piece,
-    PoleMark,
     PowerForm,
     TableForm,
-    ZeroMark,
     parse_inline,
 )
 from stablesde.intervals import IntervalSet
@@ -27,20 +26,23 @@ class TestEvaluation:
     def test_power(self):
         f = FunctionSpec.power(2.0, c=3.0, p=1.0)
         assert f(2.0) == pytest.approx(3.0)
-        assert f(1.0) == 0.0  # marked monotone zero at the anchor
+        assert f(1.0) == 0.0  # the pieces' zero at the anchor
+        assert f.zero_points() == (1.0,)
 
     def test_negative_power_pole(self):
         f = FunctionSpec.power(-0.5)
         assert f(4.0) == pytest.approx(0.5)
         assert f(0.0) == INF
-        assert f.pole_mark_at(0.0) is not None
+        assert f.pole_points() == (0.0,)
+        assert f.monotone_radius(0.0) == INF
 
     def test_indicator_complement(self):
         f = FunctionSpec.indicator_complement(IntervalSet.of((1, 2)))
         assert f(0.0) == 1.0
         assert f(1.5) == 0.0
         assert f(2.5) == 1.0
-        assert [z.interval for z in f.zeros] == [(1.0, 2.0)]
+        assert f.zero_intervals() == IntervalSet.of((1, 2))
+        assert f.zero_points() == ()
 
     def test_infinite_indicator(self):
         f = FunctionSpec.infinite_indicator(IntervalSet.of((1, 2)))
@@ -89,9 +91,9 @@ class TestInversePower:
         pc = f.pieces[0]
         assert pc.form.c == pytest.approx(2.0 ** -0.5)
         assert pc.form.e == pytest.approx(-0.25)
-        # the zero of sigma became a flagged pole of f
-        mark = f.pole_mark_at(0.0)
-        assert mark is not None and mark.isolated_monotone
+        # the zero of sigma became a pole of f, monotone on each side
+        assert f.pole_points() == (0.0,)
+        assert f.monotone_radius(0.0) == INF
 
     def test_values_match_pointwise(self):
         sigma = FunctionSpec.power(1.5)
@@ -119,22 +121,104 @@ class TestSerialization:
         assert g == f
 
     def test_round_trip_table_and_marks(self):
+        """The pieces are written alone; marks that agree with them are read
+        back and dropped."""
         f = FunctionSpec(
             (
-                Piece(-INF, 0.0, PowerForm(1.0)),
+                Piece(-INF, 0.0, PowerForm(1.0, -0.5, -1.0)),
                 Piece(0.0, 1.0, TableForm((0.0, 1.0), (2.0, 3.0))),
                 Piece(1.0, INF, PowerForm(0.0)),
-            ),
-            poles=(PoleMark(at=-1.0, isolated_monotone=True, delta=0.5),),
-            zeros=(ZeroMark(interval=(1.0, 2.0)),),
+            )
         )
-        g = FunctionSpec.from_json(f.to_json())
-        assert g == f
+        assert set(json.loads(f.to_json())) == {"pieces"}
+        assert FunctionSpec.from_json(f.to_json()) == f
+        doc = json.loads(f.to_json())
+        doc["poles"] = [{"at": -1.0, "isolated_monotone": True, "delta": 1.0}]
+        doc["zeros"] = [{"interval": [1.0, 2.0]}]
+        assert FunctionSpec.from_json(json.dumps(doc)) == f
 
     def test_infinity_survives_json(self):
         f = FunctionSpec.constant(1.0)
         g = FunctionSpec.from_json(f.to_json())
         assert g.pieces[0].lo == -INF and g.pieces[0].hi == INF
+
+
+class TestDerivedStructure:
+    """Zeros, poles and the monotone radius come from the pieces alone."""
+
+    SPLIT = FunctionSpec(
+        (
+            Piece(-INF, -1.0, PowerForm(1.0)),
+            Piece(-1.0, 1.0, PowerForm(2.0, 1.5, 0.0)),
+            Piece(1.0, 2.0, PowerForm(0.0)),
+            Piece(2.0, INF, PowerForm(1.0, 0.5, 2.0)),
+        )
+    )
+
+    def test_zero_points_and_intervals(self):
+        assert self.SPLIT.zero_points() == (0.0, 2.0)
+        assert self.SPLIT.zero_intervals() == IntervalSet.of((1.0, 2.0))
+        assert self.SPLIT.pole_points() == ()
+
+    def test_anchor_at_a_piece_end(self):
+        """N takes anchors in [lo, hi): a piece covers its left end only.
+        The poles of sigma^-alpha take them in [lo, hi]."""
+        sigma = FunctionSpec(
+            (Piece(-INF, 1.0, PowerForm(1.0, 1.5, 1.0)), Piece(1.0, INF, PowerForm(1.0)))
+        )
+        assert sigma.zero_points() == ()
+        assert sigma(1.0) == 1.0
+        assert sigma.inverse_power(0.5).pole_points() == (1.0,)
+
+    def test_monotone_radius(self):
+        """The distance to the nearest piece end other than x, when each
+        side up to it is one power piece with no anchor strictly inside."""
+        f = self.SPLIT
+        assert f.monotone_radius(0.0) == 1.0
+        assert f.monotone_radius(2.0) == 1.0  # a constant counts
+        assert f.monotone_radius(-3.0) == 2.0
+        # around 0.25 the radius is 0.75, and the anchor at 0 lies inside
+        assert f.monotone_radius(0.25) == 0.0
+        assert f.monotone_radius(-0.25) == 0.0
+        # around 0.5 the radius is 0.5, which stops at the anchor
+        assert f.monotone_radius(0.5) == 0.5
+        assert FunctionSpec.power(-0.5).monotone_radius(0.0) == INF
+        table = FunctionSpec(
+            (Piece(-INF, 0.0, PowerForm(1.0, 2.0, 0.0)),
+             Piece(0.0, 1.0, TableForm((0.0, 1.0), (1.0, 2.0))),
+             Piece(1.0, INF, PowerForm(2.0)))
+        )
+        assert table.monotone_radius(0.0) == 0.0
+        # no piece on the left
+        one_sided = FunctionSpec((Piece(0.0, 1.0, PowerForm(1.0, -0.5, 0.0)),))
+        assert one_sided.monotone_radius(0.0) == 0.0
+
+    def test_inverse_power_keeps_the_structure(self):
+        f = self.SPLIT.inverse_power(0.5)
+        assert f.pole_points() == (0.0, 2.0)
+        assert f.infinite_intervals() == self.SPLIT.zero_intervals()
+        for x in (-3.0, -0.25, 0.0, 0.5, 2.0, 5.0):
+            assert f.monotone_radius(x) == self.SPLIT.monotone_radius(x)
+
+    @pytest.mark.parametrize("marks", [
+        {"zeros": [{"at": 0.5, "isolated_monotone": False}]},
+        {"zeros": [{"interval": [1.0, 3.0]}]},
+        {"zeros": [{"at": 0.0, "isolated_monotone": True}]},
+    ], ids=["off-anchor", "past-the-piece", "unbounded-delta"])
+    def test_mark_against_the_pieces_refused(self, marks):
+        doc = {**json.loads(self.SPLIT.to_json()), **marks}
+        with pytest.raises(FunctionSpecError):
+            FunctionSpec.from_json(json.dumps(doc))
+
+    def test_agreeing_marks_accepted(self):
+        doc = json.loads(self.SPLIT.to_json())
+        doc["zeros"] = [
+            {"at": 0.0, "isolated_monotone": True, "delta": 1.0},
+            {"at": 2.0, "isolated_monotone": True, "delta": 0.5},
+            {"at": 1.5},
+            {"interval": [1.25, 1.75]},
+        ]
+        assert FunctionSpec.from_json(json.dumps(doc)) == self.SPLIT
 
 
 class TestInlineParsing:

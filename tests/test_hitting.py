@@ -72,6 +72,21 @@ def test_walk_covers_oracle_near_alpha_one(alpha):
     assert lo <= hitting_probability(alpha, -2.0, TARGET) <= hi
 
 
+def test_walk_near_alpha_zero_without_warning():
+    """At alpha = 0.01 a Beta(alpha/2, 1 - alpha/2) exit draw can underflow
+    to 0 and send its walker to +-inf, where it is finished, not a divide
+    warning.  This config (start, walkers, seed) was run once, with the
+    same estimate, before the warning was silenced; it is kept as it was."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (est,) = run_experiment(
+            hitting_cfg(0.01, (-2.0,), replicates=20_000, seed=1), io.StringIO()
+        )
+    lo, hi = est.ci95
+    assert est.undetermined_fraction == 0.0
+    assert lo <= hitting_probability(0.01, -2.0, TARGET) <= hi
+
+
 def test_capacity_miss_covers_oracle_without_the_finish(monkeypatch):
     """At alpha = 0.95 the capacity miss alone still decides the run
     rightly: this run leans on no formula."""
@@ -219,6 +234,21 @@ def riesz_quadrature(alpha: float, z: float, interval) -> float:
 
 
 class TestHittingProbability:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_chance_on_and_off_the_interval(self, alpha):
+        """`_hitting_chance` on one array holding both ends, the centre,
+        inside points and outside points: 1 on [a, b] without a warning,
+        and the closed form off it."""
+        xs = np.array([1.0, 2.0, 1.5, 1.1, 1.9, -3.0, 0.5, 2.5, 100.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chance = _hitting_chance(alpha, xs, *TARGET)
+        assert chance[:5].tolist() == [1.0] * 5
+        for x, p in zip(xs[5:], chance[5:]):
+            assert p == pytest.approx(riesz_quadrature(alpha, x, TARGET), rel=1e-7)
+            assert 0.0 < p < 1.0
+
+
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_one_on_the_interval(self, alpha):
         for z in (1.0, 1.25, 1.5, 2.0):

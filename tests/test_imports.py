@@ -1,9 +1,11 @@
 """No module of the package or of the tests imports a name it never uses,
-and no module of the package defines a private helper nothing reads.
+no module of the package defines a private helper nothing reads, and the
+package's `__all__` lists exactly the public names its `__init__.py` binds.
 
 The package's `__init__.py` is left out of the import check: its imports are
-the re-exports.  An imported name counts as used when it appears anywhere in
-the module; a private name when it is read anywhere in the package.
+the re-exports, which the `__all__` check covers instead.  An imported name
+counts as used when it appears anywhere in the module; a private name when
+it is read anywhere in the package.
 """
 
 import ast
@@ -75,3 +77,24 @@ def test_no_orphaned_private_helpers():
     ]
     assert trees
     assert not orphans, "defined but never read:\n" + "\n".join(orphans)
+
+
+def test_all_lists_exactly_the_reexports():
+    """A name in `__all__` that `__init__.py` does not bind (a stale export)
+    and a public name it imports but leaves out of `__all__` both fail."""
+    tree = ast.parse((ROOT / "src" / "stablesde" / "__init__.py").read_text())
+    (listed,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    ]
+    imported = {name for _, name in _imported(tree)}
+    bound = imported | {
+        t.id for node in tree.body if isinstance(node, ast.Assign)
+        for t in node.targets if isinstance(t, ast.Name)
+    }
+    unbound = sorted(set(listed) - bound)
+    left_out = sorted(n for n in imported - set(listed) if not n.startswith("_"))
+    assert not unbound, f"in __all__ but never bound: {unbound}"
+    assert not left_out, f"imported but left out of __all__: {left_out}"
+    assert len(listed) == len(set(listed)), "__all__ lists a name twice"

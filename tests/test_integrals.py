@@ -6,16 +6,14 @@ from scipy.special import beta as beta_fn, hyp2f1
 
 from stablesde.funcspec import (
     FunctionSpec,
+    FunctionSpecError,
     Piece,
-    PoleMark,
     PowerForm,
     TableForm,
-    ZeroMark,
 )
 from stablesde.integrals import (
     PointedSet,
     TestVerdict as Verdict,  # aliased so pytest does not try to collect it
-    UnflaggedZeroError,
     green_constant,
     irregular_set,
     kernel_integral,
@@ -27,6 +25,15 @@ from stablesde.integrals import (
 from stablesde.intervals import IntervalSet
 
 INF = math.inf
+#: sigma = |x|^2 with a table on [-1, 0) and its zero at 0 marked unflagged
+TABLE_BESIDE_ZERO = json.dumps({
+    "pieces": [
+        {"interval": [-INF, -1.0], "form": {"power": {"c": 1.0}}},
+        {"interval": [-1.0, 0.0], "form": {"table": {"x": [-1.0, 0.0], "y": [1.0, 1.0]}}},
+        {"interval": [0.0, INF], "form": {"power": {"c": 1.0, "e": 2.0, "p": 0.0}}},
+    ],
+    "zeros": [{"at": 0.0, "isolated_monotone": False}],
+})
 ALPHAS = (0.3, 0.5, 0.7, 0.9)
 BETAS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
@@ -192,13 +199,17 @@ class TestKernelIntegral:
         # constant 3 against the kernel centered at 1: 3 * 2 * 1^0.5 / 0.5
         assert v.value_or_bound == pytest.approx(12.0, rel=1e-8)
 
-    def test_marked_pole_inside_table_inconclusive(self):
-        f = FunctionSpec(
-            (Piece(0.0, 2.0, TableForm((0.0, 2.0), (1.0, 1.0))),),
-            poles=(PoleMark(at=1.0),),
-        )
+    def test_pole_mark_inside_table_refused(self):
+        """A table is bounded, so its pieces give no pole inside it: a JSON
+        pole mark there is refused, and the table's integral is finite."""
+        doc = {"pieces": [{"interval": [0.0, 2.0],
+                           "form": {"table": {"x": [0.0, 2.0], "y": [1.0, 1.0]}}}]}
+        with pytest.raises(FunctionSpecError):
+            FunctionSpec.from_json(json.dumps({**doc, "poles": [{"at": 1.0}]}))
+        f = FunctionSpec.from_json(json.dumps(doc))
         v = kernel_integral(0.5, 0.0, f, IntervalSet.of((0.0, 2.0)))
-        assert v.finiteness == "inconclusive"
+        assert v.finiteness == "finite"
+        assert v.value_or_bound == pytest.approx(2.0 * 2.0 ** 0.5, rel=1e-8)
 
     @pytest.mark.parametrize("domain, exact", [
         ((0.5, 1e16), far_right_exact(1e16)),
@@ -247,24 +258,35 @@ class TestMonotonePoleTest:
         assert v.finiteness == "infinite"
 
     def test_removable_flag_constant(self):
-        f = FunctionSpec(
-            (Piece(-INF, INF, PowerForm(5.0)),),
-            poles=(PoleMark(at=0.0, isolated_monotone=True, delta=2.0),),
-        )
+        """A constant counts as a monotone power piece: the test holds at
+        any point of it, with no bound on the radius."""
+        f = FunctionSpec.constant(5.0)
+        assert f.monotone_radius(0.0) == INF
         v = monotone_pole_test(0.5, 0.0, f, 1.0)
         assert v.value_or_bound == pytest.approx(2.0 * 5.0 / 0.5, rel=1e-10)
 
     def test_missing_flag_refused(self):
-        with pytest.raises(UnflaggedZeroError):
-            monotone_pole_test(0.5, 0.0, FunctionSpec.constant(1.0), 1.0)
+        """A table on one side of z gives no monotone hypothesis there."""
+        f = FunctionSpec(
+            (Piece(-INF, 0.0, PowerForm(1.0, -0.25, 0.0)),
+             Piece(0.0, 1.0, TableForm((0.0, 1.0), (1.0, 2.0))),
+             Piece(1.0, INF, PowerForm(2.0)))
+        )
+        with pytest.raises(FunctionSpecError, match="z=0.0"):
+            monotone_pole_test(0.5, 0.0, f, 1.0)
 
     def test_epsilon_beyond_delta_refused(self):
+        """|x|^-0.25 on [-0.5, 0.5) is monotone on each side of 0 up to the
+        piece's ends, radius 0.5, and no further."""
         f = FunctionSpec(
-            (Piece(-INF, INF, PowerForm(1.0, -0.25, 0.0)),),
-            poles=(PoleMark(at=0.0, isolated_monotone=True, delta=0.5),),
+            (Piece(-INF, -0.5, PowerForm(1.0)),
+             Piece(-0.5, 0.5, PowerForm(1.0, -0.25, 0.0)),
+             Piece(0.5, INF, PowerForm(1.0)))
         )
         with pytest.raises(ValueError):
             monotone_pole_test(0.5, 0.0, f, 1.0)
+        v = monotone_pole_test(0.5, 0.0, f, 0.5)
+        assert v.value_or_bound == pytest.approx(2.0 * 0.5 ** 0.25 / 0.25, rel=1e-10)
 
 
 class TestPowerLawTest:
@@ -318,12 +340,19 @@ class TestIrregularAndZeroSets:
         assert o.intervals == IntervalSet.of((1, 2))
 
     def test_unflagged_zero_refused(self):
+        """A zero of sigma with a table on one side: the pieces give no
+        monotone hypothesis, so the point is refused by name, mark or not."""
+        with pytest.raises(FunctionSpecError, match="z=0.0"):
+            irregular_set(0.5, FunctionSpec.from_json(TABLE_BESIDE_ZERO))
+
+    def test_radius_below_one(self):
+        """eps = min(1, radius): |x|^1.5 on [-0.25, 0.25) with constant
+        tails still puts 0 in O, from the piece alone."""
         sigma = FunctionSpec(
-            (Piece(-INF, INF, PowerForm(1.0, 2.0, 0.0)),),
-            zeros=(ZeroMark(at=0.0, isolated_monotone=False),),
+            (Piece(-INF, -0.25, PowerForm(1.0)), Piece(-0.25, 0.25, PowerForm(1.0, 1.5, 0.0)),
+             Piece(0.25, INF, PowerForm(1.0)))
         )
-        with pytest.raises(UnflaggedZeroError):
-            irregular_set(0.5, sigma)
+        assert irregular_set(0.5, sigma).points == (0.0,)
 
     def test_zero_set(self):
         assert zero_set(FunctionSpec.power(0.5)).points == (0.0,)

@@ -1,14 +1,16 @@
 """Property tests: numeric parameters read from outside the program are
 accepted exactly when they are finite and in range, `IntervalSet` and
-`FunctionSpec` survive a JSON round trip, and `IntervalSet.intersection`
+`FunctionSpec` survive a JSON round trip, a spec's JSON marks are accepted
+exactly when its pieces bear them out, and `IntervalSet.intersection`
 equals the nested loop it replaced."""
 
+import json
 import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablesde.funcspec import FunctionSpec, Piece, PoleMark, PowerForm, TableForm, ZeroMark
+from stablesde.funcspec import FunctionSpec, Piece, PowerForm, TableForm
 from stablesde.functionals import Thresholds
 from stablesde.integrals import kernel_integral
 from stablesde.intervals import IntervalSet, ShellSpec
@@ -127,18 +129,43 @@ def function_specs(draw):
             c = draw(st.one_of(st.floats(0.0, 1e6), st.just(INF)))
             form = PowerForm(c, draw(st.floats(-3.0, 3.0)), draw(FINITE))
             pieces.append(Piece(lo, hi, form))
-    delta = st.one_of(st.floats(0.0, 1e3), st.just(INF))
-    poles = draw(st.lists(st.builds(PoleMark, FINITE, st.booleans(), delta), max_size=2))
-    point_zeros = st.builds(ZeroMark, at=FINITE, isolated_monotone=st.booleans(), delta=delta)
-    interval_zeros = st.builds(
-        ZeroMark, interval=st.tuples(FINITE, FINITE).map(lambda ab: tuple(sorted(ab)))
-    )
-    zeros = draw(st.lists(st.one_of(point_zeros, interval_zeros), max_size=2))
-    return FunctionSpec(tuple(pieces), tuple(poles), tuple(zeros))
+    return FunctionSpec(tuple(pieces))
 
 
 @PROPERTY
 @given(function_specs())
 def test_function_spec_json_round_trip(f):
     assert FunctionSpec.from_json(f.to_json()) == f
+
+
+def derived_marks(f: FunctionSpec) -> dict:
+    """The "poles" and "zeros" a JSON file may declare for f: every derived
+    point, flagged as far as `monotone_radius` reaches, and every zero
+    interval."""
+    def point(x):
+        r = f.monotone_radius(x)
+        return {"at": x, "isolated_monotone": r > 0.0, "delta": r}
+
+    return {
+        "poles": [point(x) for x in f.pole_points()],
+        "zeros": [point(x) for x in f.zero_points()]
+        + [{"interval": list(iv)} for iv in f.zero_intervals().intervals],
+    }
+
+
+@PROPERTY
+@given(function_specs(), st.data())
+def test_marks_are_checked_against_the_pieces(f, data):
+    pieces = json.loads(f.to_json())
+    assert FunctionSpec.from_json(json.dumps({**pieces, **derived_marks(f)})) == f
+    # anchors and piece ends are where derived points sit
+    near = [x for pc in f.pieces for x in (pc.lo, pc.hi, getattr(pc.form, "p", pc.lo))]
+    near = [v for v in near if math.isfinite(v)] or [0.0]
+    x = data.draw(st.one_of(FINITE, st.sampled_from(near)))
+    for kind, named in (
+        ("poles", x in f.pole_points()),
+        ("zeros", x in f.zero_points() or bool(f.zero_intervals().contains(x))),
+    ):
+        doc = json.dumps({**pieces, kind: [{"at": x}]})
+        assert accepted(lambda: FunctionSpec.from_json(doc)) == named
 

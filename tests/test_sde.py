@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from stablesde.funcspec import FunctionSpec, Piece, PowerForm
+from stablesde.funcspec import FunctionSpec, FunctionSpecError, Piece, PowerForm, TableForm
 from stablesde.functionals import Thresholds
 from stablesde.intervals import IntervalSet
 from stablesde.sde import (
@@ -13,7 +13,7 @@ from stablesde.sde import (
     classify_sde,
     solve_time_change,
 )
-from stablesde.integrals import PointedSet, UnflaggedZeroError
+from stablesde.integrals import PointedSet
 from stablesde.stable import StableParams, sample_increment, stream_rng
 
 INF = math.inf
@@ -152,13 +152,16 @@ class TestClassifySde:
             )
 
     def test_unflagged_zero_propagates(self):
-        from stablesde.funcspec import ZeroMark
-
+        """A zero of sigma with a table on one side has no monotone
+        hypothesis: classify refuses it rather than leave it out of O."""
         sigma = FunctionSpec(
-            (Piece(-INF, INF, PowerForm(1.0, 2.0, 0.0)),),
-            zeros=(ZeroMark(at=0.0, isolated_monotone=False),),
+            (
+                Piece(-INF, -1.0, PowerForm(1.0)),
+                Piece(-1.0, 0.0, TableForm((-1.0, 0.0), (1.0, 1.0))),
+                Piece(0.0, INF, PowerForm(1.0, 2.0, 0.0)),
+            )
         )
-        with pytest.raises(UnflaggedZeroError):
+        with pytest.raises(FunctionSpecError, match="z=0.0"):
             classify_sde(0.5, sigma)
 
     def test_json_keys(self):
