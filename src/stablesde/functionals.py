@@ -30,12 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspec import FunctionSpec, FunctionSpecError
+from .funcspec import INF, FunctionSpec, FunctionSpecError
 from .integrals import tail_kernel_finiteness
 from .intervals import _check_alpha
 from .stable import PathSample, cell_dwell
 
-INF = math.inf
 
 #: default "numerically infinite" level for truncated integrals
 DEFAULT_M = 1e9

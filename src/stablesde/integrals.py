@@ -26,10 +26,9 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import betainc, betaln
 
-from .funcspec import FunctionSpec, FunctionSpecError, TableForm
+from .funcspec import INF, FunctionSpec, FunctionSpecError, TableForm
 from .intervals import IntervalSet, _check_alpha
 
-INF = math.inf
 #: absolute tolerance of every kernel quadrature
 QUAD_TOL = 1e-9
 #: a finite cell whose far end is more than CUT_RATIO times as far from an

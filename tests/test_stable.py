@@ -1,8 +1,11 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stablesde import stable
@@ -167,6 +170,17 @@ class TestCellDwell:
         assert dwell.sum(axis=1) == pytest.approx(end, rel=1e-12)
 
 
+def killed_path() -> PathSample:
+    """The first path of streams (10, i) that is killed before its horizon 2."""
+    for i in range(100):
+        path = sample_path(
+            StableParams(0.5), 0.0, 2.0, 0.1, stream_rng(10, i), killing=KillingSpec(1.0),
+        )
+        if path.killed_at is not None:
+            return path
+    raise AssertionError("no killed path in 100 streams")
+
+
 class TestPathSampleCsv:
     def test_round_trip(self):
         path = sample_path(StableParams(0.5), 1.0, 1.0, 0.25, stream_rng(9, 0))
@@ -175,16 +189,7 @@ class TestPathSampleCsv:
         assert np.array_equal(back.values, path.values)
 
     def test_round_trip_killed(self):
-        path = None
-        for i in range(100):
-            cand = sample_path(
-                StableParams(0.5), 0.0, 2.0, 0.1, stream_rng(10, i),
-                killing=KillingSpec(1.0),
-            )
-            if cand.killed_at is not None:
-                path = cand
-                break
-        assert path is not None
+        path = killed_path()
         back = PathSample.from_csv(path.to_csv(), horizon=path.horizon)
         assert back.killed_at == path.killed_at
         assert np.array_equal(back.values, path.values)
@@ -324,3 +329,143 @@ class TestNodeCsv:
         with pytest.raises(MemoryError, match="slice 0"):
             stable._node_csv({}, "t", np.zeros(3 * stable._SLICE_ROWS))
         assert_no_children()
+
+
+def reference_from_csv(cls, text: str, horizon: float | None = None):
+    """The line-by-line reader that `PathSample.from_csv` replaced: the
+    reference for what the one-pass reader accepts, refuses and returns."""
+    killed_at = None
+    times, values = [], []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line == "t,x":
+            continue
+        if line.startswith("#"):
+            if "killed_at=" in line:
+                killed_at = float(line.split("killed_at=")[1])
+            continue
+        row = line.split(",")
+        if len(row) != 2:
+            raise ValueError(f"a path CSV row must be t,x, got {line!r}")
+        times.append(float(row[0]))
+        values.append(float(row[1]))
+    if not times:
+        raise ValueError("a path CSV needs at least one row")
+    if horizon is None:
+        horizon = killed_at if killed_at is not None else times[-1]
+    return cls(np.array(times), np.array(values), horizon=horizon, killed_at=killed_at)
+
+
+class Unchecked(PathSample):
+    """A PathSample that keeps what it is given unchecked, so that two
+    readers' parses compare before PathSample's own refusals."""
+
+    def __post_init__(self):
+        pass
+
+
+def read_outcome(read):
+    """The ValueError message of read(), or the exact bytes of what it read
+    (so -0.0 keeps its sign) and the reprs of its horizon and killing time
+    (so their types count too)."""
+    try:
+        path = read()
+    except ValueError as err:
+        return str(err)
+    return (np.asarray(path.times).dtype, path.times.tobytes(), path.values.tobytes(),
+            repr(path.horizon), repr(path.killed_at))
+
+
+def assert_reads_as_reference(text: str) -> None:
+    for cls in (Unchecked, PathSample):
+        new = read_outcome(lambda: cls.from_csv(text))
+        assert new == read_outcome(lambda: reference_from_csv(cls, text)), (cls, text[:200])
+
+
+#: texts valid in other forms than the writer's, and texts with errors
+#: in several places, where the first error in line order must win
+HAND_MADE = [
+    "t,x\n0,1\n# note\n1,2\n# killed_at=3\n2,3\n# after the last row\n",
+    "# killed_at=5\nt,x\n0,1\n# killed_at=4\n1,2\n",
+    "t,x\n\n0,1\n   \n\t\n1,2\n\n",
+    "t,x\r\n0,1\r\n1,2\r\n",
+    "t,x\r0,1\r1,2\r",
+    "t,x\n 0 , 1 \n\t1\t,\t2\t\n",
+    "t,x\n0,1\n1,2",
+    "t,x\n0,1\nt,x\n1,2\n t,x \nt,x\n",
+    "   # killed_at=2.5  \n t,x\n0,1\n",
+    "t,x\n0,1\x0b1,2\x0c2,3\x1c3,4\x1d4,5\x1e5,6\x856,7 7,8 8,9\n",
+    "t,x\n0 ,　1\n١,٢\n",
+    "t,x\n1_0,2_0\n20,infinity\n30,-NaN\n",
+    "t,x\n0,1\n# killed_at=x\n1,2,3\n",
+    "t,x\n0,1,2\n# killed_at=x\n",
+    "t,x\nx,1\n0\n",
+    "t,x\n0\nx,1\n",
+    "t,x\n0,1\n1,\ud800\n",
+    "t,x\n1\x0b,2\n",
+    "# killed_at=1,2\nt,x\n0,0\n",
+    "# killed_at=\nt,x\n",
+    "#\nt,x\n#,#\n",
+    "t,x\n  \n",
+    "\n\n",
+    "t,x\n0,1\n1,0\n",
+]
+
+
+class TestPathCsvReader:
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_writer_output(self, node_columns, rows):
+        # the bytes _node_csv writes for these columns (TestNodeCsv)
+        _, lines = node_columns
+        assert_reads_as_reference("t,x\n" + "".join(lines[:rows]))
+
+    def test_special_values(self):
+        path = PathSample(np.arange(len(SPECIAL), dtype=float), np.array(SPECIAL), horizon=20.0)
+        assert_reads_as_reference(path.to_csv())
+        assert PathSample.from_csv(path.to_csv()).values.tobytes() == path.values.tobytes()
+        assert_reads_as_reference("t,x\n" + "".join(f"{s!r},{s!r}\n" for s in SPECIAL))
+
+    def test_killed_path(self):
+        text = killed_path().to_csv()
+        assert text.startswith("# killed_at=")
+        assert_reads_as_reference(text)
+
+    @pytest.mark.parametrize("text", HAND_MADE)
+    def test_hand_made(self, text):
+        assert_reads_as_reference(text)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+    def test_errors_on_every_line_of_several_blocks(self, monkeypatch, rows_per_block):
+        monkeypatch.setattr(stable, "_CSV_ROWS", rows_per_block)
+        good = [f"{k},{k}" for k in range(7)]
+        for k in range(7):
+            for bad in ("0", "0,0,0", "x,0", "0,", "# killed_at=x", "t,x", ""):
+                assert_reads_as_reference("t,x\n" + "\n".join(good[:k] + [bad] + good[k:]))
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,x\n0\n0,0,0\n", "a path CSV row must be t,x, got '0'"),
+        ("t,x\n0,0,\n", "a path CSV row must be t,x, got '0,0,'"),
+        ("t,x\n0,\n", "could not convert string to float: ''"),
+        ("t,x\n,0\n", "could not convert string to float: ''"),
+    ])
+    def test_refusals_one_split_would_hide(self, text, message):
+        """A line without a comma beside one with two holds as many commas
+        as two good lines; a trailing comma makes an empty field."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PathSample.from_csv(text)
+        assert_reads_as_reference(text)
+
+
+#: pieces of path CSV text: fields, separators, every line break of
+#: str.splitlines, whitespace, comments and headers
+CSV_PIECES = st.sampled_from([
+    "0", "1", "2.5", "-0.0", "inf", "nan", "1e3", "1_0", "x", ",", ",", "\n", "\n", "\n",
+    " ", "\t", "\r", "\r\n", "\x0b", "\x1c", "\x85", " ", " ", "#", "# killed_at=",
+    "killed_at=", "t,x", "t", "\ud800", "١",
+])
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=500)
+@given(st.lists(st.one_of(CSV_PIECES, st.text(max_size=2)), max_size=16).map("".join))
+def test_reads_any_text_as_the_reference(text):
+    assert_reads_as_reference(text)
