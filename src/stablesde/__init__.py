@@ -14,7 +14,6 @@ from .functionals import (
     PathVerdict,
     Thresholds,
     classify_path,
-    effective_contributions,
     inverse_time_change,
     path_integral,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "PathVerdict",
     "Thresholds",
     "classify_path",
-    "effective_contributions",
     "inverse_time_change",
     "path_integral",
     "PointedSet",

@@ -150,18 +150,26 @@ def _whole(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class Estimate:
-    point: float
-    ci95: tuple[float, float]
+    """The counts of one estimate: of n replicates run from seed, `resolved`
+    were decided and `yes` of those said yes.  The point estimate, its
+    Wilson interval and the undetermined fraction are read from them."""
+
+    yes: int
+    resolved: int
     n: int
-    undetermined_fraction: float
     seed: int
 
-    def __post_init__(self):
-        lo, hi = self.ci95
-        if not (0.0 <= lo <= self.point <= hi <= 1.0):
-            raise ValueError("confidence interval must bracket the point")
-        if not 0.0 <= self.undetermined_fraction <= 1.0:
-            raise ValueError("undetermined fraction out of range")
+    @property
+    def point(self) -> float:
+        return self.yes / self.resolved if self.resolved else 0.0
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        return wilson_ci(self.yes, self.resolved)
+
+    @property
+    def undetermined_fraction(self) -> float:
+        return (self.n - self.resolved) / self.n if self.resolved else 1.0
 
 
 #: the standard normal quantile of a two-sided 95% interval
@@ -188,13 +196,7 @@ def wilson_ci(k: int, n: int) -> tuple[float, float]:
 
 
 def _estimate_from_codes(codes: np.ndarray, seed: int) -> Estimate:
-    n = len(codes)
-    yes = int(np.sum(codes == 1))
-    resolved = int(np.sum(codes >= 0))
-    und = n - resolved
-    if resolved == 0:
-        return Estimate(0.0, (0.0, 1.0), n, 1.0, seed)
-    return Estimate(yes / resolved, wilson_ci(yes, resolved), n, und / n, seed)
+    return Estimate(int(np.sum(codes == 1)), int(np.sum(codes >= 0)), len(codes), seed)
 
 
 # -- block rules: one code per row, 1 yes / 0 no / -1 undetermined ---------

@@ -7,8 +7,10 @@ the whole spec: where the function vanishes (`zero_points`,
 `zero_intervals`), where it is infinite (`pole_points`,
 `infinite_intervals`) and how far it is monotone on each side of a point
 (`monotone_radius`) are all derived from them, and finiteness verdicts read
-nothing else.  The "poles" and "zeros" marks of the JSON format are checked
-against the pieces and then dropped.
+nothing else.  A pole's power, which the Monte Carlo clock charges a cell
+parked on it by, is that of the most singular power piece anchored there,
+on either side.  The "poles" and "zeros" marks of the JSON format are
+checked against the pieces and then dropped.
 """
 
 from __future__ import annotations
@@ -109,13 +111,15 @@ class FunctionSpec:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
-        """Vectorized evaluation; returns +inf at poles, 0 on zero sets."""
+        """Vectorized evaluation; returns +inf at poles, 0 on zero sets.  At
+        -inf or +inf, a piece reaching it gives its limit there."""
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         out = np.full(arr.shape, np.nan)
         for pc in self.pieces:
-            mask = (arr >= pc.lo) & (arr < pc.hi)
+            below = np.less_equal if pc.hi == INF else np.less
+            mask = (arr >= pc.lo) & below(arr, pc.hi)
             if not mask.any():
                 continue
             xs = arr[mask]
@@ -138,12 +142,6 @@ class FunctionSpec:
         return float(out[0]) if scalar else out
 
     # -- structure queries -------------------------------------------------
-
-    def piece_at(self, x: float) -> Piece:
-        for pc in self.pieces:
-            if pc.lo <= x < pc.hi:
-                return pc
-        raise FunctionSpecError(f"no piece covers x={x}")
 
     def pole_points(self) -> tuple[float, ...]:
         """The isolated points where the function blows up: the anchors p in
@@ -180,7 +178,8 @@ class FunctionSpec:
 
     def monotone_radius(self, x: float) -> float:
         """How far the pieces make the function monotone on each side of x:
-        the distance from x to the nearest piece end other than x, when up
+        the distance from x to the nearest piece end other than x (rounded
+        down so that the window x -+ radius stays inside the pieces), when up
         to it each side lies in one power piece (a constant counts) with no
         anchor strictly inside; 0.0 when they do not.  inverse_power keeps
         every piece's ends and anchor, so sigma and sigma^-alpha share it."""
@@ -188,7 +187,11 @@ class FunctionSpec:
         right = [pc for pc in self.pieces if pc.lo <= x < pc.hi]
         if not (left and right):
             return 0.0
-        radius = min(x - left[0].lo, right[0].hi - x)
+        lo, hi = left[0].lo, right[0].hi
+        radius = min(x - lo, hi - x)
+        # rounded down until x - radius and x + radius lie inside the pieces
+        while x - radius < lo or x + radius > hi:
+            radius = math.nextafter(radius, 0.0)
         for pc, a, b in ((left[0], x - radius, x), (right[0], x, x + radius)):
             form = pc.form
             if not isinstance(form, PowerForm):
@@ -196,20 +199,6 @@ class FunctionSpec:
             if form.e != 0.0 and 0.0 < form.c < INF and a < form.p < b:
                 return 0.0
         return radius
-
-    def local_power(self, x: float) -> tuple[float, float]:
-        """(c, e) of the power behavior c*|y-x|^e of the function near x.
-        Only meaningful when x anchors a power piece; a finite positive value
-        reads as (value, 0)."""
-        pc = self.piece_at(x)
-        if isinstance(pc.form, PowerForm) and pc.form.p == x and pc.form.e != 0.0:
-            return pc.form.c, pc.form.e
-        v = self(x)
-        if math.isfinite(v):
-            return v, 0.0
-        raise FunctionSpecError(
-            f"cannot determine the local power behavior at x={x}"
-        )
 
     def lower_bound(self) -> float:
         """Global infimum of the function over the line."""

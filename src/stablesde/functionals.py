@@ -5,15 +5,16 @@ path.
 Only the single-path public functions keep the plain left-point Riemann
 sum, which charges +inf to any cell parked on a pole of f with positive
 dwell: `path_integral` and `inverse_time_change`.  Every estimator uses the
-alpha-aware `effective_contributions` instead, which replaces the
-contribution of a cell parked exactly on an isolated pole point by the
-kernel integral of f over the spatial range dwell^(1/alpha) the process
-typically sweeps there; that cell is infinite exactly when the local
-exponent e of f satisfies e + alpha <= 0, matching the analytic small-time
-test instead of the grid artifact.  Its rule lives in `_contributions`,
-which takes cells of any shape: the finiteness and small-time estimators
-apply it to the cells of every row of a block, and everything that decides
-freezing or explosion reads it through the clock.
+alpha-aware `_contributions` instead, which replaces the contribution of a
+cell parked exactly on an isolated pole point p by the kernel integral of f
+over the spatial range dwell^(1/alpha) the process typically sweeps there.
+It reads p's power from the pieces that make the pole, on either side of
+p, so that cell is infinite exactly when `irregular_set` puts p in O (an
+exponent e with e + alpha <= 0, or an infinite piece at p), matching the
+analytic small-time test instead of the grid artifact.  It takes cells of
+any shape: the finiteness and small-time estimators apply it to the cells
+of every row of a block, and everything that decides freezing or explosion
+reads it through the clock.
 
 `_clock_rows` is the one freeze/explode verdict: it accumulates the
 time-change clock of f = sigma^-alpha along rows of cells and decides
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspec import INF, FunctionSpec, FunctionSpecError
+from .funcspec import INF, FunctionSpec
 from .integrals import tail_kernel_finiteness
 from .intervals import _check_alpha
 from .stable import PathSample, cell_dwell
@@ -55,9 +56,14 @@ class Thresholds:
             raise ValueError("thresholds must be finite and positive")
 
     def escape_radius(self, alpha: float, horizon: float) -> float:
+        """R, or +inf where horizon^(1/alpha) leaves the float range (no
+        path is then certified to have escaped)."""
         if self.r is not None:
             return self.r
-        return ESCAPE_MULTIPLIER * horizon ** (1.0 / alpha)
+        try:
+            return ESCAPE_MULTIPLIER * horizon ** (1.0 / alpha)
+        except OverflowError:
+            return INF
 
 
 @dataclass
@@ -89,7 +95,14 @@ def path_integral(path: PathSample, f: FunctionSpec, t: float) -> float:
 
 def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha: float):
     """Contributions of cells of any shape, given the value and the dwell of
-    each, with the alpha-aware pole convention of `effective_contributions`."""
+    each: f at the value times the dwell, except on a pole p of f.
+
+    There a cell with positive dwell gets 2c/(e+alpha) * dwell^((e+alpha)/alpha),
+    the kernel integral of f over the radius-dwell^(1/alpha) window, where
+    c|y-p|^e is the most singular power anchored at p among the pieces
+    touching p (lower e wins, then higher c).  It is +inf when e + alpha <= 0
+    or an infinite piece touches p.
+    """
     _check_alpha(alpha)
     contrib = np.asarray(f(values), float)
     with np.errstate(invalid="ignore"):
@@ -99,30 +112,14 @@ def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha
         mask = (values == p) & (dwell > 0.0)
         if not mask.any():
             continue
-        try:
-            c, e = f.local_power(p)
-        except FunctionSpecError:
+        form = min((pc.form for pc in f._anchored(-1.0) if pc.form.p == p and pc.lo <= p <= pc.hi),
+                   key=lambda form: (form.e, -form.c))
+        k = form.e + alpha
+        if k <= 0.0 or any(a <= p <= b for a, b in f.infinite_intervals().intervals):
             contrib[mask] = INF
-            continue
-        k = e + alpha
-        if k <= 0.0 or not math.isfinite(c):
-            contrib[mask] = INF
-        elif e < 0.0:
-            contrib[mask] = 2.0 * c / k * dwell[mask] ** (k / alpha)
         else:
-            contrib[mask] = (c if e == 0.0 else 0.0) * dwell[mask]
+            contrib[mask] = 2.0 * form.c / k * dwell[mask] ** (k / alpha)
     return contrib
-
-
-def effective_contributions(path: PathSample, f: FunctionSpec, alpha: float) -> np.ndarray:
-    """Per-cell contributions with the alpha-aware pole convention.
-
-    A cell whose node sits exactly on an isolated pole point p of f with
-    local behavior c|y-p|^e gets 2c/(e+alpha) * dwell^((e+alpha)/alpha),
-    the kernel integral of f over the radius-dwell^(1/alpha) window; it is
-    +inf exactly when e + alpha <= 0.  All other cells use f at the node.
-    """
-    return _contributions(path.values, cell_dwell(path.times, path.end_time), f, alpha)
 
 
 def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:

@@ -192,7 +192,10 @@ class SeriesVerdict:
     lower_partial_sums: list[float] = field(default_factory=list)
     verdict: str = "inconclusive"
     ratio_estimate: float | None = None
-    terms_used: int = 0
+
+    @property
+    def terms_used(self) -> int:
+        return len(self.partial_sums)
 
     @property
     def total(self) -> float:
@@ -275,7 +278,6 @@ def wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
     out = SeriesVerdict(
         partial_sums=np.cumsum(upper_terms).tolist(),
         lower_partial_sums=np.cumsum(lower_terms).tolist(),
-        terms_used=len(upper_terms),
     )
     nz = upper_terms[upper_terms > 0.0]
     if not nz.size:

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspec import FunctionSpec
+from .funcspec import FunctionSpec, FunctionSpecError
 from .functionals import Thresholds, _clock
 from .integrals import PointedSet, irregular_set, zero_set
-from .intervals import _check_alpha
+from .intervals import IntervalSet, _check_alpha
 from .stable import PathSample, StableParams, _node_csv, sample_path, stream_rng
 
 
@@ -21,31 +21,39 @@ from .stable import PathSample, StableParams, _node_csv, sample_path, stream_rng
 class SolutionPath:
     """Time-changed solution skeleton: Z at s equals the driver at phi_s.
 
-    s_grid holds the accumulated clock I at the retained driver nodes,
-    time_change the corresponding driver times phi, values the solution
-    Z = X(phi).  value_at is the right-continuous step lookup.
+    s_grid holds the accumulated clock I at the retained driver nodes, the
+    first len(s_grid) of them: time_change reads their driver times phi,
+    values the solution Z = X(phi) and z its start.  The status is frozen,
+    exploded or horizon_reached, as frozen_at or exploded_at is set or
+    neither.  value_at is the right-continuous step lookup.
     """
 
     driver: PathSample
     s_grid: np.ndarray
-    time_change: np.ndarray
-    values: np.ndarray
-    status: str  # running | frozen | exploded | horizon_reached
-    z: float
     frozen_at: float | None = None
     exploded_at: float | None = None
 
     def __post_init__(self):
-        if not (len(self.s_grid) == len(self.time_change) == len(self.values) >= 1):
-            raise ValueError("grids must be nonempty and aligned")
-        if self.values[0] != self.z:
-            raise ValueError("solution must issue from z")
-        if self.status == "frozen" and self.frozen_at is None:
-            raise ValueError("frozen status requires frozen_at")
-        if self.status == "exploded" and self.exploded_at is None:
-            raise ValueError("exploded status requires exploded_at")
         if self.frozen_at is not None and self.exploded_at is not None:
             raise ValueError("freezing and explosion preclude one another")
+
+    @property
+    def time_change(self) -> np.ndarray:
+        return self.driver.times[: len(self.s_grid)]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.driver.values[: len(self.s_grid)]
+
+    @property
+    def z(self) -> float:
+        return self.driver.origin
+
+    @property
+    def status(self) -> str:
+        if self.frozen_at is not None:
+            return "frozen"
+        return "horizon_reached" if self.exploded_at is None else "exploded"
 
     def value_at(self, s: float) -> float:
         """Z_s: right-continuous step interpolation; constant after the grid
@@ -88,10 +96,6 @@ def solve_time_change(
     return SolutionPath(
         driver=driver,
         s_grid=cum[:end],
-        time_change=driver.times[:end],
-        values=driver.values[:end],
-        status="frozen" if frozen else "exploded" if exploded else "horizon_reached",
-        z=driver.origin,
         frozen_at=float(cum[k]) if frozen else None,
         exploded_at=float(cum[-1]) if exploded else None,
     )
@@ -106,16 +110,19 @@ class ClassificationReport:
 
     irregular: PointedSet
     zeros: PointedSet
-    global_all_z: bool
-    nontrivial_global_all_z: bool
-    unique_global_all_z: bool
     notes: str = ""
 
-    def __post_init__(self):
-        if self.unique_global_all_z and not self.global_all_z:
-            raise ValueError("uniqueness everywhere implies existence everywhere")
-        if self.nontrivial_global_all_z and not self.global_all_z:
-            raise ValueError("nontrivial existence everywhere implies existence")
+    @property
+    def global_all_z(self) -> bool:
+        return self.irregular.issubset(self.zeros)
+
+    @property
+    def nontrivial_global_all_z(self) -> bool:
+        return self.irregular.is_empty()
+
+    @property
+    def unique_global_all_z(self) -> bool:
+        return self.irregular == self.zeros
 
     def local_nontrivial_at(self, z: float) -> bool:
         if not math.isfinite(z):
@@ -137,14 +144,13 @@ class ClassificationReport:
 
 
 def classify_sde(alpha: float, sigma: FunctionSpec) -> ClassificationReport:
-    """Compute O and N and fill the four-way classification by set
-    comparison."""
-    o = irregular_set(alpha, sigma)
-    n = zero_set(sigma)
-    return ClassificationReport(
-        irregular=o,
-        zeros=n,
-        global_all_z=o.issubset(n),
-        nontrivial_global_all_z=o.is_empty(),
-        unique_global_all_z=o == n,
-    )
+    """Compute O and N; the four-way classification compares them.  A sigma
+    whose pieces leave part of the line uncovered is refused."""
+    covered = IntervalSet.of(*((pc.lo, pc.hi) for pc in sigma.pieces))
+    gaps = covered.complement_within((-math.inf, math.inf)).intervals
+    if gaps:
+        raise FunctionSpecError(
+            "sigma must cover the whole line; its pieces leave "
+            + " and ".join(f"[{a}, {b})" for a, b in gaps) + " uncovered"
+        )
+    return ClassificationReport(irregular_set(alpha, sigma), zero_set(sigma))

@@ -304,14 +304,29 @@ def _parse_rows(body: bytes) -> np.ndarray:
 
 def _cms(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Chambers-Mallows-Stuck transform of uniforms u on (-pi/2, pi/2) and
-    unit exponentials w into unit-time symmetric standard stable variates."""
+    unit exponentials w into unit-time symmetric standard stable variates.
+    For alpha near 0 a factor can leave the float range, and inf * 0 is NaN:
+    the variates that are not finite are recomputed from logarithms, so
+    they come out +-inf or finite, and every finite one keeps its bits."""
     if alpha == 1.0:
         return np.tan(u)
-    return (
-        np.sin(alpha * u)
-        / np.cos(u) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = (
+            np.sin(alpha * u)
+            / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+        )
+        # one pass over x; finite variates whose sum overflows only cost a mask
+        if not np.isfinite(x.sum()):
+            bad = ~np.isfinite(x)
+            u, w = u[bad], w[bad]
+            log = (
+                np.log(np.abs(np.sin(alpha * u)))
+                - np.log(np.cos(u)) / alpha
+                + (np.log(np.cos((1.0 - alpha) * u)) - np.log(w)) * ((1.0 - alpha) / alpha)
+            )
+            x[bad] = np.sign(u) * np.exp(log)
+    return x
 
 
 def sample_increment(params: StableParams, dt: float, rng: np.random.Generator) -> float:
@@ -428,8 +443,12 @@ def sample_block(
     times[:, 0::2] = np.linspace(0.0, horizon, n + 1)
     times[:, 1::2] = times[:, 2::2]
     values[:, 0] = z
-    np.cumsum(incs, axis=1, out=values[:, 2::2])
-    values[:, 2::2] += z
+    # a path that leaves the float range stays at that infinity: the sums
+    # add finite increments, never -inf to +inf
+    big = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        np.cumsum(np.clip(incs, -big, big), axis=1, out=values[:, 2::2])
+        values[:, 2::2] += z
     values[:, 1::2] = values[:, 2::2]
 
     eps = np.finfo(float).eps

@@ -27,9 +27,9 @@ from stablesde import experiments, functionals, stable
 from stablesde.cli import main
 from stablesde.experiments import ExperimentConfig, run_experiment
 from stablesde.funcspec import FunctionSpec, Piece, PowerForm
-from stablesde.functionals import Thresholds, effective_contributions, path_integral
+from stablesde.functionals import Thresholds, _contributions, path_integral
 from stablesde.intervals import IntervalSet
-from stablesde.stable import KillingSpec, StableParams, sample_path, stream_rng
+from stablesde.stable import KillingSpec, StableParams, cell_dwell, sample_path, stream_rng
 
 TWO_INTERVALS = IntervalSet.of((1.0, 2.0), (-4.0, -3.0))
 #: sigma = x^2 outside [-1, 1]: fast enough growth for the clock to run out
@@ -271,7 +271,7 @@ CLOCK_CASES = {
 def _old_smalltime(path, f, alpha, m):
     """The small-time rule as it read a PathSample: the contribution of the
     first cell with positive dwell."""
-    contrib = effective_contributions(path, f, alpha)
+    contrib = _contributions(path.values, cell_dwell(path.times, path.end_time), f, alpha)
     dwell = np.diff(np.append(path.times, path.end_time))
     occupied = np.flatnonzero(dwell > 0.0)
     if occupied.size == 0:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,59 @@ class TestSubcommands:
         fields = lines[1].split(",")
         assert fields[0] == "freeze_prob"
         assert float(fields[3]) == 1.0  # beta = 1.5 freezes instantly
+
+    @pytest.mark.parametrize("pieces, gaps", [
+        ([], "[-inf, inf)"),
+        ([{"interval": [0.0, 1.0], "form": {"power": {"c": 1.0}}}], "[-inf, 0.0) and [1.0, inf)"),
+    ])
+    def test_classify_refuses_a_sigma_that_leaves_the_line_uncovered(
+        self, tmp_path, capsys, pieces, gaps
+    ):
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"pieces": pieces}))
+        assert main(["classify", "--alpha", "0.5", "--sigma", f"@{path}"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and f"leave {gaps} uncovered" in err["detail"]
+
+    def test_partial_f_on_a_domain_inside_it(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(
+            {"pieces": [{"interval": [0.0, 1.0], "form": {"power": {"c": 1.0}}}]}
+        ))
+        domain = ["--z", "0.5", "--domain", "[[0.25, 0.75]]"]
+        assert main(["test", "--alpha", "0.5", "--f", f"@{path}", *domain]) == 0
+        assert json.loads(capsys.readouterr().out)["finiteness"] == "finite"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["solve", "--sigma", "power:|x|^1.5"],
+    ])
+    def test_tiny_alpha_paths_hold_no_nan(self, tmp_path, command):
+        """At alpha = 0.005 some increments leave the float range: the CSV
+        holds infinities, never NaN, and no RuntimeWarning is raised."""
+        out = tmp_path / "out.csv"
+        args = ["--seed", "3", "--out", str(out), *command[:1], "--alpha", "0.005",
+                "--horizon", "1000", "--step", "1", "--z", "1", *command[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(args) == 0
+        assert "nan" not in out.read_text()
+
+    @pytest.mark.parametrize("alpha, estimator", [
+        (0.01, "freeze_prob"), (0.005, "explosion_prob"),
+    ])
+    def test_experiment_at_tiny_alpha(self, tmp_path, capsys, alpha, estimator):
+        """Paths that reach +inf are evaluated there, by the last piece's limit."""
+        cfg = {
+            "alpha": alpha, "f_or_sigma": "power:|x|^1.5", "z": [1.0], "replicates": 2000,
+            "horizon": 10.0, "step": 1.0, "estimator": estimator,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["experiment", "--config", str(path)]) == 0
+        fields = capsys.readouterr().out.splitlines()[1].split(",")
+        assert fields[0] == estimator and 0.0 <= float(fields[3]) <= 1.0
 
     def test_sigma_from_json_file(self, tmp_path, capsys):
         spec_path = tmp_path / "sigma.json"

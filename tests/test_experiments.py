@@ -274,7 +274,14 @@ class TestRunExperiment:
         assert a.getvalue() == b.getvalue()
 
     def test_estimate_invariants(self):
-        with pytest.raises(ValueError):
-            Estimate(0.5, (0.6, 0.9), 10, 0.0, 0)
-        with pytest.raises(ValueError):
-            Estimate(0.5, (0.4, 0.9), 10, 1.5, 0)
+        # the interval brackets the point and the fraction lies in [0, 1]
+        # for every count, since all three are read from the counts
+        for yes, resolved, n in ((0, 0, 10), (0, 4, 10), (3, 4, 10), (10, 10, 10)):
+            est = Estimate(yes, resolved, n, 0)
+            lo, hi = est.ci95
+            assert 0.0 <= lo <= est.point <= hi <= 1.0
+            assert 0.0 <= est.undetermined_fraction <= 1.0
+        est = Estimate(3, 4, 10, 7)
+        assert (est.point, est.ci95, est.undetermined_fraction) == (0.75, wilson_ci(3, 4), 0.6)
+        assert (Estimate(0, 0, 10, 0).point, Estimate(0, 0, 10, 0).ci95) == (0.0, (0.0, 1.0))
+        assert Estimate(0, 0, 10, 0).undetermined_fraction == 1.0

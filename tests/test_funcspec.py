@@ -56,6 +56,25 @@ class TestEvaluation:
         )
         assert f(1.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("f, at_minus, at_plus", [
+        (FunctionSpec.power(1.5), INF, INF),
+        (FunctionSpec.power(-0.5, p=2.0), 0.0, 0.0),
+        (FunctionSpec.constant(3.0), 3.0, 3.0),
+        (FunctionSpec.indicator_complement(IntervalSet.of((1, 2))), 1.0, 1.0),
+        (FunctionSpec.indicator_complement(IntervalSet.of((-INF, 0))), 0.0, 1.0),
+        (FunctionSpec.indicator_complement(IntervalSet.of((0, INF))), 1.0, 0.0),
+    ])
+    def test_limits_at_infinity(self, f, at_minus, at_plus):
+        """-inf and +inf take the limit of the first and the last piece."""
+        assert (f(-INF), f(INF)) == (at_minus, at_plus)
+        assert f(np.array([-INF, INF])).tolist() == [at_minus, at_plus]
+
+    def test_infinity_outside_a_partial_domain_raises(self):
+        f = FunctionSpec((Piece(0.0, 1.0, PowerForm(1.0)),))
+        for x in (-INF, INF, math.nan):
+            with pytest.raises(FunctionSpecError, match="outside the declared domain"):
+                f(x)
+
     def test_outside_domain_raises(self):
         f = FunctionSpec((Piece(0.0, 1.0, PowerForm(1.0)),))
         with pytest.raises(FunctionSpecError):
@@ -69,11 +88,6 @@ class TestEvaluation:
 
 
 class TestStructure:
-    def test_local_power(self):
-        f = FunctionSpec.power(1.5, c=2.0)
-        assert f.local_power(0.0) == (2.0, 1.5)
-        assert f.local_power(3.0)[1] == 0.0
-
     def test_lower_bound(self):
         assert FunctionSpec.constant(2.0).lower_bound() == 2.0
         assert FunctionSpec.power(0.5).lower_bound() == 0.0

@@ -7,13 +7,16 @@ from stablesde.funcspec import FunctionSpec, Piece, PowerForm, TableForm
 from stablesde.functionals import (
     PathVerdict,
     Thresholds,
+    _contributions,
     classify_path,
-    effective_contributions,
     inverse_time_change,
     path_integral,
 )
+from stablesde.integrals import irregular_set
 from stablesde.intervals import IntervalSet
-from stablesde.stable import PathSample, StableParams, sample_block, sample_path, stream_rng
+from stablesde.stable import (
+    PathSample, StableParams, cell_dwell, sample_block, sample_path, stream_rng,
+)
 
 INF = math.inf
 
@@ -135,11 +138,16 @@ class TestHittingAndExit:
         assert fracs[1] > fracs[0]
 
 
+def path_contributions(path: PathSample, f: FunctionSpec, alpha: float) -> np.ndarray:
+    """The alpha-aware contribution of every cell of one path."""
+    return _contributions(path.values, cell_dwell(path.times, path.end_time), f, alpha)
+
+
 class TestEffectiveContributions:
     def test_matches_plain_sum_without_poles(self):
         path = make_path(14)
         f = FunctionSpec.constant(2.0)
-        contrib = effective_contributions(path, f, 0.5)
+        contrib = path_contributions(path, f, 0.5)
         assert float(contrib.sum()) == pytest.approx(
             path_integral(path, f, path.horizon)
         )
@@ -149,7 +157,7 @@ class TestEffectiveContributions:
         # 2c/(e+alpha) * dwell^((e+alpha)/alpha)
         path = make_path(15, z=0.0)
         f = FunctionSpec.power(0.5).inverse_power(0.5)
-        contrib = effective_contributions(path, f, 0.5)
+        contrib = path_contributions(path, f, 0.5)
         dwell = path.times[1] - path.times[0]
         assert contrib[0] == pytest.approx(8.0 * dwell ** 0.5)
         assert np.isfinite(contrib[1:]).all()
@@ -157,8 +165,37 @@ class TestEffectiveContributions:
     def test_pole_cell_infinite_at_or_above_threshold(self):
         path = make_path(16, z=0.0)
         f = FunctionSpec.power(1.5).inverse_power(0.5)
-        contrib = effective_contributions(path, f, 0.5)
+        contrib = path_contributions(path, f, 0.5)
         assert math.isinf(contrib[0])
+
+    @pytest.mark.parametrize("pole_side", ["left", "right"])
+    @pytest.mark.parametrize("beta, charge", [(1.5, INF), (0.5, 0.8)])
+    def test_one_sided_pole_agrees_with_irregular_set(self, pole_side, beta, charge):
+        """sigma = |x-1|^beta on one side of 1 and 1 on the other: a cell
+        parked at 1 is charged by the power of the side that makes the pole,
+        2/(0.5 - beta/2) * 0.01^(1 - beta), and is infinite exactly when
+        irregular_set puts 1 in O."""
+        power, flat = PowerForm(1.0, beta, 1.0), PowerForm(1.0)
+        left, right = (power, flat) if pole_side == "left" else (flat, power)
+        sigma = FunctionSpec((Piece(-INF, 1.0, left), Piece(1.0, INF, right)))
+        f = sigma.inverse_power(0.5)
+        got = _contributions(np.array([1.0, 1.0]), np.array([0.01, 0.0]), f, 0.5)
+        assert got[0] == pytest.approx(charge) and got[1] == 0.0
+        assert irregular_set(0.5, sigma).points == (() if math.isfinite(charge) else (1.0,))
+
+    def test_most_singular_power_at_the_pole_wins(self):
+        def charge(*forms):
+            f = FunctionSpec((Piece(-INF, 0.0, forms[0]), Piece(0.0, INF, forms[1])))
+            return _contributions(np.array([0.0]), np.array([0.01]), f, 0.5)[0]
+
+        weak, strong = PowerForm(1.0, -0.25), PowerForm(1.0, -0.4)
+        # the lower exponent wins on either side: 2/0.1 * 0.01^0.2
+        assert charge(weak, strong) == charge(strong, weak) == pytest.approx(20.0 * 0.01 ** 0.2)
+        # on a tie, the higher coefficient: 2*3/0.25 * 0.01^0.5
+        big = PowerForm(3.0, -0.25)
+        assert charge(weak, big) == charge(big, weak) == pytest.approx(2.4)
+        # an infinite piece at the pole makes the charge infinite
+        assert charge(PowerForm(INF), weak) == charge(weak, PowerForm(INF)) == INF
 
 
 class TestClassifyPath:

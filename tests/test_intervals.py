@@ -134,7 +134,7 @@ def reference_wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> Serie
         lower_terms.append(l)
         upper_sums.append(up_total)
         lower_sums.append(lo_total)
-    out = SeriesVerdict(upper_sums, lower_sums, terms_used=len(upper_terms))
+    out = SeriesVerdict(upper_sums, lower_sums)
     nz = [t for t in upper_terms if t > 0.0]
     if not nz:
         out.verdict, out.ratio_estimate = "convergent", 0.0

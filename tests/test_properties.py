@@ -1,18 +1,20 @@
 """Property tests: numeric parameters read from outside the program are
 accepted exactly when they are finite and in range, `IntervalSet` and
 `FunctionSpec` survive a JSON round trip, a spec's JSON marks are accepted
-exactly when its pieces bear them out, and `IntervalSet.intersection`
-equals the nested loop it replaced."""
+exactly when its pieces bear them out, a cell parked on a pole is charged
++inf exactly where the monotone pole test says infinite, and
+`IntervalSet.intersection` equals the nested loop it replaced."""
 
 import json
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablesde.funcspec import FunctionSpec, Piece, PowerForm, TableForm
-from stablesde.functionals import Thresholds
-from stablesde.integrals import kernel_integral
+from stablesde.functionals import Thresholds, _contributions
+from stablesde.integrals import kernel_integral, monotone_pole_test
 from stablesde.intervals import IntervalSet, ShellSpec
 from stablesde.stable import KillingSpec
 
@@ -169,3 +171,45 @@ def test_marks_are_checked_against_the_pieces(f, data):
         doc = json.dumps({**pieces, kind: [{"at": x}]})
         assert accepted(lambda: FunctionSpec.from_json(doc)) == named
 
+
+
+def one_sided(left: PowerForm, right: PowerForm) -> FunctionSpec:
+    return FunctionSpec((Piece(-INF, 1.0, left), Piece(1.0, INF, right)))
+
+
+#: sigma = |x-1|^1.5 on one side of 1 and 1 on the other, as f = sigma^-0.5
+LEFT_POLE = one_sided(PowerForm(1.0, -0.75, 1.0), PowerForm(1.0))
+RIGHT_POLE = one_sided(PowerForm(1.0), PowerForm(1.0, -0.75, 1.0))
+#: a mild pole beside an infinite piece
+BESIDE_INFINITE = one_sided(PowerForm(INF), PowerForm(1.0, -0.25, 1.0))
+
+
+@st.composite
+def poles_at_piece_ends(draw):
+    """`function_specs` with anchors moved to an end of their piece as often
+    as not, so that poles on one side of a piece end, or on both, are
+    common."""
+    pieces = []
+    for pc in draw(function_specs()).pieces:
+        form = pc.form
+        if isinstance(form, PowerForm):
+            ends = [x for x in (pc.lo, pc.hi) if math.isfinite(x)]
+            form = PowerForm(form.c, form.e, draw(st.sampled_from([form.p, *ends])))
+        pieces.append(Piece(pc.lo, pc.hi, form))
+    return FunctionSpec(tuple(pieces))
+
+
+@PROPERTY
+@given(poles_at_piece_ends(), st.floats(0.01, 0.99))
+@example(LEFT_POLE, 0.5)
+@example(RIGHT_POLE, 0.5)
+@example(BESIDE_INFINITE, 0.5)
+def test_parked_cell_is_infinite_where_the_pole_test_is(f, alpha):
+    for p in f.pole_points():
+        radius = f.monotone_radius(p)
+        if radius == 0.0:
+            continue  # the test does not apply
+        verdict = monotone_pole_test(alpha, p, f, min(1.0, radius)).finiteness
+        charge = _contributions(np.array([p]), np.array([0.01]), f, alpha)[0]
+        assert verdict in ("finite", "infinite")
+        assert math.isinf(charge) == (verdict == "infinite"), (p, verdict, charge)

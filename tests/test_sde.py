@@ -142,14 +142,17 @@ class TestClassifySde:
             assert classify_sde(0.5, FunctionSpec.power(beta)).unique_global_all_z
 
     def test_coherence_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            ClassificationReport(
-                irregular=PointedSet(points=(1.0,)),
-                zeros=PointedSet(),
-                global_all_z=False,
-                nontrivial_global_all_z=False,
-                unique_global_all_z=True,
-            )
+        # the flags are read from O and N, so uniqueness and nontrivial
+        # existence everywhere each imply existence everywhere
+        for o, n in (
+            ((1.0,), ()), ((), (0.0,)), ((0.0,), (0.0,)), ((0.0,), (0.0, 1.0)), ((), ()),
+        ):
+            rep = ClassificationReport(PointedSet(points=o), PointedSet(points=n))
+            assert rep.global_all_z == (set(o) <= set(n))
+            assert rep.nontrivial_global_all_z == (not o)
+            assert rep.unique_global_all_z == (o == n)
+            if rep.unique_global_all_z or rep.nontrivial_global_all_z:
+                assert rep.global_all_z
 
     def test_unflagged_zero_propagates(self):
         """A zero of sigma with a table on one side has no monotone

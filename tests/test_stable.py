@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,42 @@ class TestCmsSampler:
         )
         ratio = np.mean(x > 400.0) / np.mean(x > 100.0)
         assert ratio == pytest.approx(0.5, rel=0.2)  # (400/100)^-0.5
+
+
+    def test_tiny_alpha_variates_are_never_nan(self):
+        """At alpha = 0.005 a factor of the transform leaves the float range,
+        and inf * 0 gave NaN: the variates that are not finite are recomputed
+        from logarithms, and the finite ones keep the plain transform's bits."""
+        alpha, rng = 0.005, stream_rng(3, 0)
+        u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, 1000)
+        w = rng.exponential(1.0, 1000)
+        with np.errstate(all="ignore"):
+            plain = (
+                np.sin(alpha * u)
+                / np.cos(u) ** (1.0 / alpha)
+                * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+            )
+        assert np.isnan(plain).sum() == 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = stable._cms(alpha, u, w)
+        finite = np.isfinite(plain)
+        assert x[finite].tobytes() == plain[finite].tobytes()
+        assert not np.isnan(x).any() and np.isinf(x).any()
+        assert (np.sign(x[~finite]) == np.sign(u[~finite])).all()
+
+    def test_a_path_that_leaves_the_float_range_stays_at_infinity(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            block = sample_block(StableParams(0.005), 1.0, 1000.0, 1.0, stream_rng(3, 0), rows=8)
+        assert not np.isnan(block.values).any()
+        left = 0
+        for row in block.values:
+            out = np.flatnonzero(np.isinf(row))
+            if out.size:
+                left += 1
+                assert (row[out[0]:] == row[out[0]]).all()
+        assert left > 0
 
 
 class TestSamplePath:
