@@ -13,9 +13,11 @@ on the whole block, from its node arrays or its cell arrays
 `functionals._contributions`; only the single-path public functions of
 `functionals` keep the left-point sum.
 
-Hitting without killing samples no path: walk-on-spheres walkers jump
-straight from ball to ball, WALK_CHUNK walkers to a chunk.  A walker more
-than WALK_FINISH lengths from a single finite interval is finished by one
+Hitting without killing samples no path: walkers jump exactly, WALK_CHUNK
+to a chunk.  One outside the target's hull lands in one draw where the
+process first crosses the hull's near end (Rogozin's overshoot law); one in
+a gap of a union leaves its walk-on-spheres ball.  A walker more than
+WALK_FINISH lengths from a single finite interval is finished by one
 uniform against its exact chance of ever hitting it.  For a union or an
 unbounded target, a walker, like a killed path alive at the horizon, is a
 miss beyond `_miss_distance`, where the bound capacity * distance^(alpha-1)
@@ -43,7 +45,7 @@ from .stable import KillingSpec, PathBlock, StableParams, grid_cells, sample_blo
 #: below this
 HITTING_RESIDUAL = 1e-2
 
-#: walk-on-spheres: walkers per chunk (one stream each), and the exits after
+#: the hitting walk: walkers per chunk (one stream each), and the exits after
 #: which a walker still alive is undetermined
 WALK_CHUNK = 1 << 14
 WALK_STEPS = 100_000
@@ -62,7 +64,7 @@ class ExperimentConfig:
     """One estimator run.  f_or_sigma is read as the coefficient sigma by the
     freeze/explosion estimators and as the integrand f by the others.
     hitting_prob without killing reads neither horizon nor step: its
-    walk-on-spheres walkers keep no time."""
+    walkers keep no time."""
 
     alpha: float
     f_or_sigma: FunctionSpec
@@ -287,29 +289,39 @@ def _miss_distance(cfg: ExperimentConfig, tol: float) -> float:
 
 
 def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
-    """Hit (1), miss (0) or undetermined (-1) for n walk-on-spheres walkers
-    from z towards the target of an unkilled process.
+    """Hit (1), miss (0) or undetermined (-1) for n walkers from z towards
+    the target of an unkilled process.
 
-    A walker at distance d > 0 from the target leaves the ball (x - d, x + d)
-    at x +- d / sqrt(B), B ~ Beta(alpha/2, 1 - alpha/2), with a fair sign: the
-    exit law of Blumenthal, Getoor & Ray (1961).  It hits on landing in the
-    target (or on its boundary).  When the target is one finite interval
-    [a, b], a walker more than WALK_FINISH * (b - a) away is finished: by the
-    strong Markov property it hits with `_hitting_chance`, and one uniform
-    drawn against that chance decides it exactly.  Otherwise it misses
-    beyond the miss distance for WALK_TOL.  A walker still alive after
-    WALK_STEPS exits, or whose distance overflowed without a miss, is
-    undetermined.  Each exit draws one uniform per walker it finishes, then
-    a beta variate and a sign uniform per walker still alive; the chances of
-    the finished walkers are computed together after the last exit.  The
-    walk keeps no time, which is why killing cannot use it: the exit time
-    and exit position of a ball have no explicit joint law.
+    A walker at distance d > 0 left of the target's hull [first, last]
+    jumps to where the process first passes first: it lands at
+    first + d (1 - B) / B, B ~ Beta(alpha/2, 1 - alpha/2), the overshoot law
+    of Rogozin (1972); a walker right of last lands at last - d (1 - B) / B.
+    By the strong Markov property this is exact, as the process reaches no
+    piece before it crosses the hull's near end, and it crosses by a jump.
+    A walker inside the hull (in a gap of a union) leaves the ball
+    (x - d, x + d) at x +- d / sqrt(B) with a fair sign instead: the exit law
+    of Blumenthal, Getoor & Ray (1961).  It hits on landing in the target
+    (or on its boundary).  When the target is one finite interval [a, b], a
+    walker more than WALK_FINISH * (b - a) away is finished: by the strong
+    Markov property it hits with `_hitting_chance`, and one uniform drawn
+    against that chance decides it exactly.  Otherwise it misses beyond the
+    miss distance for WALK_TOL.  A walker still alive after WALK_STEPS
+    exits, or whose distance overflowed without a miss, is undetermined.
+
+    One exit draws, in this order: a uniform per walker it finishes, a beta
+    variate B per walker still alive, then a sign uniform per walker in a
+    gap, so a single interval draws no signs.  The chances of the finished
+    walkers are computed together after the last exit.  The walk keeps no
+    time, which is why killing cannot use it: the exit time and exit
+    position of a ball have no explicit joint law.
     """
-    a = cfg.alpha / 2.0
+    a, pieces = cfg.alpha / 2.0, cfg.target.intervals
     far, finish = _miss_distance(cfg, WALK_TOL), math.inf
-    if len(cfg.target.intervals) == 1:
-        lo, hi = cfg.target.intervals[0]
+    if len(pieces) == 1:
+        lo, hi = pieces[0]
         finish = WALK_FINISH * (hi - lo)
+    # the target's hull; the empty target misses every walker before a jump
+    first, last = (pieces[0][0], pieces[-1][1]) if pieces else (math.nan, math.nan)
     codes = np.full(n, -1, dtype=np.int8)
     # where each finished walker stopped and its uniform; NaN for the others
     stopped, coin = np.full(n, math.nan), np.full(n, math.nan)
@@ -331,9 +343,16 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
             live, x, d = live[going], x[going], d[going]
             if not live.size or step == WALK_STEPS:
                 break
-            jump = d / np.sqrt(rng.beta(a, 1.0 - a, live.size))
-            # down when the uniform is below 1/2
-            x = x + np.copysign(jump, rng.random(live.size) - 0.5)
+            b = rng.beta(a, 1.0 - a, live.size)
+            over = d * (1.0 - b) / b
+            left, right = x < first, x > last
+            gap = ~(left | right)
+            x[left] = first + over[left]
+            x[right] = last - over[right]
+            if gap.any():
+                # down when the uniform is below 1/2
+                sign = rng.random(np.count_nonzero(gap)) - 0.5
+                x[gap] += np.copysign(d[gap] / np.sqrt(b[gap]), sign)
     done = ~np.isnan(coin)
     if done.any():
         codes[done] = coin[done] < _hitting_chance(cfg.alpha, stopped[done], lo, hi)

@@ -329,6 +329,20 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x
 
 
+def _self_similar(t: float, alpha: float, x):
+    """t^(1/alpha) * x, the scale of time t applied to x.  Where t^(1/alpha)
+    leaves the float range (alpha near 0), the product is taken from
+    logarithms instead, so it comes out +-inf, +-0 or finite, never NaN."""
+    try:
+        scale = t ** (1.0 / alpha)
+    except OverflowError:
+        scale = math.inf
+    if 0.0 < scale < math.inf:
+        return scale * x
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        return np.sign(x) * np.exp(math.log(t) / alpha + np.log(np.abs(x)))
+
+
 def sample_increment(params: StableParams, dt: float, rng: np.random.Generator) -> float:
     """One increment of X over a window of length dt; self-similarity scales
     a unit-time sample by dt^(1/alpha)."""
@@ -336,7 +350,7 @@ def sample_increment(params: StableParams, dt: float, rng: np.random.Generator) 
         raise ValueError(f"dt must be positive and finite, got {dt}")
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=1)
     w = rng.exponential(1.0, size=1)
-    return float(dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)[0])
+    return float(_self_similar(dt, params.alpha, _cms(params.alpha, u, w))[0])
 
 
 def grid_cells(horizon: float, step: float) -> int:
@@ -437,7 +451,7 @@ def sample_block(
     dt = horizon / n
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(rows, n))
     w = rng.exponential(1.0, size=(rows, n))
-    incs = dt ** (1.0 / params.alpha) * _cms(params.alpha, u, w)
+    incs = _self_similar(dt, params.alpha, _cms(params.alpha, u, w))
     # the grid on the even nodes, each odd node a copy of the next even one
     times, values = np.empty((rows, 2 * n + 1)), np.empty((rows, 2 * n + 1))
     times[:, 0::2] = np.linspace(0.0, horizon, n + 1)
@@ -452,7 +466,7 @@ def sample_block(
     values[:, 1::2] = values[:, 2::2]
 
     eps = np.finfo(float).eps
-    row, cell = np.nonzero(np.abs(incs) > JUMP_FACTOR * step ** (1.0 / params.alpha))
+    row, cell = np.nonzero(np.abs(incs) > _self_similar(step, params.alpha, JUMP_FACTOR))
     times[row, 2 * cell + 1] = times[row, 2 * cell] + dt * rng.uniform(eps, 1.0 - eps, row.size)
 
     killed_at = np.full(rows, math.inf)

@@ -8,9 +8,10 @@ when killed hitting began to count a path killed before it hit as a miss;
 `tests/test_occupation.py` checks the sampler against the Green function
 on both sides of that change.  Replicate counts are chosen so that every run
 spans several blocks and ends on a partial one.  The unkilled `hitting`
-digest was recorded when walk-on-spheres replaced sampled paths there; its
-300 walkers make one partial chunk, and runs of several chunks are checked
-in `test_hitting.py`.  The `simulate_killed` and `solve` digests date from
+digest was recorded when a walker outside the target's hull began to jump
+to its first crossing of the near end in one overshoot draw; its 300
+walkers make one partial chunk, and runs of several chunks are checked in
+`test_hitting.py`.  The `simulate_killed` and `solve` digests date from
 the engine that drew one `sample_path` per replicate; a single path is the
 one-row block, so they never moved.
 """
@@ -112,7 +113,7 @@ GOLDEN = {
     "freeze": "2bb412cf7546a21aeb29cb66f32889edaa4b4e910eccbce277031d04e80347ea",
     "freeze_pole_05": "1f9078b79aa66353337653040f7fa683df2d8315d2c4b8f0fda6cc722680efe5",
     "freeze_pole_15": "f891afef48a8d4f337caf66411b47308cde459b8a4a68234d3d884fb553128be",
-    "hitting": "3447a3be5aab298e1bb98cd01d5bab957ce6793b335f9dbe48143075a966e6f0",
+    "hitting": "9f7a35c5db2d6b07c9f399b12ed26c662483cac2d6a520708e197d8bf8c77d8e",
     "hitting_killed": "32ccf2d39df8eb3123fea2ed00edb12457d70584398774797af13e4768b42b4b",
     "smalltime": "e879988f7f596129114a4ea1200ec930f068676f5356cabd5091373de68f453b",
     "smalltime_killed": "2f5593eae4e8166a8750557f468426e8ff60153618160de7d6cd16177153738c",

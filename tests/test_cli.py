@@ -336,6 +336,23 @@ class TestSubcommands:
             assert main(args) == 0
         assert "nan" not in out.read_text()
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--horizon", "1000", "--step", "100"],
+        ["simulate", "--horizon", "1", "--step", "0.01"],
+        ["solve", "--sigma", "power:|x|^0.5", "--horizon", "1000", "--step", "100"],
+    ])
+    def test_tiny_alpha_scale_out_of_float_range(self, tmp_path, command):
+        """At alpha = 0.005 a cell of length 100 has scale 100^200 and one of
+        length 0.01 has scale 0.01^200, neither a float: the increments and
+        the refinement threshold come out of logarithms, so the path is
+        written without NaN and without a RuntimeWarning."""
+        out = tmp_path / "out.csv"
+        args = ["--out", str(out), command[0], "--alpha", "0.005", *command[1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(args) == 0
+        assert "nan" not in out.read_text()
+
     @pytest.mark.parametrize("alpha, estimator", [
         (0.01, "freeze_prob"), (0.005, "explosion_prob"),
     ])

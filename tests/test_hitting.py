@@ -1,6 +1,7 @@
-"""The walk-on-spheres hitting estimator against the exact hitting
-probability of an interval, and that probability's closed form against
-quadrature of M. Riesz's equilibrium measure.
+"""The hitting walk (first crossings of the target's hull and
+walk-on-spheres balls in its gaps) against the exact hitting probability of
+an interval and the overshoot law of a crossing, and that probability's
+closed form against quadrature of M. Riesz's equilibrium measure.
 
 Seeds and sizes were fixed before the estimator was first run."""
 
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import beta
+from scipy.special import beta, betainc
 
 from stablesde import experiments
 from stablesde.experiments import WALK_CHUNK, ExperimentConfig, run_experiment
@@ -96,6 +97,30 @@ def test_capacity_miss_covers_oracle_without_the_finish(monkeypatch):
     assert lo <= hitting_probability(0.95, -2.0, TARGET) <= hi
 
 
+#: the crossing-law runs: walkers and seed were fixed before their first run
+CROSSING = dict(replicates=20_000, seed=1972)
+
+
+@pytest.mark.parametrize("d", [0.5, 5.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_first_crossing_lands_by_the_overshoot_law(monkeypatch, alpha, d):
+    """From distance d of [1, 2] (length L = 1), on either side, the walk's
+    first crossing lands in the target when the overshoot d (1 - B) / B is
+    at most L, B ~ Beta(alpha/2, 1 - alpha/2): with chance
+    I_{L/(d+L)}(1 - alpha/2, alpha/2).  One exit and no finish leave every
+    other walker undetermined or a miss; the share of hits is within four
+    standard errors."""
+    monkeypatch.setattr(experiments, "WALK_FINISH", math.inf)
+    monkeypatch.setattr(experiments, "WALK_STEPS", 1)
+    length = TARGET[1] - TARGET[0]
+    exact = float(betainc(1.0 - alpha / 2.0, alpha / 2.0, length / (d + length)))
+    n = CROSSING["replicates"]
+    for z in (TARGET[0] - d, TARGET[1] + d):
+        codes = experiments._run_replicates(hitting_cfg(alpha, **CROSSING), z)
+        share = np.count_nonzero(codes == 1) / n
+        assert abs(share - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n)
+
+
 def test_two_intervals_between_single_oracles():
     """P(hit A or B) lies between the larger of P(hit A), P(hit B) and
     their sum."""
@@ -156,10 +181,16 @@ class TestWalkEdges:
         assert chance == pytest.approx(math.exp(p * log_t) / (p * beta(p, q)), rel=1e-12)
 
     def test_step_cap_leaves_walkers_undetermined(self, monkeypatch):
+        """Capped after one exit, a walker is undetermined or decided as it
+        is without the cap: one crossing may land it beyond WALK_FINISH,
+        where it is finished as a miss or a hit by the same uniform."""
         cfg = hitting_cfg(alpha=0.9, replicates=500)
-        assert set(experiments._run_replicates(cfg, 0.0).tolist()) <= {0, 1}
+        uncapped = experiments._run_replicates(cfg, 0.0)
+        assert set(uncapped.tolist()) <= {0, 1}
         monkeypatch.setattr(experiments, "WALK_STEPS", 1)
-        assert set(experiments._run_replicates(cfg, 0.0).tolist()) == {-1, 1}
+        capped = experiments._run_replicates(cfg, 0.0)
+        assert np.all((capped == -1) | (capped == uncapped))
+        assert np.any(capped == -1)
 
     def test_bytes_independent_of_threads(self):
         cfg = hitting_cfg(z=(0.0, -5.0), replicates=3000)
