@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,15 +34,6 @@ class IntervalSet:
     def of(cls, *pairs) -> "IntervalSet":
         return cls(tuple((float(a), float(b)) for a, b in pairs))
 
-    @classmethod
-    def _trusted(cls, pairs: tuple[tuple[float, float], ...]) -> "IntervalSet":
-        """A set of float pairs already in normal form (sorted, non-empty,
-        neither overlapping nor adjacent, no NaN), kept without a second
-        `_normalize`."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "intervals", pairs)
-        return out
-
     def is_empty(self) -> bool:
         return not self.intervals
 
@@ -63,23 +53,11 @@ class IntervalSet:
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         """Overlaps of the two sets, each piece (max(a, c), min(b, d)) for a
-        piece [a, b) of self and [c, d) of other.  Each piece of the smaller
-        set bisects the sorted pieces of the larger one for those it overlaps:
-        O(m log n + k) for m and n pieces and k overlaps."""
-        swap = len(other.intervals) < len(self.intervals)
-        mine, theirs = self.intervals, other.intervals
-        small, large = (theirs, mine) if swap else (mine, theirs)
-        pieces = []
-        for a, b in small:
-            # the pieces [c, d) of large with d > a and c < b
-            i = bisect_right(large, (a, math.inf))
-            if i and large[i - 1][1] > a:
-                i -= 1
-            for c, d in large[i:bisect_left(large, (b, -math.inf))]:
-                # self's endpoint first, as max/min keep it on a tie of 0.0 and -0.0
-                pieces.append((max(c, a), min(d, b)) if swap else (max(a, c), min(b, d)))
-        # overlaps of two normal forms, in order, are a normal form
-        return IntervalSet._trusted(tuple(pieces))
+        piece [a, b) of self and [c, d) of other; self's endpoint comes
+        first, so a tie of 0.0 and -0.0 keeps self's sign."""
+        return IntervalSet(tuple(
+            (max(a, c), min(b, d)) for a, b in self.intervals for c, d in other.intervals
+        ))
 
     def complement_within(self, window: tuple[float, float]) -> "IntervalSet":
         """Complement of the set restricted to the window [lo, hi)."""
@@ -323,8 +301,8 @@ def build_example_set(n_max: int) -> IntervalSet:
     every alpha in (0,1) yet of infinite potential for alpha > 2/3."""
     _check_n_max(n_max)
     pieces = ((2.0 ** n - 2.0 ** ((n - 1) / 3.0), 2.0 ** n) for n in range(1, n_max + 1))
-    # sorted and apart already; from n = 81 on rounding leaves them empty
-    return IntervalSet._trusted(tuple((a, b) for a, b in pieces if a < b))
+    # from n = 81 on rounding leaves them empty, and the constructor drops them
+    return IntervalSet(tuple(pieces))
 
 
 def example_set_potential_partial_sums(alpha: float, n_max: int):

@@ -17,12 +17,10 @@ a run of replicates draws from `stream_rng(seed, c)`; the single paths of
 `_node_csv`.  It formats a large table in contiguous row slices at once,
 one per usable CPU, each but the first in a forked child that writes its
 text to a pipe; the bytes are the same for any number of slices.
-`PathSample.from_csv` is the one reader.  It parses a path CSV in one pass,
-without Python code per line: the line ends and commas of its UTF-8 bytes
-are found at once, each row is checked to hold exactly one comma, and the
-fields go through `float` a block of rows at a time.  It accepts and
-refuses what reading line by line with `str.splitlines`, `str.strip` and
-`float` does, with the same messages.
+`PathSample.from_csv` is the one reader.  The line loop `_read_lines`
+defines the format; text in the writer's own shape (a head, `t,x`, then
+bare rows of one comma) has its rows parsed `_CSV_ROWS` at a time instead,
+and any other text goes whole through the loop.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -192,29 +191,33 @@ class PathSample:
 
     @classmethod
     def from_csv(cls, text: str, horizon: float | None = None) -> "PathSample":
-        """Read a path CSV: the text `to_csv` writes, or any text with the
-        same lines.
+        """Read a path CSV: the text `to_csv` writes, or any text that
+        `_read_lines` reads.  The horizon defaults to the killing time, else
+        the last t.  ValueError is raised for the first bad line, then for a
+        text without rows, then for what `PathSample` refuses (NaN, times
+        that do not increase, ...).
 
-        Lines are those of `str.splitlines`, stripped.  Blank and `t,x`
-        lines are skipped, and so are `#` comments, of which the last that
-        holds `killed_at=` gives the killing time.  Every other line is a
-        row t,x: two fields split by one comma, each read by `float`.  The
-        horizon defaults to the killing time, else the last t.
-
-        ValueError is raised at the first bad line: a row without exactly
-        one comma (quoted), or a field or killing time that `float` refuses
-        (with its message); then for a text without rows, and then for what
-        `PathSample` refuses (NaN, times that do not increase, ...).
-
-        The parse is one pass without Python code per line: numpy finds the
-        line ends and commas of the UTF-8 bytes at once, and `float` reads
-        _CSV_ROWS rows at a time into one array.  Text whose lines are not
-        already stripped, nonblank and split by `\\n` alone is rewritten so
-        first."""
-        killed_at, body, late = _data_lines(text)
-        rows = _parse_rows(body)
-        if late is not None:
-            raise late
+        Text in the writer's shape takes a fast path: a head of lines, a
+        `t,x` line, then ASCII rows that each hold one comma, no `#`, no `t`
+        and no byte at or below " " but their final "\\n".  The head goes
+        through `_read_lines`, and the rows' fields through `float` _CSV_ROWS
+        rows at a time.  Any other text goes whole through `_read_lines`."""
+        head, _, body = text.partition("t,x\n")
+        fast = (head[-1:] in ("", "\n") and body.endswith("\n") and body.isascii()
+                and "#" not in body and "t" not in body)
+        if fast:
+            raw = np.frombuffer(body.encode(), np.uint8)
+            ends = np.flatnonzero(raw == ord("\n"))
+            commas = np.flatnonzero(raw == ord(","))
+            # the only whitespace is "\n", and the k-th comma lies in the k-th line
+            fast = (np.count_nonzero(raw <= ord(" ")) == len(ends) == len(commas)
+                    and (commas < ends).all() and (commas[1:] > ends[:-1]).all())
+        killed_at, rows = _read_lines(head if fast else text)
+        if fast:
+            cuts = [0, *(ends[_CSV_ROWS - 1 : -1 : _CSV_ROWS] + 1).tolist(), len(body)]
+            fields = (body[i : j - 1].replace("\n", ",").split(",") for i, j in zip(cuts, cuts[1:]))
+            parsed = np.fromiter(map(float, chain.from_iterable(fields)), float, 2 * len(ends))
+            rows = np.concatenate((rows, parsed.reshape(-1, 2).T), axis=1)
         if not rows.shape[1]:
             raise ValueError("a path CSV needs at least one row")
         if horizon is None:
@@ -222,84 +225,27 @@ class PathSample:
         return cls(rows[0], rows[1], horizon=horizon, killed_at=killed_at)
 
 
-#: how the reader encodes text: UTF-8, where ",", "\n", "#" and "t" are
-#: single bytes that never occur inside another character, and a lone
-#: surrogate (which `float` refuses by name) survives the round trip
-_UTF8 = ("utf-8", "surrogatepass")
-
-
-def _lines(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends): the byte offsets of the lines of raw, split at each
-    b"\\n", a final b"\\n" ending the last line rather than starting one."""
-    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
-    if raw and not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))
-    return np.concatenate(([0], ends[:-1] + 1))[: len(ends)], ends
-
-
-def _data_lines(text: str) -> tuple[float | None, bytes, ValueError | None]:
-    """(killed_at, data lines, late error) of a path CSV.
-
-    The data lines are the text's stripped nonblank lines that are neither
-    comments nor `t,x`, in UTF-8 split by b"\\n".  If the text's only
-    whitespace is "\\n" and " ", none of it first, last (but for a final
-    "\\n") or next to more whitespace, its lines are such lines already;
-    other text is rewritten with `str.splitlines` and `str.strip` first.
-    A killing time that `float` refuses ends the data lines before its
-    comment and is returned as the late error: the caller raises it after
-    any error in an earlier row."""
-    raw = text.encode(*_UTF8)
-    a = np.frombuffer(raw, np.uint8)
-    odd = np.flatnonzero((a <= ord(" ")) | (a >= 0x7F))  # whitespace, controls, non-ASCII
-    plain = (
-        np.isin(a[odd], (ord("\n"), ord(" "))).all()
-        and (np.diff(odd, prepend=-1) > 1).all()  # none first or next to another
-        and not raw.endswith(b" ")
-    )
-    if not plain:
-        raw = "\n".join(filter(None, map(str.strip, text.splitlines()))).encode(*_UTF8)
-    starts, ends = _lines(raw)
-    first = np.frombuffer(raw, np.uint8)[starts]
-    killed_at, late, keep = None, None, [0]  # starts and ends of the runs of data lines
-    for i in np.flatnonzero((first == ord("#")) | (first == ord("t"))).tolist():
-        line = raw[starts[i] : ends[i]].decode(*_UTF8)
-        if line != "t,x" and not line.startswith("#"):
+def _read_lines(text: str) -> tuple[float | None, np.ndarray]:
+    """(killed_at, (2, n) rows t, x) of a path CSV, read line by line; this
+    loop defines the format.  Lines are those of `str.splitlines`, stripped.
+    Blank and `t,x` lines are skipped, and so are `#` comments, of which the
+    last that holds `killed_at=` gives the killing time.  Every other line is
+    a row: two fields split by one comma, each read by `float`.  A row
+    without exactly one comma raises ValueError, quoted."""
+    killed_at, rows = None, []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line == "t,x":
             continue
-        keep.append(starts[i])
-        if "killed_at=" in line:
-            try:
+        if line.startswith("#"):
+            if "killed_at=" in line:
                 killed_at = float(line.split("killed_at=")[1])
-            except ValueError as err:
-                late = err
-                break
-        keep.append(ends[i] + 1)
-    else:
-        keep.append(len(raw))
-    return killed_at, b"".join(raw[lo:hi] for lo, hi in zip(keep[::2], keep[1::2])), late
-
-
-def _parse_rows(body: bytes) -> np.ndarray:
-    """(2, n) the t and x columns of data lines split by b"\\n".
-
-    Every line must hold exactly one comma, that is the k-th comma must lie
-    in the k-th line.  Otherwise the rows before the first line that does
-    not are parsed (so that a bad field there raises first), and then that
-    line raises.  The fields go through `float` _CSV_ROWS rows at a time,
-    so the token lists stay small."""
-    starts, ends = _lines(body)
-    commas = np.flatnonzero(np.frombuffer(body, np.uint8) == ord(","))
-    n = len(ends)
-    if not (len(commas) == n and (commas < ends).all() and (commas[1:] > ends[:-1]).all()):
-        n = int(np.flatnonzero(np.diff(np.searchsorted(commas, ends), prepend=0) != 1)[0])
-    rows = np.empty((2, n))
-    for i in range(0, n, _CSV_ROWS):
-        j = min(i + _CSV_ROWS, n)
-        fields = body[starts[i] : ends[j - 1]].decode(*_UTF8).replace("\n", ",").split(",")
-        rows[:, i:j] = np.fromiter(map(float, fields), float, 2 * (j - i)).reshape(-1, 2).T
-    if n < len(ends):
-        line = body[starts[n] : ends[n]].decode(*_UTF8)
-        raise ValueError(f"a path CSV row must be t,x, got {line!r}")
-    return rows
+            continue
+        row = line.split(",")
+        if len(row) != 2:
+            raise ValueError(f"a path CSV row must be t,x, got {line!r}")
+        rows.append((float(row[0]), float(row[1])))
+    return killed_at, np.array(rows, float).reshape(-1, 2).T
 
 
 def _cms(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -338,7 +284,8 @@ def _self_similar(t: float, alpha: float, x):
     except OverflowError:
         scale = math.inf
     if 0.0 < scale < math.inf:
-        return scale * x
+        with np.errstate(over="ignore"):  # a finite x times scale may overflow
+            return scale * x
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         return np.sign(x) * np.exp(math.log(t) / alpha + np.log(np.abs(x)))
 

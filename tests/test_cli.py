@@ -340,6 +340,8 @@ class TestSubcommands:
         ["simulate", "--horizon", "1000", "--step", "100"],
         ["simulate", "--horizon", "1", "--step", "0.01"],
         ["solve", "--sigma", "power:|x|^0.5", "--horizon", "1000", "--step", "100"],
+        ["simulate", "--horizon", "1000", "--step", "2"],
+        ["simulate", "--horizon", "1000", "--step", "5"],
     ])
     def test_tiny_alpha_scale_out_of_float_range(self, tmp_path, command):
         """At alpha = 0.005 a cell of length 100 has scale 100^200 and one of

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -446,6 +446,8 @@ HAND_MADE = [
     "t,x\n  \n",
     "\n\n",
     "t,x\n0,1\n1,0\n",
+    "# killed_at=x\nt,x\ny,1\n",
+    "a,b\nt,x\nc,d\n",
 ]
 
 
@@ -492,6 +494,35 @@ class TestPathCsvReader:
             PathSample.from_csv(text)
         assert_reads_as_reference(text)
 
+    @staticmethod
+    def loop_arguments(monkeypatch, text: str) -> list[str]:
+        """The texts that reading text passes to `stable._read_lines`."""
+        seen, read_lines = [], stable._read_lines
+
+        def recorded(arg):
+            seen.append(arg)
+            return read_lines(arg)
+
+        monkeypatch.setattr(stable, "_read_lines", recorded)
+        PathSample.from_csv(text)
+        return seen
+
+    def test_writer_output_takes_the_fast_path(self, monkeypatch, node_columns):
+        """Only the comment head of what the writer writes goes through the
+        line loop, so the rows of a large path are parsed in chunks."""
+        text = killed_path().to_csv()
+        head = text[: text.index("t,x\n")]
+        assert head.startswith("# killed_at=")
+        assert self.loop_arguments(monkeypatch, text) == [head]
+        rows = 100_000
+        table = stable._node_csv({"killed_at": float(rows)}, "t,x",
+                                 np.arange(rows, dtype=float), node_columns[0][1, :rows])
+        assert self.loop_arguments(monkeypatch, table) == [f"# killed_at={float(rows)}\n"]
+
+    def test_other_line_breaks_take_the_loop(self, monkeypatch):
+        text = killed_path().to_csv().replace("\n", "\r\n")
+        assert self.loop_arguments(monkeypatch, text) == [text]
+
 
 #: pieces of path CSV text: fields, separators, every line break of
 #: str.splitlines, whitespace, comments and headers
@@ -505,4 +536,21 @@ CSV_PIECES = st.sampled_from([
 @settings(database=None, derandomize=True, deadline=None, max_examples=500)
 @given(st.lists(st.one_of(CSV_PIECES, st.text(max_size=2)), max_size=16).map("".join))
 def test_reads_any_text_as_the_reference(text):
+    assert_reads_as_reference(text)
+
+
+#: the fields of writer-shaped rows: valid, refused by float, and empty
+ROW_FIELDS = st.sampled_from(["0", "2.5", "-0.0", "inf", "nan", "1e3", "1_0", "x", ""])
+
+
+@seed(20)
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.lists(st.lists(CSV_PIECES, max_size=4).map("".join), max_size=3),
+    st.lists(st.tuples(ROW_FIELDS, ROW_FIELDS), max_size=8),
+)
+def test_reads_writer_shaped_text_as_the_reference(head, rows):
+    """Text in the writer's shape after any head: an error in the head must
+    still come before one in the rows."""
+    text = "".join(line + "\n" for line in head) + "t,x\n" + "".join(f"{t},{x}\n" for t, x in rows)
     assert_reads_as_reference(text)
