@@ -18,12 +18,14 @@ to a chunk.  One outside the target's hull lands in one draw where the
 process first crosses the hull's near end (Rogozin's overshoot law); one in
 a gap of a union leaves its walk-on-spheres ball.  A walker more than
 WALK_FINISH lengths from a single finite interval is finished by one
-uniform against its exact chance of ever hitting it.  For a union or an
-unbounded target, a walker, like a killed path alive at the horizon, is a
-miss beyond `_miss_distance`, where the bound capacity * distance^(alpha-1)
-on that chance drops below WALK_TOL or HITTING_RESIDUAL.  The `threads`
-arguments are kept for compatibility and have no effect.  Undetermined
-replicates are excluded from the point estimate but reported as a fraction.
+uniform against its exact chance of ever hitting it, which is computed
+only where the uniform falls under the largest such chance.  For a union
+or an unbounded target, a walker, like a killed path alive at the horizon,
+is a miss beyond `_miss_distance`, where the bound
+capacity * distance^(alpha-1) on that chance drops below WALK_TOL or
+HITTING_RESIDUAL.  The `threads` arguments are kept for compatibility and
+have no effect.  Undetermined replicates are excluded from the point
+estimate but reported as a fraction.
 """
 
 from __future__ import annotations
@@ -310,10 +312,14 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
 
     One exit draws, in this order: a uniform per walker it finishes, a beta
     variate B per walker still alive, then a sign uniform per walker in a
-    gap, so a single interval draws no signs.  The chances of the finished
-    walkers are computed together after the last exit.  The walk keeps no
-    time, which is why killing cannot use it: the exit time and exit
-    position of a ball have no explicit joint law.
+    gap, so a single interval draws no signs.  The finished walkers are
+    decided together after the last exit: the chance falls with the
+    distance from the interval's centre, so the chance of the finished
+    walker nearest it bounds every other's.  A uniform at or above that
+    bound, raised by 1e-9 of itself for rounding, is a miss, and only a
+    walker whose uniform falls under it gets its own chance.  The walk
+    keeps no time, which is why killing cannot use it: the exit time and
+    exit position of a ball have no explicit joint law.
     """
     a, pieces = cfg.alpha / 2.0, cfg.target.intervals
     far, finish = _miss_distance(cfg, WALK_TOL), math.inf
@@ -353,9 +359,14 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
                 # down when the uniform is below 1/2
                 sign = rng.random(np.count_nonzero(gap)) - 0.5
                 x[gap] += np.copysign(d[gap] / np.sqrt(b[gap]), sign)
-    done = ~np.isnan(coin)
-    if done.any():
-        codes[done] = coin[done] < _hitting_chance(cfg.alpha, stopped[done], lo, hi)
+    done = np.flatnonzero(~np.isnan(coin))
+    if done.size:
+        at = stopped[done]
+        bound = _hitting_chance(cfg.alpha, at[np.argmin(np.abs(at - (lo + hi) / 2.0))], lo, hi)
+        codes[done] = 0
+        # betainc can break the order of the chances by an ulp or so
+        low = done[coin[done] < bound * (1.0 + 1e-9)]
+        codes[low] = coin[low] < _hitting_chance(cfg.alpha, stopped[low], lo, hi)
     return codes
 
 

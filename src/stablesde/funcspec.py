@@ -120,7 +120,10 @@ class FunctionSpec:
         for pc in self.pieces:
             below = np.less_equal if pc.hi == INF else np.less
             mask = (arr >= pc.lo) & below(arr, pc.hi)
-            if not mask.any():
+            if mask.all():
+                # one piece covers the input: read and write it as views
+                mask = ...
+            elif not mask.any():
                 continue
             xs = arr[mask]
             if isinstance(pc.form, PowerForm):

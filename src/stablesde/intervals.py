@@ -76,12 +76,22 @@ class IntervalSet:
 
     def distance_to(self, x):
         """Distance from scalar or array x to the set (0 inside, +inf from
-        the empty set); a NaN point is at distance +inf."""
+        the empty set); a point at an infinity that a piece reaches is at
+        distance 0, and a NaN point is at distance +inf."""
         x = np.asarray(x, dtype=float)
         best = np.full(x.shape, math.inf)
         for a, b in self.intervals:
+            # only finite ends are subtracted, so a point at an infinite end
+            # gives no inf - inf
+            if b < math.inf:
+                gap = x - b if a == -math.inf else np.maximum(a - x, x - b)
+            elif a > -math.inf:
+                gap = a - x
+            else:
+                # the whole line: -inf, or NaN at a NaN point
+                gap = np.minimum(x, -math.inf)
             # fmin drops the NaN that a NaN point gives
-            best = np.fmin(best, np.maximum(np.maximum(a - x, x - b), 0.0))
+            best = np.fmin(best, np.maximum(gap, 0.0))
         return float(best) if best.ndim == 0 else best
 
     def to_json(self) -> str:

@@ -11,9 +11,13 @@ spans several blocks and ends on a partial one.  The unkilled `hitting`
 digest was recorded when a walker outside the target's hull began to jump
 to its first crossing of the near end in one overshoot draw; its 300
 walkers make one partial chunk, and runs of several chunks are checked in
-`test_hitting.py`.  The `simulate_killed` and `solve` digests date from
-the engine that drew one `sample_path` per replicate; a single path is the
-one-row block, so they never moved.
+`test_hitting.py`.  A union never finishes a walker by its coin, so
+`WALK_GOLDEN` pins the codes of walkers towards one interval, at the
+default WALK_FINISH and at 2 lengths, where most walkers are finished by a
+coin against their exact chance; those digests were recorded while every
+finished walker's chance was still computed.  The `simulate_killed` and
+`solve` digests date from the engine that drew one `sample_path` per
+replicate; a single path is the one-row block, so they never moved.
 """
 
 import dataclasses
@@ -146,6 +150,32 @@ def test_run_experiment_bytes_unchanged(name):
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_bytes_unchanged(name, tmp_path):
     assert cli_digest(name, tmp_path) == GOLDEN[name]
+
+
+#: sha256 of the codes of 1000 walkers from z = 0, then z = -5, towards
+#: [1, 2] at seed 31337, by (alpha, WALK_FINISH)
+WALK_GOLDEN = {
+    (0.05, 2.0): "40d063767e8d3ad26f2ec770ee5cdef56bb6051e37a516d95425e3b592f68f00",
+    (0.5, 2.0): "a12fa884747a526990f41c8cdf746232ec8efc9ee3e43e391f975d2768d4ff21",
+    (0.99, 2.0): "c757c59c917e2dffcaa5a584ada3636d6fe635e3ad2d49f2738202575b41f340",
+    (0.05, 1e3): "37addc653efc3fee89ef9fa6b05b70047083096e2d903a6a94251edbfe0fe606",
+    (0.5, 1e3): "a171ac68ab42925645aaf4f59307cc56cd11dbd3969841bb5c8eac4b26846bf6",
+    (0.99, 1e3): "352d969f4fb74e7fec604dff9605e623f9585d0e677bf3b0e42df226090174c5",
+}
+
+
+@pytest.mark.parametrize("alpha,finish", sorted(WALK_GOLDEN))
+def test_single_interval_walk_codes_unchanged(monkeypatch, alpha, finish):
+    monkeypatch.setattr(experiments, "WALK_FINISH", finish)
+    cfg = ExperimentConfig(
+        alpha=alpha, estimator="hitting_prob", f_or_sigma=FunctionSpec.constant(1.0),
+        target=IntervalSet.of((1.0, 2.0)), z=(0.0, -5.0), replicates=1000,
+        horizon=1000.0, step=1.0, seed=31337,
+    )
+    digest = hashlib.sha256()
+    for z in cfg.z:
+        digest.update(experiments._run_replicates(cfg, z).tobytes())
+    assert digest.hexdigest() == WALK_GOLDEN[alpha, finish]
 
 
 def test_cli_cases_are_killed_and_refined():

@@ -75,6 +75,18 @@ class TestEvaluation:
             with pytest.raises(FunctionSpecError, match="outside the declared domain"):
                 f(x)
 
+    def test_one_piece_over_the_whole_input(self):
+        """A piece that covers an array evaluates it as a whole, to the same
+        values as point by point, into a new array; a NaN among its points
+        still raises."""
+        f = FunctionSpec.power(0.5, p=1.0)
+        xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        out = f(xs)
+        assert out.shape == xs.shape and not np.shares_memory(out, xs)
+        assert out.tolist() == [[f(float(x)) for x in row] for row in xs]
+        with pytest.raises(FunctionSpecError, match="outside the declared domain"):
+            FunctionSpec.constant(1.0)(np.array([0.0, math.nan]))
+
     def test_outside_domain_raises(self):
         f = FunctionSpec((Piece(0.0, 1.0, PowerForm(1.0)),))
         with pytest.raises(FunctionSpecError):

@@ -152,6 +152,19 @@ class TestWalkEdges:
         assert set(codes.tolist()) <= {1, -1}
         assert np.any(codes == 1)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    @pytest.mark.parametrize("target,z", [((1.0, math.inf), -1e300), ((-math.inf, -3.0), 1e300)])
+    def test_crossing_that_overflows_into_an_unbounded_target_hits(self, alpha, target, z):
+        """From the far side of the largest floats a crossing of the near
+        end can overflow to the target's infinite end; it still lands in
+        the target, so every walker hits."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = experiments._run_replicates(
+                hitting_cfg(alpha=alpha, target=IntervalSet.of(target), replicates=1000), z
+            )
+        assert set(codes.tolist()) == {1}
+
     def test_overflowed_walkers_undetermined(self):
         """Near alpha = 1 the bound on a union stays above WALK_TOL at every
         float distance, so a walker is never a miss: one started near the
@@ -179,6 +192,41 @@ class TestWalkEdges:
         log_t = 2.0 * math.log(0.5 / (1.5 - z))
         assert chance > 0.0
         assert chance == pytest.approx(math.exp(p * log_t) / (p * beta(p, q)), rel=1e-12)
+
+    def test_finished_walkers_get_their_chance_only_under_the_bound(self, monkeypatch):
+        """The chance of the finished walker nearest the centre bounds every
+        other's; a coin at or above it is a miss, so only the walkers whose
+        coin falls under it get their own chance.  On one interval every
+        uniform the walk draws is a finished walker's coin."""
+        points = []
+
+        def counted(alpha, x, a, b):
+            points.append(np.atleast_1d(x))
+            return _hitting_chance(alpha, x, a, b)
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng, self.coins = rng, []
+
+            def random(self, n):
+                self.coins.append(self.rng.random(n))
+                return self.coins[-1]
+
+            def beta(self, *args):
+                return self.rng.beta(*args)
+
+        cfg = hitting_cfg(replicates=1000, seed=31337)
+        eager = experiments._run_replicates(cfg, 0.0)
+        monkeypatch.setattr(experiments, "_hitting_chance", counted)
+        rng = Recorder(stream_rng(cfg.seed, 0))
+        codes = experiments._walk_codes(cfg, 0.0, 1000, rng)
+        coins = np.concatenate(rng.coins)
+        assert np.array_equal(codes, eager)
+        # the first point evaluated is the nearest, and its chance the bound
+        assert coins.size == 689 and points[0].size == 1
+        bound = float(_hitting_chance(cfg.alpha, points[0], *TARGET)[0])
+        assert bound < 0.0121
+        assert sum(p.size for p in points) <= 1 + np.count_nonzero(coins < bound) < 20
 
     def test_step_cap_leaves_walkers_undetermined(self, monkeypatch):
         """Capped after one exit, a walker is undetermined or decided as it

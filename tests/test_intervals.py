@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ class TestIntervalSetAlgebra:
         assert np.array_equal(out[:3], [0.0, 0.0, 0.0])
         assert s.distance_to(xs.reshape(1, -1)).shape == (1, len(xs))
         assert np.array_equal(IntervalSet.empty().distance_to(xs), np.full(len(xs), math.inf))
+
+    def test_distance_from_an_infinity_a_piece_reaches(self):
+        """A point at an infinite end of a piece is in it, at distance 0,
+        with no inf - inf; from the other infinity it is infinitely far,
+        and a NaN point stays at +inf."""
+        xs = np.array([-math.inf, -1e300, 0.0, 1e300, math.inf, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            right = IntervalSet.of((1, math.inf)).distance_to(xs)
+            left = IntervalSet.of((-math.inf, -3)).distance_to(xs)
+            line = IntervalSet.of((-math.inf, math.inf)).distance_to(xs)
+            both = IntervalSet.of((-math.inf, -3), (1, math.inf)).distance_to(xs)
+        inf = math.inf
+        assert right.tolist() == [inf, 1e300, 1.0, 0.0, 0.0, inf]
+        assert left.tolist() == [0.0, 0.0, 3.0, 1e300, inf, inf]
+        assert line.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, inf]
+        assert both.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, inf]
 
     def test_json_round_trip(self):
         s = IntervalSet.of((1, 2), (4.5, 7))
