@@ -66,7 +66,8 @@ class ExperimentConfig:
     """One estimator run.  f_or_sigma is read as the coefficient sigma by the
     freeze/explosion estimators and as the integrand f by the others.
     hitting_prob without killing reads neither horizon nor step: its
-    walkers keep no time."""
+    walkers keep no time.  The clocked estimators, freeze_prob and
+    explosion_prob, refuse killing."""
 
     alpha: float
     f_or_sigma: FunctionSpec
@@ -89,6 +90,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "hitting_prob" and self.target is None:
             raise ValueError("hitting_prob requires a target set")
+        if self.killing is not None and ESTIMATORS[self.estimator][1]:
+            raise ValueError(f"{self.estimator} clocks drivers that are never killed; drop killing")
         zs = self.z if isinstance(self.z, (tuple, list)) else (self.z,)
         zs = tuple(float(v) for v in zs)
         if not zs:
@@ -373,12 +376,12 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
 def _path_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     """Codes of n paths sampled as one block and decided by the estimator's
     block rule, on f_or_sigma or, for a clocked estimator, on sigma^-alpha
-    along drivers that are never killed."""
+    along drivers that are never killed (its config takes no killing)."""
     rule, clocked = ESTIMATORS[cfg.estimator]
     f = cfg.f_or_sigma.inverse_power(cfg.alpha) if clocked else cfg.f_or_sigma
     block = sample_block(
         StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rng,
-        killing=None if clocked else cfg.killing, rows=n,
+        killing=cfg.killing, rows=n,
     )
     return rule(cfg, f, block)
 

@@ -215,21 +215,14 @@ class FunctionSpec:
                 return 0.0
             if not math.isfinite(c):
                 continue
-            if e == 0.0:
-                best = min(best, c)
-            else:
-                ds = [abs(x - p) for x in (pc.lo, pc.hi) ]
-                if pc.lo <= p <= pc.hi:
-                    ds.append(0.0)
-                vals = []
-                for d in ds:
-                    if d == 0.0:
-                        vals.append(0.0 if e > 0 else INF)
-                    elif math.isinf(d):
-                        vals.append(INF if e > 0 else 0.0)
-                    else:
-                        vals.append(c * d ** e)
-                best = min(best, min(vals))
+            # c*d^e over the distances d from the anchor to the piece's ends,
+            # and d = 0 where the anchor lies in it; numpy's powers give the
+            # limits at d = 0 and d = inf
+            ds = [abs(pc.lo - p), abs(pc.hi - p)]
+            if pc.lo <= p <= pc.hi:
+                ds.append(0.0)
+            with np.errstate(divide="ignore", over="ignore"):
+                best = min(best, float(np.min(c * np.power(ds, e))))
         return best
 
     def inverse_power(self, alpha: float) -> "FunctionSpec":

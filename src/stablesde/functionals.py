@@ -2,12 +2,13 @@
 right-continuous inverses, and the explosion/freezing verdict for a single
 path.
 
-Only the single-path public functions keep the plain left-point Riemann
-sum, which charges +inf to any cell parked on a pole of f with positive
-dwell: `path_integral` and `inverse_time_change`.  Every estimator uses the
-alpha-aware `_contributions` instead, which replaces the contribution of a
-cell parked exactly on an isolated pole point p by the kernel integral of f
-over the spatial range dwell^(1/alpha) the process typically sweeps there.
+Every clock starts from `_left_point`, the one left-point cell rule.  The
+single-path public functions `path_integral` and `inverse_time_change` take
+no alpha and keep it as it is, charging +inf to any cell parked on a pole of
+f with positive dwell.  Every estimator uses the alpha-aware `_contributions`
+instead, which replaces the contribution of a cell parked exactly on an
+isolated pole point p by the kernel integral of f over the spatial range
+dwell^(1/alpha) the process typically sweeps there.
 It reads p's power from the pieces that make the pole, on either side of
 p, so that cell is infinite exactly when `irregular_set` puts p in O (an
 exponent e with e + alpha <= 0, or an infinite piece at p), matching the
@@ -22,11 +23,11 @@ freezing (the clock reaches M at a finite time) and explosion (the clock
 stays finite along a path that escaped beyond R).  The freeze and explosion
 estimators run it on the cells of a whole block; `classify_path` and
 `sde.solve_time_change` read it through `_clock`, its one-path caller.
+`_crossing` is the one time at which a clock crosses a level in a cell.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from .funcspec import INF, FunctionSpec
 from .integrals import tail_kernel_finiteness
 from .intervals import _check_alpha
-from .stable import PathSample, cell_dwell
+from .stable import PathSample, _self_similar, cell_dwell
 
 
 #: default "numerically infinite" level for truncated integrals
@@ -60,10 +61,7 @@ class Thresholds:
         path is then certified to have escaped)."""
         if self.r is not None:
             return self.r
-        try:
-            return ESCAPE_MULTIPLIER * horizon ** (1.0 / alpha)
-        except OverflowError:
-            return INF
+        return _self_similar(horizon, alpha, ESCAPE_MULTIPLIER)
 
 
 @dataclass
@@ -86,11 +84,19 @@ def path_integral(path: PathSample, f: FunctionSpec, t: float) -> float:
     if not 0.0 <= t <= path.horizon:
         raise ValueError("t must lie in [0, horizon]")
     dwell = cell_dwell(path.times, min(t, path.end_time))
-    fv = np.asarray(f(path.values), float)
-    occupied = dwell > 0.0
-    if np.any(np.isinf(fv) & occupied):
-        return INF
-    return float(np.dot(fv[occupied], dwell[occupied]))
+    return float(np.sum(_left_point(np.asarray(f(path.values), float), dwell)))
+
+
+def _left_point(fv: np.ndarray, dwell: np.ndarray) -> np.ndarray:
+    """A new array of f's values fv times their dwell, 0 where the dwell is
+    not positive, even where f is +inf."""
+    return np.where(dwell > 0.0, fv, 0.0) * dwell
+
+
+def _crossing(t0, c0, rate, s) -> float:
+    """The time at which a clock that reads c0 at t0 and runs at rate reaches
+    s; t0 when the rate is not in (0, inf), as on an infinite piece."""
+    return float(t0 + (s - c0) / rate) if 0.0 < rate < INF else float(t0)
 
 
 def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha: float):
@@ -104,10 +110,7 @@ def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha
     or an infinite piece touches p.
     """
     _check_alpha(alpha)
-    contrib = np.asarray(f(values), float)
-    with np.errstate(invalid="ignore"):
-        contrib *= dwell
-    contrib[~(dwell > 0.0) | np.isnan(contrib)] = 0.0
+    contrib = _left_point(np.asarray(f(values), float), dwell)
     for p in f.pole_points():
         mask = (values == p) & (dwell > 0.0)
         if not mask.any():
@@ -129,19 +132,14 @@ def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:
         raise ValueError(f"s must be nonnegative, got {s}")
     dwell = cell_dwell(path.times, path.end_time)
     fv = np.asarray(f(path.values), float)
-    # the left-point clock at every cell edge; a cell without dwell adds 0
-    # even where f is infinite
-    contrib = np.where(dwell > 0.0, fv, 0.0) * np.where(dwell > 0.0, dwell, 1.0)
-    cum = np.concatenate(([0.0], np.cumsum(contrib)))
+    # the left-point clock at every cell edge
+    cum = np.concatenate(([0.0], np.cumsum(_left_point(fv, dwell))))
     # the clock never decreases, so the first cell ending above s is found
     # by bisection
     i = int(np.searchsorted(cum[1:], s, side="right"))
     if i == len(cum) - 1:
         return INF
-    rate = fv[i]
-    if math.isinf(rate) or rate <= 0.0:
-        return float(path.times[i])
-    return float(path.times[i] + (s - cum[i]) / rate)
+    return _crossing(path.times[i], cum[i], fv[i], s)
 
 
 #: explode verdict codes of `_clock_rows` and their names in `_clock`
@@ -211,18 +209,10 @@ def classify_path(
     """
     f = sigma.inverse_power(alpha)
     contrib, cum, k, explodes = _clock(path, f, alpha, thresholds)
-    total, freeze_time = float(cum[-1]), None
-    if k is not None:
-        total, freezes, freeze_time = INF, "yes", float(path.times[k])
-        if math.isfinite(contrib[k]) and contrib[k] > 0.0:
-            rate = contrib[k] / cell_dwell(path.times, path.end_time)[k]
-            freeze_time = float(path.times[k] + (thresholds.m - cum[k]) / rate)
-    else:
+    if k is None:
         can_freeze = bool(f.pole_points()) or not f.infinite_intervals().is_empty()
         freezes = "undetermined" if can_freeze and explodes != "yes" else "no"
-    return PathVerdict(
-        integral_at_horizon=total,
-        explodes=explodes,
-        freezes=freezes,
-        freeze_time=freeze_time,
-    )
+        return PathVerdict(float(cum[-1]), explodes, freezes)
+    # cell k adds to the clock, so it has dwell
+    rate = contrib[k] / cell_dwell(path.times, path.end_time)[k]
+    return PathVerdict(INF, explodes, "yes", _crossing(path.times[k], cum[k], rate, thresholds.m))

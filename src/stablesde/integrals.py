@@ -61,15 +61,11 @@ class TestVerdict:
 
 
 def _anchored_power_integral(cp: float, k: float, s: float, a: float, b: float):
-    """int_a^b cp*|y-s|^k dy with full singularity/unboundedness handling.
-    Returns (value, finite_flag)."""
-    if cp == 0.0:
-        return 0.0, True
+    """int_a^b cp*|y-s|^k dy for a < b with full singularity/unboundedness
+    handling.  Returns (value, finite_flag)."""
 
     def side(lo: float, hi: float):
-        # integral of d^k over d in [lo, hi], 0 <= lo < hi <= inf
-        if lo == hi:
-            return 0.0, True
+        # integral of d^k over d in [lo, hi], 0 <= lo <= hi <= inf
         if lo == 0.0 and k <= -1.0:
             return INF, False
         if math.isinf(hi) and k >= -1.0:
@@ -184,37 +180,33 @@ def kernel_integral(alpha: float, z: float, f: FunctionSpec, domain: IntervalSet
             lo, hi = max(a, pc.lo), min(b, pc.hi)
             if lo >= hi:
                 continue
+            # the kernel's factor stays first, which fixes the product order
+            singular = [(z, alpha - 1.0)]
             if isinstance(pc.form, TableForm):
                 fn = lambda y, g=pc.form: float(np.interp(y, g.xs, g.ys))
-                v, e, ok = _quad_with_breaks(fn, lo, hi, [(z, alpha - 1.0)])
-                if not ok:
-                    return TestVerdict("inconclusive", v, e, "quadrature stalled")
-                total += v
-                err += e
-                methods.add("quadrature")
-                continue
-
-            c, e_, p = pc.form.c, pc.form.e, pc.form.p
-            if c == 0.0:
-                continue
-            if not math.isfinite(c):
-                return TestVerdict("infinite", INF, method="infinite piece")
-            if e_ == 0.0 or p == z:
-                k = (alpha - 1.0) if e_ == 0.0 else (e_ + alpha - 1.0)
-                v, ok = _anchored_power_integral(c, k, z, lo, hi)
-                if not ok:
+            else:
+                c, e_, p = pc.form.c, pc.form.e, pc.form.p
+                if c == 0.0:
+                    continue
+                if not math.isfinite(c):
+                    return TestVerdict("infinite", INF, method="infinite piece")
+                if e_ == 0.0 or p == z:
+                    k = (alpha - 1.0) if e_ == 0.0 else (e_ + alpha - 1.0)
+                    v, ok = _anchored_power_integral(c, k, z, lo, hi)
+                    if not ok:
+                        return TestVerdict("infinite", INF, method="exponent criterion")
+                    total += v
+                    methods.add("closed-form")
+                    continue
+                # distinct anchors: decide finiteness from local exponents,
+                # then integrate numerically
+                if lo <= p <= hi and e_ <= -1.0:
                     return TestVerdict("infinite", INF, method="exponent criterion")
-                total += v
-                methods.add("closed-form")
-                continue
-
-            # distinct anchors: decide finiteness from local exponents,
-            # then integrate numerically
-            if e_ < 0.0 and lo <= p <= hi and e_ <= -1.0:
-                return TestVerdict("infinite", INF, method="exponent criterion")
-            if (math.isinf(lo) or math.isinf(hi)) and e_ + alpha - 1.0 >= -1.0:
-                return TestVerdict("infinite", INF, method="tail criterion")
-            v, e, ok = _quad_with_breaks(lambda y, c=c: c, lo, hi, [(z, alpha - 1.0), (p, e_)])
+                if (math.isinf(lo) or math.isinf(hi)) and e_ + alpha - 1.0 >= -1.0:
+                    return TestVerdict("infinite", INF, method="tail criterion")
+                fn = lambda y, c=c: c
+                singular.append((p, e_))
+            v, e, ok = _quad_with_breaks(fn, lo, hi, singular)
             if not ok:
                 return TestVerdict("inconclusive", v, e, "quadrature stalled")
             total += v

@@ -105,6 +105,7 @@ class TestExitCodes:
         ([CONFIG], "must be a JSON object"),
         ({**CONFIG, "f_or_sigma": {"pieces": [{"interval": [0, 1]}]}}, "lacks the key 'form'"),
         ({**CONFIG, "killing": {}}, "killing.q must be a number"),
+        ({**CONFIG, "killing": {"q": 5.0}}, "freeze_prob clocks drivers that are never killed"),
         ({**CONFIG, "z": []}, "at least one starting point"),
         ({**CONFIG, "target": 5}, "list of [a, b] pairs"),
         ({**CONFIG, "target": [[2.0, 1.0]]}, "pairs with a < b"),

@@ -16,6 +16,7 @@ from stablesde.funcspec import FunctionSpec, Piece, PowerForm
 from stablesde.functionals import Thresholds
 from stablesde.integrals import monotone_pole_test
 from stablesde.intervals import IntervalSet
+from stablesde.stable import KillingSpec
 
 
 def cfg_with(**kw) -> ExperimentConfig:
@@ -124,6 +125,13 @@ class TestConfig:
         cfg = ExperimentConfig.from_json(json.dumps(doc))
         assert cfg.target == IntervalSet.of((1.0, 2.0))
         assert cfg.killing.q == 0.5
+
+    @pytest.mark.parametrize("estimator", ["freeze_prob", "explosion_prob"])
+    def test_clocked_estimator_refuses_killing(self, estimator):
+        """The clock runs along drivers that are never killed, so a killing
+        rate would be dropped without a word."""
+        with pytest.raises(ValueError, match="never killed"):
+            cfg_with(estimator=estimator, killing=KillingSpec(5.0))
 
 
 class TestEstimators:

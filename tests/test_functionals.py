@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from stablesde.functionals import (
 from stablesde.integrals import irregular_set
 from stablesde.intervals import IntervalSet
 from stablesde.stable import (
-    PathSample, StableParams, cell_dwell, sample_block, sample_path, stream_rng,
+    KillingSpec, PathSample, StableParams, cell_dwell, sample_block, sample_path, stream_rng,
 )
 
 INF = math.inf
@@ -304,3 +305,123 @@ class TestDiscretization:
             if abs(i_fine - i_coarse) <= bias:
                 ok += 1
         assert ok / n_paths >= 0.95
+
+
+#: integrands for the one-path guards: a pole, an infinite piece between a
+#: zero piece and a pole, a table, and an infinite indicator on zero ground
+GUARD_F = {
+    "pole": FunctionSpec.power(-0.7, 2.0, 0.0),
+    "mixed": FunctionSpec(
+        (
+            Piece(-INF, -1.0, PowerForm(0.0)),
+            Piece(-1.0, 1.0, PowerForm(1.5, -0.3, 0.0)),
+            Piece(1.0, 2.0, PowerForm(INF)),
+            Piece(2.0, INF, PowerForm(1.0, 0.5, 2.0)),
+        )
+    ),
+    "table": FunctionSpec(
+        (
+            Piece(-INF, -1.0, PowerForm(0.5)),
+            Piece(-1.0, 1.0, TableForm((-1.0, 0.0, 1.0), (0.5, 3.0, 0.5))),
+            Piece(1.0, INF, PowerForm(0.5)),
+        )
+    ),
+    "indicator": FunctionSpec.infinite_indicator(IntervalSet.of((0.5, 1.0))),
+}
+#: coefficients for the one-path verdicts: constant, a regular and an
+#: irregular zero at 0, a zero interval, fast growth, and a pole at 0.5
+GUARD_SIGMA = {
+    "constant": FunctionSpec.constant(1.3),
+    "regular_zero": FunctionSpec.power(0.5),
+    "irregular_zero": FunctionSpec.power(1.5),
+    "zero_interval": FunctionSpec.indicator_complement(IntervalSet.of((1.0, 2.0))),
+    "fast_growth": FunctionSpec(
+        (
+            Piece(-INF, -1.0, PowerForm(1.0, 2.0, 0.0)),
+            Piece(-1.0, 1.0, PowerForm(1.0)),
+            Piece(1.0, INF, PowerForm(1.0, 2.0, 0.0)),
+        )
+    ),
+    "sigma_pole": FunctionSpec.power(-0.5, 1.0, 0.5),
+}
+GUARD_THRESHOLDS = (Thresholds(), Thresholds(m=3.0), Thresholds(r=5.0))
+GUARD_LEVELS = (0.0, 0.05, 0.5, 3.0, 20.0, 1e4)
+
+
+def guard_cases():
+    """(alpha, path, t) for seven paths on [0, 10]: six sampled from 0 (a
+    pole of two integrands), 0.5 and -1.5, at alpha 0.5 then 0.7, the odd
+    ones killed at rate 0.3; and one by hand whose last node, at the
+    horizon, sits on the pole at 0 without dwell.  path_integral runs to t:
+    past the killing time of the killed paths, inside the horizon of the
+    others."""
+    cases = []
+    for seed in range(6):
+        alpha, killed = (0.5, 0.7)[seed // 3], seed % 2 == 1
+        path = make_path(
+            seed, alpha=alpha, z=(0.0, 0.5, -1.5)[seed % 3], horizon=10.0, step=0.1,
+            killing=KillingSpec(0.3) if killed else None,
+        )
+        cases.append((alpha, path, 10.0 if killed else 2.5))
+    by_hand = PathSample(np.array([0.0, 1.0, 4.0, 10.0]), np.array([0.7, 1.5, -0.5, 0.0]), 10.0)
+    return cases + [(0.5, by_hand, 10.0)]
+
+
+#: path_integral of GUARD_F, in its order, along each guard case up to its t
+PATH_INTEGRALS = [
+    INF, 5.506078552539938, 1.9489547986457612, INF,  # pole
+    8.824324008933475, 0.5345455516774598, 26.578655088064615,
+    INF, 55.71337152555523, 0.0, INF,  # mixed
+    4.227048154519371, 0.0, INF,
+    1.775967974327304, 4.04919096028904, 1.25, 2.6968889392540745,  # table
+    4.446683562137899, 0.17711872468370424, 13.25,
+    0.0, INF, 0.0, 0.0,  # indicator
+    INF, 0.0, INF,
+]
+#: sha256 of inverse_time_change at GUARD_LEVELS, and of the classify_path
+#: verdicts; both recorded before `_left_point` and `_crossing` replaced
+#: the rules they write once
+ONE_PATH_GOLDEN = {
+    "inverse_time_change": "b642937f5501c4d494473b3c4c43bf49ceb03bccc879da377e0791473443371a",
+    "classify_path": "9cdd2250c944f0225a2d1cd883daf76be4a25355384f2f670a7798ff623ef7fb",
+}
+
+
+class TestOnePathBytes:
+    def test_guard_covers_infinite_cells_without_dwell(self):
+        """Some guard path passes a node without dwell where an integrand is
+        infinite, one starts on a pole, and three are killed."""
+        cases = guard_cases()
+        assert any(
+            (np.isinf(f(path.values)) & ~(cell_dwell(path.times, path.end_time) > 0.0)).any()
+            for f in GUARD_F.values() for _, path, _ in cases
+        )
+        assert math.isinf(GUARD_F["pole"](cases[0][1].origin))
+        assert sum(path.killed_at is not None for _, path, _ in cases) == 3
+
+    def test_path_integral_unchanged(self):
+        got = [
+            path_integral(path, f, t) for f in GUARD_F.values() for _, path, t in guard_cases()
+        ]
+        assert len(got) == len(PATH_INTEGRALS)
+        for g, want in zip(got, PATH_INTEGRALS):
+            assert math.isinf(g) == math.isinf(want)
+            assert g == want or abs(g - want) <= 1e-15 * abs(want)
+
+    def test_inverse_time_change_bytes_unchanged(self):
+        got = np.array([
+            inverse_time_change(path, f, s)
+            for f in GUARD_F.values() for _, path, _ in guard_cases() for s in GUARD_LEVELS
+        ])
+        assert hashlib.sha256(got.tobytes()).hexdigest() == ONE_PATH_GOLDEN["inverse_time_change"]
+
+    def test_classify_path_bytes_unchanged(self):
+        rows = [
+            repr((v.explodes, v.freezes, v.freeze_time, v.integral_at_horizon))
+            for sigma in GUARD_SIGMA.values()
+            for th in GUARD_THRESHOLDS
+            for alpha, path, _ in guard_cases()
+            for v in [classify_path(path, sigma, alpha, th)]
+        ]
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == ONE_PATH_GOLDEN["classify_path"]
