@@ -67,7 +67,10 @@ class ExperimentConfig:
     freeze/explosion estimators and as the integrand f by the others.
     hitting_prob without killing reads neither horizon nor step: its
     walkers keep no time.  The clocked estimators, freeze_prob and
-    explosion_prob, refuse killing."""
+    explosion_prob, refuse killing, and every estimator but hitting_prob
+    refuses a target.  freeze_prob is the share of rows frozen by the
+    horizon, a lower bound on the chance of ever freezing: a row not
+    frozen by then counts as no."""
 
     alpha: float
     f_or_sigma: FunctionSpec
@@ -90,6 +93,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "hitting_prob" and self.target is None:
             raise ValueError("hitting_prob requires a target set")
+        if self.estimator != "hitting_prob" and self.target is not None:
+            raise ValueError(f"{self.estimator} reads no target; drop target")
         if self.killing is not None and ESTIMATORS[self.estimator][1]:
             raise ValueError(f"{self.estimator} clocks drivers that are never killed; drop killing")
         zs = self.z if isinstance(self.z, (tuple, list)) else (self.z,)
@@ -211,31 +216,32 @@ def _estimate_from_codes(codes: np.ndarray, seed: int) -> Estimate:
 
 
 def _finiteness_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
-    """Whether the occupation integral of f stays finite along each row, from
-    the alpha-aware contributions of its cells.  It does not (0) once the
-    row's sum reaches M, or whenever f is bounded below by a positive
-    constant.  Otherwise it does (1) when the row ends beyond R, or when it
-    stagnates: f is 0 at its last value and every cell of the second
-    half-window contributes 0, a heuristic resolution.  The half-window is
-    the cells from grid time t[n // 2] on (horizon / 2 when n is even), and
-    the test compares contributions with 0, never two regrouped sums."""
-    if f.lower_bound() > 0.0:
-        return np.zeros(len(block), dtype=np.int8)
+    """Whether the occupation integral of f stays finite along each row: the
+    explode verdict of `_clock_rows` on the clock of f.  A row it leaves
+    undetermined is finite (1) when killed by the horizon, which leaves its
+    whole integral observed, or when it stagnates: f is 0 at its last value
+    and every cell of the second half-window contributes 0, a heuristic
+    resolution.  The half-window is the cells from grid time t[n // 2] on
+    (horizon / 2 when n is even), and the test compares contributions with
+    0, never two regrouped sums."""
     values, dwell = block.cells()
-    contrib = _contributions(values, dwell, f, cfg.alpha)
     last = block.last_values()
+    contrib, _, _, codes = _clock_rows(
+        values, dwell, last, f, cfg.alpha, cfg.thresholds, cfg.horizon,
+        killed=cfg.killing is not None,
+    )
     n = block.values.shape[1] // 2  # grid cells
     half = 2 * (n // 2)
     stagnant = (f(last) == 0.0) & ~contrib[:, half:].any(axis=1)
-    escaped = np.abs(last) > cfg.thresholds.escape_radius(cfg.alpha, cfg.horizon)
-    codes = np.where(escaped | stagnant, 1, -1).astype(np.int8)
-    codes[~(contrib.sum(axis=1) < cfg.thresholds.m)] = 0
+    codes[(codes < 0) & ((block.killed_at <= cfg.horizon) | stagnant)] = 1
     return codes
 
 
 def _clock_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
-    """Freeze (the clock reaches M) or explosion (the explode verdict of the
-    clock) for every row of an unkilled block."""
+    """Freeze (the clock reaches M by the horizon; a row that does not
+    counts as no, so freeze_prob is the chance of freezing by the horizon)
+    or explosion (the explode verdict of the clock) for every row of an
+    unkilled block."""
     values, dwell = block.cells()
     _, _, k, explodes = _clock_rows(
         values, dwell, block.values[:, -1], f, cfg.alpha, cfg.thresholds, cfg.horizon

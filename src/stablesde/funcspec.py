@@ -203,28 +203,6 @@ class FunctionSpec:
                 return 0.0
         return radius
 
-    def lower_bound(self) -> float:
-        """Global infimum of the function over the line."""
-        best = INF
-        for pc in self.pieces:
-            if isinstance(pc.form, TableForm):
-                best = min(best, min(pc.form.ys))
-                continue
-            c, e, p = pc.form.c, pc.form.e, pc.form.p
-            if c == 0.0:
-                return 0.0
-            if not math.isfinite(c):
-                continue
-            # c*d^e over the distances d from the anchor to the piece's ends,
-            # and d = 0 where the anchor lies in it; numpy's powers give the
-            # limits at d = 0 and d = inf
-            ds = [abs(pc.lo - p), abs(pc.hi - p)]
-            if pc.lo <= p <= pc.hi:
-                ds.append(0.0)
-            with np.errstate(divide="ignore", over="ignore"):
-                best = min(best, float(np.min(c * np.power(ds, e))))
-        return best
-
     def inverse_power(self, alpha: float) -> "FunctionSpec":
         """The integrand sigma^(-alpha) of the time change: power pieces map
         (c, e) -> (c^-alpha, -alpha*e), so zeros become poles and vice versa

@@ -20,7 +20,9 @@ reads it through the clock.
 `_clock_rows` is the one freeze/explode verdict: it accumulates the
 time-change clock of f = sigma^-alpha along rows of cells and decides
 freezing (the clock reaches M at a finite time) and explosion (the clock
-stays finite along a path that escaped beyond R).  The freeze and explosion
+stays finite along a path that escaped beyond R).  The same verdict on the
+clock of any f decides finiteness of its path integral: explosion is
+finiteness for f = sigma^-alpha.  The freeze, explosion and finiteness
 estimators run it on the cells of a whole block; `classify_path` and
 `sde.solve_time_change` read it through `_clock`, its one-path caller.
 `_crossing` is the one time at which a clock crosses a level in a cell.
@@ -147,8 +149,8 @@ _EXPLODES = {1: "yes", 0: "no", -1: "undetermined"}
 
 
 def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
-                thresholds: Thresholds, horizon: float):
-    """The time-change clock for the integrand f = sigma^-alpha along each
+                thresholds: Thresholds, horizon: float, killed: bool = False):
+    """The clock of f (the time change for f = sigma^-alpha) along each
     row of cells, and the one freeze/explode verdict read from it.
 
     values and dwell are (rows, cells) arrays, last the final position of
@@ -161,7 +163,8 @@ def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
     running on every transient path), 1 (yes) when it escaped beyond R and
     the tail integral is finite (the clock runs out), -1 (undetermined)
     otherwise.  The tail integral is looked up once, and only when some
-    row does not freeze.
+    row does not freeze; on killed drivers the clock stops at the killing
+    time, so the tail counts as finite and is not looked up.
     """
     contrib = _contributions(values, dwell, f, alpha)
     cum = np.zeros((len(contrib), contrib.shape[1] + 1))
@@ -173,7 +176,7 @@ def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
     k = np.where(frozen, over.argmax(axis=1), -1)
     explodes = np.zeros(len(k), dtype=np.int8)
     if not frozen.all():
-        tail = tail_kernel_finiteness(alpha, f)
+        tail = "finite" if killed else tail_kernel_finiteness(alpha, f)
         if tail != "infinite":
             escaped = np.abs(last) > thresholds.escape_radius(alpha, horizon)
             explodes[~frozen] = -1

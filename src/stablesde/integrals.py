@@ -62,7 +62,8 @@ class TestVerdict:
 
 def _anchored_power_integral(cp: float, k: float, s: float, a: float, b: float):
     """int_a^b cp*|y-s|^k dy for a < b with full singularity/unboundedness
-    handling.  Returns (value, finite_flag)."""
+    handling.  Returns (value, finite_flag); a finite integral beyond the
+    float range has value +inf."""
 
     def side(lo: float, hi: float):
         # integral of d^k over d in [lo, hi], 0 <= lo <= hi <= inf
@@ -73,8 +74,11 @@ def _anchored_power_integral(cp: float, k: float, s: float, a: float, b: float):
         if k == -1.0:
             return math.log(hi) - math.log(lo), True
         kp = k + 1.0
-        top = 0.0 if math.isinf(hi) else hi ** kp
-        bot = 0.0 if lo == 0.0 else lo ** kp
+        try:
+            top = 0.0 if math.isinf(hi) else hi ** kp
+            bot = 0.0 if lo == 0.0 else lo ** kp
+        except OverflowError:
+            return INF, True
         return (top - bot) / kp, True
 
     if a < s < b:
@@ -91,8 +95,8 @@ def _anchored_power_integral(cp: float, k: float, s: float, a: float, b: float):
 def _quad_with_breaks(fn, lo: float, hi: float, singular):
     """int_lo^hi fn(y) prod |y - anchor|^exponent dy over the (anchor,
     exponent) factors in `singular`, split at the anchors inside (lo, hi);
-    returns (value, err, converged).  A factor that leaves the float range
-    stops it, unconverged with err inf.
+    returns (value, err, converged).  A factor or a value that leaves the
+    float range stops it, unconverged with value and err inf.
 
     On a finite cell, the factors anchored at its ends are quad's algebraic
     endpoint weight (QUADPACK's QAWS, weight="alg", wvar=(s, t)), so no
@@ -121,9 +125,12 @@ def _quad_with_breaks(fn, lo: float, hi: float, singular):
                 v, e = quad(_times(fn, rest), a, b, **weight, **opts)
             except (ZeroDivisionError, OverflowError):
                 # a positive power of a width near 1e300 overflows
-                return total, INF, False
+                v = e = INF
             total += v
             err += e
+            # quad gives NaN once the integrand overflows
+            if not math.isfinite(total):
+                return INF, INF, False
     return total, err, err <= max(QUAD_TOL, 1e-8 * abs(total) + 1e-300) * 10.0
 
 
@@ -212,6 +219,8 @@ def kernel_integral(alpha: float, z: float, f: FunctionSpec, domain: IntervalSet
             total += v
             err += e
             methods.add("quadrature")
+    if not math.isfinite(total):
+        return TestVerdict("inconclusive", INF, INF, "value beyond the float range")
     return TestVerdict("finite", total, err, "+".join(sorted(methods)) or "empty")
 
 
@@ -346,10 +355,14 @@ def irregular_set(alpha: float, sigma: FunctionSpec) -> PointedSet:
 
 @lru_cache(maxsize=256)
 def tail_kernel_finiteness(alpha: float, f: FunctionSpec) -> str:
-    """Finiteness of int_{|y|>1} f(y)|y|^(alpha-1) dy, the integral test for
-    the clock of a transient path running out at infinity.  `infinite` rules
-    explosion out; `finite` makes an escaped path's clock certifiably
-    exhausted."""
+    """Finiteness of int f(y)|y|^(alpha-1) dy over |y| > 1 off the bounded
+    intervals where f is +inf, the integral test for the clock of a
+    transient path running out at infinity: a path that hits such an
+    interval has frozen, and one that does not never sees it, while an
+    unbounded one is hit by every path.  `infinite` rules explosion out;
+    `finite` makes an escaped path's clock certifiably exhausted."""
+    bounded = [(a, b) for a, b in f.infinite_intervals().intervals if -INF < a and b < INF]
+    off = IntervalSet.of(*bounded).complement_within((-INF, INF))
     return kernel_integral(
-        alpha, 0.0, f, IntervalSet.of((-INF, -1.0), (1.0, INF))
+        alpha, 0.0, f, off.intersection(IntervalSet.of((-INF, -1.0), (1.0, INF)))
     ).finiteness

@@ -33,6 +33,7 @@ from stablesde.cli import main
 from stablesde.experiments import ExperimentConfig, run_experiment
 from stablesde.funcspec import FunctionSpec, Piece, PowerForm
 from stablesde.functionals import Thresholds, _contributions, path_integral
+from stablesde.integrals import tail_kernel_finiteness
 from stablesde.intervals import IntervalSet
 from stablesde.stable import KillingSpec, StableParams, cell_dwell, sample_path, stream_rng
 
@@ -363,9 +364,15 @@ def test_block_verdicts_match_paths(case, refined, killing):
 
 def _old_finiteness(cfg, f, path):
     """The finiteness rule as it read a PathSample, with left-point sums and
-    a half-window cut at horizon / 2."""
+    a half-window cut at horizon / 2: a row killed by the horizon is finite
+    unless its sum reached M, and without killing an infinite tail integral
+    of f makes every row infinite."""
     total = path_integral(path, f, path.horizon)
-    if not total < cfg.thresholds.m or f.lower_bound() > 0.0:
+    if not total < cfg.thresholds.m:
+        return 0
+    if path.killed_at is not None:
+        return 1
+    if cfg.killing is None and tail_kernel_finiteness(cfg.alpha, f) == "infinite":
         return 0
     last = float(path.values[-1])
     if abs(last) > cfg.thresholds.escape_radius(cfg.alpha, cfg.horizon):
@@ -402,14 +409,20 @@ def test_finiteness_off_poles_matches_path_rule(case, killing):
         new = experiments._finiteness_codes(cfg, f, block)
         assert new.tolist() == [_old_finiteness(cfg, f, block.path(i)) for i in range(500)]
         codes += new.tolist()
-    assert len(set(codes)) > 1
+    if killing is None and case != "infinite_indicator":
+        # the tail of f is infinite: every integral is, exactly
+        assert set(codes) == {0}
+    else:
+        assert len(set(codes)) > 1
 
 
 def test_finiteness_stagnation_cut_at_half_window():
     """On a grid of 4 cells the half-window starts at t[2] = 2: mass before
     it leaves a row stagnant (1), mass after it or f > 0 at the last value
-    leaves it undetermined (-1), and nothing counts after a kill at 1.5."""
-    f = FunctionSpec.indicator_complement(IntervalSet.of((-1.0, 1.0)))
+    leaves it undetermined (-1), and nothing counts after a kill at 1.5.
+    f = 1 on [4, 6) and 0 elsewhere has a finite tail, so the tail decides
+    no row."""
+    f = FunctionSpec.indicator_complement(IntervalSet.of((-math.inf, 4.0), (6.0, math.inf)))
     # nodes 2k and 2k + 1 hold grid values k and k + 1 from grid time k on
     times = np.tile([0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0], (4, 1))
     values = np.array([

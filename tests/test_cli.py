@@ -109,6 +109,7 @@ class TestExitCodes:
         ({**CONFIG, "z": []}, "at least one starting point"),
         ({**CONFIG, "target": 5}, "list of [a, b] pairs"),
         ({**CONFIG, "target": [[2.0, 1.0]]}, "pairs with a < b"),
+        ({**CONFIG, "target": [[1.0, 2.0]]}, "freeze_prob reads no target"),
         ({**CONFIG, "f_or_sigma": [1]}, "malformed FunctionSpec JSON"),
     ])
     def test_malformed_config_is_validation(self, tmp_path, capsys, doc, detail):
@@ -199,6 +200,19 @@ class TestSubcommands:
         exact = 2.0 * math.asinh(root) + math.pi + 2.0 * math.acosh(root)
         assert doc["finiteness"] == "finite"
         assert doc["value"] == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("f", ["power:|x|^2", "power:|x-3|^2"])
+    def test_test_beyond_the_float_range_is_inconclusive(self, capsys, f):
+        """A kernel integral whose value leaves the float range, in closed
+        form or by quadrature, is inconclusive with value +inf: no crash and
+        no NaN."""
+        args = ["test", "--alpha", "0.5", "--f", f, "--domain", "[[0, 1e300]]"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "NaN" not in out
+        doc = json.loads(out)
+        assert doc["finiteness"] == "inconclusive"
+        assert doc["value"] == math.inf
 
     def test_classify_power(self, capsys):
         assert main(["classify", "--alpha", "0.5", "--sigma", "power:|x|^1.5"]) == 0

@@ -133,6 +133,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="never killed"):
             cfg_with(estimator=estimator, killing=KillingSpec(5.0))
 
+    @pytest.mark.parametrize("estimator", sorted(set(experiments.ESTIMATORS) - {"hitting_prob"}))
+    def test_target_only_for_hitting(self, estimator):
+        """Only hitting_prob reads a target; any other estimator would drop
+        it without a word."""
+        with pytest.raises(ValueError, match="reads no target"):
+            cfg_with(estimator=estimator, target=IntervalSet.of((1.0, 2.0)))
+
 
 class TestEstimators:
     def test_zero_integrand_degenerate_ci(self):
@@ -193,13 +200,16 @@ class TestEstimators:
         """From z = 0, the pole of f = |x|^(-alpha beta), the occupation
         integral is finite exactly when e + alpha > 0, as the analytic pole
         test says: the first cell sits on the pole, and its alpha-aware
-        contribution is infinite only when e + alpha <= 0.  Finite rows are
-        resolved by escaping beyond R."""
+        contribution is infinite only when e + alpha <= 0.  Rows are killed
+        at rate 2000, so all but e^-20 of them are killed by the horizon and
+        have their whole integral observed; without killing the tail of f
+        makes every integral infinite for beta <= 1."""
         f = FunctionSpec.power(beta).inverse_power(0.5)
         finite = monotone_pole_test(0.5, 0.0, f, 1.0).finiteness == "finite"
         est = estimate(cfg_with(
             f_or_sigma=f, estimator="finiteness_prob", replicates=400,
             horizon=0.01, step=0.001, thresholds=Thresholds(r=0.01),
+            killing=KillingSpec(2000.0),
         ))
         assert finite == (beta < 1.0)
         assert est.undetermined_fraction < 1.0

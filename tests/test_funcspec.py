@@ -100,11 +100,6 @@ class TestEvaluation:
 
 
 class TestStructure:
-    def test_lower_bound(self):
-        assert FunctionSpec.constant(2.0).lower_bound() == 2.0
-        assert FunctionSpec.power(0.5).lower_bound() == 0.0
-        assert FunctionSpec.power(-0.5).lower_bound() == 0.0  # decays at inf
-
     def test_pole_points_include_anchors(self):
         f = FunctionSpec((Piece(-INF, INF, PowerForm(1.0, -1.0, 3.0)),))
         assert 3.0 in f.pole_points()

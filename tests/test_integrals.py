@@ -391,6 +391,23 @@ class TestTailFiniteness:
     def test_fast_decay_finite(self):
         assert tail_kernel_finiteness(0.5, FunctionSpec.power(-2.0)) == "finite"
 
+    def test_bounded_infinite_interval_left_out(self):
+        """sigma = |x|^1.5 off [1, 2] and 0 on it: a path that hits [1, 2]
+        freezes and one that does not never sees it, so the tail of
+        f = |x|^-0.75 decides, and it is finite."""
+        sigma = FunctionSpec((
+            Piece(-INF, 1.0, PowerForm(1.0, 1.5, 0.0)),
+            Piece(1.0, 2.0, PowerForm(0.0)),
+            Piece(2.0, INF, PowerForm(1.0, 1.5, 0.0)),
+        ))
+        assert tail_kernel_finiteness(0.5, sigma.inverse_power(0.5)) == "finite"
+
+    def test_unbounded_infinite_interval_kept(self):
+        """sigma = 1 on (-inf, 5) and 0 on [5, inf): every path hits
+        [5, inf), where f is +inf, so the tail is infinite."""
+        sigma = FunctionSpec((Piece(-INF, 5.0, PowerForm(1.0)), Piece(5.0, INF, PowerForm(0.0))))
+        assert tail_kernel_finiteness(0.5, sigma.inverse_power(0.5)) == "infinite"
+
 
 class TestGreenConstant:
     def test_half(self):
