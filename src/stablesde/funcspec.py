@@ -55,6 +55,10 @@ class TableForm:
             raise ValueError("table needs matching xs/ys with >= 2 nodes")
         if any(not math.isfinite(y) or y < 0 for y in self.ys):
             raise ValueError("tabulated values must be finite and nonnegative")
+        # np.interp reads its nodes as sorted and never checks them
+        xs = self.xs
+        if not (all(map(math.isfinite, xs)) and all(a < b for a, b in zip(xs, xs[1:]))):
+            raise ValueError(f"table nodes must be finite and strictly increasing, got {xs}")
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,14 @@ Every clock starts from `_left_point`, the one left-point cell rule.  The
 single-path public functions `path_integral` and `inverse_time_change` take
 no alpha and keep it as it is, charging +inf to any cell parked on a pole of
 f with positive dwell.  Every estimator uses the alpha-aware `_contributions`
-instead, which replaces the contribution of a cell parked exactly on an
-isolated pole point p by the kernel integral of f over the spatial range
-dwell^(1/alpha) the process typically sweeps there.
-It reads p's power from the pieces that make the pole, on either side of
-p, so that cell is infinite exactly when `irregular_set` puts p in O (an
-exponent e with e + alpha <= 0, or an infinite piece at p), matching the
-analytic small-time test instead of the grid artifact.  It takes cells of
-any shape: the finiteness and small-time estimators apply it to the cells
-of every row of a block, and everything that decides freezing or explosion
-reads it through the clock.
+instead, which charges a cell parked exactly on an isolated pole p the
+kernel integral of f over the range dwell^(1/alpha) the process typically
+sweeps there, and +inf where `integrals._divergence` finds that integral
+infinite on a piece touching p: the rule `irregular_set` reaches through
+the monotone pole test, so the cell is infinite exactly when p is in O.  It
+takes cells of any shape: the finiteness and small-time estimators apply it
+to the cells of every row of a block, and everything that decides freezing
+or explosion reads it through the clock.
 
 `_clock_rows` is the one freeze/explode verdict: it accumulates the
 time-change clock of f = sigma^-alpha along rows of cells and decides
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspec import INF, FunctionSpec
-from .integrals import tail_kernel_finiteness
+from .integrals import _divergence, tail_kernel_finiteness
 from .intervals import _check_alpha
 from .stable import PathSample, _self_similar, cell_dwell
 
@@ -108,8 +106,8 @@ def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha
     There a cell with positive dwell gets 2c/(e+alpha) * dwell^((e+alpha)/alpha),
     the kernel integral of f over the radius-dwell^(1/alpha) window, where
     c|y-p|^e is the most singular power anchored at p among the pieces
-    touching p (lower e wins, then higher c).  It is +inf when e + alpha <= 0
-    or an infinite piece touches p.
+    touching p (lower e wins, then higher c); +inf when `_divergence` holds
+    at p for a piece touching p.
     """
     _check_alpha(alpha)
     contrib = _left_point(np.asarray(f(values), float), dwell)
@@ -117,13 +115,13 @@ def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha
         mask = (values == p) & (dwell > 0.0)
         if not mask.any():
             continue
+        if any(_divergence(alpha, p, pc.form, p, p) for pc in f.pieces if pc.lo <= p <= pc.hi):
+            contrib[mask] = INF
+            continue
         form = min((pc.form for pc in f._anchored(-1.0) if pc.form.p == p and pc.lo <= p <= pc.hi),
                    key=lambda form: (form.e, -form.c))
         k = form.e + alpha
-        if k <= 0.0 or any(a <= p <= b for a, b in f.infinite_intervals().intervals):
-            contrib[mask] = INF
-        else:
-            contrib[mask] = 2.0 * form.c / k * dwell[mask] ** (k / alpha)
+        contrib[mask] = 2.0 * form.c / k * dwell[mask] ** (k / alpha)
     return contrib
 
 
@@ -175,13 +173,9 @@ def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
     frozen = over.any(axis=1)
     k = np.where(frozen, over.argmax(axis=1), -1)
     explodes = np.zeros(len(k), dtype=np.int8)
-    if not frozen.all():
-        tail = "finite" if killed else tail_kernel_finiteness(alpha, f)
-        if tail != "infinite":
-            escaped = np.abs(last) > thresholds.escape_radius(alpha, horizon)
-            explodes[~frozen] = -1
-            if tail == "finite":
-                explodes[~frozen & escaped] = 1
+    if not frozen.all() and (killed or tail_kernel_finiteness(alpha, f) == "finite"):
+        escaped = np.abs(last) > thresholds.escape_radius(alpha, horizon)
+        explodes[~frozen] = np.where(escaped[~frozen], 1, -1)
     return contrib, cum, k, explodes
 
 

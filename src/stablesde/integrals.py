@@ -6,12 +6,16 @@ pole test's monotone hypothesis are all read from sigma's pieces, through
 `FunctionSpec.zero_points`, `zero_intervals`, `pole_points` and
 `monotone_radius`; no declared mark enters a verdict.
 
-Finiteness is always decided analytically from local exponents; quadrature is
-only used to produce values for integrals already known to converge.  It is
-split at the singular points, and on each finite cell the singular factors
-anchored at the cell's ends are taken as quad's algebraic endpoint weights
-(QUADPACK's QAWS); cells with an infinite end still use plain quad.  Every
-quadrature aims at the absolute tolerance QUAD_TOL.
+Finiteness is always decided from local exponents, by one rule, `_divergence`,
+before any quadrature runs; `kernel_integral`, the clock's pole cell and the
+tail test read it.  The tail test reads only its half at -inf and +inf,
+`_grows_at`: for alpha < 1 a point is polar, and X, symmetric and
+quasi-left-continuous, does not reach it through its left limits either, so
+a path from z != p stays away from p over any bounded time.  Quadrature only
+produces values of convergent integrals.  It is split at the singular points,
+and on each finite cell the singular factors anchored at the cell's ends are
+quad's algebraic endpoint weights (QUADPACK's QAWS); cells with an infinite
+end use plain quad.  Every quadrature aims at the absolute tolerance QUAD_TOL.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import betainc, betaln
 
-from .funcspec import INF, FunctionSpec, FunctionSpecError, TableForm
+from .funcspec import INF, FunctionSpec, FunctionSpecError, PowerForm, TableForm
 from .intervals import IntervalSet, _check_alpha
 
 #: absolute tolerance of every kernel quadrature
@@ -60,36 +64,45 @@ class TestVerdict:
         )
 
 
-def _anchored_power_integral(cp: float, k: float, s: float, a: float, b: float):
-    """int_a^b cp*|y-s|^k dy for a < b with full singularity/unboundedness
-    handling.  Returns (value, finite_flag); a finite integral beyond the
-    float range has value +inf."""
+def _anchored_power_integral(cp: float, k: float, s: float, a: float, b: float) -> float:
+    """int_a^b cp*|y-s|^k dy for a < b, an integral `_divergence` has found
+    finite; +inf when its value leaves the float range."""
 
-    def side(lo: float, hi: float):
+    def side(lo: float, hi: float) -> float:
         # integral of d^k over d in [lo, hi], 0 <= lo <= hi <= inf
-        if lo == 0.0 and k <= -1.0:
-            return INF, False
-        if math.isinf(hi) and k >= -1.0:
-            return INF, False
         if k == -1.0:
-            return math.log(hi) - math.log(lo), True
-        kp = k + 1.0
+            return math.log(hi) - math.log(lo)
         try:
-            top = 0.0 if math.isinf(hi) else hi ** kp
-            bot = 0.0 if lo == 0.0 else lo ** kp
+            return (hi ** (k + 1.0) - lo ** (k + 1.0)) / (k + 1.0)
         except OverflowError:
-            return INF, True
-        return (top - bot) / kp, True
+            return INF
 
     if a < s < b:
-        v1, ok1 = side(0.0, s - a)
-        v2, ok2 = side(0.0, b - s)
-        return (cp * (v1 + v2), True) if ok1 and ok2 else (INF, False)
-    if s <= a:
-        v, ok = side(a - s, b - s)
-    else:
-        v, ok = side(s - b, s - a)
-    return (cp * v, True) if ok else (INF, False)
+        return cp * (side(0.0, s - a) + side(0.0, b - s))
+    return cp * (side(a - s, b - s) if s <= a else side(s - b, s - a))
+
+
+def _divergence(alpha: float, z: float, form, lo: float, hi: float) -> str:
+    """The one divergence rule: how int_lo^hi form(y)|z-y|^(alpha-1) dy
+    diverges, or "" when it is finite: an "infinite piece" (c = +inf), the
+    "exponent criterion" (c > 0, and at p in [lo, hi] the exponent, e + alpha
+    - 1 if p is z and e if not, is at most -1) or the "tail criterion"."""
+    if isinstance(form, PowerForm):
+        if form.c == INF:
+            return "infinite piece"
+        k = form.e + alpha - 1.0 if form.p == z else form.e
+        if form.c > 0.0 and lo <= form.p <= hi and k <= -1.0:
+            return "exponent criterion"
+    return "tail criterion" if _grows_at(alpha, form, lo) or _grows_at(alpha, form, hi) else ""
+
+
+def _grows_at(alpha: float, form, end: float) -> bool:
+    """Whether form(y)|y|^(alpha-1) fails to be integrable towards `end`, if
+    infinite: a power when c = +inf, or c > 0 and e >= -alpha; a table when
+    the end value np.interp holds beyond the nodes (first or last) is > 0."""
+    if isinstance(form, TableForm):
+        return math.isinf(end) and (form.ys[0] if end < 0.0 else form.ys[-1]) > 0.0
+    return math.isinf(end) and form.c > 0.0 and (form.c == INF or form.e >= -alpha)
 
 
 def _quad_with_breaks(fn, lo: float, hi: float, singular):
@@ -168,57 +181,49 @@ def _times(fn, factors):
 def kernel_integral(alpha: float, z: float, f: FunctionSpec, domain: IntervalSet) -> TestVerdict:
     """Evaluate int_domain f(y)|z-y|^(alpha-1) dy.
 
-    Power pieces anchored at z (and pieces constant in y) are integrated in
-    closed form including the singular cell; divergence is decided from the
-    combined exponent.  Remaining pieces are integrated by adaptive
-    quadrature split at the kernel singularity and at pole anchors: on a
-    finite cell, |y - z|^(alpha-1) and |y - p|^e anchored at the cell's ends
-    are quad's algebraic endpoint weights, and a cell with an infinite end
-    uses plain quad.
+    `_divergence` reads every overlap of the domain with a piece first, and
+    the first one that diverges decides.  Only then are power pieces
+    anchored at z (and pieces constant in y) integrated in closed form, and
+    the rest by adaptive quadrature split at the kernel singularity and at
+    pole anchors: on a finite cell, |y - z|^(alpha-1) and |y - p|^e anchored
+    at the cell's ends are quad's algebraic endpoint weights, and a cell
+    with an infinite end uses plain quad.
     """
     _check_alpha(alpha)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
+    # (domain interval, piece) order fixes the order of the sum
+    overlaps = [(lo, hi, pc.form) for a, b in domain.intervals for pc in f.pieces
+                for lo, hi in [(max(a, pc.lo), min(b, pc.hi))] if lo < hi]
+    for lo, hi, form in overlaps:
+        method = _divergence(alpha, z, form, lo, hi)
+        if method:
+            return TestVerdict("infinite", INF, method=method)
     total = 0.0
     err = 0.0
     methods = set()
-    for a, b in domain.intervals:
-        for pc in f.pieces:
-            lo, hi = max(a, pc.lo), min(b, pc.hi)
-            if lo >= hi:
+    for lo, hi, form in overlaps:
+        # the kernel's factor stays first, which fixes the product order
+        singular = [(z, alpha - 1.0)]
+        if isinstance(form, TableForm):
+            fn = lambda y, g=form: float(np.interp(y, g.xs, g.ys))
+        else:
+            c, e_, p = form.c, form.e, form.p
+            if c == 0.0:
                 continue
-            # the kernel's factor stays first, which fixes the product order
-            singular = [(z, alpha - 1.0)]
-            if isinstance(pc.form, TableForm):
-                fn = lambda y, g=pc.form: float(np.interp(y, g.xs, g.ys))
-            else:
-                c, e_, p = pc.form.c, pc.form.e, pc.form.p
-                if c == 0.0:
-                    continue
-                if not math.isfinite(c):
-                    return TestVerdict("infinite", INF, method="infinite piece")
-                if e_ == 0.0 or p == z:
-                    k = (alpha - 1.0) if e_ == 0.0 else (e_ + alpha - 1.0)
-                    v, ok = _anchored_power_integral(c, k, z, lo, hi)
-                    if not ok:
-                        return TestVerdict("infinite", INF, method="exponent criterion")
-                    total += v
-                    methods.add("closed-form")
-                    continue
-                # distinct anchors: decide finiteness from local exponents,
-                # then integrate numerically
-                if lo <= p <= hi and e_ <= -1.0:
-                    return TestVerdict("infinite", INF, method="exponent criterion")
-                if (math.isinf(lo) or math.isinf(hi)) and e_ + alpha - 1.0 >= -1.0:
-                    return TestVerdict("infinite", INF, method="tail criterion")
-                fn = lambda y, c=c: c
-                singular.append((p, e_))
-            v, e, ok = _quad_with_breaks(fn, lo, hi, singular)
-            if not ok:
-                return TestVerdict("inconclusive", v, e, "quadrature stalled")
-            total += v
-            err += e
-            methods.add("quadrature")
+            if e_ == 0.0 or p == z:
+                k = (alpha - 1.0) if e_ == 0.0 else (e_ + alpha - 1.0)
+                total += _anchored_power_integral(c, k, z, lo, hi)
+                methods.add("closed-form")
+                continue
+            fn = lambda y, c=c: c
+            singular.append((p, e_))
+        v, e, ok = _quad_with_breaks(fn, lo, hi, singular)
+        if not ok:
+            return TestVerdict("inconclusive", v, e, "quadrature stalled")
+        total += v
+        err += e
+        methods.add("quadrature")
     if not math.isfinite(total):
         return TestVerdict("inconclusive", INF, INF, "value beyond the float range")
     return TestVerdict("finite", total, err, "+".join(sorted(methods)) or "empty")
@@ -355,14 +360,12 @@ def irregular_set(alpha: float, sigma: FunctionSpec) -> PointedSet:
 
 @lru_cache(maxsize=256)
 def tail_kernel_finiteness(alpha: float, f: FunctionSpec) -> str:
-    """Finiteness of int f(y)|y|^(alpha-1) dy over |y| > 1 off the bounded
-    intervals where f is +inf, the integral test for the clock of a
-    transient path running out at infinity: a path that hits such an
-    interval has frozen, and one that does not never sees it, while an
-    unbounded one is hit by every path.  `infinite` rules explosion out;
-    `finite` makes an escaped path's clock certifiably exhausted."""
-    bounded = [(a, b) for a, b in f.infinite_intervals().intervals if -INF < a and b < INF]
-    off = IntervalSet.of(*bounded).complement_within((-INF, INF))
-    return kernel_integral(
-        alpha, 0.0, f, off.intersection(IntervalSet.of((-INF, -1.0), (1.0, INF)))
-    ).finiteness
+    """Finiteness of int f(y)|y|^(alpha-1) dy at -inf and +inf, the test for
+    the clock of a transient path running out at infinity: `infinite` when
+    the first or last piece grows at the infinite end it reaches (it rules
+    explosion out), else `finite` (an escaped path's clock runs out).  Poles,
+    being polar, and bounded intervals where f is +inf, where a path that
+    hits one freezes, do not count."""
+    grows = any(_grows_at(alpha, pc.form, end)
+                for pc in f.pieces[:1] + f.pieces[-1:] for end in (pc.lo, pc.hi))
+    return "infinite" if grows else "finite"

@@ -161,6 +161,11 @@ class TestExitCodes:
          ' {"interval": [1, Infinity], "form": {"power": {"c": 1}}}],'
          ' "zeros": [{"at": 0.0, "isolated_monotone": true, "delta": 2.0}]}',
          "not up to the marked delta"),
+        # np.interp reads its nodes as sorted: [1, 0] gave wrong values
+        ({"interval": [0, 1], "form": {"table": {"x": [1, 0], "y": [1, 2]}}},
+         "strictly increasing"),
+        ({"interval": [0, 1], "form": {"table": {"x": ["nan", 1], "y": [1, 2]}}},
+         "strictly increasing"),
     ])
     def test_malformed_sigma_file_is_validation(self, tmp_path, capsys, piece, detail):
         """A piece is written as the only one of the file; a string is the
@@ -213,6 +218,24 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["finiteness"] == "inconclusive"
         assert doc["value"] == math.inf
+
+    def test_test_closed_form_tail_reports_the_tail_criterion(self, capsys):
+        """A constant diverges at +inf by the tail criterion, the name the
+        quadrature pieces already gave a divergent tail."""
+        args = ["test", "--alpha", "0.5", "--f", "const:1", "--domain", "[[1, Infinity]]"]
+        assert main(args) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["finiteness"], doc["method"]) == ("infinite", "tail criterion")
+
+    def test_wiener_set_from_a_file_matches_inline(self, tmp_path, capsys):
+        text = "[[1, 2], [4, 8]]"
+        path = tmp_path / "set.json"
+        path.write_text(text)
+        outs = []
+        for target in (text, f"@{path}"):
+            assert main(["wiener", "--alpha", "0.5", "--set", target, "--nmax", "20"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and json.loads(outs[0])
 
     def test_classify_power(self, capsys):
         assert main(["classify", "--alpha", "0.5", "--sigma", "power:|x|^1.5"]) == 0

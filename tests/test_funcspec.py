@@ -56,6 +56,16 @@ class TestEvaluation:
         )
         assert f(1.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("xs", [(1.0, 0.0), (0.0, 0.0), (math.nan, 1.0), (0.0, math.inf)])
+    def test_table_nodes_must_be_finite_and_increasing(self, xs):
+        """np.interp reads its nodes as sorted: (1, 0) -> (1, 2) would give
+        [1, 2, 2, 2] at 0, .25, .5 and .75 where the ordered table gives
+        [2, 1.75, 1.5, 1.25], so such nodes are refused."""
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TableForm(xs, (1.0, 2.0))
+        ordered = FunctionSpec((Piece(0.0, 1.0, TableForm((0.0, 1.0), (2.0, 1.0))),))
+        assert ordered(np.array([0.0, 0.25, 0.5, 0.75])).tolist() == [2.0, 1.75, 1.5, 1.25]
+
     @pytest.mark.parametrize("f, at_minus, at_plus", [
         (FunctionSpec.power(1.5), INF, INF),
         (FunctionSpec.power(-0.5, p=2.0), 0.0, 0.0),

@@ -4,6 +4,7 @@ import math
 import pytest
 from scipy.special import beta as beta_fn, hyp2f1
 
+from stablesde import integrals
 from stablesde.funcspec import (
     FunctionSpec,
     FunctionSpecError,
@@ -36,6 +37,11 @@ TABLE_BESIDE_ZERO = json.dumps({
 })
 ALPHAS = (0.3, 0.5, 0.7, 0.9)
 BETAS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
+
+
+def no_quadrature(*args, **kwargs):
+    """Stands in for `integrals.quad` where a verdict must need none."""
+    raise AssertionError("a quadrature ran")
 
 
 def integrand_for(alpha: float, beta: float) -> FunctionSpec:
@@ -237,6 +243,37 @@ class TestKernelIntegral:
         assert v.finiteness == "inconclusive"
         assert v.abs_error_estimate == INF
 
+    def test_log_closed_form_at_minus_one(self):
+        """|y|^-0.5 from z = 0 at alpha = 0.5: the exponent is exactly -1, so
+        the closed form on [1, 2] is ln 2, and on [1, inf) its tail diverges."""
+        f = FunctionSpec.power(-0.5)
+        v = kernel_integral(0.5, 0.0, f, IntervalSet.of((1.0, 2.0)))
+        assert (v.finiteness, v.method) == ("finite", "closed-form")
+        assert v.value_or_bound == math.log(2.0)
+        v = kernel_integral(0.5, 0.0, f, IntervalSet.of((1.0, INF)))
+        assert (v.finiteness, v.method) == ("infinite", "tail criterion")
+
+    def test_infinite_piece_decides_before_any_quadrature(self, monkeypatch):
+        """f = |x - 3|^2 below 1e300 and +inf above: the infinite piece
+        decides over [0, inf) however the pieces before it integrate, as
+        for |x|^2 with the same infinite piece, and no quadrature runs."""
+        monkeypatch.setattr(integrals, "quad", no_quadrature)
+        for p in (3.0, 0.0):
+            f = FunctionSpec((Piece(-INF, 1e300, PowerForm(1.0, 2.0, p)),
+                              Piece(1e300, INF, PowerForm(INF))))
+            v = kernel_integral(0.5, 0.0, f, IntervalSet.of((0.0, INF)))
+            assert (v.finiteness, v.method) == ("infinite", "infinite piece")
+
+    def test_table_holding_a_positive_value_to_infinity_diverges(self, monkeypatch):
+        """f = 1 on (-inf, 0) and the table (0, 1) -> (1, 2) on [0, inf):
+        np.interp holds 2 beyond the last node, so over [1, inf) the tail
+        diverges, with no quadrature run."""
+        monkeypatch.setattr(integrals, "quad", no_quadrature)
+        f = FunctionSpec((Piece(-INF, 0.0, PowerForm(1.0)),
+                          Piece(0.0, INF, TableForm((0.0, 1.0), (1.0, 2.0)))))
+        v = kernel_integral(0.5, 0.0, f, IntervalSet.of((1.0, INF)))
+        assert (v.finiteness, v.method) == ("infinite", "tail criterion")
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             kernel_integral(1.0, 0.0, FunctionSpec.constant(1.0), IntervalSet.of((0, 1)))
@@ -401,6 +438,26 @@ class TestTailFiniteness:
             Piece(2.0, INF, PowerForm(1.0, 1.5, 0.0)),
         ))
         assert tail_kernel_finiteness(0.5, sigma.inverse_power(0.5)) == "finite"
+
+    def test_reads_only_the_ends_without_quadrature(self, monkeypatch):
+        """Tails anchored away from 0, with poles at -7 and 3 inside
+        |y| > 1: only the first and the last piece at -inf and +inf count
+        (c|y-p|^e grows there when e >= -alpha), and no quadrature runs.
+        For alpha < 1 a pole is polar, so a path from z != p stays away from
+        it over any bounded time."""
+        monkeypatch.setattr(integrals, "quad", no_quadrature)
+        def tails(e):
+            return FunctionSpec((
+                Piece(-INF, -2.0, PowerForm(1.0, e, -7.0)),
+                Piece(-2.0, INF, PowerForm(2.0, -1.0, 3.0)),
+            ))
+
+        assert tail_kernel_finiteness(0.5, tails(-0.25)) == "infinite"
+        assert tail_kernel_finiteness(0.8, tails(-0.75)) == "infinite"
+        assert tail_kernel_finiteness(0.5, tails(-0.75)) == "finite"
+        assert tail_kernel_finiteness(0.5, tails(-1.25)) == "finite"
+        # an infinite piece is +inf whatever its exponent
+        assert tail_kernel_finiteness(0.5, FunctionSpec.power(-2.0, c=INF)) == "infinite"
 
     def test_unbounded_infinite_interval_kept(self):
         """sigma = 1 on (-inf, 5) and 0 on [5, inf): every path hits
