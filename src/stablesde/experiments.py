@@ -11,7 +11,8 @@ rule, which decides hitting, finiteness, freezing, explosion or small-time
 on the whole block, from its node arrays or its cell arrays
 (`PathBlock.cells`).  Every rule that reads cells uses the alpha-aware
 `functionals._contributions`; only the single-path public functions of
-`functionals` keep the left-point sum.
+`functionals` keep the left-point sum.  `functionals._clock_rows` completes
+a row alive at the horizon, so `freeze_prob` is the chance of ever freezing.
 
 Hitting without killing samples no path: walkers jump exactly, WALK_CHUNK
 to a chunk.  One outside the target's hull lands in one draw where the
@@ -68,9 +69,9 @@ class ExperimentConfig:
     hitting_prob without killing reads neither horizon nor step: its
     walkers keep no time.  The clocked estimators, freeze_prob and
     explosion_prob, refuse killing, and every estimator but hitting_prob
-    refuses a target.  freeze_prob is the share of rows frozen by the
-    horizon, a lower bound on the chance of ever freezing: a row not
-    frozen by then counts as no."""
+    refuses a target.  freeze_prob is the chance of ever freezing: a row
+    not frozen by the horizon is completed from its last value.  The
+    escape radius thresholds.R is validated but has no effect."""
 
     alpha: float
     f_or_sigma: FunctionSpec
@@ -212,46 +213,23 @@ def _estimate_from_codes(codes: np.ndarray, seed: int) -> Estimate:
 
 
 # -- block rules: one code per row, 1 yes / 0 no / -1 undetermined ---------
-# f is the integrand: cfg.f_or_sigma, or sigma^-alpha for freeze and explosion
+# f is the integrand: cfg.f_or_sigma, or sigma^-alpha for freeze and explosion;
+# rng, the chunk's generator after the block's draws, completes rows alive at H
 
 
-def _finiteness_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
-    """Whether the occupation integral of f stays finite along each row: the
-    explode verdict of `_clock_rows` on the clock of f.  A row it leaves
-    undetermined is finite (1) when killed by the horizon, which leaves its
-    whole integral observed, or when it stagnates: f is 0 at its last value
-    and every cell of the second half-window contributes 0, a heuristic
-    resolution.  The half-window is the cells from grid time t[n // 2] on
-    (horizon / 2 when n is even), and the test compares contributions with
-    0, never two regrouped sums."""
+def _clock_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock, rng=None):
+    """The freeze code of `_clock_rows` for freeze_prob and its explode code
+    otherwise; rows alive at the horizon are completed from their last node
+    with uniforms from rng (a killed block says which rows are alive)."""
     values, dwell = block.cells()
-    last = block.last_values()
-    contrib, _, _, codes = _clock_rows(
-        values, dwell, last, f, cfg.alpha, cfg.thresholds, cfg.horizon,
-        killed=cfg.killing is not None,
+    alive = None if cfg.killing is None else block.killed_at > cfg.horizon
+    _, _, _, freezes, explodes = _clock_rows(
+        values, dwell, block.values[:, -1], f, cfg.alpha, cfg.thresholds, rng, alive
     )
-    n = block.values.shape[1] // 2  # grid cells
-    half = 2 * (n // 2)
-    stagnant = (f(last) == 0.0) & ~contrib[:, half:].any(axis=1)
-    codes[(codes < 0) & ((block.killed_at <= cfg.horizon) | stagnant)] = 1
-    return codes
+    return freezes if cfg.estimator == "freeze_prob" else explodes
 
 
-def _clock_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
-    """Freeze (the clock reaches M by the horizon; a row that does not
-    counts as no, so freeze_prob is the chance of freezing by the horizon)
-    or explosion (the explode verdict of the clock) for every row of an
-    unkilled block."""
-    values, dwell = block.cells()
-    _, _, k, explodes = _clock_rows(
-        values, dwell, block.values[:, -1], f, cfg.alpha, cfg.thresholds, cfg.horizon
-    )
-    if cfg.estimator == "freeze_prob":
-        return (k >= 0).astype(np.int8)
-    return explodes
-
-
-def _smalltime_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
+def _smalltime_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock, rng=None):
     """Whether the first cell's contribution stays below M.  The first cell
     is occupied unless the path is killed at time 0, which leaves it
     undetermined."""
@@ -260,7 +238,7 @@ def _smalltime_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -
     return np.where(dwell[:, 0] > 0.0, first < cfg.thresholds.m, -1).astype(np.int8)
 
 
-def _hitting_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> np.ndarray:
+def _hitting_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock, rng=None):
     """Hit (1), certified miss (0) or undetermined (-1) for the rows of a
     killed block.  A row hits when one of the nodes it reaches before its
     killing time lies in the target.  One killed within the horizon that
@@ -277,7 +255,7 @@ def _hitting_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock) -> 
 #: sigma^-alpha along drivers that are never killed; hitting without
 #: killing bypasses the blocks for the walk
 ESTIMATORS = {
-    "finiteness_prob": (_finiteness_codes, False),
+    "finiteness_prob": (_clock_codes, False),
     "hitting_prob": (_hitting_codes, False),
     "freeze_prob": (_clock_codes, True),
     "explosion_prob": (_clock_codes, True),
@@ -389,7 +367,7 @@ def _path_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
         StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rng,
         killing=cfg.killing, rows=n,
     )
-    return rule(cfg, f, block)
+    return rule(cfg, f, block, rng)
 
 
 def _run_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:

@@ -15,15 +15,14 @@ takes cells of any shape: the finiteness and small-time estimators apply it
 to the cells of every row of a block, and everything that decides freezing
 or explosion reads it through the clock.
 
-`_clock_rows` is the one freeze/explode verdict: it accumulates the
-time-change clock of f = sigma^-alpha along rows of cells and decides
-freezing (the clock reaches M at a finite time) and explosion (the clock
-stays finite along a path that escaped beyond R).  The same verdict on the
-clock of any f decides finiteness of its path integral: explosion is
-finiteness for f = sigma^-alpha.  The freeze, explosion and finiteness
-estimators run it on the cells of a whole block; `classify_path` and
-`sde.solve_time_change` read it through `_clock`, its one-path caller.
-`_crossing` is the one time at which a clock crosses a level in a cell.
+`_clock_rows` is the one freeze/explode verdict.  It accumulates the clock
+of f = sigma^-alpha along rows of cells; a row freezes by its end when the
+clock reaches M, and a row alive then is completed from its last value by
+the Markov property (`_freeze_chance`, `tail_kernel_finiteness`).  Explosion
+is finiteness of the path integral of any f.  The estimators run it on whole
+blocks; `classify_path` and `sde.solve_time_change` read it through
+`_clock`.  `_crossing` is the one time at which a clock crosses a level in a
+cell.
 """
 
 from __future__ import annotations
@@ -33,21 +32,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspec import INF, FunctionSpec
-from .integrals import _divergence, tail_kernel_finiteness
+from .integrals import _divergence, _hitting_chance, tail_kernel_finiteness
 from .intervals import _check_alpha
-from .stable import PathSample, _self_similar, cell_dwell
+from .stable import PathSample, cell_dwell
 
 
 #: default "numerically infinite" level for truncated integrals
 DEFAULT_M = 1e9
-#: escape radius multiplier: R = this times horizon^(1/alpha)
-ESCAPE_MULTIPLIER = 1e3
 
 
 @dataclass(frozen=True)
 class Thresholds:
     """Resolution thresholds: M declares a truncated integral numerically
-    infinite, R is the escape radius certifying stabilization by transience."""
+    infinite.  R, once an escape radius, is validated but has no effect."""
 
     m: float = DEFAULT_M
     r: float | None = None
@@ -55,13 +52,6 @@ class Thresholds:
     def __post_init__(self):
         if not 0.0 < self.m < INF or (self.r is not None and not 0.0 < self.r < INF):
             raise ValueError("thresholds must be finite and positive")
-
-    def escape_radius(self, alpha: float, horizon: float) -> float:
-        """R, or +inf where horizon^(1/alpha) leaves the float range (no
-        path is then certified to have escaped)."""
-        if self.r is not None:
-            return self.r
-        return _self_similar(horizon, alpha, ESCAPE_MULTIPLIER)
 
 
 @dataclass
@@ -142,27 +132,41 @@ def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:
     return _crossing(path.times[i], cum[i], fv[i], s)
 
 
-#: explode verdict codes of `_clock_rows` and their names in `_clock`
+def _freeze_chance(f: FunctionSpec, alpha: float, x):
+    """Bounds (lo, hi) on P_x(X ever enters an interval where f = +inf), x
+    an array: [0, 0] without one, [1, 1] with an unbounded one (the driver
+    oscillates), else the largest `_hitting_chance` of each (Blumenthal,
+    Getoor & Ray 1961) and their sum capped at 1.  Poles are polar, but an
+    x on a pole in O freezes at once, as a cell parked there would."""
+    pieces = f.infinite_intervals().intervals
+    chances = np.zeros((len(pieces) + 1, *np.shape(x)))
+    chances[0] = np.isinf(_contributions(x, np.ones(np.shape(x)), f, alpha))
+    for i, (a, b) in enumerate(pieces, 1):
+        chances[i] = 1.0 if b - a == INF else _hitting_chance(alpha, x, a, b)
+    return chances.max(axis=0, initial=0.0), np.minimum(1.0, chances.sum(axis=0))
+
+
+#: verdict codes of `_clock_rows` and their names in `_clock`
 _EXPLODES = {1: "yes", 0: "no", -1: "undetermined"}
 
 
 def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
-                thresholds: Thresholds, horizon: float, killed: bool = False):
+                thresholds: Thresholds, rng=None, alive=None):
     """The clock of f (the time change for f = sigma^-alpha) along each
     row of cells, and the one freeze/explode verdict read from it.
 
     values and dwell are (rows, cells) arrays, last the final position of
-    each row.  Returns (contrib, cum, k, explodes): the alpha-aware
-    contribution of each cell, the clock at the cell edges (rows,
-    cells + 1), per row the first cell at whose right edge the clock is at
-    or above M (-1 when it never gets there, so the row does not freeze),
-    and whether the row explodes: 0 (no) when it freezes or when the tail
-    integral of f is infinite (slow decay at infinity keeps the clock
-    running on every transient path), 1 (yes) when it escaped beyond R and
-    the tail integral is finite (the clock runs out), -1 (undetermined)
-    otherwise.  The tail integral is looked up once, and only when some
-    row does not freeze; on killed drivers the clock stops at the killing
-    time, so the tail counts as finite and is not looked up.
+    each row.  Returns (contrib, cum, k, freezes, explodes): the alpha-aware
+    contribution of each cell, the clock at the cell edges (rows, cells + 1),
+    per row the first cell at whose right edge the clock is at or above M
+    (-1 if none), and the codes 1 (yes), 0 (no), -1 (undetermined) of ever
+    freezing and exploding.  A row alive at its end freezes later with a
+    chance `_freeze_chance` bounds by (lo, hi) at `last`; lo = 0 on killed
+    drivers, and hi = 0 too where alive says a row was killed by the
+    horizon.  A row (lo, hi) leaves open takes one uniform u from rng, in
+    row order: 1 if u < lo, 0 if u >= hi, else -1 (-1 without rng).  A row
+    explodes unless it freezes, or the driver is unkilled and the tail
+    integral of f, looked up at most once, is infinite; -1 where undecided.
     """
     contrib = _contributions(values, dwell, f, alpha)
     cum = np.zeros((len(contrib), contrib.shape[1] + 1))
@@ -172,22 +176,32 @@ def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
     over = ~(cum[:, 1:] < thresholds.m)
     frozen = over.any(axis=1)
     k = np.where(frozen, over.argmax(axis=1), -1)
+    rows = np.flatnonzero(~frozen)
+    lo, hi = _freeze_chance(f, alpha, last[rows])
+    if alive is not None:
+        lo, hi = np.zeros(rows.size), np.where(alive[rows], hi, 0.0)
+    # a row that draws nothing is decided by u = 0: lo = 1 gives 1, hi = 0 gives 0
+    u = np.zeros(rows.size)
+    draw = (lo < 1.0) & (hi > 0.0)
+    u[draw] = np.nan if rng is None else rng.random(np.count_nonzero(draw))
+    later = np.where(u < lo, 1, np.where(u >= hi, 0, -1)).astype(np.int8)
+    freezes = np.ones(len(k), dtype=np.int8)
+    freezes[rows] = later
     explodes = np.zeros(len(k), dtype=np.int8)
-    if not frozen.all() and (killed or tail_kernel_finiteness(alpha, f) == "finite"):
-        escaped = np.abs(last) > thresholds.escape_radius(alpha, horizon)
-        explodes[~frozen] = np.where(escaped[~frozen], 1, -1)
-    return contrib, cum, k, explodes
+    if (later != 1).any() and (alive is not None or tail_kernel_finiteness(alpha, f) == "finite"):
+        explodes[rows] = np.where(later < 0, -1, 1 - later)
+    return contrib, cum, k, freezes, explodes
 
 
 def _clock(path: PathSample, f: FunctionSpec, alpha: float, thresholds: Thresholds):
-    """`_clock_rows` of one path: (contrib, cum, k, explodes) with k None
-    when the path does not freeze and explodes yes/no/undetermined."""
-    contrib, cum, k, explodes = _clock_rows(
+    """`_clock_rows` of one path without coins, with k None when the path
+    does not freeze by its end and the codes as yes/no/undetermined."""
+    contrib, cum, k, freezes, explodes = _clock_rows(
         path.values[None], cell_dwell(path.times, path.end_time)[None], path.values[-1:],
-        f, alpha, thresholds, path.horizon,
+        f, alpha, thresholds,
     )
-    first = int(k[0])
-    return contrib[0], cum[0], None if first < 0 else first, _EXPLODES[int(explodes[0])]
+    return (contrib[0], cum[0], None if k[0] < 0 else int(k[0]),
+            _EXPLODES[int(freezes[0])], _EXPLODES[int(explodes[0])])
 
 
 def classify_path(
@@ -199,16 +213,15 @@ def classify_path(
     """Explosion/freezing verdict from the time-change integrand sigma^-alpha.
 
     Freezing: the cumulative alpha-aware integral reaches +inf or M at a
-    finite skeleton time.  Explosion: the integral at the horizon is finite,
-    below M, and the path has escaped beyond R (transience certifies
-    stabilization).  `no` is certified when the structure of sigma rules the
-    event out; everything else is reported `undetermined`.
+    finite skeleton time, the freeze time.  A path alive at its end is
+    completed without coins, so a verdict is yes or no only where it is
+    certain: it freezes later when it surely enters a zero interval of
+    sigma, and explodes when it never can and the tail integral of
+    sigma^-alpha is finite.  The rest is `undetermined`.
     """
     f = sigma.inverse_power(alpha)
-    contrib, cum, k, explodes = _clock(path, f, alpha, thresholds)
+    contrib, cum, k, freezes, explodes = _clock(path, f, alpha, thresholds)
     if k is None:
-        can_freeze = bool(f.pole_points()) or not f.infinite_intervals().is_empty()
-        freezes = "undetermined" if can_freeze and explodes != "yes" else "no"
         return PathVerdict(float(cum[-1]), explodes, freezes)
     # cell k adds to the clock, so it has dwell
     rate = contrib[k] / cell_dwell(path.times, path.end_time)[k]

@@ -64,6 +64,23 @@ class TestVerdict:
         )
 
 
+def _require_cover(what: str, pieces, window=((-INF, INF),)) -> None:
+    """The one coverage rule: FunctionSpecError, saying `what` and naming
+    each part of the window's intervals that no piece covers.  That part
+    has no value; it is not read as 0."""
+    gaps = []
+    for a, b in window:
+        # a, lo, hi, ..., b over the pieces clipped to [a, b]: gaps pair up
+        ends = [a, *(x for pc in pieces if pc.lo < b and a < pc.hi
+                     for x in (max(a, pc.lo), min(b, pc.hi))), b]
+        gaps += [(x, y) for x, y in zip(ends[::2], ends[1::2]) if x < y]
+    if gaps:
+        raise FunctionSpecError(
+            f"{what}; its pieces leave "
+            + " and ".join(f"[{a}, {b})" for a, b in gaps) + " uncovered"
+        )
+
+
 def _anchored_power_integral(cp: float, k: float, s: float, a: float, b: float) -> float:
     """int_a^b cp*|y-s|^k dy for a < b, an integral `_divergence` has found
     finite; +inf when its value leaves the float range."""
@@ -195,6 +212,7 @@ def kernel_integral(alpha: float, z: float, f: FunctionSpec, domain: IntervalSet
     # (domain interval, piece) order fixes the order of the sum
     overlaps = [(lo, hi, pc.form) for a, b in domain.intervals for pc in f.pieces
                 for lo, hi in [(max(a, pc.lo), min(b, pc.hi))] if lo < hi]
+    _require_cover("f must cover the domain", f.pieces, domain.intervals)
     for lo, hi, form in overlaps:
         method = _divergence(alpha, z, form, lo, hi)
         if method:
@@ -365,7 +383,9 @@ def tail_kernel_finiteness(alpha: float, f: FunctionSpec) -> str:
     the first or last piece grows at the infinite end it reaches (it rules
     explosion out), else `finite` (an escaped path's clock runs out).  Poles,
     being polar, and bounded intervals where f is +inf, where a path that
-    hits one freezes, do not count."""
+    hits one freezes, do not count.  An f whose pieces leave part of the
+    line uncovered is refused."""
+    _require_cover("f must cover the whole line", f.pieces)
     grows = any(_grows_at(alpha, pc.form, end)
                 for pc in f.pieces[:1] + f.pieces[-1:] for end in (pc.lo, pc.hi))
     return "infinite" if grows else "finite"

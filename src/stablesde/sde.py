@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspec import FunctionSpec, FunctionSpecError
+from .funcspec import FunctionSpec
 from .functionals import Thresholds, _clock
-from .integrals import PointedSet, irregular_set, zero_set
-from .intervals import IntervalSet, _check_alpha
+from .integrals import PointedSet, _require_cover, irregular_set, zero_set
+from .intervals import _check_alpha
 from .stable import PathSample, StableParams, _node_csv, sample_path, stream_rng
 
 
@@ -83,15 +83,17 @@ def solve_time_change(
     read the solution off the inverse clock.
 
     Frozen when I reaches +inf or M at a finite driver time (the driver
-    entered the irregular set); exploded when I at the driver horizon is
-    finite and the path escaped beyond R (the clock ran out, lifetime
-    estimate exploded_at); horizon_reached otherwise.
+    entered the irregular set).  Exploded, with lifetime estimate
+    exploded_at, when the driver's last value makes it certain: it can
+    never enter a zero interval of sigma, and the tail integral of
+    sigma^-alpha is finite.  horizon_reached otherwise; thresholds.r has no
+    effect.
     """
     _check_alpha(alpha)
     rng = stream_rng(rng_state, 0) if isinstance(rng_state, int) else rng_state
     driver = sample_path(StableParams(alpha), z, horizon, step, rng)
-    _, cum, k, explodes = _clock(driver, sigma.inverse_power(alpha), alpha, thresholds)
-    frozen, exploded = k is not None, k is None and explodes == "yes"
+    _, cum, k, _, explodes = _clock(driver, sigma.inverse_power(alpha), alpha, thresholds)
+    frozen, exploded = k is not None, explodes == "yes"
     end = k + 1 if frozen else len(driver.times)
     return SolutionPath(
         driver=driver,
@@ -146,11 +148,5 @@ class ClassificationReport:
 def classify_sde(alpha: float, sigma: FunctionSpec) -> ClassificationReport:
     """Compute O and N; the four-way classification compares them.  A sigma
     whose pieces leave part of the line uncovered is refused."""
-    covered = IntervalSet.of(*((pc.lo, pc.hi) for pc in sigma.pieces))
-    gaps = covered.complement_within((-math.inf, math.inf)).intervals
-    if gaps:
-        raise FunctionSpecError(
-            "sigma must cover the whole line; its pieces leave "
-            + " and ".join(f"[{a}, {b})" for a, b in gaps) + " uncovered"
-        )
+    _require_cover("sigma must cover the whole line", sigma.pieces)
     return ClassificationReport(irregular_set(alpha, sigma), zero_set(sigma))

@@ -6,7 +6,10 @@ eight path-estimator digests were recorded when that scheme replaced one
 stream per replicate, when the finiteness rule moved to block cells, and
 when killed hitting began to count a path killed before it hit as a miss;
 `tests/test_occupation.py` checks the sampler against the Green function
-on both sides of that change.  Replicate counts are chosen so that every run
+on both sides of that change.  The freeze, explosion and finiteness_killed
+digests were re-recorded when rows alive at the horizon began to be
+completed from their last value, which `tests/test_completion.py` checks
+against exact answers.  Replicate counts are chosen so that every run
 spans several blocks and ends on a partial one.  The unkilled `hitting`
 digest was recorded when a walker outside the target's hull began to jump
 to its first crossing of the near end in one overshoot draw; its 300
@@ -33,7 +36,7 @@ from stablesde.cli import main
 from stablesde.experiments import ExperimentConfig, run_experiment
 from stablesde.funcspec import FunctionSpec, Piece, PowerForm
 from stablesde.functionals import Thresholds, _contributions, path_integral
-from stablesde.integrals import tail_kernel_finiteness
+from stablesde.integrals import hitting_probability, tail_kernel_finiteness
 from stablesde.intervals import IntervalSet
 from stablesde.stable import KillingSpec, StableParams, cell_dwell, sample_path, stream_rng
 
@@ -113,9 +116,9 @@ CLI_CASES = {
 
 #: sha256 of each output (see the module docstring for when each was recorded)
 GOLDEN = {
-    "explosion": "22e14609a9e0f6daf71328230523cf39b24e2fd46d3fe7db4028f3a86637881e",
-    "finiteness_killed": "6e2674bde1be986d05291dddbec6c4cf80406f2023b02b32f9d41928665acd4e",
-    "freeze": "2bb412cf7546a21aeb29cb66f32889edaa4b4e910eccbce277031d04e80347ea",
+    "explosion": "30a659384130800cad153b60dedb13b0e83364db64b5dacc3f4ab7784ccd83c1",
+    "finiteness_killed": "5daaf7c1d540238f12374e689040995240b14fc00ffb12447e6f16d9e75e9f9e",
+    "freeze": "85f80d6e3bc99086ef79333a2b093ebfa5014fcc72ce0d35710820fd0efde2a1",
     "freeze_pole_05": "1f9078b79aa66353337653040f7fa683df2d8315d2c4b8f0fda6cc722680efe5",
     "freeze_pole_15": "f891afef48a8d4f337caf66411b47308cde459b8a4a68234d3d884fb553128be",
     "hitting": "9f7a35c5db2d6b07c9f399b12ed26c662483cac2d6a520708e197d8bf8c77d8e",
@@ -334,8 +337,8 @@ def test_block_verdicts_match_paths(case, refined, killing):
     n = stable.grid_cells(horizon, 0.1)
     assert values.shape == dwell.shape == block.times.shape == (rows, 2 * n + 1)
     last = np.array([p.values[-1] for p in paths])
-    contrib, cum, k, explodes = functionals._clock_rows(
-        values, dwell, last, f, alpha, thresholds, horizon
+    contrib, cum, k, freezes, explodes = functionals._clock_rows(
+        values, dwell, last, f, alpha, thresholds
     )
     cfg = ExperimentConfig(
         alpha=alpha, f_or_sigma=f, z=(z,), replicates=1, horizon=horizon, step=0.1,
@@ -343,7 +346,9 @@ def test_block_verdicts_match_paths(case, refined, killing):
     )
     smalltime = experiments._smalltime_codes(cfg, f, block)
     for i, path in enumerate(paths):
-        p_contrib, p_cum, p_k, p_explodes = functionals._clock(path, f, alpha, thresholds)
+        p_contrib, p_cum, p_k, p_freezes, p_explodes = functionals._clock(
+            path, f, alpha, thresholds
+        )
         path_dwell = np.diff(np.append(path.times, path.end_time))
         occupied = dwell[i] > 0.0
         assert np.array_equal(dwell[i][occupied], path_dwell[path_dwell > 0.0])
@@ -354,32 +359,36 @@ def test_block_verdicts_match_paths(case, refined, killing):
         assert (k[i] >= 0) == (p_k is not None)
         if p_k is not None:
             assert cum[i, k[i] + 1] == p_cum[p_k + 1]
+        assert functionals._EXPLODES[int(freezes[i])] == p_freezes
         assert functionals._EXPLODES[int(explodes[i])] == p_explodes
         assert smalltime[i] == _old_smalltime(path, f, alpha, thresholds.m)
     if case == "explosion":
-        assert {-1, 1} <= set(explodes.tolist())
+        # no interval where f = +inf and a finite tail: every row explodes
+        assert set(explodes.tolist()) == {1}
     else:
         assert 0 < int(np.sum(k >= 0)) < rows or case == "pole_15"
 
 
 def _old_finiteness(cfg, f, path):
-    """The finiteness rule as it read a PathSample, with left-point sums and
-    a half-window cut at horizon / 2: a row killed by the horizon is finite
-    unless its sum reached M, and without killing an infinite tail integral
-    of f makes every row infinite."""
+    """The finiteness rule on a PathSample, row by row, with left-point sums
+    and without coins.  A row whose sum reached M is infinite, and one
+    killed by the horizon finite.  A row alive at the horizon may still
+    enter an interval where f = +inf, with chance p from its last value:
+    on a killed driver it is undetermined where p > 0, as it may be killed
+    first; on an unkilled one it is infinite where p = 1 or the tail
+    integral of f is infinite, and undetermined where p > 0.  Otherwise it
+    is finite."""
     total = path_integral(path, f, path.horizon)
     if not total < cfg.thresholds.m:
         return 0
     if path.killed_at is not None:
         return 1
-    if cfg.killing is None and tail_kernel_finiteness(cfg.alpha, f) == "infinite":
-        return 0
     last = float(path.values[-1])
-    if abs(last) > cfg.thresholds.escape_radius(cfg.alpha, cfg.horizon):
-        return 1
-    if total == path_integral(path, f, path.horizon / 2.0) and f(last) == 0.0:
-        return 1
-    return -1
+    p = max((hitting_probability(cfg.alpha, last, ab) for ab in f.infinite_intervals().intervals),
+            default=0.0)
+    if cfg.killing is None and (p == 1.0 or tail_kernel_finiteness(cfg.alpha, f) == "infinite"):
+        return 0
+    return -1 if p > 0.0 else 1
 
 
 #: integrands without pole points, so left-point and alpha-aware cells agree
@@ -406,7 +415,7 @@ def test_finiteness_off_poles_matches_path_rule(case, killing):
             StableParams(0.5), z, cfg.horizon, cfg.step, stream_rng(3, 0),
             killing=killing, rows=500,
         )
-        new = experiments._finiteness_codes(cfg, f, block)
+        new = experiments._clock_codes(cfg, f, block)
         assert new.tolist() == [_old_finiteness(cfg, f, block.path(i)) for i in range(500)]
         codes += new.tolist()
     if killing is None and case != "infinite_indicator":
@@ -416,12 +425,12 @@ def test_finiteness_off_poles_matches_path_rule(case, killing):
         assert len(set(codes)) > 1
 
 
-def test_finiteness_stagnation_cut_at_half_window():
-    """On a grid of 4 cells the half-window starts at t[2] = 2: mass before
-    it leaves a row stagnant (1), mass after it or f > 0 at the last value
-    leaves it undetermined (-1), and nothing counts after a kill at 1.5.
-    f = 1 on [4, 6) and 0 elsewhere has a finite tail, so the tail decides
-    no row."""
+def test_finiteness_of_rows_alive_at_the_horizon():
+    """f = 1 on [4, 6) and 0 elsewhere is never +inf and has a finite tail,
+    so every row whose sum stays below M is finite, wherever its mass lies
+    and whatever f is at its last value; nothing counts after a kill at
+    1.5.  The same 4 rows were coded [1, -1, -1, 1] by the stagnation test
+    of a half-window, which this rule replaced."""
     f = FunctionSpec.indicator_complement(IntervalSet.of((-math.inf, 4.0), (6.0, math.inf)))
     # nodes 2k and 2k + 1 hold grid values k and k + 1 from grid time k on
     times = np.tile([0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0], (4, 1))
@@ -434,9 +443,9 @@ def test_finiteness_stagnation_cut_at_half_window():
     block = stable.PathBlock(times, values, np.array([math.inf, math.inf, math.inf, 1.5]), 4.0)
     cfg = ExperimentConfig(
         alpha=0.5, f_or_sigma=f, z=(0.0,), replicates=1, horizon=4.0, step=1.0,
-        estimator="finiteness_prob", thresholds=Thresholds(m=100.0, r=100.0),
+        estimator="finiteness_prob", thresholds=Thresholds(m=100.0),
     )
-    assert experiments._finiteness_codes(cfg, f, block).tolist() == [1, -1, -1, 1]
+    assert experiments._clock_codes(cfg, f, block).tolist() == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("estimator, sigma", [

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import warnings
 from pathlib import Path
 
@@ -360,6 +361,18 @@ class TestSubcommands:
         assert main(["test", "--alpha", "0.5", "--f", f"@{path}", *domain]) == 0
         assert json.loads(capsys.readouterr().out)["finiteness"] == "finite"
 
+    def test_partial_f_refused_on_a_domain_beyond_it(self, tmp_path, capsys):
+        """The part of the domain no piece covers has no value; it is not
+        read as f = 0."""
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(
+            {"pieces": [{"interval": [0.0, 1.0], "form": {"power": {"c": 1.0}}}]}
+        ))
+        domain = ["--z", "0.5", "--domain", "[[0, Infinity]]"]
+        assert main(["test", "--alpha", "0.5", "--f", f"@{path}", *domain]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "leave [1.0, inf) uncovered" in err["detail"]
+
     @pytest.mark.parametrize("command", [
         ["simulate"], ["solve", "--sigma", "power:|x|^1.5"],
     ])
@@ -536,3 +549,27 @@ def test_out_file_holds_exactly_the_last_output(tmp_path):
     assert main(["--out", str(out), "test", "--alpha", "0.5"]) == 1
     assert out.read_text() == ""
     assert main(["--out", "/dev/null"] + argv) == 0
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The arguments of every `stablesde` line of the README's CLI block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("stablesde ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=lambda argv: " ".join(argv))
+def test_readme_cli_line_runs(argv, tmp_path, monkeypatch, capsys):
+    """Each README example exits 0 through `cli.main`, run in a fresh
+    directory, where `experiment` finds a small cfg.json."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "alpha": 0.5, "f_or_sigma": "power:|x|^1.5", "z": [0.0, 1.0], "replicates": 20,
+        "horizon": 1.0, "step": 0.05, "estimator": "explosion_prob",
+    }))
+    assert main(argv) == 0
+
+
+def test_readme_cli_block_shows_every_subcommand():
+    words = {word for argv in readme_cli_lines() for word in argv}
+    assert {"simulate", "solve", "classify", "test", "wiener", "experiment"} <= words

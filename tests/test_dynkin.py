@@ -110,8 +110,8 @@ def test_off_by_one_cell_is_caught(monkeypatch):
     clock = sde._clock
 
     def early(*args):
-        contrib, cum, k, explodes = clock(*args)
-        return contrib, np.concatenate(([0.0], cum[:-1])), k, explodes
+        contrib, cum, k, freezes, explodes = clock(*args)
+        return contrib, np.concatenate(([0.0], cum[:-1])), k, freezes, explodes
 
     monkeypatch.setattr(sde, "_clock", early)
     assert abs(standard_scores(dynkin_residuals("regular_zero"))) > BAND

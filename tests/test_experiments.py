@@ -245,16 +245,16 @@ class TestEstimators:
         """sigma = |x - 3|^2 at alpha = 0.5 from 0: f = |x - 3|^-1 has a
         pole at 3, which is polar, so a path from 0 stays away from it over
         any bounded time, and the tail of f at +-inf is finite.  Every row
-        that escapes explodes, exactly as for sigma = |x - 0.5|^2; the
-        pole does not make the estimate 0 with no row undetermined.  The
-        seed and the sizes were fixed before the test was first run."""
+        explodes, exactly as for sigma = |x - 0.5|^2, and none is left
+        undetermined; the pole does not make the estimate 0.  The seed and
+        the sizes were fixed before the test was first run."""
         ests = [
             estimate(cfg_with(f_or_sigma=FunctionSpec.power(2.0, p=p), estimator="explosion_prob",
                               replicates=2000, horizon=10.0, step=0.01, seed=0))
             for p in (3.0, 0.5)
         ]
         assert ests[0] == ests[1]
-        assert ests[0].point == 1.0 and 0.0 < ests[0].undetermined_fraction < 1.0
+        assert ests[0].point == 1.0 and ests[0].undetermined_fraction == 0.0
 
     @pytest.mark.parametrize("kw", [
         dict(estimator="freeze_prob", f_or_sigma=FunctionSpec.power(1.5), step=0.001),

@@ -235,7 +235,9 @@ class TestClassifyPath:
             assert not (v.explodes == "yes" and v.freezes == "yes")
         assert hit_seen
 
-    def test_fast_growth_explodes_when_escaped(self):
+    def test_fast_growth_always_explodes(self):
+        """sigma = x^2 off [-1, 1] has no zero and a finite tail integral
+        of sigma^-alpha, so every path explodes, however near it ends."""
         sigma = FunctionSpec(
             (
                 Piece(-INF, -1.0, PowerForm(1.0, 2.0, 0.0)),
@@ -243,20 +245,32 @@ class TestClassifyPath:
                 Piece(1.0, INF, PowerForm(1.0, 2.0, 0.0)),
             )
         )
-        exploded = 0
         for seed in range(50):
-            path = make_path(seed, horizon=50.0, step=0.05)
-            v = classify_path(path, sigma, 0.5, Thresholds(r=100.0))
-            assert v.freezes in ("no", "undetermined")
-            if v.explodes == "yes":
-                exploded += 1
-        assert exploded >= 45
+            v = classify_path(make_path(seed, horizon=50.0, step=0.05), sigma, 0.5)
+            assert (v.explodes, v.freezes) == ("yes", "no")
 
     def test_slow_decay_never_explodes(self):
         for seed in range(20):
             path = make_path(seed, horizon=5.0, step=0.05)
-            v = classify_path(path, FunctionSpec.power(0.5), 0.5, Thresholds(r=1.0))
+            v = classify_path(path, FunctionSpec.power(0.5), 0.5)
             assert v.explodes == "no"
+
+    def test_alive_paths_certain_only_where_the_outcome_is(self):
+        """Without coins a path alive at its end is yes or no only where
+        certain: an unbounded zero interval of sigma is surely entered, a
+        bounded one leaves freezing undetermined, and a pole of
+        sigma^-alpha away from the path never freezes it: sigma = |x|^1.5
+        explodes, as the tail of |x|^-0.75 is finite."""
+        path = make_path(4, z=-3.0, horizon=1.0, step=0.01)
+        assert path.values.max() < 5.0
+        unbounded = FunctionSpec.indicator_complement(IntervalSet.of((5.0, INF)))
+        bounded = FunctionSpec.indicator_complement(IntervalSet.of((5.0, 6.0)))
+        v = classify_path(path, unbounded, 0.5)
+        assert (v.freezes, v.explodes, v.freeze_time) == ("yes", "no", None)
+        v = classify_path(path, bounded, 0.5)
+        assert (v.freezes, v.explodes) == ("undetermined", "no")
+        v = classify_path(path, FunctionSpec.power(1.5), 0.5)
+        assert (v.freezes, v.explodes) == ("no", "yes")
 
     def test_exclusivity_invariant(self):
         with pytest.raises(ValueError):
@@ -264,10 +278,16 @@ class TestClassifyPath:
 
 
 class TestThresholds:
-    def test_default_escape_radius(self):
-        th = Thresholds()
-        assert th.escape_radius(0.5, 4.0) == pytest.approx(1e3 * 16.0)
-        assert Thresholds(r=7.0).escape_radius(0.5, 4.0) == 7.0
+    def test_radius_is_validated_and_changes_no_bytes(self):
+        """R is still validated, but no verdict reads it."""
+        for bad in (0.0, -1.0, INF, math.nan):
+            with pytest.raises(ValueError):
+                Thresholds(r=bad)
+        for sigma in GUARD_SIGMA.values():
+            for alpha, path, _ in guard_cases():
+                assert classify_path(path, sigma, alpha, Thresholds(r=7.0)) == classify_path(
+                    path, sigma, alpha, Thresholds()
+                )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -380,10 +400,11 @@ PATH_INTEGRALS = [
 ]
 #: sha256 of inverse_time_change at GUARD_LEVELS, and of the classify_path
 #: verdicts; both recorded before `_left_point` and `_crossing` replaced
-#: the rules they write once
+#: the rules they write once, and the verdicts again when a path alive at
+#: its end began to be completed from its last value
 ONE_PATH_GOLDEN = {
     "inverse_time_change": "b642937f5501c4d494473b3c4c43bf49ceb03bccc879da377e0791473443371a",
-    "classify_path": "9cdd2250c944f0225a2d1cd883daf76be4a25355384f2f670a7798ff623ef7fb",
+    "classify_path": "5ec7b8956b169a949d42ae2fa044799d41dfa8fa001359d593e60ed9b9c4666a",
 }
 
 

@@ -417,6 +417,24 @@ class TestPointedSet:
         assert doc == {"points": [1.0], "intervals": [[2.0, 3.0]]}
 
 
+class TestCoverage:
+    """A part of the line or the domain that no piece covers has no value;
+    the tests refuse it instead of reading it as f = 0."""
+
+    F = FunctionSpec((Piece(0.0, 1.0, PowerForm(1.0)),))
+
+    def test_kernel_integral_refuses_an_uncovered_domain(self):
+        with pytest.raises(FunctionSpecError, match=r"leave \[1.0, inf\) uncovered"):
+            kernel_integral(0.5, 0.5, self.F, IntervalSet.of((0.0, INF)))
+        with pytest.raises(FunctionSpecError, match=r"leave \[-1.0, 0.0\) and \[2.0, 3.0\)"):
+            kernel_integral(0.5, 0.5, self.F, IntervalSet.of((-1.0, 0.5), (2.0, 3.0)))
+        assert kernel_integral(0.5, 0.5, self.F, IntervalSet.of((0.25, 0.75))).finiteness == "finite"
+
+    def test_tail_test_refuses_a_spec_short_of_the_line(self):
+        with pytest.raises(FunctionSpecError, match=r"leave \[-inf, 0.0\) and \[1.0, inf\)"):
+            tail_kernel_finiteness(0.5, self.F)
+
+
 class TestTailFiniteness:
     def test_constant_infinite(self):
         assert tail_kernel_finiteness(0.5, FunctionSpec.constant(1.0)) == "infinite"
