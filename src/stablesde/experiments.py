@@ -209,7 +209,8 @@ def wilson_ci(k: int, n: int) -> tuple[float, float]:
 
 
 def _estimate_from_codes(codes: np.ndarray, seed: int) -> Estimate:
-    return Estimate(int(np.sum(codes == 1)), int(np.sum(codes >= 0)), len(codes), seed)
+    yes, resolved = np.count_nonzero(codes == 1), np.count_nonzero(codes >= 0)
+    return Estimate(int(yes), int(resolved), len(codes), seed)
 
 
 # -- block rules: one code per row, 1 yes / 0 no / -1 undetermined ---------
@@ -398,9 +399,9 @@ def run_experiment(cfg: ExperimentConfig, sink, threads: int = 1) -> list[Estima
     for z in cfg.z:
         est = _estimate_from_codes(_run_replicates(cfg, z), cfg.seed)
         rows.append(est)
+        lo, hi = est.ci95
         sink.write(
-            f"{cfg.estimator},{cfg.alpha!r},{z!r},{est.point!r},"
-            f"{est.ci95[0]!r},{est.ci95[1]!r},{est.n},"
+            f"{cfg.estimator},{cfg.alpha!r},{z!r},{est.point!r},{lo!r},{hi!r},{est.n},"
             f"{est.undetermined_fraction!r},{est.seed}\n"
         )
     return rows

@@ -11,6 +11,12 @@ nothing else.  A pole's power, which the Monte Carlo clock charges a cell
 parked on it by, is that of the most singular power piece anchored there,
 on either side.  The "poles" and "zeros" marks of the JSON format are
 checked against the pieces and then dropped.
+
+A spec is frozen, so the structure every estimator call reads (its poles
+with their forms and its infinite intervals) is worked out once per spec
+and kept in the instance, and so is `inverse_power(alpha)` for the last
+alpha asked.  That memo is no field: equality, hashing and the JSON form
+never see it.
 """
 
 from __future__ import annotations
@@ -88,6 +94,14 @@ class FunctionSpec:
             if a.hi > b.lo:
                 raise FunctionSpecError("pieces overlap")
         object.__setattr__(self, "pieces", ordered)
+        object.__setattr__(self, "_memo", {})
+
+    def _once(self, key, make):
+        """make(), worked out on the first call with this key and kept."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
 
     # -- constructors ------------------------------------------------------
 
@@ -153,8 +167,24 @@ class FunctionSpec:
     def pole_points(self) -> tuple[float, ...]:
         """The isolated points where the function blows up: the anchors p in
         [lo, hi] of power pieces with finite c > 0 and e < 0."""
-        return tuple(sorted({pc.form.p for pc in self._anchored(-1.0)
-                              if pc.lo <= pc.form.p <= pc.hi}))
+        return tuple(p for p, _, _ in self.pole_forms())
+
+    def pole_forms(self) -> tuple[tuple[float, tuple, PowerForm], ...]:
+        """(p, forms, form) for each of `pole_points` p, in order: the forms
+        of the pieces touching p, and the most singular power anchored at p
+        among them (lower e wins, then higher c), the one by which the clock
+        charges a cell parked on p."""
+        return self._once("pole_forms", self._pole_forms)
+
+    def _pole_forms(self):
+        out = []
+        for p in sorted({pc.form.p for pc in self._anchored(-1.0) if pc.lo <= pc.form.p <= pc.hi}):
+            forms = tuple(pc.form for pc in self.pieces if pc.lo <= p <= pc.hi)
+            singular = min((pc.form for pc in self._anchored(-1.0)
+                            if pc.form.p == p and pc.lo <= p <= pc.hi),
+                           key=lambda form: (form.e, -form.c))
+            out.append((p, forms, singular))
+        return tuple(out)
 
     def zero_points(self) -> tuple[float, ...]:
         """The isolated points where the function vanishes: the anchors p in
@@ -171,7 +201,7 @@ class FunctionSpec:
 
     def infinite_intervals(self) -> IntervalSet:
         """Intervals of positive measure where the function is +inf."""
-        return self._level_intervals(INF)
+        return self._once("infinite_intervals", lambda: self._level_intervals(INF))
 
     def zero_intervals(self) -> IntervalSet:
         """Intervals of positive measure where the function vanishes."""
@@ -211,8 +241,17 @@ class FunctionSpec:
         """The integrand sigma^(-alpha) of the time change: power pieces map
         (c, e) -> (c^-alpha, -alpha*e), so zeros become poles and vice versa
         (a c = 0 piece becomes a c = +inf one); tables map pointwise."""
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError("alpha must be positive")
+        # the last alpha's inverse is kept, keyed by type too: a numpy alpha
+        # gives numpy coefficients
+        key = (type(alpha), alpha)
+        last = self._memo.get("inverse_power")
+        if last is None or last[0] != key:
+            last = self._memo["inverse_power"] = (key, self._inverse_power(alpha))
+        return last[1]
+
+    def _inverse_power(self, alpha: float) -> "FunctionSpec":
         pieces = []
         for pc in self.pieces:
             if isinstance(pc.form, TableForm):

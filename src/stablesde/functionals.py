@@ -101,15 +101,14 @@ def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha
     """
     _check_alpha(alpha)
     contrib = _left_point(np.asarray(f(values), float), dwell)
-    for p in f.pole_points():
-        mask = (values == p) & (dwell > 0.0)
+    for p, forms, form in f.pole_forms():
+        mask = values == p
         if not mask.any():
             continue
-        if any(_divergence(alpha, p, pc.form, p, p) for pc in f.pieces if pc.lo <= p <= pc.hi):
+        mask &= dwell > 0.0
+        if any(_divergence(alpha, p, touching, p, p) for touching in forms):
             contrib[mask] = INF
             continue
-        form = min((pc.form for pc in f._anchored(-1.0) if pc.form.p == p and pc.lo <= p <= pc.hi),
-                   key=lambda form: (form.e, -form.c))
         k = form.e + alpha
         contrib[mask] = 2.0 * form.c / k * dwell[mask] ** (k / alpha)
     return contrib

@@ -204,6 +204,9 @@ class SeriesVerdict:
 #: ratio test needs this many consecutive contracting term ratios
 RATIO_RUN = 20
 RATIO_MARGIN = 1e-3
+#: lower-bound term ratios at or above this, 1 up to rounding, certify
+#: divergence: a geometric series whose ratio is just under 1 converges
+DIVERGENT_RATIO = 1.0 - 1e-12
 #: lower-bound partial sums above this certify divergence
 DIVERGENCE_BOUND = 1e6
 
@@ -216,7 +219,9 @@ def wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
     and the per-component subadditive upper bound.  `convergent` when the
     upper-bound terms contract geometrically over a sustained run;
     `divergent` when the lower-bound partial sums exceed DIVERGENCE_BOUND
-    or the lower-bound terms stop decaying; `inconclusive` otherwise.
+    or the last RATIO_RUN lower-bound terms do not decay (every ratio at
+    least DIVERGENT_RATIO); `inconclusive` otherwise, as for upper-bound
+    ratios in (1 - RATIO_MARGIN, 1).
 
     Every shell is intersected with the target at once: each shell piece
     finds the target pieces it overlaps by bisecting their sorted ends and
@@ -283,7 +288,7 @@ def wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
     # the partial sums clear the bound
     lnz = lower_terms[lower_terms > 0.0]
     lratios = lnz[1:] / lnz[:-1]
-    if lratios.size >= RATIO_RUN and np.all(lratios[-RATIO_RUN:] >= 1.0 - RATIO_MARGIN):
+    if lratios.size >= RATIO_RUN and np.all(lratios[-RATIO_RUN:] >= DIVERGENT_RATIO):
         out.verdict = "divergent"
         return out
     # a sustained contracting run plus an overall decayed tail certifies

@@ -45,6 +45,10 @@ _CSV_ROWS = 4096
 #: pipe to its end and reaps the child in 2.7-3.7 ms, and formats 32 768
 #: two-column rows in 51-55 ms, so the fork costs a slice at most 7%.
 _SLICE_ROWS = 32768
+#: the largest float, at which a path's increments are clipped before they
+#: are summed, and the machine epsilon that keeps a jump time inside its cell
+_FLOAT_MAX = np.finfo(float).max
+_FLOAT_EPS = np.finfo(float).eps
 
 
 def stream_rng(seed: int, index: int) -> np.random.Generator:
@@ -263,7 +267,7 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
             * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
         )
         # one pass over x; finite variates whose sum overflows only cost a mask
-        if not np.isfinite(x.sum()):
+        if not math.isfinite(x.sum()):
             bad = ~np.isfinite(x)
             u, w = u[bad], w[bad]
             log = (
@@ -316,8 +320,11 @@ def cell_dwell(times, end) -> np.ndarray:
     """The dwell of every node of times (a node list, or rows of them, never
     decreasing): the time to the next node or to end, whichever comes
     first, and 0 from end on.  end is one end per node list."""
-    end = np.asarray(end, float)[..., None]
-    return np.diff(np.minimum(times, end), append=end)
+    times, end = np.asarray(times, float), np.asarray(end, float)[..., None]
+    # the cut at end moves no node when no list ends before its last node
+    if not (times[..., -1:] <= end).all():
+        times = np.minimum(times, end)
+    return np.diff(times, append=end)
 
 
 @dataclass(frozen=True)
@@ -345,11 +352,6 @@ class PathBlock:
         out = self.times < self.killed_at[:, None]
         out[:, 0] = True
         return out
-
-    def last_values(self) -> np.ndarray:
-        """(B,) the value each row holds at its end time, the killing time
-        or the horizon: the last value of path(i)."""
-        return self.values[np.arange(len(self)), self.reached().sum(axis=1) - 1]
 
     def cells(self, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(values, dwell) of the first width nodes of every row (all of them
@@ -399,22 +401,24 @@ def sample_block(
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(rows, n))
     w = rng.exponential(1.0, size=(rows, n))
     incs = _self_similar(dt, params.alpha, _cms(params.alpha, u, w))
-    # the grid on the even nodes, each odd node a copy of the next even one
+    # the grid on the even nodes, each odd node a copy of the next even one;
+    # k * dt with the horizon last is np.linspace(0, horizon, n + 1), bit for bit
     times, values = np.empty((rows, 2 * n + 1)), np.empty((rows, 2 * n + 1))
-    times[:, 0::2] = np.linspace(0.0, horizon, n + 1)
+    times[:, 0::2] = np.arange(n + 1) * dt
+    times[:, -1] = horizon
     times[:, 1::2] = times[:, 2::2]
     values[:, 0] = z
     # a path that leaves the float range stays at that infinity: the sums
     # add finite increments, never -inf to +inf
-    big = np.finfo(float).max
+    clipped = np.minimum(np.maximum(incs, -_FLOAT_MAX), _FLOAT_MAX)
     with np.errstate(over="ignore"):
-        np.cumsum(np.clip(incs, -big, big), axis=1, out=values[:, 2::2])
+        np.cumsum(clipped, axis=1, out=values[:, 2::2])
         values[:, 2::2] += z
     values[:, 1::2] = values[:, 2::2]
 
-    eps = np.finfo(float).eps
     row, cell = np.nonzero(np.abs(incs) > _self_similar(step, params.alpha, JUMP_FACTOR))
-    times[row, 2 * cell + 1] = times[row, 2 * cell] + dt * rng.uniform(eps, 1.0 - eps, row.size)
+    jumps = rng.uniform(_FLOAT_EPS, 1.0 - _FLOAT_EPS, row.size)
+    times[row, 2 * cell + 1] = times[row, 2 * cell] + dt * jumps
 
     killed_at = np.full(rows, math.inf)
     if killing is not None:

@@ -113,6 +113,11 @@ def test_freeze_chance_bounds():
     )
     a, b = (hitting_probability(0.5, 0.0, ab) for ab in ((-4.0, -3.0), (1.0, 2.0)))
     assert (lo[0], hi[0]) == pytest.approx((max(a, b), min(1.0, a + b)), rel=1e-12)
+    # the ends of a bounded interval of O freeze at once, exactly: at 0.1 the
+    # closed form's centre and half-width round to a chance just under 1
+    f = FunctionSpec.infinite_indicator(IntervalSet.of((0.1, 0.2)))
+    lo, hi = _freeze_chance(f, 0.5, np.array([0.1, 0.15]))
+    assert lo.tolist() == hi.tolist() == [1.0, 1.0]
 
 
 def test_rows_certain_by_their_end_draw_nothing():

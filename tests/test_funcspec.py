@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -86,16 +87,23 @@ class TestEvaluation:
                 f(x)
 
     def test_one_piece_over_the_whole_input(self):
-        """A piece that covers an array evaluates it as a whole, to the same
-        values as point by point, into a new array; a NaN among its points
-        still raises."""
-        f = FunctionSpec.power(0.5, p=1.0)
-        xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-        out = f(xs)
-        assert out.shape == xs.shape and not np.shares_memory(out, xs)
-        assert out.tolist() == [[f(float(x)) for x in row] for row in xs]
-        with pytest.raises(FunctionSpecError, match="outside the declared domain"):
-            FunctionSpec.constant(1.0)(np.array([0.0, math.nan]))
+        """A piece that covers an array, or the whole line, evaluates it as a
+        whole, to the same values as point by point, into a new array of
+        floats; a NaN among its points still raises, whatever the piece
+        would give anywhere else: c = 0, c = +inf, a constant, powers and a
+        table."""
+        forms = (PowerForm(0.0), PowerForm(INF), PowerForm(1.0), PowerForm(2.0, 0.5, 1.0),
+                 PowerForm(2.0, -0.5, 1.0), TableForm((0.0, 1.0), (1.0, 3.0)))
+        for form, (lo, hi) in itertools.product(forms, ((-INF, INF), (-5.0, 5.0))):
+            f = FunctionSpec((Piece(lo, hi, form),))
+            xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+            out = f(xs)
+            assert out.shape == xs.shape and out.dtype == float
+            assert not np.shares_memory(out, xs)
+            assert out.tolist() == [[f(float(x)) for x in row] for row in xs]
+            for bad in (np.array([0.0, math.nan]), math.nan):
+                with pytest.raises(FunctionSpecError, match="outside the declared domain"):
+                    f(bad)
 
     def test_outside_domain_raises(self):
         f = FunctionSpec((Piece(0.0, 1.0, PowerForm(1.0)),))
@@ -125,6 +133,30 @@ class TestInversePower:
         # the zero of sigma became a pole of f, monotone on each side
         assert f.pole_points() == (0.0,)
         assert f.monotone_radius(0.0) == INF
+
+    def test_worked_out_once_per_spec(self):
+        """The pole forms, the infinite intervals and inverse_power for the
+        last alpha are kept in the spec, so a second call returns the same
+        object, and keeping them changes neither equality, hashing, repr
+        nor JSON.  A NaN alpha is refused before any lookup."""
+        sigma = FunctionSpec.indicator_complement(IntervalSet.of((1, 2)))
+        f = sigma.inverse_power(0.5)
+        assert sigma.inverse_power(0.5) is f
+        assert f.infinite_intervals() is f.infinite_intervals()
+        pole = FunctionSpec.power(0.5).inverse_power(0.5)
+        assert pole.pole_forms() is pole.pole_forms() and pole.pole_points() == (0.0,)
+        twin = FunctionSpec.indicator_complement(IntervalSet.of((1, 2)))
+        assert sigma == twin and hash(sigma) == hash(twin)
+        assert repr(sigma) == repr(twin) and sigma.to_json() == twin.to_json()
+        # a numpy alpha is kept apart: it gives numpy coefficients
+        numpy_f = sigma.inverse_power(np.float64(0.5))
+        assert numpy_f == f and numpy_f is not f
+        # only the last alpha is kept
+        other = sigma.inverse_power(0.7)
+        assert sigma.inverse_power(0.7) is other and sigma.inverse_power(0.5) is not f
+        for alpha in (math.nan, np.float64(math.nan), 0.0, -1.0):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                sigma.inverse_power(alpha)
 
     def test_values_match_pointwise(self):
         sigma = FunctionSpec.power(1.5)

@@ -8,6 +8,7 @@ import pytest
 
 from stablesde.intervals import (
     DIVERGENCE_BOUND,
+    DIVERGENT_RATIO,
     RATIO_MARGIN,
     RATIO_RUN,
     IntervalSet,
@@ -90,16 +91,18 @@ class TestIntervalSetAlgebra:
 
     def test_distance_from_an_infinity_a_piece_reaches(self):
         """A point at an infinite end of a piece is in it, at distance 0,
-        with no inf - inf; from the other infinity it is infinitely far,
-        and a NaN point stays at +inf."""
+        with no inf - inf; from the other infinity it is infinitely far, as
+        both are from a bounded piece, and a NaN point stays at +inf."""
         xs = np.array([-math.inf, -1e300, 0.0, 1e300, math.inf, math.nan])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            bounded = IntervalSet.of((1, 2)).distance_to(xs)
             right = IntervalSet.of((1, math.inf)).distance_to(xs)
             left = IntervalSet.of((-math.inf, -3)).distance_to(xs)
             line = IntervalSet.of((-math.inf, math.inf)).distance_to(xs)
             both = IntervalSet.of((-math.inf, -3), (1, math.inf)).distance_to(xs)
         inf = math.inf
+        assert bounded.tolist() == [inf, 1e300, 1.0, 1e300, inf, inf]
         assert right.tolist() == [inf, 1e300, 1.0, 0.0, 0.0, inf]
         assert left.tolist() == [0.0, 0.0, 3.0, 1e300, inf, inf]
         assert line.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, inf]
@@ -167,7 +170,7 @@ def reference_wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> Serie
         run = run + 1 if r <= 1.0 - RATIO_MARGIN else 0
         best = max(best, run)
     if lo_total > DIVERGENCE_BOUND or (
-        len(lratios) >= RATIO_RUN and all(r >= 1.0 - RATIO_MARGIN for r in lratios[-RATIO_RUN:])
+        len(lratios) >= RATIO_RUN and all(r >= DIVERGENT_RATIO for r in lratios[-RATIO_RUN:])
     ):
         out.verdict = "divergent"
     elif best >= RATIO_RUN and nz[-1] <= nz[0]:
@@ -307,6 +310,24 @@ class TestWienerSum:
     def test_half_line_divergent(self):
         v = wiener_sum(0.5, ShellSpec(0.0, 2.0, 1, 60), IntervalSet.of((1.0, math.inf)))
         assert v.verdict == "divergent"
+
+    @pytest.mark.parametrize("alpha", [0.998, 0.999, 0.9999])
+    def test_a_ratio_just_under_one_is_not_divergent(self, alpha):
+        """The example set's upper-bound terms are geometric with ratio
+        2^(-2(1-alpha)/3), under 1 by far more than rounding: near alpha = 1
+        the ratios contract too little for `convergent`, and the lower
+        bounds do not certify `divergent` either."""
+        v = wiener_sum(alpha, ShellSpec(0.0, 2.0, 1, 200), build_example_set(200))
+        assert v.verdict == "inconclusive"
+        assert v.ratio_estimate == pytest.approx(2.0 ** (-2.0 * (1.0 - alpha) / 3.0), rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.999])
+    @pytest.mark.parametrize("target", [(1.0, 2.0 ** 60), (1.0, math.inf)])
+    def test_whole_shells_stay_divergent(self, alpha, target):
+        """Whole shells give lower-bound terms constant up to rounding."""
+        v = wiener_sum(alpha, ShellSpec(0.0, 2.0, 1, 200), IntervalSet.of(target))
+        assert v.verdict == "divergent"
+        assert v.lower_partial_sums[-1] < DIVERGENCE_BOUND
 
     def test_partial_sums_nondecreasing(self):
         v = wiener_sum(0.5, ShellSpec(0.0, 2.0, 1, 100), build_example_set(100))

@@ -2,8 +2,9 @@
 accepted exactly when they are finite and in range, `IntervalSet` and
 `FunctionSpec` survive a JSON round trip, a spec's JSON marks are accepted
 exactly when its pieces bear them out, a cell parked on a pole is charged
-+inf exactly where the monotone pole test says infinite, and
-`IntervalSet.intersection` equals the nested loop it replaced."""
++inf exactly where the monotone pole test says infinite,
+`IntervalSet.intersection` equals the nested loop it replaced, and a
+block's grid is `np.linspace`, bit for bit."""
 
 import json
 import math
@@ -16,7 +17,7 @@ from stablesde.funcspec import FunctionSpec, Piece, PowerForm, TableForm
 from stablesde.functionals import Thresholds, _contributions
 from stablesde.integrals import kernel_integral, monotone_pole_test
 from stablesde.intervals import IntervalSet, ShellSpec
-from stablesde.stable import KillingSpec
+from stablesde.stable import KillingSpec, StableParams, grid_cells, sample_block, stream_rng
 
 INF = math.inf
 
@@ -213,3 +214,21 @@ def test_parked_cell_is_infinite_where_the_pole_test_is(f, alpha):
         charge = _contributions(np.array([p]), np.array([0.01]), f, alpha)[0]
         assert verdict in ("finite", "infinite")
         assert math.isinf(charge) == (verdict == "infinite"), (p, verdict, charge)
+
+
+@PROPERTY
+@given(st.floats(0.0, 1e300, exclude_min=True), st.floats(1e-3, 3000.0))
+@example(1.0, 3.0)
+@example(0.1, 7.0)
+@example(5e-324, 1.0)
+@example(1e-320, 3.0)
+def test_block_grid_is_linspace(horizon, ratio):
+    """The even nodes of a block are np.linspace(0, horizon, n + 1), bit for
+    bit, for any horizon and step; the subnormal horizons are the ones where
+    a grid step could round to 0."""
+    step = horizon / ratio
+    if not 0.0 < step < INF:
+        return
+    n = grid_cells(horizon, step)
+    block = sample_block(StableParams(0.5), 0.0, horizon, step, stream_rng(0, 0))
+    assert block.times[0, ::2].tobytes() == np.linspace(0.0, horizon, n + 1).tobytes()
