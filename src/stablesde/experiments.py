@@ -14,16 +14,11 @@ on the whole block, from its node arrays or its cell arrays
 `functionals` keep the left-point sum.  `functionals._clock_rows` completes
 a row alive at the horizon, so `freeze_prob` is the chance of ever freezing.
 
-Hitting without killing samples no path: walkers jump exactly, WALK_CHUNK
-to a chunk.  One outside the target's hull lands in one draw where the
-process first crosses the hull's near end (Rogozin's overshoot law); one in
-a gap of a union leaves its walk-on-spheres ball.  A walker more than
-WALK_FINISH lengths from a single finite interval is finished by one
-uniform against its exact chance of ever hitting it, which is computed
-only where the uniform falls under the largest such chance.  For a union
-or an unbounded target, a walker, like a killed path alive at the horizon,
-is a miss beyond `_miss_distance`, where the bound
-capacity * distance^(alpha-1) on that chance drops below WALK_TOL or
+Hitting without killing samples no path: `_walk_codes` moves walkers by
+exact jumps, WALK_CHUNK to a chunk, and finishes each one far from a
+bounded target by a uniform against its exact chance of ever hitting it
+(`integrals._union_chance`).  A killed path alive at the horizon is a miss
+where the bound capacity * distance^(alpha-1) on that chance drops below
 HITTING_RESIDUAL.  The `threads` arguments are kept for compatibility and
 have no effect.  Undetermined replicates are excluded from the point
 estimate but reported as a fraction.
@@ -39,7 +34,7 @@ import numpy as np
 
 from .funcspec import FunctionSpec, parse_inline
 from .functionals import DEFAULT_M, Thresholds, _clock_rows, _contributions
-from .integrals import _hitting_chance
+from .integrals import _check_union, _union_chance
 from .intervals import IntervalSet, _check_alpha, interval_capacity_upper
 from .stable import KillingSpec, PathBlock, StableParams, grid_cells, sample_block, stream_rng
 
@@ -52,14 +47,9 @@ HITTING_RESIDUAL = 1e-2
 #: which a walker still alive is undetermined
 WALK_CHUNK = 1 << 14
 WALK_STEPS = 100_000
-#: a walker further than this many target lengths from a single finite
-#: interval is finished by one uniform against its exact hitting chance
+#: a walker further than this many hull lengths from a bounded target is
+#: finished by one uniform against its exact hitting chance
 WALK_FINISH = 1e3
-#: the miss rule for unions and unbounded targets: a walker is a miss where
-#: the bound capacity * distance^(alpha-1) on its chance of ever hitting
-#: drops below this.  For a single interval that distance is nearer than
-#: WALK_FINISH lengths only for alpha below about 0.09, where it still acts
-WALK_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -70,8 +60,10 @@ class ExperimentConfig:
     walkers keep no time.  The clocked estimators, freeze_prob and
     explosion_prob, refuse killing, and every estimator but hitting_prob
     refuses a target.  freeze_prob is the chance of ever freezing: a row
-    not frozen by the horizon is completed from its last value.  The
-    escape radius thresholds.R is validated but has no effect."""
+    not frozen by the horizon is completed from its last value.  A target,
+    or intervals where the integrand is +inf, too many for one equilibrium
+    solve are refused.  The escape radius thresholds.R is validated but
+    has no effect."""
 
     alpha: float
     f_or_sigma: FunctionSpec
@@ -105,6 +97,11 @@ class ExperimentConfig:
         if not all(math.isfinite(v) for v in zs):
             raise ValueError(f"starting points must be finite, got {zs}")
         object.__setattr__(self, "z", zs)
+        # the intervals whose hitting chance a run may solve for
+        f = self.f_or_sigma
+        union = self.target if self.target is not None else (
+            f.zero_intervals() if ESTIMATORS[self.estimator][1] else f.infinite_intervals())
+        _check_union(union.intervals)
 
     @classmethod
     def from_json(cls, text: str, seed: int = 0) -> "ExperimentConfig":
@@ -244,10 +241,14 @@ def _hitting_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock, rng
     killed block.  A row hits when one of the nodes it reaches before its
     killing time lies in the target.  One killed within the horizon that
     never hit is a certain miss; one still alive at the horizon is a miss
-    when its last node lies beyond the miss distance for HITTING_RESIDUAL."""
+    where the bound capacity * distance^(alpha-1) on its chance of ever
+    hitting is below HITTING_RESIDUAL (nowhere near an unbounded target)."""
     inside = cfg.target.contains(block.values) & block.reached()
     codes = np.where(inside.any(axis=1), 1, -1).astype(np.int8)
-    far = cfg.target.distance_to(block.values[:, -1]) > _miss_distance(cfg, HITTING_RESIDUAL)
+    cap = interval_capacity_upper(cfg.alpha, cfg.target)
+    with np.errstate(over="ignore"):
+        miss = np.float64(cap / HITTING_RESIDUAL) ** (1.0 / (1.0 - cfg.alpha))
+    far = cfg.target.distance_to(block.values[:, -1]) > miss
     codes[(codes < 0) & ((block.killed_at <= cfg.horizon) | far)] = 0
     return codes
 
@@ -268,16 +269,6 @@ ESTIMATORS = {
 BLOCK_CELLS = 1 << 15
 
 
-def _miss_distance(cfg: ExperimentConfig, tol: float) -> float:
-    """The distance to the target beyond which capacity * d^(alpha-1), a
-    bound on the chance of ever hitting it, drops below tol: 0 for the empty
-    target; inf for an unbounded one, and where the bound stays above tol at
-    every finite distance."""
-    cap = interval_capacity_upper(cfg.alpha, cfg.target)
-    with np.errstate(over="ignore"):
-        return np.float64(cap / tol) ** (1.0 / (1.0 - cfg.alpha))
-
-
 def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     """Hit (1), miss (0) or undetermined (-1) for n walkers from z towards
     the target of an unkilled process.
@@ -291,31 +282,29 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     A walker inside the hull (in a gap of a union) leaves the ball
     (x - d, x + d) at x +- d / sqrt(B) with a fair sign instead: the exit law
     of Blumenthal, Getoor & Ray (1961).  It hits on landing in the target
-    (or on its boundary).  When the target is one finite interval [a, b], a
-    walker more than WALK_FINISH * (b - a) away is finished: by the strong
-    Markov property it hits with `_hitting_chance`, and one uniform drawn
-    against that chance decides it exactly.  Otherwise it misses beyond the
-    miss distance for WALK_TOL.  A walker still alive after WALK_STEPS
-    exits, or whose distance overflowed without a miss, is undetermined.
+    (or on its boundary).  When the target is bounded, a walker more than
+    WALK_FINISH * (last - first) away is finished: by the strong Markov
+    property it hits with `_union_chance`, and one uniform drawn against
+    that chance decides it exactly.  The empty target misses every walker
+    without a draw.  A walker still alive after WALK_STEPS exits, or at an
+    infinite distance from an unbounded target, is undetermined.
 
     One exit draws, in this order: a uniform per walker it finishes, a beta
     variate B per walker still alive, then a sign uniform per walker in a
     gap, so a single interval draws no signs.  The finished walkers are
-    decided together after the last exit: the chance falls with the
-    distance from the interval's centre, so the chance of the finished
-    walker nearest it bounds every other's.  A uniform at or above that
-    bound, raised by 1e-9 of itself for rounding, is a miss, and only a
-    walker whose uniform falls under it gets its own chance.  The walk
-    keeps no time, which is why killing cannot use it: the exit time and
-    exit position of a ball have no explicit joint law.
+    decided together after the last exit.  The equilibrium measure is
+    positive, so on each side of the hull the chance of the nearest one
+    bounds every other's: a uniform at or above it, raised by 1e-9 of
+    itself for rounding, is a miss, and only the rest get their own chance.
+    The walk keeps no time, which is why killing cannot use it: the exit
+    time and exit position of a ball have no explicit joint law.
     """
     a, pieces = cfg.alpha / 2.0, cfg.target.intervals
-    far, finish = _miss_distance(cfg, WALK_TOL), math.inf
-    if len(pieces) == 1:
-        lo, hi = pieces[0]
-        finish = WALK_FINISH * (hi - lo)
-    # the target's hull; the empty target misses every walker before a jump
-    first, last = (pieces[0][0], pieces[-1][1]) if pieces else (math.nan, math.nan)
+    if not pieces:
+        return np.zeros(n, dtype=np.int8)
+    first, last = pieces[0][0], pieces[-1][1]
+    # inf for an unbounded target, which finishes no walker
+    finish = WALK_FINISH * (last - first)
     codes = np.full(n, -1, dtype=np.int8)
     # where each finished walker stopped and its uniform; NaN for the others
     stopped, coin = np.full(n, math.nan), np.full(n, math.nan)
@@ -327,13 +316,11 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
         for step in range(WALK_STEPS + 1):
             d = cfg.target.distance_to(x)
             hit, done = d == 0.0, d > finish
-            miss = (d > far) & ~done
             codes[live[hit]] = 1
-            codes[live[miss]] = 0
             stopped[live[done]] = x[done]
             # an empty draw leaves the stream where it was
             coin[live[done]] = rng.random(np.count_nonzero(done))
-            going = ~(hit | miss | done) & (d < math.inf)
+            going = ~(hit | done) & (d < math.inf)
             live, x, d = live[going], x[going], d[going]
             if not live.size or step == WALK_STEPS:
                 break
@@ -349,12 +336,12 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
                 x[gap] += np.copysign(d[gap] / np.sqrt(b[gap]), sign)
     done = np.flatnonzero(~np.isnan(coin))
     if done.size:
-        at = stopped[done]
-        bound = _hitting_chance(cfg.alpha, at[np.argmin(np.abs(at - (lo + hi) / 2.0))], lo, hi)
+        at, left = stopped[done], stopped[done] < first
+        near = [np.max(at[left], initial=-math.inf), np.min(at[~left], initial=math.inf)]
+        bound = _union_chance(cfg.alpha, pieces, np.array(near))
         codes[done] = 0
-        # betainc can break the order of the chances by an ulp or so
-        low = done[coin[done] < bound * (1.0 + 1e-9)]
-        codes[low] = coin[low] < _hitting_chance(cfg.alpha, stopped[low], lo, hi)
+        low = done[coin[done] < np.where(left, bound[0], bound[1]) * (1.0 + 1e-9)]
+        codes[low] = coin[low] < _union_chance(cfg.alpha, pieces, stopped[low])
     return codes
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspec import INF, FunctionSpec
-from .integrals import _divergence, _hitting_chance, tail_kernel_finiteness
+from .integrals import _divergence, _union_chance, tail_kernel_finiteness
 from .intervals import _check_alpha
 from .stable import PathSample, cell_dwell
 
@@ -132,17 +132,11 @@ def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:
 
 
 def _freeze_chance(f: FunctionSpec, alpha: float, x):
-    """Bounds (lo, hi) on P_x(X ever enters an interval where f = +inf), x
-    an array: [0, 0] without one, [1, 1] with an unbounded one (the driver
-    oscillates), else the largest `_hitting_chance` of each (Blumenthal,
-    Getoor & Ray 1961) and their sum capped at 1.  Poles are polar, but an
-    x on a pole in O freezes at once, as a cell parked there would."""
-    pieces = f.infinite_intervals().intervals
-    chances = np.zeros((len(pieces) + 1, *np.shape(x)))
-    chances[0] = np.isinf(_contributions(x, np.ones(np.shape(x)), f, alpha))
-    for i, (a, b) in enumerate(pieces, 1):
-        chances[i] = 1.0 if b - a == INF else _hitting_chance(alpha, x, a, b)
-    return chances.max(axis=0, initial=0.0), np.minimum(1.0, chances.sum(axis=0))
+    """P_x(X ever enters an interval where f = +inf), x an array, by
+    `_union_chance`.  Poles are polar, but an x on a pole in O freezes at
+    once, as a cell parked there would."""
+    at_once = np.isinf(_contributions(x, np.ones(np.shape(x)), f, alpha))
+    return np.maximum(at_once, _union_chance(alpha, f.infinite_intervals().intervals, x))
 
 
 #: verdict codes of `_clock_rows` and their names in `_clock`
@@ -159,13 +153,13 @@ def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
     contribution of each cell, the clock at the cell edges (rows, cells + 1),
     per row the first cell at whose right edge the clock is at or above M
     (-1 if none), and the codes 1 (yes), 0 (no), -1 (undetermined) of ever
-    freezing and exploding.  A row alive at its end freezes later with a
-    chance `_freeze_chance` bounds by (lo, hi) at `last`; lo = 0 on killed
-    drivers, and hi = 0 too where alive says a row was killed by the
-    horizon.  A row (lo, hi) leaves open takes one uniform u from rng, in
-    row order: 1 if u < lo, 0 if u >= hi, else -1 (-1 without rng).  A row
-    explodes unless it freezes, or the driver is unkilled and the tail
-    integral of f, looked up at most once, is infinite; -1 where undecided.
+    freezing and exploding.  A row alive at its end freezes later with
+    chance lo = hi = `_freeze_chance` at `last`; on killed drivers lo = 0,
+    and hi = 0 too where alive says a row was killed by the horizon.  A row
+    (lo, hi) leaves open takes one uniform u from rng, in row order: 1 if
+    u < lo, 0 if u >= hi, else -1 (-1 without rng).  A row explodes unless
+    it freezes, or the driver is unkilled and the tail integral of f,
+    looked up at most once, is infinite; -1 where undecided.
     """
     contrib = _contributions(values, dwell, f, alpha)
     cum = np.zeros((len(contrib), contrib.shape[1] + 1))
@@ -176,7 +170,7 @@ def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
     frozen = over.any(axis=1)
     k = np.where(frozen, over.argmax(axis=1), -1)
     rows = np.flatnonzero(~frozen)
-    lo, hi = _freeze_chance(f, alpha, last[rows])
+    lo = hi = _freeze_chance(f, alpha, last[rows])
     if alive is not None:
         lo, hi = np.zeros(rows.size), np.where(alive[rows], hi, 0.0)
     # a row that draws nothing is decided by u = 0: lo = 1 gives 1, hi = 0 gives 0

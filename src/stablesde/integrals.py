@@ -1,10 +1,10 @@
 """Singularity-aware evaluation of kernel integrals int f(y)|z-y|^(alpha-1) dy,
 the monotone-pole small-time test, the closed-form power-law test, the exact
-chance of ever hitting an interval, and the construction of the irregular set
-O and zero set N for structured sigma.  N, the candidate points of O and the
-pole test's monotone hypothesis are all read from sigma's pieces, through
-`FunctionSpec.zero_points`, `zero_intervals`, `pole_points` and
-`monotone_radius`; no declared mark enters a verdict.
+chance of ever hitting a finite union of intervals, and the construction of
+the irregular set O and zero set N for structured sigma.  N, the candidate
+points of O and the pole test's monotone hypothesis are all read from
+sigma's pieces, through `FunctionSpec.zero_points`, `zero_intervals`,
+`pole_points` and `monotone_radius`; no declared mark enters a verdict.
 
 Finiteness is always decided from local exponents, by one rule, `_divergence`,
 before any quadrature runs; `kernel_integral`, the clock's pole cell and the
@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import solve
 from scipy.special import betainc, betaln
 
 from .funcspec import INF, FunctionSpec, FunctionSpecError, PowerForm, TableForm
@@ -40,6 +41,10 @@ QUAD_TOL = 1e-9
 #: CUT_RATIO: QUADPACK places a node to about 2^-53 of its cell's width, so
 #: on wider cells a node could land on the anchor
 CUT_RATIO = 2.0**32
+#: cosine-graded cells per interval of an equilibrium solve, and the most
+#: cells one solve takes: its matrix holds the square of that many floats
+EQ_CELLS = 40
+EQ_MAX_CELLS = 4096
 
 
 @dataclass
@@ -254,16 +259,19 @@ def green_constant(alpha: float) -> float:
     return math.gamma(1.0 - alpha) * math.sin(math.pi * alpha / 2.0) / math.pi
 
 
-def hitting_probability(alpha: float, z: float, interval: tuple[float, float]) -> float:
-    """P_z(the symmetric alpha-stable process ever hits [a, b]), exactly, by
-    `_hitting_chance`."""
+def hitting_probability(alpha: float, z: float, target) -> float:
+    """P_z(the symmetric alpha-stable process ever hits target), exactly
+    (`_union_chance`): target is an IntervalSet, or a pair (a, b) for the
+    closed interval [a, b]."""
     _check_alpha(alpha)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
-    a, b = (float(v) for v in interval)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"need a finite interval a < b, got {interval}")
-    return float(_hitting_chance(alpha, z, a, b))
+    if not isinstance(target, IntervalSet):
+        a, b = (float(v) for v in target)
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"need a finite interval a < b, got {target}")
+        target = IntervalSet.of((a, b))
+    return float(_union_chance(alpha, target.intervals, z))
 
 
 def _hitting_chance(alpha: float, x, a: float, b: float) -> np.ndarray:
@@ -276,11 +284,73 @@ def _hitting_chance(alpha: float, x, a: float, b: float) -> np.ndarray:
     log t = 2 log(r/|x - c|)."""
     p, q = (1.0 - alpha) / 2.0, alpha / 2.0
     c, r = (a + b) / 2.0, (b - a) / 2.0
-    # on [a, b] the distance is r, so t = 1 and I_1 = 1
-    dist = np.maximum(np.abs(np.asarray(x, dtype=float) - c), r)
+    # on [a, b] the distance is r, so t = 1 and I_1 = 1, even where c rounds
+    dist = np.where((a <= x) & (x <= b), r, np.maximum(np.abs(x - c), r))
     t = (r / dist) ** 2
     lead = np.exp(2.0 * p * (math.log(r) - np.log(dist)) - math.log(p) - betaln(p, q))
     return np.where(t < np.finfo(float).tiny, lead, betainc(p, q, t))
+
+
+def _union_chance(alpha: float, pieces, x) -> np.ndarray:
+    """P_x(X ever hits the union of the normalised `pieces`), x a scalar or
+    an array: 0 without a piece, 1 with an unbounded one (X oscillates),
+    `_hitting_chance` for one, else the potential of the `_equilibrium`
+    measure, EQ_MAX_CELLS points at a time, and 1 on each closed piece."""
+    x = np.asarray(x, dtype=float)
+    if not pieces or any(b - a == INF for a, b in pieces):
+        return np.full(x.shape, float(bool(pieces)))
+    if len(pieces) == 1:
+        return _hitting_chance(alpha, x, *pieces[0])
+    ends, lo, w, density = _equilibrium(alpha, pieces)
+    chance, flat = np.empty(x.shape), x.reshape(-1)
+    for i in range(0, x.size, EQ_MAX_CELLS):
+        d = np.subtract.outer(flat[i:i + EQ_MAX_CELLS], ends)
+        chance.flat[i:i + EQ_MAX_CELLS] = _cell_potentials(alpha, d, lo, w) @ density
+    return np.where(IntervalSet(pieces).distance_to(x) == 0.0, 1.0, np.clip(chance, 0.0, 1.0))
+
+
+def _check_union(pieces) -> None:
+    """ValueError for more intervals than one equilibrium solve takes."""
+    if len(pieces) * EQ_CELLS > EQ_MAX_CELLS:
+        raise ValueError(f"at most {EQ_MAX_CELLS // EQ_CELLS} intervals, got {len(pieces)}")
+
+
+@lru_cache(maxsize=64)
+def _equilibrium(alpha: float, pieces: tuple) -> tuple:
+    """The equilibrium measure of bounded `pieces` (Blumenthal & Getoor 1968;
+    Landkof 1972), constant on EQ_CELLS cosine-graded cells of each, with
+    potential 1 at every cell's midpoint: per cell its piece's right end,
+    its left end as an offset from that (which keeps apart the cells of
+    pieces near 2^70), its width, and its density times C_alpha/alpha."""
+    _check_union(pieces)
+    grade = (1.0 + np.cos(np.pi * np.arange(EQ_CELLS + 1) / EQ_CELLS)) / 2.0
+    offsets = -np.array([b - a for a, b in pieces])[:, None] * grade
+    lo, hi = offsets[:, :-1].ravel(), offsets[:, 1:].ravel()
+    ends, w = np.repeat([b for _, b in pieces], EQ_CELLS), hi - lo
+    gram = np.subtract.outer(ends, ends)
+    gram = _cell_potentials(alpha, np.add(gram, ((lo + hi) / 2.0)[:, None], out=gram), lo, w)
+    # at its own midpoint a cell's potential is the sum of two equal powers
+    np.fill_diagonal(gram, 2.0 * (w / 2.0) ** alpha)
+    # the transpose is Fortran-ordered, so LAPACK factors it in place
+    return ends, lo, w, solve(gram.T, np.ones(w.size), transposed=True, overwrite_a=True,
+                              check_finite=False)
+
+
+def _cell_potentials(alpha: float, d: np.ndarray, lo: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """alpha int |x - y|^(alpha-1) dy over cells (columns) for points x
+    (rows), in place on d, x less the right end of each cell's piece, with
+    lo the cells' left ends as offsets from that and w their widths:
+    D^alpha - (D - w)^alpha, D the distance to the far end, taken as
+    -D^alpha expm1(alpha log1p(-w/D)) since the plain difference cancels to
+    0 beyond about 1e12, and 0 at D = inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d -= lo + w / 2.0
+        d = np.add(np.abs(d, out=d), w / 2.0, out=d)
+        # a point inside a cell reads only the far end's power
+        ratio = np.log1p(-np.minimum(w / d, 1.0))
+        d **= alpha
+        d *= np.expm1(np.multiply(ratio, alpha, out=ratio), out=ratio)
+        return np.nan_to_num(np.negative(d, out=d), copy=False, nan=0.0)
 
 
 def monotone_pole_test(alpha: float, z: float, f: FunctionSpec, epsilon: float) -> TestVerdict:

@@ -11,14 +11,16 @@ digests were re-recorded when rows alive at the horizon began to be
 completed from their last value, which `tests/test_completion.py` checks
 against exact answers.  Replicate counts are chosen so that every run
 spans several blocks and ends on a partial one.  The unkilled `hitting`
-digest was recorded when a walker outside the target's hull began to jump
-to its first crossing of the near end in one overshoot draw; its 300
-walkers make one partial chunk, and runs of several chunks are checked in
-`test_hitting.py`.  A union never finishes a walker by its coin, so
+digest was recorded when walkers far from a union began to be finished by
+a coin against their exact chance (`tests/test_equilibrium.py` checks
+that chance and the walker on the same union); its 300 walkers make one
+partial chunk, and runs of several chunks are checked in `test_hitting.py`.
 `WALK_GOLDEN` pins the codes of walkers towards one interval, at the
 default WALK_FINISH and at 2 lengths, where most walkers are finished by a
 coin against their exact chance; those digests were recorded while every
-finished walker's chance was still computed.  The `simulate_killed` and
+finished walker's chance was still computed, and the one at alpha 0.05 and
+the default WALK_FINISH again when the capacity miss, which acted there
+before the finish, was removed.  The `simulate_killed` and
 `solve` digests date from the engine that drew one `sample_path` per
 replicate; a single path is the one-row block, so they never moved.
 """
@@ -121,7 +123,7 @@ GOLDEN = {
     "freeze": "85f80d6e3bc99086ef79333a2b093ebfa5014fcc72ce0d35710820fd0efde2a1",
     "freeze_pole_05": "1f9078b79aa66353337653040f7fa683df2d8315d2c4b8f0fda6cc722680efe5",
     "freeze_pole_15": "f891afef48a8d4f337caf66411b47308cde459b8a4a68234d3d884fb553128be",
-    "hitting": "9f7a35c5db2d6b07c9f399b12ed26c662483cac2d6a520708e197d8bf8c77d8e",
+    "hitting": "e263472a7a2ece884176438b7c967d83d11f71029d2c29ed1aaa4aa6a2523d3e",
     "hitting_killed": "32ccf2d39df8eb3123fea2ed00edb12457d70584398774797af13e4768b42b4b",
     "smalltime": "e879988f7f596129114a4ea1200ec930f068676f5356cabd5091373de68f453b",
     "smalltime_killed": "2f5593eae4e8166a8750557f468426e8ff60153618160de7d6cd16177153738c",
@@ -162,7 +164,7 @@ WALK_GOLDEN = {
     (0.05, 2.0): "40d063767e8d3ad26f2ec770ee5cdef56bb6051e37a516d95425e3b592f68f00",
     (0.5, 2.0): "a12fa884747a526990f41c8cdf746232ec8efc9ee3e43e391f975d2768d4ff21",
     (0.99, 2.0): "c757c59c917e2dffcaa5a584ada3636d6fe635e3ad2d49f2738202575b41f340",
-    (0.05, 1e3): "37addc653efc3fee89ef9fa6b05b70047083096e2d903a6a94251edbfe0fe606",
+    (0.05, 1e3): "eee6e346f8310efb94d77e554120f9f3a20fa83a7a32d3ea36647aa888f3d8ce",
     (0.5, 1e3): "a171ac68ab42925645aaf4f59307cc56cd11dbd3969841bb5c8eac4b26846bf6",
     (0.99, 1e3): "352d969f4fb74e7fec604dff9605e623f9585d0e677bf3b0e42df226090174c5",
 }

@@ -16,8 +16,8 @@ estimate below has an exact value:
   never hits [1, 2]: 1 - P_0(hit [1, 2]).
 
 Each 95% Wilson interval must cover its exact value, with no row left
-undetermined.  Two zero intervals have no closed form yet; the completion
-bounds each row's chance by the largest and the capped sum of the two, so
+undetermined.  Two zero intervals have no closed form; the completion
+reads the chance of hitting their union from its equilibrium measure, so
 its interval must overlap that of the exact walker of `hitting_prob` on the
 same union.  The seed, the sizes and the bands were fixed before the tests
 were first run.
@@ -92,32 +92,30 @@ def test_two_zero_intervals_overlap_the_walker():
     assert frozen.ci95[0] <= walked.ci95[1] and walked.ci95[0] <= frozen.ci95[1]
 
 
-def test_freeze_chance_bounds():
-    """No interval: [0, 0]; an unbounded one: [1, 1]; one bounded interval:
-    the exact chance; two: the larger and the capped sum; a point of O: 1."""
+def test_freeze_chance_is_exact():
+    """No interval: 0; an unbounded one: 1; one bounded interval: the exact
+    chance; two: the chance of hitting their union, within 1e-4 of its
+    reference value; a point of O: 1."""
     x = np.array([-2.0, 1.5, 0.0])
     one = hitting_probability(0.5, -2.0, (1.0, 2.0))
     cases = [
-        (FunctionSpec.constant(1.0), [0, 0, 0], [0, 0, 0]),
-        (FunctionSpec.infinite_indicator(IntervalSet.of((5.0, INF))), [1, 1, 1], [1, 1, 1]),
-        (FunctionSpec.infinite_indicator(ONE_TO_TWO), [one, 1, None], [one, 1, None]),
+        (FunctionSpec.constant(1.0), [0, 0, 0]),
+        (FunctionSpec.infinite_indicator(IntervalSet.of((5.0, INF))), [1, 1, 1]),
+        (FunctionSpec.infinite_indicator(ONE_TO_TWO), [one, 1, None]),
         # |x|^-0.75 at alpha 0.5: the pole at 0 is in O, so x = 0 freezes at once
-        (FunctionSpec.power(-0.75), [0, 0, 1], [0, 0, 1]),
+        (FunctionSpec.power(-0.75), [0, 0, 1]),
     ]
-    for f, lo_want, hi_want in cases:
-        lo, hi = _freeze_chance(f, 0.5, x)
-        for got, want in ((lo, lo_want), (hi, hi_want)):
-            assert all(w is None or g == pytest.approx(w, rel=1e-12) for g, w in zip(got, want))
-    lo, hi = _freeze_chance(
-        FunctionSpec.infinite_indicator(IntervalSet.of((-4.0, -3.0), (1.0, 2.0))), 0.5, x[2:]
-    )
-    a, b = (hitting_probability(0.5, 0.0, ab) for ab in ((-4.0, -3.0), (1.0, 2.0)))
-    assert (lo[0], hi[0]) == pytest.approx((max(a, b), min(1.0, a + b)), rel=1e-12)
+    for f, want in cases:
+        got = _freeze_chance(f, 0.5, x)
+        assert all(w is None or g == pytest.approx(w, rel=1e-12) for g, w in zip(got, want))
+    union = IntervalSet.of((-4.0, -3.0), (1.0, 2.0))
+    (chance,) = _freeze_chance(FunctionSpec.infinite_indicator(union), 0.5, x[2:])
+    assert chance == hitting_probability(0.5, 0.0, union)
+    assert chance == pytest.approx(0.44480, abs=1e-4)
     # the ends of a bounded interval of O freeze at once, exactly: at 0.1 the
     # closed form's centre and half-width round to a chance just under 1
     f = FunctionSpec.infinite_indicator(IntervalSet.of((0.1, 0.2)))
-    lo, hi = _freeze_chance(f, 0.5, np.array([0.1, 0.15]))
-    assert lo.tolist() == hi.tolist() == [1.0, 1.0]
+    assert _freeze_chance(f, 0.5, np.array([0.1, 0.15])).tolist() == [1.0, 1.0]
 
 
 def test_rows_certain_by_their_end_draw_nothing():

@@ -18,7 +18,7 @@ from scipy.special import beta, betainc
 from stablesde import experiments
 from stablesde.experiments import WALK_CHUNK, ExperimentConfig, run_experiment
 from stablesde.funcspec import FunctionSpec
-from stablesde.integrals import _hitting_chance, hitting_probability
+from stablesde.integrals import _hitting_chance, _union_chance, hitting_probability
 from stablesde.intervals import IntervalSet, interval_capacity_upper
 from stablesde.stable import KillingSpec, StableParams, sample_block, stream_rng
 
@@ -26,6 +26,7 @@ ALPHAS = (0.3, 0.5, 0.7, 0.9)
 TARGET = (1.0, 2.0)
 #: both sides of TARGET, and inside it
 ZS = (-3.0, 0.0, 1.5, 4.0)
+TWO_INTERVALS = IntervalSet.of((1.0, 2.0), (-4.0, -3.0))
 WALKERS = 20_000
 SEED = 1609
 
@@ -86,15 +87,6 @@ def test_walk_near_alpha_zero_without_warning():
     lo, hi = est.ci95
     assert est.undetermined_fraction == 0.0
     assert lo <= hitting_probability(0.01, -2.0, TARGET) <= hi
-
-
-def test_capacity_miss_covers_oracle_without_the_finish(monkeypatch):
-    """At alpha = 0.95 the capacity miss alone still decides the run
-    rightly: this run leans on no formula."""
-    monkeypatch.setattr(experiments, "WALK_FINISH", math.inf)
-    (est,) = run_experiment(hitting_cfg(0.95, **NEAR_ONE), io.StringIO())
-    lo, hi = est.ci95
-    assert lo <= hitting_probability(0.95, -2.0, TARGET) <= hi
 
 
 #: the crossing-law runs: walkers and seed were fixed before their first run
@@ -165,18 +157,18 @@ class TestWalkEdges:
             )
         assert set(codes.tolist()) == {1}
 
-    def test_overflowed_walkers_undetermined(self):
-        """Near alpha = 1 the bound on a union stays above WALK_TOL at every
-        float distance, so a walker is never a miss: one started near the
-        largest float overflows within a few exits and is left
-        undetermined."""
+    def test_far_walkers_finished_on_a_union(self):
+        """Near alpha = 1 a walker started near the largest float is far
+        beyond WALK_FINISH hull lengths of a union, so it is finished at
+        once by its exact chance: every walker is decided, without a
+        warning."""
         target = IntervalSet.of((1.0, 2.0), (-4.0, -3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             codes = experiments._run_replicates(
                 hitting_cfg(alpha=0.99, target=target, replicates=100), -1e300
             )
-        assert set(codes.tolist()) == {-1}
+        assert set(codes.tolist()) <= {0, 1}
 
     def test_far_walkers_finished_on_a_single_interval(self):
         """From the same start a single interval finishes every walker at
@@ -193,16 +185,24 @@ class TestWalkEdges:
         assert chance > 0.0
         assert chance == pytest.approx(math.exp(p * log_t) / (p * beta(p, q)), rel=1e-12)
 
-    def test_finished_walkers_get_their_chance_only_under_the_bound(self, monkeypatch):
-        """The chance of the finished walker nearest the centre bounds every
-        other's; a coin at or above it is a miss, so only the walkers whose
-        coin falls under it get their own chance.  On one interval every
-        uniform the walk draws is a finished walker's coin."""
-        points = []
+    @pytest.mark.parametrize("target", [IntervalSet.of(TARGET), TWO_INTERVALS],
+                             ids=["one", "two"])
+    def test_finished_walkers_get_their_chance_only_under_the_bound(self, monkeypatch, target):
+        """On each side of the hull the chance of the finished walker
+        nearest it bounds every other's; a coin at or above its side's
+        bound is a miss, so only the walkers whose coin falls under it get
+        their own chance, and the codes are those of evaluating every
+        finished walker, which a bound of 1 does.  So they are also under a
+        chance ten times higher on the left than on the right, which a
+        rule that mixed up the sides would get wrong.  On one interval
+        every uniform the walk draws is a finished walker's coin."""
+        cfg = hitting_cfg(target=target, replicates=1000, seed=31337)
+        first, last = target.intervals[0][0], target.intervals[-1][1]
 
-        def counted(alpha, x, a, b):
-            points.append(np.atleast_1d(x))
-            return _hitting_chance(alpha, x, a, b)
+        def lopsided(alpha, pieces, x):
+            x = np.asarray(x)
+            left = x < first
+            return np.where(left, 0.9, 0.09) / (1.0 + np.where(left, first - x, x - last) / 1e4)
 
         class Recorder:
             def __init__(self, rng):
@@ -215,18 +215,34 @@ class TestWalkEdges:
             def beta(self, *args):
                 return self.rng.beta(*args)
 
-        cfg = hitting_cfg(replicates=1000, seed=31337)
-        eager = experiments._run_replicates(cfg, 0.0)
-        monkeypatch.setattr(experiments, "_hitting_chance", counted)
-        rng = Recorder(stream_rng(cfg.seed, 0))
-        codes = experiments._walk_codes(cfg, 0.0, 1000, rng)
-        coins = np.concatenate(rng.coins)
-        assert np.array_equal(codes, eager)
-        # the first point evaluated is the nearest, and its chance the bound
-        assert coins.size == 689 and points[0].size == 1
-        bound = float(_hitting_chance(cfg.alpha, points[0], *TARGET)[0])
-        assert bound < 0.0121
-        assert sum(p.size for p in points) <= 1 + np.count_nonzero(coins < bound) < 20
+        def walk(chance, every):
+            """The codes, the points the chance was asked for and the
+            uniforms drawn; with every, the bounds (the first call) are 1."""
+            points = []
+
+            def counted(alpha, pieces, x):
+                points.append(np.atleast_1d(x))
+                lifted = every and len(points) == 1
+                return np.ones(np.shape(x)) if lifted else chance(alpha, pieces, x)
+
+            monkeypatch.setattr(experiments, "_union_chance", counted)
+            rng = Recorder(stream_rng(cfg.seed, 0))
+            codes = experiments._walk_codes(cfg, 0.0, 1000, rng)
+            return codes, points, np.concatenate(rng.coins)
+
+        for chance in (lopsided, _union_chance):
+            every, finished, _ = walk(chance, True)
+            codes, points, coins = walk(chance, False)
+            assert np.array_equal(codes, every)
+        # the first call evaluates the nearest walker on each side: its
+        # chance is that side's bound
+        assert points[0].size == 2 and len(points) == 2
+        assert points[1].size < finished[1].size / 10
+        if len(target.intervals) == 1:
+            assert coins.size == finished[1].size == 689
+            bound = _union_chance(cfg.alpha, target.intervals, points[0])
+            assert bound.max() < 0.0121
+            assert points[1].size <= np.count_nonzero(coins < bound.max()) < 20
 
     def test_step_cap_leaves_walkers_undetermined(self, monkeypatch):
         """Capped after one exit, a walker is undetermined or decided as it
@@ -332,6 +348,15 @@ class TestHittingProbability:
     def test_one_on_the_interval(self, alpha):
         for z in (1.0, 1.25, 1.5, 2.0):
             assert hitting_probability(alpha, z, TARGET) == 1.0
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_one_at_both_ends_where_the_centre_rounds(self, alpha):
+        """The centre of (0.1, 0.2) rounds to 0.15000000000000002, so the
+        distance from 0.1 to it exceeds the half-width; the closed interval
+        still reads exactly 1 at both ends."""
+        for z in (0.1, 0.2):
+            assert hitting_probability(alpha, z, (0.1, 0.2)) == 1.0
+            assert _hitting_chance(alpha, np.array([z]), 0.1, 0.2).tolist() == [1.0]
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_matches_closed_form(self, alpha):
