@@ -1,8 +1,8 @@
 """Monte Carlo estimation harness: reproducible configs, one RNG stream per
 chunk of replicates, Wilson intervals, and CSV reporting.
 
-Replicates run on one thread, a chunk at a time, and chunk c draws from the
-counter-based stream keyed by (seed, c); the chunk size depends on the
+Replicates run on one thread; chunk c of each z draws from the
+counter-based stream keyed by (seed, c), and the chunk size depends on the
 config alone, so results do too.  `ESTIMATORS` is the one table of
 estimators: it names each one's block rule and whether it reads the clock of
 sigma^-alpha along drivers that are never killed.  `_path_codes` samples a
@@ -15,7 +15,8 @@ on the whole block, from its node arrays or its cell arrays
 a row alive at the horizon, so `freeze_prob` is the chance of ever freezing.
 
 Hitting without killing samples no path: `_walk_codes` moves walkers by
-exact jumps, WALK_CHUNK to a chunk, and finishes each one far from a
+exact jumps, every z's together in batches of at most WALK_CHUNK walkers,
+each (z, chunk) on its own stream, and finishes each one far from a
 bounded target by a uniform against its exact chance of ever hitting it
 (`integrals._union_chance`).  A killed path alive at the horizon is a miss
 where the bound capacity * distance^(alpha-1) on that chance drops below
@@ -269,9 +270,16 @@ ESTIMATORS = {
 BLOCK_CELLS = 1 << 15
 
 
-def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
-    """Hit (1), miss (0) or undetermined (-1) for n walkers from z towards
-    the target of an unkilled process.
+def _draws(rngs, owners: np.ndarray, method: str, *args) -> np.ndarray:
+    """rng.method(*args, k) for each group's rng and its k walkers among
+    owners (sorted group indices), joined; a group with none draws nothing."""
+    counts = np.bincount(owners).tolist()
+    return np.concatenate([getattr(rng, method)(*args, k) for rng, k in zip(rngs, counts) if k])
+
+
+def _walk_codes(cfg: ExperimentConfig, groups) -> np.ndarray:
+    """Hit (1), miss (0) or undetermined (-1) for each (z, n, rng) of groups
+    in turn: n walkers from z towards the target of an unkilled process.
 
     A walker at distance d > 0 left of the target's hull [first, last]
     jumps to where the process first passes first: it lands at
@@ -289,17 +297,20 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     without a draw.  A walker still alive after WALK_STEPS exits, or at an
     infinite distance from an unbounded target, is undetermined.
 
-    One exit draws, in this order: a uniform per walker it finishes, a beta
-    variate B per walker still alive, then a sign uniform per walker in a
-    gap, so a single interval draws no signs.  The finished walkers are
-    decided together after the last exit.  The equilibrium measure is
-    positive, so on each side of the hull the chance of the nearest one
+    The groups walk in lockstep, each drawing from its own stream what it
+    would draw alone: at one exit, a uniform per walker it finishes, a beta
+    variate B per walker alive, then a sign uniform per walker in a gap, so
+    a single interval draws no signs.  The finished walkers are decided
+    together after the last exit.  The equilibrium measure is positive, so
+    on each side of the hull the chance of the nearest one, of any group,
     bounds every other's: a uniform at or above it, raised by 1e-9 of
     itself for rounding, is a miss, and only the rest get their own chance.
     The walk keeps no time, which is why killing cannot use it: the exit
     time and exit position of a ball have no explicit joint law.
     """
     a, pieces = cfg.alpha / 2.0, cfg.target.intervals
+    zs, ns, rngs = zip(*groups)
+    n = sum(ns)
     if not pieces:
         return np.zeros(n, dtype=np.int8)
     first, last = pieces[0][0], pieces[-1][1]
@@ -309,7 +320,9 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     # where each finished walker stopped and its uniform; NaN for the others
     stopped, coin = np.full(n, math.nan), np.full(n, math.nan)
     live = np.arange(n)
-    x = np.full(n, z)
+    # each walker's group; compaction keeps a group's walkers together and in order
+    g = np.repeat(np.arange(len(ns)), ns)
+    x = np.repeat(zs, ns)
     # a beta variate that underflows to 0 (alpha near 0) sends its walker to
     # +-inf, where it is finished
     with np.errstate(over="ignore", divide="ignore"):
@@ -317,14 +330,14 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
             d = cfg.target.distance_to(x)
             hit, done = d == 0.0, d > finish
             codes[live[hit]] = 1
-            stopped[live[done]] = x[done]
-            # an empty draw leaves the stream where it was
-            coin[live[done]] = rng.random(np.count_nonzero(done))
+            if done.any():
+                stopped[live[done]] = x[done]
+                coin[live[done]] = _draws(rngs, g[done], "random")
             going = ~(hit | done) & (d < math.inf)
-            live, x, d = live[going], x[going], d[going]
+            live, x, d, g = live[going], x[going], d[going], g[going]
             if not live.size or step == WALK_STEPS:
                 break
-            b = rng.beta(a, 1.0 - a, live.size)
+            b = _draws(rngs, g, "beta", a, 1.0 - a)
             over = d * (1.0 - b) / b
             left, right = x < first, x > last
             gap = ~(left | right)
@@ -332,7 +345,7 @@ def _walk_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
             x[right] = last - over[right]
             if gap.any():
                 # down when the uniform is below 1/2
-                sign = rng.random(np.count_nonzero(gap)) - 0.5
+                sign = _draws(rngs, g[gap], "random") - 0.5
                 x[gap] += np.copysign(d[gap] / np.sqrt(b[gap]), sign)
     done = np.flatnonzero(~np.isnan(coin))
     if done.size:
@@ -358,20 +371,28 @@ def _path_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
     return rule(cfg, f, block, rng)
 
 
-def _run_replicates(cfg: ExperimentConfig, z: float) -> np.ndarray:
-    """Codes of every replicate, a chunk at a time: chunk c draws from
-    stream_rng(seed, c).  A chunk is WALK_CHUNK walkers for unkilled hitting
-    and BLOCK_CELLS // grid_cells paths otherwise, so the codes depend on
-    the config alone."""
-    if cfg.estimator == "hitting_prob" and cfg.killing is None:
-        rule, size = _walk_codes, WALK_CHUNK
+def _run_replicates(cfg: ExperimentConfig) -> np.ndarray:
+    """Codes of every replicate, one row per z.  Chunk c of each z's
+    replicates draws from stream_rng(seed, c): a block of BLOCK_CELLS //
+    grid_cells paths, or WALK_CHUNK walkers for unkilled hitting, which walk
+    with the chunks after them, across z, in batches of at most WALK_CHUNK."""
+    walk = cfg.estimator == "hitting_prob" and cfg.killing is None
+    size = WALK_CHUNK if walk else max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step))
+    groups = ((z, min(size, cfg.replicates - lo), chunk)
+              for z in cfg.z for chunk, lo in enumerate(range(0, cfg.replicates, size)))
+    if walk:
+        batches, total = [], WALK_CHUNK
+        for group in groups:
+            total += group[1]
+            if total > WALK_CHUNK:
+                batches.append([])
+                total = group[1]
+            batches[-1].append(group)
+        runs = [_walk_codes(cfg, [(z, n, stream_rng(cfg.seed, c)) for z, n, c in batch])
+                for batch in batches]
     else:
-        rule, size = _path_codes, max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step))
-    codes = np.empty(cfg.replicates, dtype=np.int8)
-    for chunk, lo in enumerate(range(0, cfg.replicates, size)):
-        n = min(size, cfg.replicates - lo)
-        codes[lo : lo + n] = rule(cfg, z, n, stream_rng(cfg.seed, chunk))
-    return codes
+        runs = [_path_codes(cfg, z, n, stream_rng(cfg.seed, c)) for z, n, c in groups]
+    return np.concatenate(runs).reshape(len(cfg.z), cfg.replicates)
 
 
 CSV_HEADER = "estimator,alpha,z,point,ci_lo,ci_hi,n,undetermined,seed"
@@ -383,8 +404,8 @@ def run_experiment(cfg: ExperimentConfig, sink, threads: int = 1) -> list[Estima
     effect."""
     rows = []
     sink.write(CSV_HEADER + "\n")
-    for z in cfg.z:
-        est = _estimate_from_codes(_run_replicates(cfg, z), cfg.seed)
+    for z, codes in zip(cfg.z, _run_replicates(cfg)):
+        est = _estimate_from_codes(codes, cfg.seed)
         rows.append(est)
         lo, hi = est.ci95
         sink.write(

@@ -45,6 +45,8 @@ CUT_RATIO = 2.0**32
 #: cells one solve takes: its matrix holds the square of that many floats
 EQ_CELLS = 40
 EQ_MAX_CELLS = 4096
+#: the smallest normal float, below which a hitting chance takes its leading term
+_FLOAT_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -288,7 +290,7 @@ def _hitting_chance(alpha: float, x, a: float, b: float) -> np.ndarray:
     dist = np.where((a <= x) & (x <= b), r, np.maximum(np.abs(x - c), r))
     t = (r / dist) ** 2
     lead = np.exp(2.0 * p * (math.log(r) - np.log(dist)) - math.log(p) - betaln(p, q))
-    return np.where(t < np.finfo(float).tiny, lead, betainc(p, q, t))
+    return np.where(t < _FLOAT_TINY, lead, betainc(p, q, t))
 
 
 def _union_chance(alpha: float, pieces, x) -> np.ndarray:

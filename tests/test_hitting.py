@@ -107,8 +107,8 @@ def test_first_crossing_lands_by_the_overshoot_law(monkeypatch, alpha, d):
     length = TARGET[1] - TARGET[0]
     exact = float(betainc(1.0 - alpha / 2.0, alpha / 2.0, length / (d + length)))
     n = CROSSING["replicates"]
-    for z in (TARGET[0] - d, TARGET[1] + d):
-        codes = experiments._run_replicates(hitting_cfg(alpha, **CROSSING), z)
+    cfg = hitting_cfg(alpha, (TARGET[0] - d, TARGET[1] + d), **CROSSING)
+    for codes in experiments._run_replicates(cfg):
         share = np.count_nonzero(codes == 1) / n
         assert abs(share - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n)
 
@@ -140,7 +140,7 @@ class TestWalkEdges:
         target = IntervalSet.of((1.0, math.inf))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            codes = experiments._run_replicates(hitting_cfg(target=target, replicates=2000), 0.0)
+            (codes,) = experiments._run_replicates(hitting_cfg(target=target, replicates=2000))
         assert set(codes.tolist()) <= {1, -1}
         assert np.any(codes == 1)
 
@@ -152,8 +152,8 @@ class TestWalkEdges:
         the target, so every walker hits."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            codes = experiments._run_replicates(
-                hitting_cfg(alpha=alpha, target=IntervalSet.of(target), replicates=1000), z
+            (codes,) = experiments._run_replicates(
+                hitting_cfg(alpha=alpha, z=(z,), target=IntervalSet.of(target), replicates=1000)
             )
         assert set(codes.tolist()) == {1}
 
@@ -165,8 +165,8 @@ class TestWalkEdges:
         target = IntervalSet.of((1.0, 2.0), (-4.0, -3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            codes = experiments._run_replicates(
-                hitting_cfg(alpha=0.99, target=target, replicates=100), -1e300
+            (codes,) = experiments._run_replicates(
+                hitting_cfg(alpha=0.99, z=(-1e300,), target=target, replicates=100)
             )
         assert set(codes.tolist()) <= {0, 1}
 
@@ -177,7 +177,7 @@ class TestWalkEdges:
         alpha, z = 0.99, -1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            codes = experiments._run_replicates(hitting_cfg(alpha=alpha, replicates=100), z)
+            (codes,) = experiments._run_replicates(hitting_cfg(alpha=alpha, z=(z,), replicates=100))
             chance = float(_hitting_chance(alpha, z, *TARGET))
         assert set(codes.tolist()) <= {0, 1}
         p, q = (1.0 - alpha) / 2.0, alpha / 2.0
@@ -227,7 +227,7 @@ class TestWalkEdges:
 
             monkeypatch.setattr(experiments, "_union_chance", counted)
             rng = Recorder(stream_rng(cfg.seed, 0))
-            codes = experiments._walk_codes(cfg, 0.0, 1000, rng)
+            codes = experiments._walk_codes(cfg, [(0.0, 1000, rng)])
             return codes, points, np.concatenate(rng.coins)
 
         for chance in (lopsided, _union_chance):
@@ -249,10 +249,10 @@ class TestWalkEdges:
         is without the cap: one crossing may land it beyond WALK_FINISH,
         where it is finished as a miss or a hit by the same uniform."""
         cfg = hitting_cfg(alpha=0.9, replicates=500)
-        uncapped = experiments._run_replicates(cfg, 0.0)
+        (uncapped,) = experiments._run_replicates(cfg)
         assert set(uncapped.tolist()) <= {0, 1}
         monkeypatch.setattr(experiments, "WALK_STEPS", 1)
-        capped = experiments._run_replicates(cfg, 0.0)
+        (capped,) = experiments._run_replicates(cfg)
         assert np.all((capped == -1) | (capped == uncapped))
         assert np.any(capped == -1)
 
@@ -269,9 +269,9 @@ class TestWalkEdges:
         """A run of one full chunk and a partial one gives the same codes
         twice, and its first chunk is the run of one chunk alone."""
         cfg = hitting_cfg(replicates=WALK_CHUNK + 37)
-        first = experiments._run_replicates(cfg, 0.0)
-        again = experiments._run_replicates(cfg, 0.0)
-        alone = experiments._run_replicates(hitting_cfg(replicates=WALK_CHUNK), 0.0)
+        (first,) = experiments._run_replicates(cfg)
+        (again,) = experiments._run_replicates(cfg)
+        (alone,) = experiments._run_replicates(hitting_cfg(replicates=WALK_CHUNK))
         assert np.array_equal(first, again)
         assert np.array_equal(first[:WALK_CHUNK], alone)
 
@@ -280,6 +280,47 @@ class TestWalkEdges:
         monkeypatch.setattr(experiments, "_walk_codes", None)
         killed = dataclasses.replace(hitting_cfg(replicates=20), killing=KillingSpec(0.1))
         run_experiment(killed, io.StringIO())
+
+
+#: the batching cases for four z: WALK_CHUNK, patched to 256 or at its
+#: default, the replicates per z and the batches they make; at 256, 700
+#: replicates are three chunks and every chunk walks alone, while chunks of
+#: 100 walk two z to a batch; at the default every z walks in one batch
+BATCHINGS = [(256, 700, 12), (256, 100, 2), (WALK_CHUNK, 700, 1)]
+
+
+@pytest.mark.parametrize("chunk,replicates,count", BATCHINGS)
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.995])
+@pytest.mark.parametrize(
+    "target", [IntervalSet.of(TARGET), TWO_INTERVALS, IntervalSet.of((1.0, math.inf)),
+               IntervalSet.empty()], ids=["one", "two", "unbounded", "empty"])
+def test_start_points_walk_together_byte_for_byte(monkeypatch, target, alpha, chunk, replicates,
+                                                  count):
+    """Every z walks in batches of consecutive (z, chunk) groups, and each
+    row of codes is that z's chunks walked one group at a time, each on
+    stream_rng(seed, c).  No batch holds more than WALK_CHUNK walkers, so a
+    full chunk walks alone."""
+    monkeypatch.setattr(experiments, "WALK_CHUNK", chunk)
+    cfg = hitting_cfg(alpha, (0.0, -5.0, 1.5, -1e300), target, replicates, seed=31337)
+    walk, batches = experiments._walk_codes, []
+
+    def spy(cfg, groups):
+        batches.append([(z, n) for z, n, _ in groups])
+        return walk(cfg, groups)
+
+    monkeypatch.setattr(experiments, "_walk_codes", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = experiments._run_replicates(cfg)
+    sizes = [min(chunk, replicates - lo) for lo in range(0, replicates, chunk)]
+    for z, row in zip(cfg.z, rows):
+        alone = [walk(cfg, [(z, n, stream_rng(cfg.seed, c))]) for c, n in enumerate(sizes)]
+        assert np.array_equal(row, np.concatenate(alone))
+    assert [group for batch in batches for group in batch] == [
+        (z, n) for z in cfg.z for n in sizes]
+    assert all(sum(n for _, n in batch) <= chunk for batch in batches)
+    assert all(len(batch) == 1 for batch in batches if any(n == chunk for _, n in batch))
+    assert len(batches) == count
 
 
 class TestKilledHitting:
