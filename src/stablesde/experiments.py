@@ -8,21 +8,20 @@ estimators: it names each one's block rule and whether it reads the clock of
 sigma^-alpha along drivers that are never killed.  `_path_codes` samples a
 chunk's paths together (`stable.sample_block`) and hands the block to the
 rule, which decides hitting, finiteness, freezing, explosion or small-time
-on the whole block, from its node arrays or its cell arrays
-(`PathBlock.cells`).  Every rule that reads cells uses the alpha-aware
-`functionals._contributions`; only the single-path public functions of
-`functionals` keep the left-point sum.  `functionals._clock_rows` completes
-a row alive at the horizon, so `freeze_prob` is the chance of ever freezing.
+on the whole block from its cell arrays (`PathBlock.cells`) by the
+alpha-aware `functionals._contributions`, which only the single-path public
+functions of `functionals` forgo.  Every rule but small-time reads the one
+verdict `functionals._clock_rows`, which completes a row alive at the
+horizon (so `freeze_prob` is the chance of ever freezing); killed hitting
+is its freeze verdict on f = +inf on the target and 0 off it.
 
 Hitting without killing samples no path: `_walk_codes` moves walkers by
 exact jumps, every z's together in batches of at most WALK_CHUNK walkers,
 each (z, chunk) on its own stream, and finishes each one far from a
 bounded target by a uniform against its exact chance of ever hitting it
-(`integrals._union_chance`).  A killed path alive at the horizon is a miss
-where the bound capacity * distance^(alpha-1) on that chance drops below
-HITTING_RESIDUAL.  The `threads` arguments are kept for compatibility and
-have no effect.  Undetermined replicates are excluded from the point
-estimate but reported as a fraction.
+(`integrals._union_chance`).  The `threads` arguments are kept for
+compatibility and have no effect.  Undetermined replicates are excluded
+from the point estimate but reported as a fraction.
 """
 
 from __future__ import annotations
@@ -36,13 +35,8 @@ import numpy as np
 from .funcspec import FunctionSpec, parse_inline
 from .functionals import DEFAULT_M, Thresholds, _clock_rows, _contributions
 from .integrals import _check_union, _union_chance
-from .intervals import IntervalSet, _check_alpha, interval_capacity_upper
+from .intervals import IntervalSet, _check_alpha
 from .stable import KillingSpec, PathBlock, StableParams, grid_cells, sample_block, stream_rng
-
-#: a killed path alive at the horizon that never hit is a miss once the
-#: residual hitting probability bound capacity * distance^(alpha-1) drops
-#: below this
-HITTING_RESIDUAL = 1e-2
 
 #: the hitting walk: walkers per chunk (one stream each), and the exits after
 #: which a walker still alive is undetermined
@@ -58,13 +52,14 @@ class ExperimentConfig:
     """One estimator run.  f_or_sigma is read as the coefficient sigma by the
     freeze/explosion estimators and as the integrand f by the others.
     hitting_prob without killing reads neither horizon nor step: its
-    walkers keep no time.  The clocked estimators, freeze_prob and
-    explosion_prob, refuse killing, and every estimator but hitting_prob
-    refuses a target.  freeze_prob is the chance of ever freezing: a row
-    not frozen by the horizon is completed from its last value.  A target,
-    or intervals where the integrand is +inf, too many for one equilibrium
-    solve are refused.  The escape radius thresholds.R is validated but
-    has no effect."""
+    walkers keep no time; with killing it is a path entering the target
+    before it is killed, read from the clock as freezing is.  The clocked
+    estimators, freeze_prob and explosion_prob, refuse killing, and every
+    estimator but hitting_prob refuses a target.  freeze_prob is the
+    chance of ever freezing: a row not frozen by the horizon is completed
+    from its last value.  A target, or intervals where the integrand is
+    +inf, too many for one equilibrium solve are refused.  The escape
+    radius thresholds.R is validated but has no effect."""
 
     alpha: float
     f_or_sigma: FunctionSpec
@@ -212,20 +207,22 @@ def _estimate_from_codes(codes: np.ndarray, seed: int) -> Estimate:
 
 
 # -- block rules: one code per row, 1 yes / 0 no / -1 undetermined ---------
-# f is the integrand: cfg.f_or_sigma, or sigma^-alpha for freeze and explosion;
-# rng, the chunk's generator after the block's draws, completes rows alive at H
+# f is the integrand `_run_replicates` builds; rng, the chunk's generator
+# after the block's draws, completes rows alive at H
 
 
 def _clock_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock, rng=None):
-    """The freeze code of `_clock_rows` for freeze_prob and its explode code
-    otherwise; rows alive at the horizon are completed from their last node
-    with uniforms from rng (a killed block says which rows are alive)."""
+    """The freeze code of `_clock_rows` for freeze_prob and hitting_prob
+    (whose f is +inf on the target, so a row hits where it freezes) and its
+    explode code otherwise; rows alive at the horizon are completed from
+    their last node with uniforms from rng (a killed block says which rows
+    are alive)."""
     values, dwell = block.cells()
     alive = None if cfg.killing is None else block.killed_at > cfg.horizon
     _, _, _, freezes, explodes = _clock_rows(
         values, dwell, block.values[:, -1], f, cfg.alpha, cfg.thresholds, rng, alive
     )
-    return freezes if cfg.estimator == "freeze_prob" else explodes
+    return freezes if cfg.estimator in ("freeze_prob", "hitting_prob") else explodes
 
 
 def _smalltime_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock, rng=None):
@@ -237,29 +234,12 @@ def _smalltime_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock, r
     return np.where(dwell[:, 0] > 0.0, first < cfg.thresholds.m, -1).astype(np.int8)
 
 
-def _hitting_codes(cfg: ExperimentConfig, f: FunctionSpec, block: PathBlock, rng=None):
-    """Hit (1), certified miss (0) or undetermined (-1) for the rows of a
-    killed block.  A row hits when one of the nodes it reaches before its
-    killing time lies in the target.  One killed within the horizon that
-    never hit is a certain miss; one still alive at the horizon is a miss
-    where the bound capacity * distance^(alpha-1) on its chance of ever
-    hitting is below HITTING_RESIDUAL (nowhere near an unbounded target)."""
-    inside = cfg.target.contains(block.values) & block.reached()
-    codes = np.where(inside.any(axis=1), 1, -1).astype(np.int8)
-    cap = interval_capacity_upper(cfg.alpha, cfg.target)
-    with np.errstate(over="ignore"):
-        miss = np.float64(cap / HITTING_RESIDUAL) ** (1.0 / (1.0 - cfg.alpha))
-    far = cfg.target.distance_to(block.values[:, -1]) > miss
-    codes[(codes < 0) & ((block.killed_at <= cfg.horizon) | far)] = 0
-    return codes
-
-
 #: each estimator's block rule, and whether it reads the clock of
 #: sigma^-alpha along drivers that are never killed; hitting without
 #: killing bypasses the blocks for the walk
 ESTIMATORS = {
     "finiteness_prob": (_clock_codes, False),
-    "hitting_prob": (_hitting_codes, False),
+    "hitting_prob": (_clock_codes, False),
     "freeze_prob": (_clock_codes, True),
     "explosion_prob": (_clock_codes, True),
     "smalltime_finiteness": (_smalltime_codes, False),
@@ -358,24 +338,23 @@ def _walk_codes(cfg: ExperimentConfig, groups) -> np.ndarray:
     return codes
 
 
-def _path_codes(cfg: ExperimentConfig, z: float, n: int, rng) -> np.ndarray:
-    """Codes of n paths sampled as one block and decided by the estimator's
-    block rule, on f_or_sigma or, for a clocked estimator, on sigma^-alpha
-    along drivers that are never killed (its config takes no killing)."""
-    rule, clocked = ESTIMATORS[cfg.estimator]
-    f = cfg.f_or_sigma.inverse_power(cfg.alpha) if clocked else cfg.f_or_sigma
+def _path_codes(cfg: ExperimentConfig, f: FunctionSpec, z: float, n: int, rng) -> np.ndarray:
+    """Codes of n paths sampled as one block and decided on the integrand f
+    by the estimator's block rule."""
     block = sample_block(
         StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rng,
         killing=cfg.killing, rows=n,
     )
-    return rule(cfg, f, block, rng)
+    return ESTIMATORS[cfg.estimator][0](cfg, f, block, rng)
 
 
 def _run_replicates(cfg: ExperimentConfig) -> np.ndarray:
     """Codes of every replicate, one row per z.  Chunk c of each z's
     replicates draws from stream_rng(seed, c): a block of BLOCK_CELLS //
     grid_cells paths, or WALK_CHUNK walkers for unkilled hitting, which walk
-    with the chunks after them, across z, in batches of at most WALK_CHUNK."""
+    with the chunks after them, across z, in batches of at most WALK_CHUNK.
+    The blocks share one integrand: +inf on the target and 0 off it for
+    hitting, sigma^-alpha for a clocked estimator, else f_or_sigma."""
     walk = cfg.estimator == "hitting_prob" and cfg.killing is None
     size = WALK_CHUNK if walk else max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step))
     groups = ((z, min(size, cfg.replicates - lo), chunk)
@@ -391,7 +370,10 @@ def _run_replicates(cfg: ExperimentConfig) -> np.ndarray:
         runs = [_walk_codes(cfg, [(z, n, stream_rng(cfg.seed, c)) for z, n, c in batch])
                 for batch in batches]
     else:
-        runs = [_path_codes(cfg, z, n, stream_rng(cfg.seed, c)) for z, n, c in groups]
+        f = (FunctionSpec.infinite_indicator(cfg.target) if cfg.target is not None
+             else cfg.f_or_sigma.inverse_power(cfg.alpha) if ESTIMATORS[cfg.estimator][1]
+             else cfg.f_or_sigma)
+        runs = [_path_codes(cfg, f, z, n, stream_rng(cfg.seed, c)) for z, n, c in groups]
     return np.concatenate(runs).reshape(len(cfg.z), cfg.replicates)
 
 

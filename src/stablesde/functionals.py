@@ -131,12 +131,19 @@ def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:
     return _crossing(path.times[i], cum[i], fv[i], s)
 
 
+def _at_once(f: FunctionSpec, alpha: float, x):
+    """Whether X freezes at once from x, an array: x is on a pole in O, as a
+    cell parked there would be, or in the closure of an interval where
+    f = +inf, which X enters at once from either end."""
+    return (np.isinf(_contributions(x, np.ones(np.shape(x)), f, alpha))
+            | (f.infinite_intervals().distance_to(x) == 0.0))
+
+
 def _freeze_chance(f: FunctionSpec, alpha: float, x):
     """P_x(X ever enters an interval where f = +inf), x an array, by
-    `_union_chance`.  Poles are polar, but an x on a pole in O freezes at
-    once, as a cell parked there would."""
-    at_once = np.isinf(_contributions(x, np.ones(np.shape(x)), f, alpha))
-    return np.maximum(at_once, _union_chance(alpha, f.infinite_intervals().intervals, x))
+    `_union_chance`; poles are polar, but it is 1 where `_at_once`."""
+    chance = _union_chance(alpha, f.infinite_intervals().intervals, x)
+    return np.maximum(_at_once(f, alpha, x), chance)
 
 
 #: verdict codes of `_clock_rows` and their names in `_clock`
@@ -154,8 +161,10 @@ def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
     per row the first cell at whose right edge the clock is at or above M
     (-1 if none), and the codes 1 (yes), 0 (no), -1 (undetermined) of ever
     freezing and exploding.  A row alive at its end freezes later with
-    chance lo = hi = `_freeze_chance` at `last`; on killed drivers lo = 0,
-    and hi = 0 too where alive says a row was killed by the horizon.  A row
+    chance lo = hi = `_freeze_chance` at `last`.  On killed drivers, where
+    alive says which rows the horizon finds alive, hi = 0 on the others,
+    and lo = 0 unless a row alive at `last` freezes `_at_once`: it stays
+    there for a positive time before it is killed, so lo = 1.  A row
     (lo, hi) leaves open takes one uniform u from rng, in row order: 1 if
     u < lo, 0 if u >= hi, else -1 (-1 without rng).  A row explodes unless
     it freezes, or the driver is unkilled and the tail integral of f,
@@ -172,7 +181,8 @@ def _clock_rows(values, dwell, last, f: FunctionSpec, alpha: float,
     rows = np.flatnonzero(~frozen)
     lo = hi = _freeze_chance(f, alpha, last[rows])
     if alive is not None:
-        lo, hi = np.zeros(rows.size), np.where(alive[rows], hi, 0.0)
+        lo = np.where(alive[rows] & _at_once(f, alpha, last[rows]), 1.0, 0.0)
+        hi = np.where(alive[rows], hi, 0.0)
     # a row that draws nothing is decided by u = 0: lo = 1 gives 1, hi = 0 gives 0
     u = np.zeros(rows.size)
     draw = (lo < 1.0) & (hi > 0.0)

@@ -345,14 +345,6 @@ class PathBlock:
     def __len__(self) -> int:
         return len(self.values)
 
-    def reached(self) -> np.ndarray:
-        """(B, 2n + 1) whether each row takes each node's value before its
-        killing time; the first node is always reached, and the nodes
-        reached form a prefix of the row."""
-        out = self.times < self.killed_at[:, None]
-        out[:, 0] = True
-        return out
-
     def cells(self, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(values, dwell) of the first width nodes of every row (all of them
         without width), with `cell_dwell` cut at the killing time.  A node

@@ -142,14 +142,20 @@ def test_rows_certain_by_their_end_draw_nothing():
 
 
 def test_killed_rows_have_no_future():
-    """On a killed driver a row killed by the horizon never freezes later,
-    and one alive at it cannot be sure to (it may be killed first)."""
-    values = np.array([[1.5, 1.5], [1.5, 1.5]])
-    dwell = np.array([[0.0, 0.0], [0.0, 0.0]])
+    """On a killed driver a row killed by the horizon never freezes later.
+    One alive at it on an interval where f = +inf stays there for a
+    positive time before it is killed, so it freezes.  One alive off the
+    interval may be killed first: its one uniform decides no where it is at
+    or above the unkilled chance of ever entering, and leaves it
+    undetermined below."""
+    values = np.array([[1.5, 1.5], [1.5, 1.5], [0.9, 0.9]])
+    dwell = np.zeros((3, 2))
     f = FunctionSpec.infinite_indicator(ONE_TO_TWO)
     _, _, _, freezes, explodes = _clock_rows(
         values, dwell, values[:, -1], f, 0.5, Thresholds(), stream_rng(2, 0),
-        alive=np.array([False, True]),
+        alive=np.array([False, True, True]),
     )
-    assert freezes.tolist() == [0, -1]
-    assert explodes.tolist() == [1, -1]
+    (u,) = stream_rng(2, 0).random(1)
+    later = 0 if u >= hitting_probability(0.5, 0.9, (1.0, 2.0)) else -1
+    assert freezes.tolist() == [0, 1, later]
+    assert explodes.tolist() == [1, 0, 1 if later == 0 else -1]

@@ -323,36 +323,107 @@ def test_start_points_walk_together_byte_for_byte(monkeypatch, target, alpha, ch
     assert len(batches) == count
 
 
+#: exact chances of hitting [1, 2] from -2 before an independent
+#: exponential killing at rate 0.1, at alpha 0.3, 0.5 and 0.7: the q-potential
+#: equilibrium measure of the interval (Blumenthal & Getoor 1968), constant
+#: on 40 cosine-graded cells and collocated at their midpoints, with the
+#: kernel's odd remainder at q > 0 by quadrature; 20 and 80 cells agree with
+#: these to 1.3e-4
+KILLED_EXACT = {0.3: 0.06368, 0.5: 0.12900, 0.7: 0.19754}
+
+
+def killed_cfg(alpha=0.5, z=(0.0,), target=IntervalSet.of(TARGET), replicates=300, seed=SEED,
+               q=0.002, horizon=1000.0, step=1.0) -> ExperimentConfig:
+    return dataclasses.replace(
+        hitting_cfg(alpha, z, target, replicates, seed), killing=KillingSpec(q),
+        horizon=horizon, step=step,
+    )
+
+
+def killed_block(cfg: ExperimentConfig, z: float):
+    """The block of chunk 0 from z, and the codes `_path_codes` reads from
+    it on the indicator the run builds."""
+    block = sample_block(
+        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, stream_rng(cfg.seed, 0),
+        killing=cfg.killing, rows=cfg.replicates,
+    )
+    f = FunctionSpec.infinite_indicator(cfg.target)
+    return block, experiments._path_codes(cfg, f, z, cfg.replicates, stream_rng(cfg.seed, 0))
+
+
+def node_hits(cfg: ExperimentConfig, block) -> np.ndarray:
+    """The reference rule: a row hits when a node it takes before its
+    killing time lies in the target; the first node always counts, and so
+    does the node at the horizon of a row alive there."""
+    reached = block.times < block.killed_at[:, None]
+    reached[:, 0] = True
+    return (cfg.target.contains(block.values) & reached).any(axis=1)
+
+
 class TestKilledHitting:
     def test_killed_rows_that_never_hit_are_misses(self):
         """A process killed before it reached the target never will, so
         every row killed within the horizon is a hit or a miss; only rows
-        alive at the horizon are left to the residual bound."""
-        cfg = dataclasses.replace(
-            hitting_cfg(z=(0.0, -5.0), replicates=300), killing=KillingSpec(0.002),
-            horizon=1000.0, step=1.0,
-        )
+        alive at the horizon are left to their coin."""
+        cfg = killed_cfg(z=(0.0, -5.0))
         for z in cfg.z:
-            block = sample_block(
-                StableParams(cfg.alpha), z, cfg.horizon, cfg.step, stream_rng(cfg.seed, 0),
-                killing=cfg.killing, rows=300,
-            )
-            codes = experiments._path_codes(cfg, z, 300, stream_rng(cfg.seed, 0))
-            hit = (cfg.target.contains(block.values) & block.reached()).any(axis=1)
+            block, codes = killed_block(cfg, z)
+            hit = node_hits(cfg, block)
             killed = block.killed_at <= cfg.horizon
             assert np.array_equal(codes == 1, hit)
             assert np.all(codes[killed & ~hit] == 0)
             assert 0 < np.sum(killed & ~hit) and np.sum(killed) > 200
 
-    def test_rows_alive_at_the_horizon_keep_the_residual_bound(self):
-        """Without a kill inside a short horizon a row that never hit is
-        decided by the residual bound at its last node, which near the
-        target stays above HITTING_RESIDUAL."""
-        cfg = dataclasses.replace(
-            hitting_cfg(replicates=300), killing=KillingSpec(1e-6), horizon=1.0, step=0.1,
-        )
+    def test_rows_alive_at_the_horizon_are_decided_by_their_coin(self):
+        """Without a kill inside a short horizon, a row that never hit takes
+        one uniform after the block's draws, in row order: a miss where it
+        is at or above the unkilled chance of ever hitting from the row's
+        last value, and undetermined below."""
+        cfg = killed_cfg(q=1e-6, horizon=1.0, step=0.1)
+        block, codes = killed_block(cfg, 0.0)
+        rng = stream_rng(cfg.seed, 0)
+        sample_block(StableParams(cfg.alpha), 0.0, cfg.horizon, cfg.step, rng,
+                     killing=cfg.killing, rows=cfg.replicates)
+        open_rows = ~node_hits(cfg, block) & (block.killed_at > cfg.horizon)
+        u = rng.random(np.count_nonzero(open_rows))
+        chance = _union_chance(cfg.alpha, cfg.target.intervals, block.values[open_rows, -1])
+        assert codes[open_rows].tolist() == np.where(u >= chance, 0, -1).tolist()
+        assert set(codes[open_rows].tolist()) == {0, -1}
+
+    def test_landing_on_the_last_step_hits(self):
+        """A row alive at the horizon whose last node lies in the target
+        stays there for a positive time before it is killed: killed hitting
+        counts it a hit, as the reference rule does, and killed finiteness
+        of the integral of +inf on the target reads it infinite.  This
+        config was fixed before its first run."""
+        target = IntervalSet.of((1.0, 3.0))
+        cfg = killed_cfg(z=(0.0,), target=target, replicates=2000, seed=5, q=0.01,
+                         horizon=3.0, step=1.0)
+        block, codes = killed_block(cfg, 0.0)
+        hit = node_hits(cfg, block)
+        before = (cfg.target.contains(block.values) & (block.times < cfg.horizon)).any(axis=1)
+        finite = experiments._run_replicates(dataclasses.replace(
+            cfg, estimator="finiteness_prob", f_or_sigma=FunctionSpec.infinite_indicator(target),
+            target=None,
+        ))[0]
+        assert np.array_equal(codes == 1, hit)
+        assert np.all(finite[hit] == 0)
+        assert np.any(hit & ~before)
+
+    @pytest.mark.parametrize("alpha", sorted(KILLED_EXACT))
+    def test_killed_chance_lies_in_the_undetermined_band(self, alpha):
+        """The exact killed chance p of KILLED_EXACT lies within four
+        standard errors sqrt(p (1 - p) / n) of [yes / n, (yes +
+        undetermined) / n], with every row counted in n.  The start, target,
+        rate, sizes and seed were fixed before the first run; the band holds
+        the undetermined rows on either side, since a row alive at the
+        horizon is not yet completed at q > 0."""
+        p = KILLED_EXACT[alpha]
+        cfg = killed_cfg(alpha, (-2.0,), replicates=2000, seed=29, q=0.1, horizon=10.0,
+                         step=0.01)
         (est,) = run_experiment(cfg, io.StringIO())
-        assert est.undetermined_fraction > 0.5
+        se = math.sqrt(p * (1.0 - p) / est.n)
+        assert est.yes / est.n - 4.0 * se <= p <= (est.n - est.resolved + est.yes) / est.n + 4.0 * se
 
 
 def riesz_quadrature(alpha: float, z: float, interval) -> float:
