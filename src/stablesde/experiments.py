@@ -1,31 +1,33 @@
 """Monte Carlo estimation harness: reproducible configs, one RNG stream per
 chunk of replicates, Wilson intervals, and CSV reporting.
 
-Replicates run on one thread; chunk c of each z draws from the
-counter-based stream keyed by (seed, c), and the chunk size depends on the
-config alone, so results do too.  `ESTIMATORS` is the one table of
-estimators: it names each one's block rule and whether it reads the clock of
-sigma^-alpha along drivers that are never killed.  `_path_codes` samples a
-chunk's paths together (`stable.sample_block`) and hands the block to the
-rule, which decides hitting, finiteness, freezing, explosion or small-time
-on the whole block from its cell arrays (`PathBlock.cells`) by the
-alpha-aware `functionals._contributions`, which only the single-path public
-functions of `functionals` forgo.  Every rule but small-time reads the one
+Replicates run on one thread.  A run numbers its replicates z-major (all
+of the first z's, then all of the next one's) and cuts them into chunks,
+so a chunk may span two z; chunk c draws from the counter-based stream
+keyed by (seed, c), and the chunk size depends on the config alone, so
+results do too.  `ESTIMATORS` is the one table of estimators: it names
+each one's block rule and whether it reads the clock of sigma^-alpha along
+drivers that are never killed.  `_path_codes` samples a chunk's paths
+together (`stable.sample_block`, one start per row) and hands the block to
+the rule, which decides hitting, finiteness, freezing, explosion or
+small-time on the whole block from its cell arrays (`PathBlock.cells`) by
+the alpha-aware `functionals._contributions`, which only the single-path
+public functions of `functionals` forgo.  Every rule but small-time reads the one
 verdict `functionals._clock_rows`, which completes a row alive at the
 horizon (so `freeze_prob` is the chance of ever freezing); killed hitting
 is its freeze verdict on f = +inf on the target and 0 off it.
 
-Hitting without killing samples no path: `_walk_codes` moves walkers by
-exact jumps, every z's together in batches of at most WALK_CHUNK walkers,
-each (z, chunk) on its own stream, and finishes each one far from a
-bounded target by a uniform against its exact chance of ever hitting it
-(`integrals._union_chance`).  The `threads` arguments are kept for
+Hitting without killing samples no path: `_walk_codes` moves a chunk of
+WALK_CHUNK walkers by exact jumps, whatever their starts, and finishes each
+one far from a bounded target by a uniform against its exact chance of
+ever hitting it (`integrals._union_chance`).  The `threads` arguments are kept for
 compatibility and have no effect.  Undetermined replicates are excluded
 from the point estimate but reported as a fraction.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -93,10 +95,14 @@ class ExperimentConfig:
         if not all(math.isfinite(v) for v in zs):
             raise ValueError(f"starting points must be finite, got {zs}")
         object.__setattr__(self, "z", zs)
-        # the intervals whose hitting chance a run may solve for
+        # the target, or the intervals where the integrand is +inf: those
+        # whose hitting chance a run may solve for.  sigma^-alpha is the
+        # memoised spec the run reads, so a sigma that cannot be inverted
+        # is refused before any output
         f = self.f_or_sigma
-        union = self.target if self.target is not None else (
-            f.zero_intervals() if ESTIMATORS[self.estimator][1] else f.infinite_intervals())
+        if ESTIMATORS[self.estimator][1]:
+            f = f.inverse_power(self.alpha)
+        union = self.target if self.target is not None else f.infinite_intervals()
         _check_union(union.intervals)
 
     @classmethod
@@ -250,16 +256,9 @@ ESTIMATORS = {
 BLOCK_CELLS = 1 << 15
 
 
-def _draws(rngs, owners: np.ndarray, method: str, *args) -> np.ndarray:
-    """rng.method(*args, k) for each group's rng and its k walkers among
-    owners (sorted group indices), joined; a group with none draws nothing."""
-    counts = np.bincount(owners).tolist()
-    return np.concatenate([getattr(rng, method)(*args, k) for rng, k in zip(rngs, counts) if k])
-
-
-def _walk_codes(cfg: ExperimentConfig, groups) -> np.ndarray:
-    """Hit (1), miss (0) or undetermined (-1) for each (z, n, rng) of groups
-    in turn: n walkers from z towards the target of an unkilled process.
+def _walk_codes(cfg: ExperimentConfig, starts: np.ndarray, rng) -> np.ndarray:
+    """Hit (1), miss (0) or undetermined (-1) of a walker from each of
+    starts towards the target of an unkilled process, drawing from rng.
 
     A walker at distance d > 0 left of the target's hull [first, last]
     jumps to where the process first passes first: it lands at
@@ -277,20 +276,19 @@ def _walk_codes(cfg: ExperimentConfig, groups) -> np.ndarray:
     without a draw.  A walker still alive after WALK_STEPS exits, or at an
     infinite distance from an unbounded target, is undetermined.
 
-    The groups walk in lockstep, each drawing from its own stream what it
-    would draw alone: at one exit, a uniform per walker it finishes, a beta
-    variate B per walker alive, then a sign uniform per walker in a gap, so
-    a single interval draws no signs.  The finished walkers are decided
-    together after the last exit.  The equilibrium measure is positive, so
-    on each side of the hull the chance of the nearest one, of any group,
-    bounds every other's: a uniform at or above it, raised by 1e-9 of
-    itself for rounding, is a miss, and only the rest get their own chance.
+    The walkers move in lockstep, whatever their start: at one exit rng
+    draws a uniform per walker finished, a beta variate B per walker alive,
+    then a sign uniform per walker in a gap, so a single interval draws no
+    signs.  The finished walkers are decided together after the last exit.
+    The equilibrium measure is positive, so on each side of the hull the
+    chance of the nearest one bounds every other's: a uniform at or above
+    it, raised by 1e-9 of itself for rounding, is a miss, and only the rest
+    get their own chance.
     The walk keeps no time, which is why killing cannot use it: the exit
     time and exit position of a ball have no explicit joint law.
     """
     a, pieces = cfg.alpha / 2.0, cfg.target.intervals
-    zs, ns, rngs = zip(*groups)
-    n = sum(ns)
+    n = len(starts)
     if not pieces:
         return np.zeros(n, dtype=np.int8)
     first, last = pieces[0][0], pieces[-1][1]
@@ -299,10 +297,7 @@ def _walk_codes(cfg: ExperimentConfig, groups) -> np.ndarray:
     codes = np.full(n, -1, dtype=np.int8)
     # where each finished walker stopped and its uniform; NaN for the others
     stopped, coin = np.full(n, math.nan), np.full(n, math.nan)
-    live = np.arange(n)
-    # each walker's group; compaction keeps a group's walkers together and in order
-    g = np.repeat(np.arange(len(ns)), ns)
-    x = np.repeat(zs, ns)
+    live, x = np.arange(n), np.array(starts, float)
     # a beta variate that underflows to 0 (alpha near 0) sends its walker to
     # +-inf, where it is finished
     with np.errstate(over="ignore", divide="ignore"):
@@ -312,12 +307,12 @@ def _walk_codes(cfg: ExperimentConfig, groups) -> np.ndarray:
             codes[live[hit]] = 1
             if done.any():
                 stopped[live[done]] = x[done]
-                coin[live[done]] = _draws(rngs, g[done], "random")
+                coin[live[done]] = rng.random(np.count_nonzero(done))
             going = ~(hit | done) & (d < math.inf)
-            live, x, d, g = live[going], x[going], d[going], g[going]
+            live, x, d = live[going], x[going], d[going]
             if not live.size or step == WALK_STEPS:
                 break
-            b = _draws(rngs, g, "beta", a, 1.0 - a)
+            b = rng.beta(a, 1.0 - a, live.size)
             over = d * (1.0 - b) / b
             left, right = x < first, x > last
             gap = ~(left | right)
@@ -325,7 +320,7 @@ def _walk_codes(cfg: ExperimentConfig, groups) -> np.ndarray:
             x[right] = last - over[right]
             if gap.any():
                 # down when the uniform is below 1/2
-                sign = _draws(rngs, g[gap], "random") - 0.5
+                sign = rng.random(np.count_nonzero(gap)) - 0.5
                 x[gap] += np.copysign(d[gap] / np.sqrt(b[gap]), sign)
     done = np.flatnonzero(~np.isnan(coin))
     if done.size:
@@ -338,42 +333,35 @@ def _walk_codes(cfg: ExperimentConfig, groups) -> np.ndarray:
     return codes
 
 
-def _path_codes(cfg: ExperimentConfig, f: FunctionSpec, z: float, n: int, rng) -> np.ndarray:
-    """Codes of n paths sampled as one block and decided on the integrand f
-    by the estimator's block rule."""
+def _path_codes(cfg: ExperimentConfig, f: FunctionSpec, starts: np.ndarray, rng) -> np.ndarray:
+    """Codes of a path from each of starts, sampled as one block and decided
+    on the integrand f by the estimator's block rule."""
     block = sample_block(
-        StableParams(cfg.alpha), z, cfg.horizon, cfg.step, rng,
-        killing=cfg.killing, rows=n,
+        StableParams(cfg.alpha), starts[:, None], cfg.horizon, cfg.step, rng,
+        killing=cfg.killing, rows=len(starts),
     )
     return ESTIMATORS[cfg.estimator][0](cfg, f, block, rng)
 
 
 def _run_replicates(cfg: ExperimentConfig) -> np.ndarray:
-    """Codes of every replicate, one row per z.  Chunk c of each z's
-    replicates draws from stream_rng(seed, c): a block of BLOCK_CELLS //
-    grid_cells paths, or WALK_CHUNK walkers for unkilled hitting, which walk
-    with the chunks after them, across z, in batches of at most WALK_CHUNK.
-    The blocks share one integrand: +inf on the target and 0 off it for
-    hitting, sigma^-alpha for a clocked estimator, else f_or_sigma."""
-    walk = cfg.estimator == "hitting_prob" and cfg.killing is None
-    size = WALK_CHUNK if walk else max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step))
-    groups = ((z, min(size, cfg.replicates - lo), chunk)
-              for z in cfg.z for chunk, lo in enumerate(range(0, cfg.replicates, size)))
-    if walk:
-        batches, total = [], WALK_CHUNK
-        for group in groups:
-            total += group[1]
-            if total > WALK_CHUNK:
-                batches.append([])
-                total = group[1]
-            batches[-1].append(group)
-        runs = [_walk_codes(cfg, [(z, n, stream_rng(cfg.seed, c)) for z, n, c in batch])
-                for batch in batches]
+    """Codes of every replicate, one row per z.  The replicates are numbered
+    z-major (all of the first z's, then all of the next one's) and cut into
+    chunks of WALK_CHUNK walkers for unkilled hitting, else of BLOCK_CELLS //
+    grid_cells paths, so a chunk may span two z; chunk c draws from
+    stream_rng(seed, c).  The blocks share one integrand: +inf on the
+    target and 0 off it for hitting, sigma^-alpha for a clocked estimator,
+    else f_or_sigma."""
+    if cfg.estimator == "hitting_prob" and cfg.killing is None:
+        size, run = WALK_CHUNK, functools.partial(_walk_codes, cfg)
     else:
+        size = max(1, BLOCK_CELLS // grid_cells(cfg.horizon, cfg.step))
         f = (FunctionSpec.infinite_indicator(cfg.target) if cfg.target is not None
              else cfg.f_or_sigma.inverse_power(cfg.alpha) if ESTIMATORS[cfg.estimator][1]
              else cfg.f_or_sigma)
-        runs = [_path_codes(cfg, f, z, n, stream_rng(cfg.seed, c)) for z, n, c in groups]
+        run = functools.partial(_path_codes, cfg, f)
+    starts = np.array(cfg.z).repeat(cfg.replicates)
+    runs = [run(starts[lo:lo + size], stream_rng(cfg.seed, c))
+            for c, lo in enumerate(range(0, starts.size, size))]
     return np.concatenate(runs).reshape(len(cfg.z), cfg.replicates)
 
 

@@ -7,11 +7,13 @@ step^(1/alpha) gets an extra node at a uniformly placed jump time, which
 reduces hitting and occupation bias without changing any grid marginal.
 
 `sample_block` samples many paths from one generator, a row of 2n + 1 nodes
-per path on a grid of n cells; `sample_path` is its one-row case, without
-the nodes that dwell for no time.  `cell_dwell` is the one rule that turns
-node times into dwell, cut at the killing time or the horizon.  Chunk c of
-a run of replicates draws from `stream_rng(seed, c)`; the single paths of
-`simulate` and `solve` are chunk 0.
+per path on a grid of n cells, from one start or one per row; `sample_path`
+is its one-row case, without the nodes that dwell for no time.
+`cell_dwell` is the one rule that turns node times into dwell, cut at the
+killing time or the horizon.  A run's replicates, numbered z-major, are cut
+into chunks, and chunk c draws from `stream_rng(seed, c)`, so one block may
+hold rows from two starts; the single paths of `simulate` and `solve` are
+chunk 0.
 
 `PathSample.to_csv` and `SolutionPath.to_csv` share one writer,
 `_node_csv`.  It formats a large table in contiguous row slices at once,
@@ -368,14 +370,15 @@ class PathBlock:
 
 def sample_block(
     params: StableParams,
-    z: float,
+    z: float | np.ndarray,
     horizon: float,
     step: float,
     rng: np.random.Generator,
     killing: KillingSpec | None = None,
     rows: int = 1,
 ) -> PathBlock:
-    """Simulate rows paths from z on a shared grid of n cells of mesh <= step.
+    """Simulate rows paths on a shared grid of n cells of mesh <= step, from
+    z: one start for every row, or a column of one per row.
 
     The draws from rng come in this order: (rows, n) uniforms, then
     (rows, n) exponentials for the increments, one uniform per refined cell
@@ -384,7 +387,7 @@ def sample_block(
     step^(1/alpha) gets a jump time drawn uniformly inside it, attributing
     the move to a single jump there: the time of the cell's odd node.
     """
-    if not math.isfinite(z):
+    if not np.isfinite(z).all():
         raise ValueError(f"z must be finite, got {z}")
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
@@ -395,18 +398,18 @@ def sample_block(
     incs = _self_similar(dt, params.alpha, _cms(params.alpha, u, w))
     # the grid on the even nodes, each odd node a copy of the next even one;
     # k * dt with the horizon last is np.linspace(0, horizon, n + 1), bit for bit
+    grid = np.arange(n + 1) * dt
+    grid[-1] = horizon
     times, values = np.empty((rows, 2 * n + 1)), np.empty((rows, 2 * n + 1))
-    times[:, 0::2] = np.arange(n + 1) * dt
-    times[:, -1] = horizon
-    times[:, 1::2] = times[:, 2::2]
-    values[:, 0] = z
+    times[:] = grid.repeat(2)[1:]
+    values[:, :1] = z
     # a path that leaves the float range stays at that infinity: the sums
     # add finite increments, never -inf to +inf
     clipped = np.minimum(np.maximum(incs, -_FLOAT_MAX), _FLOAT_MAX)
     with np.errstate(over="ignore"):
-        np.cumsum(clipped, axis=1, out=values[:, 2::2])
-        values[:, 2::2] += z
-    values[:, 1::2] = values[:, 2::2]
+        sums = np.cumsum(clipped, axis=1)
+        sums += z
+    values[:, 1::2] = values[:, 2::2] = sums
 
     row, cell = np.nonzero(np.abs(incs) > _self_similar(step, params.alpha, JUMP_FACTOR))
     jumps = rng.uniform(_FLOAT_EPS, 1.0 - _FLOAT_EPS, row.size)

@@ -1,19 +1,23 @@
 """The block replicate engine: its outputs are pinned by sha256 digests, and
 its blocks equal paths built node by node.
 
-Chunk c of the replicates of a run draws from `stream_rng(seed, c)`.  The
-eight path-estimator digests were recorded when that scheme replaced one
-stream per replicate, when the finiteness rule moved to block cells, and
-when killed hitting began to count a path killed before it hit as a miss;
+A run numbers its replicates z-major and cuts them into chunks, and chunk
+c draws from `stream_rng(seed, c)`.  The eight path-estimator digests were
+recorded when chunks of each z's replicates replaced one stream per
+replicate, when the finiteness rule moved to block cells, and when killed
+hitting began to count a path killed before it hit as a miss;
 `tests/test_occupation.py` checks the sampler against the Green function
-on both sides of that change.  The freeze, explosion and finiteness_killed
+on both sides of that change.  The digests of runs from two z, but for
+explosion, where every row explodes, and every `WALK_GOLDEN` digest were
+re-recorded when one chunk began to span two z, so that the z no longer
+share random numbers; those of runs from one z never moved.  The freeze, explosion and finiteness_killed
 digests were re-recorded when rows alive at the horizon began to be
 completed from their last value, which `tests/test_completion.py` checks
 against exact answers.  Replicate counts are chosen so that every run
 spans several blocks and ends on a partial one.  The unkilled `hitting`
 digest was recorded when walkers far from a union began to be finished by
 a coin against their exact chance (`tests/test_equilibrium.py` checks
-that chance and the walker on the same union); its 300 walkers make one
+that chance and the walker on the same union); its 600 walkers make one
 partial chunk, and runs of several chunks are checked in `test_hitting.py`.
 `WALK_GOLDEN` pins the codes of walkers towards one interval, at the
 default WALK_FINISH and at 2 lengths, where most walkers are finished by a
@@ -119,13 +123,13 @@ CLI_CASES = {
 #: sha256 of each output (see the module docstring for when each was recorded)
 GOLDEN = {
     "explosion": "30a659384130800cad153b60dedb13b0e83364db64b5dacc3f4ab7784ccd83c1",
-    "finiteness_killed": "5daaf7c1d540238f12374e689040995240b14fc00ffb12447e6f16d9e75e9f9e",
-    "freeze": "85f80d6e3bc99086ef79333a2b093ebfa5014fcc72ce0d35710820fd0efde2a1",
-    "freeze_pole_05": "1f9078b79aa66353337653040f7fa683df2d8315d2c4b8f0fda6cc722680efe5",
-    "freeze_pole_15": "f891afef48a8d4f337caf66411b47308cde459b8a4a68234d3d884fb553128be",
-    "hitting": "e263472a7a2ece884176438b7c967d83d11f71029d2c29ed1aaa4aa6a2523d3e",
-    "hitting_killed": "32ccf2d39df8eb3123fea2ed00edb12457d70584398774797af13e4768b42b4b",
-    "smalltime": "e879988f7f596129114a4ea1200ec930f068676f5356cabd5091373de68f453b",
+    "finiteness_killed": "6f73b323594c262b4d1bab17a2bfe6213c8ae458725396405b2338cecb43dd71",
+    "freeze": "2d6c07e1472b51881fa6cd612a3b29e44b800abb347bc767077bd1b1a32b51cf",
+    "freeze_pole_05": "f60647c4d3f4ba64a8fe4533ceea6791b7f81730636f9f549eedb33156b51653",
+    "freeze_pole_15": "488a278f0f3192c1c901082f441e709868428e9c87c22564ef7e9ccaf1bb8c63",
+    "hitting": "2ef893b13fa8ecb35d2e384754dbb6ca1e5c1802ae6d141bdfbfa5d99544e96a",
+    "hitting_killed": "04c4a2fd4ec309d38e3c3f76c0daec7c12bf8c8d53daf24ef2e71ae8e100255b",
+    "smalltime": "0bfac83e9f2ee70ecfbd20ebe41351ee9c15f7568db88c6bd76c379dcaf332ef",
     "smalltime_killed": "2f5593eae4e8166a8750557f468426e8ff60153618160de7d6cd16177153738c",
     "simulate_killed": "e3b3e7359392c1b394a78dd360b903787b9fbda54f2c82d70cb8b17107c3a9d3",
     "solve": "9226e71ed9045f93aae790ab888cf71ab75f5d52dd9f8c4065e8dd665d755153",
@@ -161,12 +165,12 @@ def test_cli_bytes_unchanged(name, tmp_path):
 #: sha256 of the codes of 1000 walkers from z = 0, then z = -5, towards
 #: [1, 2] at seed 31337, by (alpha, WALK_FINISH)
 WALK_GOLDEN = {
-    (0.05, 2.0): "40d063767e8d3ad26f2ec770ee5cdef56bb6051e37a516d95425e3b592f68f00",
-    (0.5, 2.0): "a12fa884747a526990f41c8cdf746232ec8efc9ee3e43e391f975d2768d4ff21",
-    (0.99, 2.0): "c757c59c917e2dffcaa5a584ada3636d6fe635e3ad2d49f2738202575b41f340",
-    (0.05, 1e3): "eee6e346f8310efb94d77e554120f9f3a20fa83a7a32d3ea36647aa888f3d8ce",
-    (0.5, 1e3): "a171ac68ab42925645aaf4f59307cc56cd11dbd3969841bb5c8eac4b26846bf6",
-    (0.99, 1e3): "352d969f4fb74e7fec604dff9605e623f9585d0e677bf3b0e42df226090174c5",
+    (0.05, 2.0): "7e308024ee5874d92204fec6838ef660b65fd4ccd415ae9aa339860870179341",
+    (0.5, 2.0): "b63394c82c2f0c390c5a16753f0d6cee1996ab6dc0802779fa1379539a85ce1c",
+    (0.99, 2.0): "4dbdd55a56b2e960fcb295212633f53f492bd5ef0290d96ab1a4a1dff2e20316",
+    (0.05, 1e3): "f8779999b80252afe7a0a63082812900daae3a0872044479faaf1b9531052a43",
+    (0.5, 1e3): "1de11b856ae83e0deb95be5e4642b21faccca40d14d9b216baea3303ec5afd16",
+    (0.99, 1e3): "617d98ae13dcc01185bd7dfd4f4b8e4d2419e65f78c28593a3a03527bc64f699",
 }
 
 
@@ -289,6 +293,40 @@ def test_block_rows_match_sample_path(killing, refined):
         assert_same_path(block.path(i), ref)
     killed = sum(ref.killed_at is not None for ref in refs)
     assert killed > 0 if killing else killed == 0
+
+
+@pytest.mark.parametrize("killing", [None, KillingSpec(0.05)])
+def test_block_from_a_column_of_starts_is_the_block_from_zero_shifted(killing):
+    """A block from a column of starts, one per row, is the z = 0 block
+    drawn from the same stream with each row's start added, bit for bit,
+    at the same node and killing times; a column of one start repeated is
+    the block from that scalar start."""
+    params, horizon, step, seed, rows = StableParams(0.5), 50.0, 0.5, 2024, 40
+    starts = np.repeat([0.0, -3.0, 1.5, 1e300], rows // 4)[:, None]
+
+    def block(z):
+        return stable.sample_block(
+            params, z, horizon, step, stream_rng(seed, 0), killing=killing, rows=rows
+        )
+
+    column, zero = block(starts), block(0.0)
+    assert np.array_equal(column.values, zero.values + starts)
+    assert np.array_equal(column.times, zero.times)
+    assert np.array_equal(column.killed_at, zero.killed_at)
+    repeated, scalar = block(np.full((rows, 1), 1.5)), block(1.5)
+    assert np.array_equal(repeated.values, scalar.values)
+    assert np.array_equal(repeated.times, scalar.times)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_block_refuses_a_start_that_is_not_finite(bad):
+    """A start that is NaN or infinite is refused, as a scalar or as one
+    row of a column."""
+    column = np.zeros((4, 1))
+    column[2] = bad
+    for z in (bad, column):
+        with pytest.raises(ValueError, match="z must be finite"):
+            stable.sample_block(StableParams(0.5), z, 1.0, 0.1, stream_rng(0, 0), rows=4)
 
 
 #: (sigma, z, thresholds): a finite and an infinite pole cell at z = 0,
@@ -471,7 +509,7 @@ def test_block_rules_read_cells(monkeypatch, estimator, sigma):
     )
     run_experiment(cfg, io.StringIO())
     size = experiments.BLOCK_CELLS // experiments.grid_cells(cfg.horizon, cfg.step)
-    blocks = len(cfg.z) * math.ceil(cfg.replicates / size)
+    blocks = math.ceil(len(cfg.z) * cfg.replicates / size)
     assert 1 < size < cfg.replicates
     assert expanded == []
     assert len(tails) <= blocks

@@ -10,7 +10,7 @@ import pytest
 
 from stablesde import cli, stable
 from stablesde.cli import build_parser, main
-from stablesde.funcspec import FunctionSpec, Piece, PowerForm, parse_inline
+from stablesde.funcspec import FunctionSpec, Piece, PowerForm, TableForm, parse_inline
 from stablesde.functionals import Thresholds
 from stablesde.integrals import power_law_test
 from stablesde.intervals import ShellSpec, build_example_set, wiener_sum
@@ -123,6 +123,25 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
         assert detail in err["detail"]
+
+    @pytest.mark.parametrize("estimator", ["freeze_prob", "explosion_prob"])
+    def test_sigma_that_cannot_be_inverted_writes_nothing(self, tmp_path, capsys, estimator):
+        """A clocked estimator inverts sigma when its config is read, so a
+        table with a zero is refused with exit 1 before the CSV header is
+        written: the --out file is empty."""
+        sigma = FunctionSpec((
+            Piece(-INF, 0.0, PowerForm(1.0)),
+            Piece(0.0, 1.0, TableForm((0.0, 1.0), (0.0, 1.0))),
+            Piece(1.0, INF, PowerForm(1.0)),
+        ))
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(
+            {**CONFIG, "estimator": estimator, "f_or_sigma": json.loads(sigma.to_json())}
+        ))
+        assert main(["--out", str(out), "experiment", "--config", str(path)]) == 1
+        assert out.read_text() == ""
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "cannot be inverted" in err["detail"]
 
     @pytest.mark.parametrize("piece, detail", [
         ({"interval": [0, 1]}, "lacks the key 'form'"),

@@ -275,7 +275,7 @@ class TestEstimators:
         cfg = cfg_with(z=(0.0, 3.0), replicates=100, **kw)
         run_experiment(cfg, io.StringIO())
         size = experiments.BLOCK_CELLS // experiments.grid_cells(cfg.horizon, cfg.step)
-        blocks = len(cfg.z) * math.ceil(cfg.replicates / size)
+        blocks = math.ceil(len(cfg.z) * cfg.replicates / size)
         assert 1 < size < cfg.replicates
         assert 0 < len(calls) <= blocks
 

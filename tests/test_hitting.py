@@ -18,6 +18,7 @@ from scipy.special import beta, betainc
 from stablesde import experiments
 from stablesde.experiments import WALK_CHUNK, ExperimentConfig, run_experiment
 from stablesde.funcspec import FunctionSpec
+from stablesde.functionals import Thresholds
 from stablesde.integrals import _hitting_chance, _union_chance, hitting_probability
 from stablesde.intervals import IntervalSet, interval_capacity_upper
 from stablesde.stable import KillingSpec, StableParams, sample_block, stream_rng
@@ -227,7 +228,7 @@ class TestWalkEdges:
 
             monkeypatch.setattr(experiments, "_union_chance", counted)
             rng = Recorder(stream_rng(cfg.seed, 0))
-            codes = experiments._walk_codes(cfg, [(0.0, 1000, rng)])
+            codes = experiments._walk_codes(cfg, np.zeros(1000), rng)
             return codes, points, np.concatenate(rng.coins)
 
         for chance in (lopsided, _union_chance):
@@ -282,45 +283,84 @@ class TestWalkEdges:
         run_experiment(killed, io.StringIO())
 
 
-#: the batching cases for four z: WALK_CHUNK, patched to 256 or at its
-#: default, the replicates per z and the batches they make; at 256, 700
-#: replicates are three chunks and every chunk walks alone, while chunks of
-#: 100 walk two z to a batch; at the default every z walks in one batch
-BATCHINGS = [(256, 700, 12), (256, 100, 2), (WALK_CHUNK, 700, 1)]
+#: the cuts of four z by the walk: WALK_CHUNK, patched to 256 or at its
+#: default, the replicates per z and the chunks they make; at 256, 700
+#: replicates and 100 both make chunks that span two z or more, and at the
+#: default every walker walks in one chunk
+CUTS = [(256, 700, 11), (256, 100, 2), (WALK_CHUNK, 700, 1)]
+#: the chunk sizes of the block test's four z of 300 replicates each: 256
+#: makes chunks that span two z, 300 one chunk per z, and the default one
+#: chunk in all; fixed, with the z and seed, before its first run
+CHUNKS = [256, 300, None]
 
 
-@pytest.mark.parametrize("chunk,replicates,count", BATCHINGS)
+def cut_rows(cfg: ExperimentConfig, size: int, codes) -> np.ndarray:
+    """The rows of the z-major cut: codes(starts, rng) called on each chunk
+    of size of the start list, chunk c with stream_rng(seed, c)."""
+    starts = np.repeat(cfg.z, cfg.replicates)
+    return np.concatenate([
+        codes(starts[lo:lo + size], stream_rng(cfg.seed, c))
+        for c, lo in enumerate(range(0, starts.size, size))
+    ]).reshape(len(cfg.z), cfg.replicates)
+
+
+@pytest.mark.parametrize("chunk,replicates,count", CUTS)
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.995])
 @pytest.mark.parametrize(
     "target", [IntervalSet.of(TARGET), TWO_INTERVALS, IntervalSet.of((1.0, math.inf)),
                IntervalSet.empty()], ids=["one", "two", "unbounded", "empty"])
 def test_start_points_walk_together_byte_for_byte(monkeypatch, target, alpha, chunk, replicates,
                                                   count):
-    """Every z walks in batches of consecutive (z, chunk) groups, and each
-    row of codes is that z's chunks walked one group at a time, each on
-    stream_rng(seed, c).  No batch holds more than WALK_CHUNK walkers, so a
-    full chunk walks alone."""
+    """The walkers of every z walk together: the z-major start list is cut
+    into count chunks of at most WALK_CHUNK walkers, whatever z they hold,
+    and each row of codes is that z's share of `_walk_codes` called chunk
+    by chunk, chunk c on stream_rng(seed, c).  Its sizes are those of the
+    per-z test it replaced, fixed before this one first ran."""
     monkeypatch.setattr(experiments, "WALK_CHUNK", chunk)
     cfg = hitting_cfg(alpha, (0.0, -5.0, 1.5, -1e300), target, replicates, seed=31337)
-    walk, batches = experiments._walk_codes, []
+    walk, chunks = experiments._walk_codes, []
 
-    def spy(cfg, groups):
-        batches.append([(z, n) for z, n, _ in groups])
-        return walk(cfg, groups)
+    def spy(cfg, starts, rng):
+        chunks.append(len(starts))
+        return walk(cfg, starts, rng)
 
     monkeypatch.setattr(experiments, "_walk_codes", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = experiments._run_replicates(cfg)
-    sizes = [min(chunk, replicates - lo) for lo in range(0, replicates, chunk)]
-    for z, row in zip(cfg.z, rows):
-        alone = [walk(cfg, [(z, n, stream_rng(cfg.seed, c))]) for c, n in enumerate(sizes)]
-        assert np.array_equal(row, np.concatenate(alone))
-    assert [group for batch in batches for group in batch] == [
-        (z, n) for z in cfg.z for n in sizes]
-    assert all(sum(n for _, n in batch) <= chunk for batch in batches)
-    assert all(len(batch) == 1 for batch in batches if any(n == chunk for _, n in batch))
-    assert len(batches) == count
+        walked = cut_rows(cfg, chunk, lambda starts, rng: walk(cfg, starts, rng))
+    assert np.array_equal(rows, walked)
+    assert len(chunks) == count and max(chunks) <= chunk
+
+
+@pytest.mark.parametrize("size", CHUNKS)
+@pytest.mark.parametrize("estimator", ["hitting_prob", "freeze_prob", "smalltime_finiteness"])
+def test_blocks_cut_the_replicates_z_major(monkeypatch, estimator, size):
+    """Each row of block codes is that z's share of `_path_codes` called on
+    the z-major start list, BLOCK_CELLS // grid_cells paths at a time (10
+    cells a path here), chunk c on stream_rng(seed, c), so a block may hold
+    rows from two z.  The sizes were fixed before the first run (see
+    CHUNKS)."""
+    if size is not None:
+        monkeypatch.setattr(experiments, "BLOCK_CELLS", 10 * size)
+    sigma = FunctionSpec.indicator_complement(TWO_INTERVALS)
+    # small-time reads the first cell of |x|^-0.25, which decides rows from 0 both ways
+    pole = FunctionSpec.power(0.5).inverse_power(0.5)
+    smalltime = estimator == "smalltime_finiteness"
+    cfg = ExperimentConfig(
+        alpha=0.5, f_or_sigma=pole if smalltime else sigma, z=(0.0, -5.0, 1.5, 3.0),
+        replicates=300, horizon=1.0, step=0.1, estimator=estimator, seed=31337,
+        thresholds=Thresholds(m=0.2) if smalltime else Thresholds(),
+        target=TWO_INTERVALS if estimator == "hitting_prob" else None,
+        killing=None if estimator == "freeze_prob" else KillingSpec(0.1),
+    )
+    f = {"hitting_prob": FunctionSpec.infinite_indicator(TWO_INTERVALS),
+         "freeze_prob": sigma.inverse_power(0.5)}.get(estimator, pole)
+    block = experiments.BLOCK_CELLS // 10
+    rows = experiments._run_replicates(cfg)
+    cut = cut_rows(cfg, block, lambda starts, rng: experiments._path_codes(cfg, f, starts, rng))
+    assert np.array_equal(rows, cut)
+    assert len(set(rows.ravel().tolist())) > 1
 
 
 #: exact chances of hitting [1, 2] from -2 before an independent
@@ -348,7 +388,8 @@ def killed_block(cfg: ExperimentConfig, z: float):
         killing=cfg.killing, rows=cfg.replicates,
     )
     f = FunctionSpec.infinite_indicator(cfg.target)
-    return block, experiments._path_codes(cfg, f, z, cfg.replicates, stream_rng(cfg.seed, 0))
+    starts = np.full(cfg.replicates, z)
+    return block, experiments._path_codes(cfg, f, starts, stream_rng(cfg.seed, 0))
 
 
 def node_hits(cfg: ExperimentConfig, block) -> np.ndarray:
