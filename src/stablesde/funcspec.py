@@ -167,23 +167,22 @@ class FunctionSpec:
     def pole_points(self) -> tuple[float, ...]:
         """The isolated points where the function blows up: the anchors p in
         [lo, hi] of power pieces with finite c > 0 and e < 0."""
-        return tuple(p for p, _, _ in self.pole_forms())
+        return tuple(p for p, _ in self.pole_forms())
 
-    def pole_forms(self) -> tuple[tuple[float, tuple, PowerForm], ...]:
-        """(p, forms, form) for each of `pole_points` p, in order: the forms
-        of the pieces touching p, and the most singular power anchored at p
-        among them (lower e wins, then higher c), the one by which the clock
-        charges a cell parked on p."""
+    def pole_forms(self) -> tuple[tuple[float, PowerForm], ...]:
+        """(p, form) for each of `pole_points` p, in order: the most singular
+        power anchored at p among the pieces touching p (lower e wins, then
+        higher c), which decides whether p is irregular and by which the
+        clock charges a cell parked on p."""
         return self._once("pole_forms", self._pole_forms)
 
     def _pole_forms(self):
         out = []
         for p in sorted({pc.form.p for pc in self._anchored(-1.0) if pc.lo <= pc.form.p <= pc.hi}):
-            forms = tuple(pc.form for pc in self.pieces if pc.lo <= p <= pc.hi)
             singular = min((pc.form for pc in self._anchored(-1.0)
                             if pc.form.p == p and pc.lo <= p <= pc.hi),
                            key=lambda form: (form.e, -form.c))
-            out.append((p, forms, singular))
+            out.append((p, singular))
         return tuple(out)
 
     def zero_points(self) -> tuple[float, ...]:
@@ -260,7 +259,7 @@ class FunctionSpec:
                         "tabulated sigma with zeros cannot be inverted; cover "
                         "the zero with a power piece"
                     )
-                ys = tuple(y ** (-alpha) for y in pc.form.ys)
+                ys = tuple(_inverse(y, alpha, pc) for y in pc.form.ys)
                 pieces.append(Piece(pc.lo, pc.hi, TableForm(pc.form.xs, ys)))
                 continue
             c, e, p = pc.form.c, pc.form.e, pc.form.p
@@ -269,7 +268,7 @@ class FunctionSpec:
             elif not math.isfinite(c):
                 nc = 0.0
             else:
-                nc = c ** (-alpha)
+                nc = _inverse(c, alpha, pc)
             pieces.append(Piece(pc.lo, pc.hi, PowerForm(c=nc, e=-alpha * e, p=p)))
         return FunctionSpec(tuple(pieces))
 
@@ -324,6 +323,24 @@ class FunctionSpec:
             raise FunctionSpecError(f"FunctionSpec JSON lacks the key {exc}") from None
         except (TypeError, AttributeError) as exc:
             raise FunctionSpecError(f"malformed FunctionSpec JSON: {exc}") from None
+
+
+def _inverse(y: float, alpha: float, pc: Piece) -> float:
+    """y ** -alpha for a positive value y of the piece pc.  Where that
+    leaves the float range (a subnormal y near alpha = 1), a float alpha
+    raises OverflowError and a numpy one gives inf: FunctionSpecError either
+    way, since inf would read a positive sigma as a zero interval."""
+    try:
+        with np.errstate(over="ignore"):
+            v = y ** (-alpha)
+    except OverflowError:
+        v = INF
+    if not math.isfinite(v):
+        raise FunctionSpecError(
+            f"sigma^-alpha leaves the float range on the piece [{pc.lo}, {pc.hi}) "
+            f"at alpha={alpha}: {y} ** -{alpha} is not finite"
+        )
+    return v
 
 
 def _number(value) -> float:

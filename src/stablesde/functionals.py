@@ -8,12 +8,11 @@ no alpha and keep it as it is, charging +inf to any cell parked on a pole of
 f with positive dwell.  Every estimator uses the alpha-aware `_contributions`
 instead, which charges a cell parked exactly on an isolated pole p the
 kernel integral of f over the range dwell^(1/alpha) the process typically
-sweeps there, and +inf where `integrals._divergence` finds that integral
-infinite on a piece touching p: the rule `irregular_set` reaches through
-the monotone pole test, so the cell is infinite exactly when p is in O.  It
-takes cells of any shape: the finiteness and small-time estimators apply it
-to the cells of every row of a block, and everything that decides freezing
-or explosion reads it through the clock.
+sweeps there, and +inf where p is in O, the irregular set that
+`integrals._irregular` decides for `irregular_set` too.  It takes cells of
+any shape: the finiteness and small-time estimators apply it to the cells
+of every row of a block, and everything that decides freezing or
+explosion reads it through the clock.
 
 `_clock_rows` is the one freeze/explode verdict.  It accumulates the clock
 of f = sigma^-alpha along rows of cells; a row freezes by its end when the
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcspec import INF, FunctionSpec
-from .integrals import _divergence, _union_chance, tail_kernel_finiteness
+from .integrals import _irregular, _union_chance, tail_kernel_finiteness
 from .intervals import _check_alpha
 from .stable import PathSample, cell_dwell
 
@@ -96,17 +95,16 @@ def _contributions(values: np.ndarray, dwell: np.ndarray, f: FunctionSpec, alpha
     There a cell with positive dwell gets 2c/(e+alpha) * dwell^((e+alpha)/alpha),
     the kernel integral of f over the radius-dwell^(1/alpha) window, where
     c|y-p|^e is the most singular power anchored at p among the pieces
-    touching p (lower e wins, then higher c); +inf when `_divergence` holds
-    at p for a piece touching p.
+    touching p (lower e wins, then higher c); +inf when p is in O.
     """
     _check_alpha(alpha)
     contrib = _left_point(np.asarray(f(values), float), dwell)
-    for p, forms, form in f.pole_forms():
+    for p, form in f.pole_forms():
         mask = values == p
         if not mask.any():
             continue
         mask &= dwell > 0.0
-        if any(_divergence(alpha, p, touching, p, p) for touching in forms):
+        if _irregular(alpha, f).contains(p):
             contrib[mask] = INF
             continue
         k = form.e + alpha
@@ -132,11 +130,11 @@ def inverse_time_change(path: PathSample, f: FunctionSpec, s: float) -> float:
 
 
 def _at_once(f: FunctionSpec, alpha: float, x):
-    """Whether X freezes at once from x, an array: x is on a pole in O, as a
-    cell parked there would be, or in the closure of an interval where
-    f = +inf, which X enters at once from either end."""
-    return (np.isinf(_contributions(x, np.ones(np.shape(x)), f, alpha))
-            | (f.infinite_intervals().distance_to(x) == 0.0))
+    """Whether X freezes at once from x, an array: x is in the closure of O,
+    a point of it or at distance 0 from its intervals, which holds at an
+    infinity an unbounded one reaches too."""
+    irregular = _irregular(alpha, f)
+    return np.isin(x, irregular.points) | (irregular.intervals.distance_to(x) == 0.0)
 
 
 def _freeze_chance(f: FunctionSpec, alpha: float, x):

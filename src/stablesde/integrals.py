@@ -1,14 +1,14 @@
 """Singularity-aware evaluation of kernel integrals int f(y)|z-y|^(alpha-1) dy,
 the monotone-pole small-time test, the closed-form power-law test, the exact
 chance of ever hitting a finite union of intervals, and the construction of
-the irregular set O and zero set N for structured sigma.  N, the candidate
-points of O and the pole test's monotone hypothesis are all read from
-sigma's pieces, through `FunctionSpec.zero_points`, `zero_intervals`,
-`pole_points` and `monotone_radius`; no declared mark enters a verdict.
+the irregular set O and zero set N for structured sigma.  N, O and the
+pole test's monotone hypothesis are read from sigma's pieces alone (no
+declared mark enters a verdict), and O in one place, `_irregular`, which
+`irregular_set` and the clock both read.
 
 Finiteness is always decided from local exponents, by one rule, `_divergence`,
-before any quadrature runs; `kernel_integral`, the clock's pole cell and the
-tail test read it.  The tail test reads only its half at -inf and +inf,
+before any quadrature runs; `kernel_integral`, `_irregular` and the tail
+test read it.  The tail test reads only its half at -inf and +inf,
 `_grows_at`: for alpha < 1 a point is polar, and X, symmetric and
 quasi-left-continuous, does not reach it through its left limits either, so
 a path from z != p stays away from p over any bounded time.  Quadrature only
@@ -361,8 +361,8 @@ def monotone_pole_test(alpha: float, z: float, f: FunctionSpec, epsilon: float) 
     int_{z-eps}^{z+eps} f(y)|z-y|^(alpha-1) dy < inf, for eps up to
     `f.monotone_radius(z)`.  A finite verdict certifies almost-sure
     small-time finiteness of the path integral from z; an infinite verdict
-    puts z among the irregular points.  Where the pieces do not give the
-    hypothesis, FunctionSpecError names z."""
+    agrees with z in O, which `_irregular` reads from the exponents alone.
+    Where the pieces do not give the hypothesis, FunctionSpecError names z."""
     _check_alpha(alpha)
     radius = f.monotone_radius(z)
     if radius == 0.0:
@@ -429,23 +429,24 @@ def zero_set(sigma: FunctionSpec) -> PointedSet:
 
 
 def irregular_set(alpha: float, sigma: FunctionSpec) -> PointedSet:
-    """Points from which the time-change integral is instantly infinite.
-
-    The candidate points are the poles of f = sigma^(-alpha), the same
-    `pole_points` the clock reads.  Where the pieces make f monotone on each
-    side of one, the thin set drops out of the integral test, so membership
-    reduces to the monotone-pole test at radius min(1, `monotone_radius`);
-    where they do not, the test refuses the point.  Zeros of sigma on
-    nondegenerate intervals are included wholesale (f = +inf on a set of
-    positive measure and positive potential).
-    """
+    """Points from which the time-change integral is instantly infinite:
+    `_irregular` of f = sigma^(-alpha), the set the clock reads too.  It is
+    decided from the pieces' exponents alone, so no quadrature runs."""
     _check_alpha(alpha)
-    f = sigma.inverse_power(alpha)
-    pts = tuple(
-        p for p in f.pole_points()
-        if monotone_pole_test(alpha, p, f, min(1.0, f.monotone_radius(p))).finiteness == "infinite"
-    )
-    return PointedSet(pts, sigma.zero_intervals())
+    return _irregular(alpha, sigma.inverse_power(alpha))
+
+
+@lru_cache(maxsize=256)
+def _irregular(alpha: float, f: FunctionSpec) -> PointedSet:
+    """The one rule for O, read from f = sigma^(-alpha): the poles p of f
+    where `_divergence` holds at p on the most singular power anchored
+    there, every interval where f = +inf, and every finite end of those
+    intervals, which X enters at once from either end (Blumenthal's
+    zero-one law), open ends and a pole beside an infinite piece included."""
+    infinite = f.infinite_intervals()
+    ends = [x for iv in infinite.intervals for x in iv if math.isfinite(x)]
+    poles = [p for p, form in f.pole_forms() if _divergence(alpha, p, form, p, p)]
+    return PointedSet(tuple(poles + ends), infinite)
 
 
 @lru_cache(maxsize=256)

@@ -143,6 +143,32 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation" and "cannot be inverted" in err["detail"]
 
+    @pytest.mark.parametrize("command", ["solve", "classify", "experiment", "table"])
+    def test_sigma_power_beyond_the_float_range_is_validation(self, tmp_path, capsys, command):
+        """sigma = 1e-320 has no float sigma^-0.99: solve, classify and a
+        freeze_prob experiment exit 1, not 2, and write nothing (the
+        experiment no CSV header); classify refuses a table piece holding
+        1e-320 alike."""
+        table = FunctionSpec((
+            Piece(-INF, 0.0, PowerForm(1.0)),
+            Piece(0.0, 1.0, TableForm((0.0, 1.0), (1e-320, 1.0))),
+            Piece(1.0, INF, PowerForm(1.0)),
+        ))
+        cfg, spec, out = tmp_path / "cfg.json", tmp_path / "sigma.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({**CONFIG, "alpha": 0.99, "f_or_sigma": "const:1e-320"}))
+        spec.write_text(table.to_json())
+        argv = {
+            "solve": ["solve", "--alpha", "0.99", "--sigma", "const:1e-320",
+                      "--horizon", "1", "--step", "0.1"],
+            "classify": ["classify", "--alpha", "0.99", "--sigma", "const:1e-320"],
+            "experiment": ["experiment", "--config", str(cfg)],
+            "table": ["classify", "--alpha", "0.99", "--sigma", f"@{spec}"],
+        }[command]
+        assert main(["--out", str(out), *argv]) == 1
+        assert out.read_text() == ""
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "at alpha=0.99" in err["detail"]
+
     @pytest.mark.parametrize("piece, detail", [
         ({"interval": [0, 1]}, "lacks the key 'form'"),
         ({"form": {"power": {"c": 1.0}}}, "lacks the key 'interval'"),
@@ -284,8 +310,24 @@ class TestSubcommands:
         ]}))
         assert main(["classify", "--alpha", "0.5", "--sigma", f"@{path}"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["O"] == doc["N"] == {"points": [], "intervals": [[1.0, 2.0]]}
+        # X enters [1, 2) at once from its open end 2, where sigma = 1
+        assert doc["O"] == {"points": [2.0], "intervals": [[1.0, 2.0]]}
+        assert doc["N"] == {"points": [], "intervals": [[1.0, 2.0]]}
         assert doc["nontrivial_global_all"] is False
+
+    @pytest.mark.parametrize("alpha", ["0.3", "0.5", "0.9"])
+    def test_classify_open_end_of_a_zero_interval(self, capsys, alpha):
+        """From the open end 0.75 of [0.25, 0.75), where sigma = 1, X enters
+        the zero interval at once: 0.75 is in O and not in N, so no
+        solution leaves it and O is not a subset of N."""
+        argv = ["classify", "--alpha", alpha, "--sigma", "indicator:complement:[0.25,0.75)",
+                "--at", "0.75"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["O"] == {"points": [0.75], "intervals": [[0.25, 0.75]]}
+        assert doc["N"] == {"points": [], "intervals": [[0.25, 0.75]]}
+        assert doc["local_at"] == {"0.75": False}
+        assert doc["global_all"] is doc["unique_all"] is False
 
     def test_stray_zero_mark_is_validation(self, tmp_path, capsys):
         """sigma = 1 does not vanish at 3, whatever a mark says."""
@@ -526,6 +568,8 @@ ANALYTIC_CASES = {
         for alpha in ("0.3", "0.5", "0.7", "0.9")
     },
     "classify": ["classify", "--alpha", "0.5", "--sigma", "power:|x|^0.5"],
+    "classify_open_end": ["classify", "--alpha", "0.5", "--sigma",
+                          "indicator:complement:[0.25,0.75)", "--at", "0.75"],
     "test_offset": ["test", "--alpha", "0.5", "--f", "@spec", "--z", "0.5",
                     "--domain", "[[-1.0, 1.0]]"],
 }
@@ -533,13 +577,15 @@ ANALYTIC_CASES = {
 #: sha256 of each output, recorded with a parser built per call and the
 #: nested-loop intersection; test_offset re-recorded when off-pole kernel
 #: integrals took their singular factors as quad's endpoint weights (value
-#: 5.032601136800225, within 2 ulp of the closed form)
+#: 5.032601136800225, within 2 ulp of the closed form); classify_open_end
+#: recorded when O gained the open ends of zero intervals
 ANALYTIC_GOLDEN = {
     "wiener_0.3": "6d17cf8f06f69db06146c56280036cc9e620286c31711fdd30542aee31050596",
     "wiener_0.5": "092708cf470ef8cf122ab437cb4687e22d802d9ce6f829fc3615634659ddf2b0",
     "wiener_0.7": "0f3082807d94cae8c6ffa68246805ed4ea82fa2240891adbbd501d0481ba3a1f",
     "wiener_0.9": "e73f8fbd097eaa9b441cc4b3b5cf2a8a9c2f8bd81586cf48977524c1b61feee7",
     "classify": "8f17123cb0b51a5e24d2e2784622564909ccb0712d2371cd6da4d156ea460c70",
+    "classify_open_end": "c7c26de2e2d72ee7e771b820e8796c391be206b6b6f6d0fd086e62a82679e3af",
     "test_offset": "bf99db994c491482306cc37e6c91e2836f814faf44c401fbe40442dc263b0ebd",
 }
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,23 @@ class TestInversePower:
         sigma = FunctionSpec((Piece(0.0, 1.0, TableForm((0.0, 1.0), (0.0, 1.0))),))
         with pytest.raises(FunctionSpecError):
             sigma.inverse_power(0.5)
+
+    @pytest.mark.parametrize("alpha", [0.99, np.float64(0.99)])
+    def test_power_beyond_the_float_range_refused(self, alpha):
+        """1e-320 ** -0.99 has no float value: a float alpha raises
+        OverflowError and a numpy one gives inf with a RuntimeWarning.  Both
+        are refused by name, with no warning, for a coefficient and for a
+        table value, and neither is read as +inf, which would make a
+        positive sigma a zero interval."""
+        table = FunctionSpec((Piece(-INF, 0.0, PowerForm(1.0)),
+                              Piece(0.0, 1.0, TableForm((0.0, 1.0), (1e-320, 1.0))),
+                              Piece(1.0, INF, PowerForm(1.0))))
+        for sigma, piece in ((FunctionSpec.constant(1e-320), r"\[-inf, inf\)"),
+                             (table, r"\[0.0, 1.0\)")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FunctionSpecError, match=piece + " at alpha=0.99"):
+                    sigma.inverse_power(alpha)
 
 
 class TestSerialization:

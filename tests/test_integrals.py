@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from scipy.special import beta as beta_fn, hyp2f1
 
@@ -12,6 +13,7 @@ from stablesde.funcspec import (
     PowerForm,
     TableForm,
 )
+from stablesde.functionals import _at_once
 from stablesde.integrals import (
     PointedSet,
     TestVerdict as Verdict,  # aliased so pytest does not try to collect it
@@ -24,6 +26,7 @@ from stablesde.integrals import (
     zero_set,
 )
 from stablesde.intervals import IntervalSet
+from stablesde.sde import classify_sde
 
 INF = math.inf
 #: sigma = |x|^2 with a table on [-1, 0) and its zero at 0 marked unflagged
@@ -376,11 +379,23 @@ class TestIrregularAndZeroSets:
         o = irregular_set(0.5, sigma)
         assert o.intervals == IntervalSet.of((1, 2))
 
-    def test_unflagged_zero_refused(self):
+    def test_unflagged_zero_decided(self):
         """A zero of sigma with a table on one side: the pieces give no
-        monotone hypothesis, so the point is refused by name, mark or not."""
-        with pytest.raises(FunctionSpecError, match="z=0.0"):
-            irregular_set(0.5, FunctionSpec.from_json(TABLE_BESIDE_ZERO))
+        monotone hypothesis, but the exponent of |x|^-1 at 0 decides, as it
+        does for the clock, so 0 is in O instead of left out of it."""
+        sigma = FunctionSpec.from_json(TABLE_BESIDE_ZERO)
+        assert irregular_set(0.5, sigma) == zero_set(sigma) == PointedSet(points=(0.0,))
+        assert _at_once(sigma.inverse_power(0.5), 0.5, np.array([0.0])).all()
+
+    def test_no_quadrature(self, monkeypatch):
+        """O is read from the pieces' exponents, so classify_sde runs no
+        quadrature, not even for |x - 5| on (-inf, 0) beside |x|^0.5 on
+        [0, inf), whose monotone pole test at 0 integrates the left piece."""
+        monkeypatch.setattr(integrals, "quad", no_quadrature)
+        sigma = FunctionSpec((Piece(-INF, 0.0, PowerForm(1.0, 1.0, 5.0)),
+                              Piece(0.0, INF, PowerForm(1.0, 0.5, 0.0))))
+        rep = classify_sde(0.5, sigma)
+        assert rep.irregular.is_empty() and rep.zeros == PointedSet(points=(0.0,))
 
     def test_radius_below_one(self):
         """eps = min(1, radius): |x|^1.5 on [-0.25, 0.25) with constant

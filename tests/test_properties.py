@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stablesde.funcspec import FunctionSpec, Piece, PowerForm, TableForm
 from stablesde.functionals import Thresholds, _contributions
-from stablesde.integrals import kernel_integral, monotone_pole_test
+from stablesde.integrals import _irregular, kernel_integral, monotone_pole_test
 from stablesde.intervals import IntervalSet, ShellSpec
 from stablesde.stable import KillingSpec, StableParams, grid_cells, sample_block, stream_rng
 
@@ -183,6 +183,8 @@ LEFT_POLE = one_sided(PowerForm(1.0, -0.75, 1.0), PowerForm(1.0))
 RIGHT_POLE = one_sided(PowerForm(1.0), PowerForm(1.0, -0.75, 1.0))
 #: a mild pole beside an infinite piece
 BESIDE_INFINITE = one_sided(PowerForm(INF), PowerForm(1.0, -0.25, 1.0))
+#: f = +inf on [0.25, 0.75) and 1 elsewhere: its open end 0.75 is no pole
+OPEN_END = FunctionSpec.indicator_complement(IntervalSet.of((0.25, 0.75))).inverse_power(0.5)
 
 
 @st.composite
@@ -205,7 +207,13 @@ def poles_at_piece_ends(draw):
 @example(LEFT_POLE, 0.5)
 @example(RIGHT_POLE, 0.5)
 @example(BESIDE_INFINITE, 0.5)
+@example(OPEN_END, 0.5)
 def test_parked_cell_is_infinite_where_the_pole_test_is(f, alpha):
+    """Wherever the quadrature-backed monotone pole test applies, its
+    verdict decides whether O holds the pole and whether a cell parked there
+    is charged +inf; and O holds every finite end of every interval where
+    f = +inf, which X enters at once."""
+    irregular = _irregular(alpha, f)
     for p in f.pole_points():
         radius = f.monotone_radius(p)
         if radius == 0.0:
@@ -213,7 +221,10 @@ def test_parked_cell_is_infinite_where_the_pole_test_is(f, alpha):
         verdict = monotone_pole_test(alpha, p, f, min(1.0, radius)).finiteness
         charge = _contributions(np.array([p]), np.array([0.01]), f, alpha)[0]
         assert verdict in ("finite", "infinite")
-        assert math.isinf(charge) == (verdict == "infinite"), (p, verdict, charge)
+        infinite = verdict == "infinite"
+        assert irregular.contains(p) == infinite == math.isinf(charge), (p, verdict, charge)
+    ends = [x for iv in f.infinite_intervals().intervals for x in iv if math.isfinite(x)]
+    assert all(irregular.contains(x) for x in ends), (ends, irregular)
 
 
 @PROPERTY

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from stablesde.funcspec import FunctionSpec, FunctionSpecError, Piece, PowerForm, TableForm
-from stablesde.functionals import Thresholds
+from stablesde.funcspec import FunctionSpec, Piece, PowerForm, TableForm
+from stablesde.functionals import Thresholds, _at_once
 from stablesde.intervals import IntervalSet
 from stablesde.sde import (
     ClassificationReport,
@@ -154,9 +154,11 @@ class TestClassifySde:
             if rep.unique_global_all_z or rep.nontrivial_global_all_z:
                 assert rep.global_all_z
 
-    def test_unflagged_zero_propagates(self):
+    def test_unflagged_zero_decided(self):
         """A zero of sigma with a table on one side has no monotone
-        hypothesis: classify refuses it rather than leave it out of O."""
+        hypothesis, but classify decides it rather than leave it out of O:
+        the exponent of f = |x|^-1 at 0 puts 0 in O, where the clock
+        freezes at once."""
         sigma = FunctionSpec(
             (
                 Piece(-INF, -1.0, PowerForm(1.0)),
@@ -164,8 +166,9 @@ class TestClassifySde:
                 Piece(0.0, INF, PowerForm(1.0, 2.0, 0.0)),
             )
         )
-        with pytest.raises(FunctionSpecError, match="z=0.0"):
-            classify_sde(0.5, sigma)
+        rep = classify_sde(0.5, sigma)
+        assert rep.irregular == rep.zeros == PointedSet(points=(0.0,))
+        assert _at_once(sigma.inverse_power(0.5), 0.5, np.array([0.0])).all()
 
     def test_json_keys(self):
         doc = json.loads(classify_sde(0.5, FunctionSpec.power(1.5)).to_json(at=(0.0,)))
@@ -175,6 +178,68 @@ class TestClassifySde:
         }
         assert doc["unique_all"] is True
         assert doc["local_at"]["0.0"] is False
+
+
+def zero_pieces(*levels) -> FunctionSpec:
+    """sigma from (lo, hi, form) triples, a bare number c for PowerForm(c)."""
+    return FunctionSpec(tuple(
+        Piece(lo, hi, form if isinstance(form, PowerForm) else PowerForm(form))
+        for lo, hi, form in levels
+    ))
+
+
+class TestZeroIntervalEnds:
+    """O holds both ends of every zero interval: from either end X enters
+    the interval at once (P(X_t > 0) = 1/2 for every t, so by Blumenthal's
+    zero-one law it visits both half-lines at once) and stays a positive
+    time, so the clock is +inf at once.  The cases and the alphas were
+    fixed before the first run: the open end 0.75 of [0.25, 0.75), a right
+    end closed by a power piece anchored there (in N too), an unbounded
+    zero piece on either side, and two zero intervals."""
+
+    CASES = {
+        "open end": (
+            FunctionSpec.indicator_complement(IntervalSet.of((0.25, 0.75))),
+            PointedSet((0.75,), IntervalSet.of((0.25, 0.75))),
+            PointedSet((), IntervalSet.of((0.25, 0.75))),
+        ),
+        "end closed by a zero": (
+            zero_pieces((-INF, 0.25, 1.0), (0.25, 0.75, 0.0),
+                        (0.75, INF, PowerForm(1.0, 0.5, 0.75))),
+            PointedSet((0.75,), IntervalSet.of((0.25, 0.75))),
+            PointedSet((0.75,), IntervalSet.of((0.25, 0.75))),
+        ),
+        "unbounded above": (
+            zero_pieces((-INF, 1.0, 1.0), (1.0, INF, 0.0)),
+            PointedSet((), IntervalSet.of((1.0, INF))),
+            PointedSet((), IntervalSet.of((1.0, INF))),
+        ),
+        "unbounded below": (
+            zero_pieces((-INF, 1.0, 0.0), (1.0, INF, 1.0)),
+            PointedSet((1.0,), IntervalSet.of((-INF, 1.0))),
+            PointedSet((), IntervalSet.of((-INF, 1.0))),
+        ),
+        "two intervals": (
+            FunctionSpec.indicator_complement(IntervalSet.of((0.0, 1.0), (2.0, 3.0))),
+            PointedSet((1.0, 3.0), IntervalSet.of((0.0, 1.0), (2.0, 3.0))),
+            PointedSet((), IntervalSet.of((0.0, 1.0), (2.0, 3.0))),
+        ),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_o_holds_both_ends(self, case, alpha):
+        sigma, o, n = self.CASES[case]
+        rep = classify_sde(alpha, sigma)
+        assert (rep.irregular, rep.zeros) == (o, n)
+        assert rep.global_all_z == rep.unique_global_all_z == (o == n)
+        assert not rep.nontrivial_global_all_z
+        # O agrees with the clock at every finite end and 0.01 either side
+        f = sigma.inverse_power(alpha)
+        for x in (x for iv in sigma.zero_intervals().intervals for x in iv if math.isfinite(x)):
+            assert not rep.local_nontrivial_at(x)
+            near = np.array([x, x - 0.01, x + 0.01])
+            assert list(_at_once(f, alpha, near)) == [rep.irregular.contains(v) for v in near]
 
 
 class TestStatusSummary:
