@@ -279,7 +279,15 @@ def _walk_codes(cfg: ExperimentConfig, starts: np.ndarray, rng) -> np.ndarray:
     The walkers move in lockstep, whatever their start: at one exit rng
     draws a uniform per walker finished, a beta variate B per walker alive,
     then a sign uniform per walker in a gap, so a single interval draws no
-    signs.  The finished walkers are decided together after the last exit.
+    signs.  On one bounded interval an exit takes the distance in closed
+    form, max(first - x, x - last), which is negative inside, and lands
+    every walker with one select between first + over and last - over.  On
+    a union or an unbounded target it takes `distance_to` and lands each
+    walker at its near end, the clip of x to the hull, plus the overshoot
+    signed towards the target; a walker in a gap clips to itself and is
+    then moved by its ball exit.  Neither form adds an infinite overshoot to
+    an infinite end, so no inf - inf is formed.  The finished walkers are
+    decided together after the last exit.
     The equilibrium measure is positive, so on each side of the hull the
     chance of the nearest one bounds every other's: a uniform at or above
     it, raised by 1e-9 of itself for rounding, is a miss, and only the rest
@@ -292,6 +300,7 @@ def _walk_codes(cfg: ExperimentConfig, starts: np.ndarray, rng) -> np.ndarray:
     if not pieces:
         return np.zeros(n, dtype=np.int8)
     first, last = pieces[0][0], pieces[-1][1]
+    one = len(pieces) == 1 and math.isfinite(first) and math.isfinite(last)
     # inf for an unbounded target, which finishes no walker
     finish = WALK_FINISH * (last - first)
     codes = np.full(n, -1, dtype=np.int8)
@@ -302,26 +311,34 @@ def _walk_codes(cfg: ExperimentConfig, starts: np.ndarray, rng) -> np.ndarray:
     # +-inf, where it is finished
     with np.errstate(over="ignore", divide="ignore"):
         for step in range(WALK_STEPS + 1):
-            d = cfg.target.distance_to(x)
-            hit, done = d == 0.0, d > finish
+            # on one bounded interval: distance_to before its clip at 0
+            d = np.maximum(first - x, x - last) if one else cfg.target.distance_to(x)
+            hit, done = d <= 0.0, d > finish
             codes[live[hit]] = 1
             if done.any():
-                stopped[live[done]] = x[done]
-                coin[live[done]] = rng.random(np.count_nonzero(done))
-            going = ~(hit | done) & (d < math.inf)
+                at = live[done]
+                stopped[at] = x[done]
+                coin[at] = rng.random(np.count_nonzero(done))
+            going = ~(hit | done)
+            if finish == math.inf:
+                # finished by no coin, a walker at infinite distance is undetermined
+                going &= d < math.inf
             live, x, d = live[going], x[going], d[going]
             if not live.size or step == WALK_STEPS:
                 break
             b = rng.beta(a, 1.0 - a, live.size)
             over = d * (1.0 - b) / b
-            left, right = x < first, x > last
-            gap = ~(left | right)
-            x[left] = first + over[left]
-            x[right] = last - over[right]
-            if gap.any():
-                # down when the uniform is below 1/2
-                sign = rng.random(np.count_nonzero(gap)) - 0.5
-                x[gap] += np.copysign(d[gap] / np.sqrt(b[gap]), sign)
+            if one:
+                x = np.where(x < first, first + over, last - over)
+            else:
+                end = np.maximum(np.minimum(x, last), first)
+                land = end + np.copysign(over, first - x)
+                gap = end == x
+                if gap.any():
+                    # down when the uniform is below 1/2
+                    sign = rng.random(np.count_nonzero(gap)) - 0.5
+                    land[gap] = x[gap] + np.copysign(d[gap] / np.sqrt(b[gap]), sign)
+                x = land
     done = np.flatnonzero(~np.isnan(coin))
     if done.size:
         at, left = stopped[done], stopped[done] < first

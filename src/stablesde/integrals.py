@@ -410,11 +410,12 @@ class PointedSet:
         return x in self.points or bool(self.intervals.contains(x))
 
     def issubset(self, other: "PointedSet") -> bool:
-        if any(not other.contains(p) for p in self.points):
-            return False
-        return self.intervals.intersection(
-            other.intervals
-        ).measure() == self.intervals.measure()
+        """Every point of self in other, and every interval of self inside
+        one of other's: they are merged, so none is covered by two."""
+        return all(other.contains(p) for p in self.points) and all(
+            any(c <= a and b <= d for c, d in other.intervals.intervals)
+            for a, b in self.intervals.intervals
+        )
 
     def to_json(self) -> str:
         return json.dumps(

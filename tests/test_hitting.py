@@ -333,6 +333,84 @@ def test_start_points_walk_together_byte_for_byte(monkeypatch, target, alpha, ch
     assert len(chunks) == count and max(chunks) <= chunk
 
 
+def reference_distance(pieces, x: float) -> float:
+    """Distance from x to the union of pieces: 0 on a piece or its
+    boundary, an infinite end a piece reaches included."""
+    best = math.inf
+    for lo, hi in pieces:
+        if lo <= x <= hi:
+            return 0.0
+        best = min(best, lo - x if x < lo else x - hi)
+    return best
+
+
+def reference_walk(cfg: ExperimentConfig, starts, rng) -> list[int]:
+    """The hitting walk one walker and one scalar draw at a time.  At each
+    exit, in walker order, it draws a uniform per walker finished, then
+    B ~ Beta(alpha/2, 1 - alpha/2) per walker alive, then a sign uniform per
+    walker in a gap; a walker left of the hull lands at first + d (1 - B) / B,
+    one right of it at last - d (1 - B) / B, one in a gap at
+    x +- d / sqrt(B).  Each finished walker hits when its uniform is below
+    its own `_union_chance`, with no bound to skip it."""
+    a, pieces = cfg.alpha / 2.0, cfg.target.intervals
+    first, last = pieces[0][0], pieces[-1][1]
+    finish = experiments.WALK_FINISH * (last - first)
+    codes, stopped = [-1] * len(starts), {}
+    # dicts keep the walkers in order
+    live = {i: float(z) for i, z in enumerate(starts)}
+    for step in range(experiments.WALK_STEPS + 1):
+        dist = {i: reference_distance(pieces, x) for i, x in live.items()}
+        for i, x in live.items():
+            if dist[i] == 0.0:
+                codes[i] = 1
+            elif dist[i] > finish:
+                stopped[i] = (x, rng.random())
+        live = {i: x for i, x in live.items() if 0.0 < dist[i] <= finish and dist[i] < math.inf}
+        if not live or step == experiments.WALK_STEPS:
+            break
+        draws = {i: rng.beta(a, 1.0 - a) for i in live}
+        moved = {}
+        for i, x in live.items():
+            b, d = draws[i], dist[i]
+            over = d * (1.0 - b) / b if b > 0.0 else math.inf
+            if x < first:
+                moved[i] = first + over
+            elif x > last:
+                moved[i] = last - over
+        for i, x in live.items():
+            if i not in moved:
+                ball = dist[i] / math.sqrt(draws[i]) if draws[i] > 0.0 else math.inf
+                moved[i] = x + math.copysign(ball, rng.random() - 0.5)
+        live = {i: moved[i] for i in live}
+    if stopped:
+        chances = _union_chance(cfg.alpha, pieces, np.array([x for x, _ in stopped.values()]))
+        for (i, (_, coin)), chance in zip(stopped.items(), chances):
+            codes[i] = int(coin < chance)
+    return codes
+
+
+@pytest.mark.parametrize("steps", [None, 1], ids=["uncapped", "one_exit"])
+@pytest.mark.parametrize("finish", [2.0, 1e3])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99])
+@pytest.mark.parametrize(
+    "target", [IntervalSet.of(TARGET), TWO_INTERVALS, IntervalSet.of((1.0, math.inf))],
+    ids=["one", "two", "unbounded"])
+def test_walk_draws_as_the_scalar_reference(monkeypatch, target, alpha, finish, steps):
+    """`_walk_codes` gives the codes of `reference_walk` from the same
+    stream: the draw order, the landings and the finish rule, on cases the
+    six WALK_GOLDEN digests do not cover; 300 walkers each from 0 and -5 at
+    seed 31337, fixed before the first run."""
+    monkeypatch.setattr(experiments, "WALK_FINISH", finish)
+    if steps is not None:
+        monkeypatch.setattr(experiments, "WALK_STEPS", steps)
+    cfg = hitting_cfg(alpha, (0.0, -5.0), target, replicates=300, seed=31337)
+    starts = np.repeat(cfg.z, cfg.replicates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = experiments._walk_codes(cfg, starts, stream_rng(cfg.seed, 0))
+    assert codes.tolist() == reference_walk(cfg, starts, stream_rng(cfg.seed, 0))
+
+
 @pytest.mark.parametrize("size", CHUNKS)
 @pytest.mark.parametrize("estimator", ["hitting_prob", "freeze_prob", "smalltime_finiteness"])
 def test_blocks_cut_the_replicates_z_major(monkeypatch, estimator, size):

@@ -422,6 +422,23 @@ class TestPointedSet:
         assert b.contains(2.5)
         assert not b.contains(4.0)
 
+    def test_unbounded_intervals_compared_by_their_ends(self):
+        """Both sets have infinite measure, yet [1, inf) is not inside
+        [5, inf)."""
+        wide = PointedSet(intervals=IntervalSet.of((1, math.inf)))
+        narrow = PointedSet(intervals=IntervalSet.of((5, math.inf)))
+        assert not wide.issubset(narrow)
+        assert narrow.issubset(wide)
+
+    def test_interval_must_lie_inside_one_piece(self):
+        """[0, 3) is not inside [0, 1) u [2, 3), [2, 3) is inside [1, 4),
+        and a point in a gap of the pieces is not contained."""
+        pieces = PointedSet(intervals=IntervalSet.of((0, 1), (2, 3)))
+        assert not PointedSet(intervals=IntervalSet.of((0, 3))).issubset(pieces)
+        assert PointedSet(intervals=IntervalSet.of((2, 3))).issubset(
+            PointedSet(intervals=IntervalSet.of((1, 4))))
+        assert not PointedSet(points=(1.5,)).issubset(pieces)
+
     def test_points_absorbed_by_intervals(self):
         s = PointedSet(points=(2.5,), intervals=IntervalSet.of((2, 3)))
         assert s.points == ()
