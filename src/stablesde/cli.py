@@ -12,11 +12,14 @@ Exit codes: 0 success, 1 validation error (JSON diagnostics on stderr),
 call, since parsing leaves the parser unchanged; `build_parser()` returns a
 fresh one.
 
-`--out` overwrites its file in place and then cuts it to the bytes written,
-rather than truncating it to zero length on open: on ext4 (default
-`auto_da_alloc`) a file truncated to zero and rewritten is written back to
-disk when it is closed, ~70 us per call, which is more than a whole
-`test --beta` call computes and follows the disk's load, not the CPU's.
+`--out` keeps the command's text in memory and, on leaving (also when the
+command fails part way), writes it from offset 0 in one write loop and cuts
+a regular file to the bytes written, so no text stream is built per call.
+The file is overwritten in place rather than truncated to zero length on
+open: on ext4 (default `auto_da_alloc`) a file truncated to zero and
+rewritten is written back to disk when it is closed, ~70 us per call, which
+is more than a whole `test --beta` call computes and follows the disk's
+load, not the CPU's. Input files are read whole through one descriptor.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import stat
@@ -47,10 +51,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliValidationError(message)
 
 
+def _read_text(path: str) -> str:
+    """The whole file at path, read through one descriptor, as UTF-8."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:  # os.read names no file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks).decode()
+
+
 def _load_function(text: str) -> FunctionSpec:
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return FunctionSpec.from_json(fh.read())
+        return FunctionSpec.from_json(_read_text(text[1:]))
     return parse_inline(text)
 
 
@@ -58,8 +75,7 @@ def _load_set(text: str, nmax: int) -> IntervalSet:
     if text == "example2.2":
         return build_example_set(nmax)
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return IntervalSet.from_json(fh.read())
+        return IntervalSet.from_json(_read_text(text[1:]))
     return IntervalSet.from_json(text)
 
 
@@ -121,15 +137,24 @@ def _parser() -> _Parser:
 
 @contextlib.contextmanager
 def _output_file(path: str):
-    """`path` opened for writing from its start; on leaving, a regular file
-    is cut to what was written, so it holds the same bytes as after
-    open(path, "w"), also when the command fails part way."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as out:
+    """A text sink for `path`, opened for writing first; on leaving, also
+    when the command fails part way, what the sink holds is written from
+    offset 0 and a regular file is cut to it, so the file holds the same
+    bytes as after open(path, "w")."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        text = io.StringIO()
         try:
-            yield out
+            yield text
         finally:
-            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                out.truncate()
+            data = text.getvalue().encode()
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _dispatch(args, out) -> None:
@@ -174,8 +199,7 @@ def _dispatch(args, out) -> None:
                          n_min=args.nmin, n_max=args.nmax)
         out.write(wiener_sum(args.alpha, spec, target).to_json() + "\n")
     elif args.command == "experiment":
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json(fh.read(), seed=args.seed)
+        cfg = ExperimentConfig.from_json(_read_text(args.config), seed=args.seed)
         run_experiment(cfg, out, threads=args.threads)
     else:  # pragma: no cover - argparse enforces the choices
         raise CliValidationError(f"unknown subcommand {args.command!r}")

@@ -369,8 +369,10 @@ def _check_marks(spec: FunctionSpec, poles, zeros) -> None:
     needs an `at` among `pole_points`; a zero mark needs an `at` where the
     pieces vanish, or an `interval` [a, b] inside `zero_intervals`.  An
     `isolated_monotone` flag needs `monotone_radius` at least `delta`."""
-    vanish = spec.zero_intervals()
     marks = [("pole", m, m["at"]) for m in poles] + [("zero", m, m.get("at")) for m in zeros]
+    if not marks:
+        return
+    vanish = spec.zero_intervals()
     for kind, mark, at in marks:
         flag = _flag(mark.get("isolated_monotone", False))
         delta = _number(mark.get("delta", INF))

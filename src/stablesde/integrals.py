@@ -394,7 +394,9 @@ def power_law_test(alpha: float, beta: float) -> TestVerdict:
 @dataclass(frozen=True)
 class PointedSet:
     """A finite set of points together with an interval set; the natural
-    codomain of the irregular-set and zero-set constructions."""
+    codomain of the irregular-set and zero-set constructions.  Its JSON
+    form, `to_dict`, lists the sorted points off the intervals and the
+    merged intervals as [a, b] pairs."""
 
     points: tuple[float, ...] = ()
     intervals: IntervalSet = IntervalSet.empty()
@@ -417,10 +419,11 @@ class PointedSet:
             for a, b in self.intervals.intervals
         )
 
+    def to_dict(self) -> dict:
+        return {"points": list(self.points), "intervals": [list(i) for i in self.intervals.intervals]}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"points": list(self.points), "intervals": [list(i) for i in self.intervals.intervals]}
-        )
+        return json.dumps(self.to_dict())
 
 
 def zero_set(sigma: FunctionSpec) -> PointedSet:

@@ -132,10 +132,13 @@ class ClassificationReport:
         return not self.irregular.contains(z)
 
     def to_json(self, at: tuple[float, ...] = ()) -> str:
+        """O and N in `PointedSet.to_dict`'s form, the local predicate at
+        each z of `at`, the three global answers and the notes, encoded
+        once."""
         return json.dumps(
             {
-                "O": json.loads(self.irregular.to_json()),
-                "N": json.loads(self.zeros.to_json()),
+                "O": self.irregular.to_dict(),
+                "N": self.zeros.to_dict(),
                 "local_at": {str(z): self.local_nontrivial_at(z) for z in at},
                 "global_all": self.global_all_z,
                 "nontrivial_global_all": self.nontrivial_global_all_z,

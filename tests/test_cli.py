@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stablesde import cli, stable
+from stablesde import cli, experiments, stable
 from stablesde.cli import build_parser, main
 from stablesde.funcspec import FunctionSpec, Piece, PowerForm, TableForm, parse_inline
 from stablesde.functionals import Thresholds
@@ -225,9 +225,11 @@ class TestExitCodes:
         assert detail in err["detail"]
 
     def test_missing_config_file_is_validation(self, capsys):
-        # unreadable input surfaces as a runtime failure
-        code = main(["experiment", "--config", "/nonexistent.json"])
-        assert code == 2
+        # unreadable input, a missing file or a directory, surfaces as a
+        # runtime failure that names the file
+        for path in ("/nonexistent.json", str(DATA)):
+            assert main(["experiment", "--config", path]) == 2
+            assert json.loads(capsys.readouterr().err)["detail"].endswith(f": {path!r}")
 
 
 class TestSubcommands:
@@ -616,6 +618,83 @@ def test_out_file_holds_exactly_the_last_output(tmp_path):
     assert main(["--out", "/dev/null"] + argv) == 0
 
 
+#: a small call of each subcommand; "cfg.json" is the 20-replicate config
+#: that `readme_cfg` writes
+OUT_CASES = {
+    "simulate": ["--seed", "5", "simulate", "--alpha", "0.5", "--horizon", "1", "--step", "0.01"],
+    "solve": ["--seed", "9", "solve", "--alpha", "0.5", "--sigma", "power:|x|^1.5",
+              "--horizon", "1", "--step", "0.01"],
+    "classify": ["classify", "--alpha", "0.5", "--sigma", "indicator:complement:[0.25,0.75)",
+                 "--at", "0.75", "--at", "0"],
+    "test": ["test", "--alpha", "0.5", "--beta", "0.5"],
+    "wiener": ["wiener", "--alpha", "0.5", "--set", "example2.2", "--nmax", "50"],
+    "experiment": ["experiment", "--config", "cfg.json"],
+}
+
+
+def readme_cfg(directory: Path) -> None:
+    (directory / "cfg.json").write_text(json.dumps({
+        "alpha": 0.5, "f_or_sigma": "power:|x|^1.5", "z": [0.0, 1.0], "replicates": 20,
+        "horizon": 1.0, "step": 0.05, "estimator": "explosion_prob",
+    }))
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_out_file_holds_what_stdout_prints(name, tmp_path, monkeypatch, capsys):
+    """--out FILE holds exactly the bytes the same call prints without it,
+    over a longer earlier content, and prints nothing."""
+    monkeypatch.chdir(tmp_path)
+    readme_cfg(tmp_path)
+    assert main(OUT_CASES[name]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    out.write_text("x" * 100_000)
+    assert main(["--out", str(out), *OUT_CASES[name]]) == 0
+    assert out.read_bytes() == printed.encode()
+    assert capsys.readouterr().out == ""
+
+
+def test_run_that_fails_after_its_header_leaves_the_header(tmp_path, monkeypatch, capsys):
+    """An experiment that fails after writing its CSV header exits 2, and
+    the --out file holds the header alone."""
+    def fail(cfg):
+        raise RuntimeError("no replicates")
+
+    monkeypatch.setattr(experiments, "_run_replicates", fail)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps(CONFIG))
+    out.write_text("x" * 1000)
+    assert main(["--out", str(out), "experiment", "--config", str(cfg)]) == 2
+    assert out.read_text() == experiments.CSV_HEADER + "\n"
+    assert json.loads(capsys.readouterr().err) == {"error": "runtime", "detail": "no replicates"}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+def test_calls_leave_no_descriptor_open(tmp_path, capsys):
+    """200 calls that succeed, fail validation (exit 1), or fail at run time
+    on an unreadable @spec or an --out in a missing directory (exit 2)
+    leave the process with as many descriptors as it had."""
+    spec, bad, out = tmp_path / "spec.json", tmp_path / "bad.json", tmp_path / "out.json"
+    spec.write_text(FunctionSpec.power(0.5).inverse_power(0.5).to_json())
+    bad.write_text("{")
+    pole = ["test", "--alpha", "0.5", "--epsilon", "1", "--f"]
+    calls = [
+        (0, ["--out", str(out), *pole, f"@{spec}"]),
+        (0, [*pole, f"@{spec}"]),
+        (0, ["--out", str(out), "classify", "--alpha", "0.5", "--sigma", f"@{spec}"]),
+        (1, ["--out", str(out), "test", "--alpha", "0.5"]),
+        (1, ["--out", str(out), *pole, f"@{bad}"]),
+        (2, [*pole, f"@{tmp_path / 'missing.json'}"]),
+        (2, ["--out", str(out), *pole, f"@{tmp_path}"]),
+        (2, ["--out", str(tmp_path / "missing" / "out.json"), *pole, f"@{spec}"]),
+    ]
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(200):
+        code, argv = calls[i % len(calls)]
+        assert main(argv) == code, argv
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def readme_cli_lines() -> list[list[str]]:
     """The arguments of every `stablesde` line of the README's CLI block."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -628,10 +707,7 @@ def test_readme_cli_line_runs(argv, tmp_path, monkeypatch, capsys):
     """Each README example exits 0 through `cli.main`, run in a fresh
     directory, where `experiment` finds a small cfg.json."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps({
-        "alpha": 0.5, "f_or_sigma": "power:|x|^1.5", "z": [0.0, 1.0], "replicates": 20,
-        "horizon": 1.0, "step": 0.05, "estimator": "explosion_prob",
-    }))
+    readme_cfg(tmp_path)
     assert main(argv) == 0
 
 

@@ -145,6 +145,20 @@ class TestWalkEdges:
         assert set(codes.tolist()) <= {1, -1}
         assert np.any(codes == 1)
 
+    def test_walker_at_infinite_distance_is_undetermined(self):
+        """At alpha = 0.01 an exit can overflow and leave a walker at +-inf,
+        infinitely far from (-inf, -3] u [1, 2]: the overflow lost its
+        position, and an unbounded target finishes no walker, so it is
+        undetermined, not landed at 2 - inf inside the target.  The target,
+        start, walkers, seed and counts were fixed before the first run."""
+        target = IntervalSet.of((-math.inf, -3.0), (1.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (codes,) = experiments._run_replicates(
+                hitting_cfg(alpha=0.01, target=target, replicates=1000, seed=31337)
+            )
+        assert [np.count_nonzero(codes == c) for c in (-1, 0, 1)] == [11, 0, 989]
+
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
     @pytest.mark.parametrize("target,z", [((1.0, math.inf), -1e300), ((-math.inf, -3.0), 1e300)])
     def test_crossing_that_overflows_into_an_unbounded_target_hits(self, alpha, target, z):
