@@ -9,6 +9,7 @@ integral computed downstream.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -310,10 +311,14 @@ def _best_run(ratios) -> int:
     return best
 
 
+@functools.cache
 def build_example_set(n_max: int) -> IntervalSet:
     """Union of the intervals [2^n - 2^((n-1)/3), 2^n) for n = 1..n_max:
     shrinking (relative to scale) blocks drifting to infinity, avoidable for
-    every alpha in (0,1) yet of infinite potential for alpha > 2/3."""
+    every alpha in (0,1) yet of infinite potential for alpha > 2/3.
+
+    The set is frozen and built once per n_max, of which `_check_n_max`
+    admits 1023; an n_max it refuses raises on every call."""
     _check_n_max(n_max)
     pieces = ((2.0 ** n - 2.0 ** ((n - 1) / 3.0), 2.0 ** n) for n in range(1, n_max + 1))
     # from n = 81 on rounding leaves them empty, and the constructor drops them

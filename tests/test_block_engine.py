@@ -33,6 +33,8 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import resource
 
 import numpy as np
 import pytest
@@ -515,3 +517,45 @@ def test_block_rules_read_cells(monkeypatch, estimator, sigma):
     assert len(tails) <= blocks
     if estimator == "explosion_prob":
         assert len(tails) == blocks
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are set on glibc alone")
+def test_clocked_blocks_keep_their_memory():
+    """Warm blocks fault no page in.  The `clock` benchmark's freeze config
+    (alpha 0.5, sigma |x|^1.5, 100 replicates of 100 cells) is run 20 times,
+    then 50 more calls may add at most 50 minor faults; the sizes and the
+    bound were fixed before the first run.  With glibc's moving thresholds
+    each call trimmed the heap top back to the OS and faulted it in again,
+    about 220 faults a call, when run on its own (earlier tests that free
+    larger arrays can raise glibc's thresholds by chance)."""
+    cfg = ExperimentConfig(
+        alpha=0.5, f_or_sigma=FunctionSpec.power(1.5), z=(0.0,), replicates=100,
+        horizon=1.0, step=0.01, estimator="freeze_prob", seed=55,
+    )
+    for seed in range(20):
+        run_experiment(dataclasses.replace(cfg, seed=seed), io.StringIO())
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for seed in range(20, 70):
+        run_experiment(dataclasses.replace(cfg, seed=seed), io.StringIO())
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50
+
+
+def test_no_malloc_thresholds_without_glibc(monkeypatch):
+    """Where confstr names no glibc the thresholds are left alone: no
+    mallopt is looked up or called, and nothing raises."""
+    def no_glibc(name):
+        raise ValueError("unrecognized configuration name")
+
+    def no_libc(name):
+        raise AssertionError("the C library was opened")
+
+    monkeypatch.setattr(os, "confstr", no_glibc)
+    monkeypatch.setattr(stable.ctypes, "CDLL", no_libc)
+    assert stable._hold_block_memory.__wrapped__() is None

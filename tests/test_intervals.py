@@ -385,9 +385,15 @@ class TestExampleSet:
             pieces.append((2.0 ** n - 2.0 ** ((n - 1) / 3.0), 2.0 ** n))
             assert build_example_set(n) == IntervalSet.of(*pieces)
 
+    def test_built_once_per_n_max(self):
+        assert build_example_set(200) is build_example_set(200)
+        assert build_example_set.__wrapped__(200) == build_example_set(200)
+        assert build_example_set(30) is not build_example_set(200)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            build_example_set(0)
+        for _ in range(2):  # a refused n_max is not cached
+            with pytest.raises(ValueError):
+                build_example_set(0)
         message = r"n_max must lie in \[1, 1024\)"
         for n_max in (0, -1, 1024):
             with pytest.raises(ValueError, match=message):
