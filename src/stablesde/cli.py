@@ -30,6 +30,7 @@ import functools
 import io
 import json
 import os
+import re
 import stat
 import sys
 
@@ -47,6 +48,12 @@ class CliValidationError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-" then a digit, "." and a digit, inf or nan opens a value such as
+        # -1e-3, not an option (newer CPythons read -\.?\d); subparsers are _Parsers
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # argparse default exits with code 2
         raise CliValidationError(message)
 

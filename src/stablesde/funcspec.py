@@ -412,32 +412,25 @@ def _two_level(s: IntervalSet, inside: float, outside: float) -> tuple[Piece, ..
     )
 
 
-_POWER_RE = re.compile(
-    r"^power:\|x(?:-(?P<p>-?[0-9.eE+]+))?\|\^(?P<e>-?[0-9.eE+]+)(?:\*(?P<c>[0-9.eE+-]+))?$"
+# the inline forms: each group takes a number's text up to its delimiter
+# and the constructor reads it, so float() alone decides what a number is
+_INLINE = (
+    (re.compile(r"power:\|x(?:-(?P<p>[^|]+))?\|\^(?P<e>[^*]+)(?:\*(?P<c>.+))?"),
+     FunctionSpec.power),
+    (re.compile(r"indicator:complement:\[(?P<a>[^,]+),(?P<b>.+)\)"),
+     lambda a, b: FunctionSpec.indicator_complement(IntervalSet.of((a, b)))),
+    (re.compile(r"const:(?P<c>.+)"), FunctionSpec.constant),
 )
-_INDICATOR_RE = re.compile(
-    r"^indicator:complement:\[(?P<a>-?[0-9.eE+]+),(?P<b>-?[0-9.eE+]+)\)$"
-)
-_CONST_RE = re.compile(r"^const:(?P<c>[0-9.eE+-]+)$")
 
 
 def parse_inline(text: str) -> FunctionSpec:
     """Mini-language for common coefficients: `power:|x-p|^e*c`,
-    `indicator:complement:[a,b)`, `const:c`, or `example2.2` via callers."""
-    text = text.strip()
-    m = _POWER_RE.match(text)
-    if m:
-        p = float(m.group("p") or 0.0)
-        e = float(m.group("e"))
-        c = float(m.group("c") or 1.0)
-        return FunctionSpec.power(e=e, c=c, p=p)
-    m = _INDICATOR_RE.match(text)
-    if m:
-        a, b = float(m.group("a")), float(m.group("b"))
-        return FunctionSpec.indicator_complement(IntervalSet.of((a, b)))
-    m = _CONST_RE.match(text)
-    if m:
-        return FunctionSpec.constant(float(m.group("c")))
-    raise FunctionSpecError(
-        f"cannot parse inline function {text!r}; pass a JSON FunctionSpec file"
-    )
+    `indicator:complement:[a,b)`, `const:c`, or `example2.2` via callers; a
+    number float() cannot read, or the spec refuses, raises FunctionSpecError."""
+    for pattern, make in _INLINE:
+        if m := pattern.fullmatch(text.strip()):
+            try:
+                return make(**{k: v for k, v in m.groupdict().items() if v is not None})
+            except ValueError as exc:
+                raise FunctionSpecError(f"inline function {text!r}: {exc}") from None
+    raise FunctionSpecError(f"cannot parse inline function {text!r}; pass a JSON FunctionSpec file")

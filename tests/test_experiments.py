@@ -110,6 +110,24 @@ class TestConfig:
         assert cfg.thresholds.r == 50.0
         assert cfg.seed == 99
 
+    @pytest.mark.parametrize("key, value", [
+        ("thresholds", [1e6]), ("thresholds", 1e6), ("killing", 0.5), ("killing", [0.5]),
+    ])
+    def test_thresholds_and_killing_must_be_objects(self, key, value):
+        doc = {"alpha": 0.5, "f_or_sigma": "const:1", "z": 0.0, "replicates": 2,
+               "horizon": 1.0, "step": 0.5, "estimator": "hitting_prob", "target": [[1, 2]]}
+        with pytest.raises(ValueError, match="thresholds and killing must be JSON objects"):
+            ExperimentConfig.from_json(json.dumps({**doc, key: value}))
+
+    def test_whole_float_replicates_read_as_an_int(self):
+        doc = {"alpha": 0.5, "f_or_sigma": "const:1", "z": 0.0, "replicates": 2.0,
+               "horizon": 1.0, "step": 0.5, "estimator": "freeze_prob"}
+        cfg = ExperimentConfig.from_json(json.dumps(doc))
+        assert cfg.replicates == 2 and type(cfg.replicates) is int
+        assert cfg == ExperimentConfig.from_json(json.dumps({**doc, "replicates": 2}))
+        with pytest.raises(ValueError, match="whole number"):
+            ExperimentConfig.from_json(json.dumps({**doc, "replicates": 2.5}))
+
     def test_from_json_with_target_and_killing(self):
         doc = {
             "alpha": 0.5,

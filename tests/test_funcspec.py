@@ -68,6 +68,21 @@ class TestEvaluation:
         ordered = FunctionSpec((Piece(0.0, 1.0, TableForm((0.0, 1.0), (2.0, 1.0))),))
         assert ordered(np.array([0.0, 0.25, 0.5, 0.75])).tolist() == [2.0, 1.75, 1.5, 1.25]
 
+    @pytest.mark.parametrize("xs, ys, message", [
+        ((0.0, 1.0), (1.0,), "matching xs/ys"),
+        ((0.0,), (1.0,), "matching xs/ys"),
+        ((0.0, 1.0), (1.0, -0.5), "finite and nonnegative"),
+        ((0.0, 1.0), (1.0, INF), "finite and nonnegative"),
+    ])
+    def test_table_shape_and_values_refused(self, xs, ys, message):
+        with pytest.raises(ValueError, match=message):
+            TableForm(xs, ys)
+
+    def test_empty_piece_refused(self):
+        for lo, hi in ((1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="piece interval is empty"):
+                Piece(lo, hi, PowerForm(1.0))
+
     @pytest.mark.parametrize("f, at_minus, at_plus", [
         (FunctionSpec.power(1.5), INF, INF),
         (FunctionSpec.power(-0.5, p=2.0), 0.0, 0.0),
@@ -172,6 +187,15 @@ class TestInversePower:
         assert f(0.0) == 1.0
         assert f.infinite_intervals() == IntervalSet.of((1, 2))
 
+    def test_infinite_piece_becomes_zero_piece(self):
+        """A c = +inf piece maps to c = 0: where sigma is infinite the clock
+        runs at rate 0."""
+        sigma = FunctionSpec.infinite_indicator(IntervalSet.of((1, 2)))
+        f = sigma.inverse_power(0.5)
+        assert [pc.form.c for pc in f.pieces] == [INF, 0.0, INF]
+        assert f.zero_intervals() == IntervalSet.of((1, 2)) == sigma.infinite_intervals()
+        assert f(1.5) == 0.0 and f(0.0) == INF
+
     def test_tabulated_zero_refused(self):
         sigma = FunctionSpec((Piece(0.0, 1.0, TableForm((0.0, 1.0), (0.0, 1.0))),))
         with pytest.raises(FunctionSpecError):
@@ -274,6 +298,19 @@ class TestDerivedStructure:
         one_sided = FunctionSpec((Piece(0.0, 1.0, PowerForm(1.0, -0.5, 0.0)),))
         assert one_sided.monotone_radius(0.0) == 0.0
 
+    def test_monotone_radius_rounds_down_into_the_piece(self):
+        """At x = 1e20 on the piece [1, 1e40), x - 1.0 rounds to 1e20, and a
+        radius of 1e20 would reach 0, past the piece end: it is rounded down
+        one ulp, to 1e20 - 16384, whose window starts inside the piece."""
+        f = FunctionSpec((Piece(-INF, 1.0, PowerForm(1.0)),
+                          Piece(1.0, 1e40, PowerForm(2.0)),
+                          Piece(1e40, INF, PowerForm(1.0))))
+        x = 1e20
+        assert x - 1.0 == x
+        radius = f.monotone_radius(x)
+        assert radius == 9.999999999999998e19 == math.nextafter(x, 0.0)
+        assert x - radius >= 1.0 and x + radius <= 1e40
+
     def test_inverse_power_keeps_the_structure(self):
         f = self.SPLIT.inverse_power(0.5)
         assert f.pole_points() == (0.0, 2.0)
@@ -289,6 +326,17 @@ class TestDerivedStructure:
     def test_mark_against_the_pieces_refused(self, marks):
         doc = {**json.loads(self.SPLIT.to_json()), **marks}
         with pytest.raises(FunctionSpecError):
+            FunctionSpec.from_json(json.dumps(doc))
+
+    def test_mark_with_a_point_and_an_interval_refused(self):
+        doc = {**json.loads(self.SPLIT.to_json()),
+               "zeros": [{"at": 1.5, "interval": [1.25, 1.75]}]}
+        with pytest.raises(FunctionSpecError, match="needs one point, or a zero one interval"):
+            FunctionSpec.from_json(json.dumps(doc))
+
+    def test_unknown_form_refused(self):
+        doc = {"pieces": [{"interval": [-INF, INF], "form": {"spline": {"c": 1.0}}}]}
+        with pytest.raises(FunctionSpecError, match="unknown form"):
             FunctionSpec.from_json(json.dumps(doc))
 
     def test_agreeing_marks_accepted(self):

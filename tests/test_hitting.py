@@ -648,6 +648,11 @@ class TestHittingProbability:
         with pytest.raises(ValueError):
             hitting_probability(0.5, z, TARGET)
 
+    @pytest.mark.parametrize("pair", [(2.0, 1.0), (1.0, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_pair_that_is_no_finite_interval_rejected(self, pair):
+        with pytest.raises(ValueError, match="need a finite interval a < b"):
+            hitting_probability(0.5, 0.0, pair)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_alpha_out_of_range_rejected(self, alpha):
         with pytest.raises(ValueError):

@@ -124,6 +124,18 @@ class TestKernelIntegral:
         assert v.finiteness == "finite"
         assert v.value_or_bound == pytest.approx(4.0, rel=1e-12)
 
+    def test_zero_piece_adds_nothing(self):
+        """The c = 0 piece [1, 2) of the indicator complement is skipped: the
+        integral is the closed form of the constant pieces on each side, and
+        a domain inside the zero piece integrates nothing."""
+        f = FunctionSpec.indicator_complement(IntervalSet.of((1, 2)))
+        v = kernel_integral(0.5, 0.0, f, IntervalSet.of((0.5, 3)))
+        exact = 2.0 * (1.0 - math.sqrt(0.5)) + 2.0 * (math.sqrt(3.0) - math.sqrt(2.0))
+        assert v.finiteness == "finite" and v.method == "closed-form"
+        assert v.value_or_bound == pytest.approx(exact, rel=1e-12)
+        inside = kernel_integral(0.5, 0.0, f, IntervalSet.of((1.25, 1.75)))
+        assert (inside.finiteness, inside.value_or_bound, inside.method) == ("finite", 0.0, "empty")
+
     def test_power_half(self):
         v = kernel_integral(0.5, 0.0, integrand_for(0.5, 0.5), IntervalSet.of((-1, 1)))
         assert v.finiteness == "finite"

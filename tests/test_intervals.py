@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stablesde import intervals
 from stablesde.intervals import (
     DIVERGENCE_BOUND,
     DIVERGENT_RATIO,
@@ -306,6 +307,21 @@ class TestWienerSum:
         closed = ball_capacity(0.5, 1.0) * 2.0 ** (-2.0 / 3.0) * r / (1.0 - r)
         assert v.total == pytest.approx(closed, abs=1e-6)
         assert v.ratio_estimate == pytest.approx(r, rel=1e-6)
+
+    def test_lower_sums_above_the_bound_certify_divergence(self, monkeypatch):
+        """Lower-bound partial sums above DIVERGENCE_BOUND give `divergent`
+        before any ratio is read.  Each lower-bound term is at most C(B_1) < 1,
+        so 1e6 takes about a million shells: the bound is lowered to just
+        under the example set's last lower sum, which converges otherwise."""
+        spec, target = ShellSpec(0.0, 2.0, 1, 200), build_example_set(200)
+        v = wiener_sum(0.5, spec, target)
+        assert v.verdict == "convergent"
+        last = v.lower_partial_sums[-1]
+        assert np.diff([0.0, *v.lower_partial_sums]).max() < ball_capacity(0.5, 1.0) < 1.0
+        monkeypatch.setattr(intervals, "DIVERGENCE_BOUND", math.nextafter(last, 0.0))
+        assert wiener_sum(0.5, spec, target).verdict == "divergent"
+        monkeypatch.setattr(intervals, "DIVERGENCE_BOUND", last)
+        assert wiener_sum(0.5, spec, target).verdict == "convergent"
 
     def test_half_line_divergent(self):
         v = wiener_sum(0.5, ShellSpec(0.0, 2.0, 1, 60), IntervalSet.of((1.0, math.inf)))

@@ -10,6 +10,7 @@ from stablesde.functionals import Thresholds, _at_once
 from stablesde.intervals import IntervalSet
 from stablesde.sde import (
     ClassificationReport,
+    SolutionPath,
     classify_sde,
     solve_time_change,
 )
@@ -78,6 +79,15 @@ class TestSolveTimeChange:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             solve_time_change(1.5, FunctionSpec.constant(1.0), 0.0, 1.0, 0.1, 0)
+
+    def test_z_is_the_start(self):
+        sol = solve_time_change(0.5, FunctionSpec.constant(2.0), 0.25, 1.0, 0.1, 3)
+        assert sol.z == 0.25 == sol.values[0] == sol.value_at(0.0)
+
+    def test_frozen_and_exploded_at_once_refused(self):
+        sol = solve_time_change(0.5, FunctionSpec.constant(1.0), 0.0, 1.0, 0.1, 3)
+        with pytest.raises(ValueError, match="preclude one another"):
+            SolutionPath(sol.driver, sol.s_grid, frozen_at=0.5, exploded_at=0.75)
 
     def test_value_at_refuses_nan(self):
         sol = solve_time_change(0.5, FunctionSpec.constant(1.0), 0.0, 1.0, 0.1, 3)

@@ -166,6 +166,11 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             KillingSpec(0.0)
 
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_block_of_no_rows_refused(self, rows):
+        with pytest.raises(ValueError, match="rows must be >= 1"):
+            sample_block(StableParams(0.5), 0.0, 1.0, 0.1, stream_rng(0, 0), rows=rows)
+
 
 class TestGridCells:
     @pytest.mark.parametrize(
@@ -257,6 +262,20 @@ class TestPathSampleCsv:
             PathSample(np.array([0.0]), np.array([0.0]), horizon=math.inf)
         path = PathSample.from_csv("t,x\n0.0,0.0\n0.5,inf\n0.75,-inf\n", horizon=1.0)
         assert path.values.tolist() == [0.0, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("times, values, horizon, killed_at, message", [
+        ([0.0, 0.5], [0.0], 1.0, None, "nonempty and aligned"),
+        ([], [], 1.0, None, "nonempty and aligned"),
+        ([0.0, 1.5], [0.0, 1.0], 1.0, None, "beyond the horizon"),
+        ([0.0, 0.5], [0.0, 1.0], 1.0, 0.5, "after the killing time"),
+        ([0.0, 0.5], [0.0, 1.0], 1.0, 0.25, "after the killing time"),
+        ([0.0], [0.0], 1.0, 2.0, "after the killing time"),
+    ])
+    def test_skeleton_refused(self, times, values, horizon, killed_at, message):
+        """Misaligned or empty arrays, a grid beyond the horizon, and a node
+        at or after the killing time (or a killing after the horizon)."""
+        with pytest.raises(ValueError, match=message):
+            PathSample(np.array(times), np.array(values), horizon, killed_at)
 
 
 #: floats whose repr takes every form: signed zeros and infinities,
