@@ -208,8 +208,6 @@ RATIO_MARGIN = 1e-3
 #: lower-bound term ratios at or above this, 1 up to rounding, certify
 #: divergence: a geometric series whose ratio is just under 1 converges
 DIVERGENT_RATIO = 1.0 - 1e-12
-#: lower-bound partial sums above this certify divergence
-DIVERGENCE_BOUND = 1e6
 
 
 def wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
@@ -219,10 +217,11 @@ def wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
     (a set of measure m has at least the capacity of a ball of radius m/2)
     and the per-component subadditive upper bound.  `convergent` when the
     upper-bound terms contract geometrically over a sustained run;
-    `divergent` when the lower-bound partial sums exceed DIVERGENCE_BOUND
-    or the last RATIO_RUN lower-bound terms do not decay (every ratio at
-    least DIVERGENT_RATIO); `inconclusive` otherwise, as for upper-bound
-    ratios in (1 - RATIO_MARGIN, 1).
+    `divergent` when the last RATIO_RUN lower-bound terms do not decay
+    (every ratio at least DIVERGENT_RATIO); `inconclusive` otherwise, as for
+    upper-bound ratios in (1 - RATIO_MARGIN, 1).  The size of a partial sum
+    certifies nothing: each lower-bound term is below C(B_1) < 1.  Shells
+    that reach past the float range around the centre are a ValueError.
 
     Every shell is intersected with the target at once: each shell piece
     finds the target pieces it overlaps by bisecting their sorted ends and
@@ -239,6 +238,11 @@ def wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
             f"shell radii lam^n leave the float range for lam={spec.lam}, "
             f"n from {spec.n_min} to {spec.n_max}"
         ) from None
+    if not math.isfinite(abs(spec.center) + spec.lam ** spec.n_max):
+        raise ValueError(
+            f"shells of radius up to lam^n_max around {spec.center} leave the float "
+            f"range for lam={spec.lam}, n_max={spec.n_max}"
+        )
     ns = range(spec.n_min, spec.n_max + 1)
     radii = np.array([spec.lam ** k for k in range(spec.n_min - 1, spec.n_max + 1)], dtype=float)
     z = float(spec.center)
@@ -282,11 +286,7 @@ def wiener_sum(alpha: float, spec: ShellSpec, s: IntervalSet) -> SeriesVerdict:
     if ratios.size:
         out.ratio_estimate = float(np.median(ratios))
 
-    if out.lower_partial_sums[-1] > DIVERGENCE_BOUND:
-        out.verdict = "divergent"
-        return out
-    # non-decaying positive lower-bound terms certify divergence even before
-    # the partial sums clear the bound
+    # non-decaying positive lower-bound terms certify divergence
     lnz = lower_terms[lower_terms > 0.0]
     lratios = lnz[1:] / lnz[:-1]
     if lratios.size >= RATIO_RUN and np.all(lratios[-RATIO_RUN:] >= DIVERGENT_RATIO):

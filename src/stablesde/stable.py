@@ -16,13 +16,17 @@ hold rows from two starts; the single paths of `simulate` and `solve` are
 chunk 0.
 
 `PathSample.to_csv` and `SolutionPath.to_csv` share one writer,
-`_node_csv`.  It formats a large table in contiguous row slices at once,
-one per usable CPU, each but the first in a forked child that writes its
-text to a pipe; the bytes are the same for any number of slices.
-`PathSample.from_csv` is the one reader.  The line loop `_read_lines`
-defines the format; text in the writer's own shape (a head, `t,x`, then
-bare rows of one comma) has its rows parsed `_CSV_ROWS` at a time instead,
-and any other text goes whole through the loop.
+`_node_csv`, and `PathSample.from_csv` is the one reader.  The line loop
+`_read_lines` defines the format; text in the writer's own shape (a head,
+`t,x`, then bare rows of one comma) has its rows parsed `_CSV_ROWS` at a
+time instead, and any other text goes whole through the loop.  The writer
+and that fast path share one chunk pool, `_pooled`: a large table's
+chunks are claimed from one pipe of tickets by this process and by forked
+children, one worker per usable CPU, and each child's results come back
+through a file of its own, read after every child is reaped.  The bytes
+written and the floats read are the same for any number of workers.  On
+Python 3.12 and later a fork in a process with other threads warns with a
+DeprecationWarning, in reading as in writing.
 
 On glibc the first `sample_block` of a process fixes two malloc thresholds,
 process-wide; nothing else in the package touches them, and elsewhere, or in
@@ -44,11 +48,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import io
 import math
 import os
+import struct
+import tempfile
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -56,14 +60,22 @@ _WORD = (1 << 64) - 1
 #: a cell is refined when its increment exceeds JUMP_FACTOR * step^(1/alpha)
 JUMP_FACTOR = 10.0
 #: rows per format operation in _node_csv and per parse operation in
-#: PathSample.from_csv: one operation over many rows is faster than one per
-#: row, and a bounded chunk keeps the argument tuple or token list small
+#: PathSample.from_csv, and so per chunk of `_pooled`: one operation over
+#: many rows is faster than one per row, and a bounded chunk keeps the
+#: argument tuple or token list small
 _CSV_ROWS = 4096
-#: fewest rows of a slice of _node_csv formatted in a forked child.  On a
-#: 2-vCPU VM, a process holding a paths-sized table forks, reads an empty
-#: pipe to its end and reaps the child in 2.7-3.7 ms, and formats 32 768
-#: two-column rows in 51-55 ms, so the fork costs a slice at most 7%.
+#: rows per worker of `_pooled`: a table has one worker per _SLICE_ROWS
+#: rows at most, so a child is forked only for 2 * _SLICE_ROWS rows or more.
+#: On a 2-vCPU VM, in a process of 150-200 MB, a pool of one child whose
+#: chunks do no work takes 6.6-7.7 ms (fork, exit and reap), and 32 768
+#: two-column rows format in 37-69 ms, so the fork costs a worker of
+#: _SLICE_ROWS rows at most about a fifth of its work.
 _SLICE_ROWS = 32768
+#: bytes of a ticket of `_pooled`, a chunk index, and the record a child
+#: writes before each result: chunk index, 1 for a ValueError's message
+#: else 0, and the length of what follows
+_TICKET = 4
+_RECORD = struct.Struct("=qqq")
 #: the largest float, at which a path's increments are clipped before they
 #: are summed, and the machine epsilon that keeps a jump time inside its cell
 _FLOAT_MAX = np.finfo(float).max
@@ -128,75 +140,133 @@ def _hold_block_memory() -> None:
 
 def _node_csv(comments: dict, header: str, *columns) -> str:
     """CSV text of a node table: a `# key=value` line for each comment that
-    is not None, the header, then one row of float reprs per node.
-
-    The rows are formatted in contiguous slices at once, one per usable CPU
-    but none under _SLICE_ROWS rows (so a small table, one CPU or no
-    os.fork gives one slice).  This process formats the first slice and a
-    forked child each other one, which it writes to a pipe; the slices are
-    read back in order, so the text is the same for any number of them.
-    Every child is reaped before this returns or raises, and one that
-    fails is a RuntimeError."""
-    buf = io.StringIO()
-    for key, value in comments.items():
-        if value is not None:
-            buf.write(f"# {key}={value}\n")
-    buf.write(header + "\n")
+    is not None, the header, then one row of float reprs per node, formatted
+    _CSV_ROWS rows per % through `_pooled`."""
+    lines = [f"# {key}={value}\n" for key, value in comments.items() if value is not None]
+    head = "".join([*lines, header, "\n"]).encode()
     table = np.column_stack([np.asarray(c, float) for c in columns])
+    row = b",".join([b"%r"] * table.shape[1]) + b"\n"
+
+    def format_rows(i: int) -> bytes:
+        part = table[i * _CSV_ROWS : (i + 1) * _CSV_ROWS]
+        return row * len(part) % tuple(part.ravel().tolist())
+
+    count = -(-len(table) // _CSV_ROWS)
+    # no name holds the chunks, so they are freed before the decode
+    return b"".join([head, *_pooled(format_rows, count, len(table))]).decode()
+
+
+def _pooled(work, count: int, rows: int) -> list:
+    """[work(0), ..., work(count - 1)] for the count chunks of a table of
+    rows rows, each the object work returned in this process or, for a
+    chunk a forked child ran, the bytes of that object's buffer.
+
+    There is one worker per usable CPU, but none beyond rows // _SLICE_ROWS,
+    so a small table, one CPU or no os.fork leaves this process alone, and
+    so do more chunks than one pipe holds tickets for.  Each worker claims
+    its next chunk from one pipe of tickets, filled and closed before the
+    fork.  A child writes a record and the result of each chunk to a file
+    of its own, which never makes it wait; this process reads the files
+    only after it has reaped every child and places each result by its
+    index, so the results are the same for any number of workers.  A
+    ValueError of work, in whichever worker, is raised for the lowest such
+    index; a child that fails otherwise is a RuntimeError.  Every child is
+    reaped, and every descriptor closed, before this returns or raises."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    slices = max(1, min(cpus or 1, len(table) // _SLICE_ROWS)) if hasattr(os, "fork") else 1
-    cuts = [len(table) * i // slices for i in range(slices + 1)]
-    children = []
+    children = min(cpus or 1, rows // _SLICE_ROWS) - 1 if hasattr(os, "fork") else 0
+    tickets = _ticket_pipe(count) if children > 0 else None
+    if tickets is None:
+        return [work(i) for i in range(count)]
+    results, pids, channels = [None] * count, [], []
     try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            children.append(_fork_slice(table[lo:hi]))
-        _write_rows(buf, table[: cuts[1]])
-        for _, fd in children:
-            while chunk := os.read(fd, 1 << 16):  # a Linux pipe's default size
-                buf.write(chunk.decode())
-    finally:
-        for _, fd in children:
-            os.close(fd)  # a child still writing gets EPIPE and exits
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid, _ in children)
-    if failed:
-        raise RuntimeError(f"{failed} of {len(children)} forked CSV slices failed")
-    return buf.getvalue()
-
-
-def _write_rows(out, table: np.ndarray) -> None:
-    """Write one line of float reprs per row of table to out, _CSV_ROWS
-    rows per %."""
-    row = ",".join(["%r"] * table.shape[1]) + "\n"
-    for part in np.split(table, range(_CSV_ROWS, len(table), _CSV_ROWS)):
-        out.write(row * len(part) % tuple(part.ravel().tolist()))
-
-
-def _fork_slice(table: np.ndarray) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a forked child that writes the
-    `_write_rows` text of table to the pipe and exits, with status 0 only if
-    all of it was written.  The child touches nothing else and never
-    returns."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
         try:
-            os.close(r)
-            buf = io.StringIO()
-            _write_rows(buf, table)
-            data = memoryview(buf.getvalue().encode())
-            while data:
-                data = data[os.write(w, data):]
-            status = 0
+            for _ in range(children):
+                channels.append(_channel())
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(_claims(work, tickets), channels[-1].fileno())
+                pids.append(pid)
+            for i, result in _claims(work, tickets):
+                results[i] = result
         finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
+            # take the tickets a failure here left, so that the children stop
+            while os.read(tickets, 1 << 16):
+                pass
+            os.close(tickets)
+            failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+        if failed:
+            raise RuntimeError(f"{failed} of {len(pids)} forked CSV workers failed")
+        for channel in channels:
+            channel.seek(0)
+            while record := channel.read(_RECORD.size):
+                i, flag, length = _RECORD.unpack(record)
+                data = channel.read(length)
+                results[i] = ValueError(data.decode(errors="surrogatepass")) if flag else data
+    finally:
+        for channel in channels:
+            channel.close()
+    for result in results:
+        if isinstance(result, ValueError):
+            raise result
+    return results
+
+
+def _ticket_pipe(count: int) -> int | None:
+    """Read end of a pipe that holds the tickets 0 .. count - 1, _TICKET
+    bytes each, and whose write end is closed; None if they do not fit."""
+    tickets, feed = os.pipe()
+    full = False
+    try:
+        os.set_blocking(feed, False)
+        data = np.arange(count, dtype="<u4").tobytes()
+        full = os.write(feed, data) == len(data)
+    finally:
+        os.close(feed)
+        if not full:
+            os.close(tickets)
+    return tickets if full else None
+
+
+def _claims(work, tickets: int):
+    """(i, work(i), or the ValueError it raised) for each ticket i that
+    this process claims from the pipe tickets, until it is empty."""
+    while ticket := os.read(tickets, _TICKET):
+        i = int.from_bytes(ticket, "little")
+        try:
+            result = work(i)
+        except ValueError as err:
+            result = err
+        yield i, result
+
+
+def _channel():
+    """A read-write binary file in no directory: a memfd where
+    os.memfd_create exists (on a 2-vCPU VM, a paths-sized write and read
+    back took 5% less time than through a file in /tmp on ext4), else an
+    unlinked temporary file."""
+    if hasattr(os, "memfd_create"):
+        return open(os.memfd_create("stablesde-csv"), "w+b")
+    return tempfile.TemporaryFile()
+
+
+def _run_child(claims, channel: int) -> None:
+    """Write a record and the result's bytes, or a ValueError's message, to
+    channel for each of claims, then exit: with status 0 only if every
+    record was written whole.  Never returns."""
+    status = 1
+    try:
+        for i, result in claims:
+            flag = isinstance(result, ValueError)
+            if flag:
+                data = str(result).encode(errors="surrogatepass")
+            else:
+                data = memoryview(result).cast("B")
+            record = _RECORD.pack(i, flag, len(data))
+            if os.writev(channel, (record, data)) != len(record) + len(data):
+                raise OSError("short write to a CSV channel")
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @dataclass(frozen=True)
@@ -264,8 +334,17 @@ class PathSample:
         killed_at, rows = _read_lines(head if fast else text)
         if fast:
             cuts = [0, *(ends[_CSV_ROWS - 1 : -1 : _CSV_ROWS] + 1).tolist(), len(body)]
-            fields = (body[i : j - 1].replace("\n", ",").split(",") for i, j in zip(cuts, cuts[1:]))
-            parsed = np.fromiter(map(float, chain.from_iterable(fields)), float, 2 * len(ends))
+            parsed = np.empty(2 * len(ends))
+
+            def parse(i: int) -> np.ndarray:
+                part = parsed[2 * _CSV_ROWS * i : 2 * _CSV_ROWS * (i + 1)]
+                fields = body[cuts[i] : cuts[i + 1] - 1].replace("\n", ",").split(",")
+                part[:] = np.fromiter(map(float, fields), float, len(part))
+                return part
+
+            for i, part in enumerate(_pooled(parse, len(cuts) - 1, len(ends))):
+                if isinstance(part, bytes):  # parsed in a child
+                    parsed[2 * _CSV_ROWS * i : 2 * _CSV_ROWS * (i + 1)] = np.frombuffer(part)
             rows = np.concatenate((rows, parsed.reshape(-1, 2).T), axis=1)
         if not rows.shape[1]:
             raise ValueError("a path CSV needs at least one row")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import select
 import shlex
 import warnings
 from pathlib import Path
@@ -84,6 +85,8 @@ class TestExitCodes:
         ["wiener", "--alpha", "0.5", "--set", "[[0,1]]", "--nmax", "1100"],
         ["wiener", "--alpha", "0.5", "--set", "example2.2", "--nmax", "1100"],
         ["wiener", "--alpha", "0.5", "--set", "[[0,1]]", "--lam", "1e308", "--nmax", "3"],
+        ["wiener", "--alpha", "0.5", "--set", "[[-Infinity, Infinity]]", "--center", "1e308",
+         "--nmin", "1000", "--nmax", "1023"],
         ["wiener", "--alpha", "0.5", "--set", "[[0,1]]", "--nmin", "-3000", "--nmax", "0"],
         ["test", "--alpha", "0.5", "--beta", "inf"],
         ["classify", "--alpha", "0.5", "--sigma", "power:|x|^0.5", "--at", "nan"],
@@ -495,7 +498,7 @@ class TestSubcommands:
         assert doc["nontrivial_global_all"] is True
 
 
-#: the paths benchmark's 1e5-cell path, whose CSVs are formatted in slices
+#: the paths benchmark's 1e5-cell path, whose CSVs are formatted in a chunk pool
 BIG_PATH = ["--alpha", "0.5", "--horizon", "1000", "--step", "0.01"]
 
 
@@ -529,17 +532,30 @@ class TestLargePathCsv:
             os.waitpid(-1, os.WNOHANG)
 
     def test_failing_child_exits_2(self, monkeypatch, tmp_path, capsys):
-        parent, write_rows = os.getpid(), stable._write_rows
+        """The child fails on the first chunk it claims, after it signals a
+        pipe that this process waits on (10 s at most) before its first
+        chunk, so the child claims one."""
+        parent, pooled = os.getpid(), stable._pooled
+        signals, signal = os.pipe()
 
-        def rows_in_parent_only(out, table):
-            if os.getpid() != parent:
-                raise MemoryError("slice")
-            write_rows(out, table)
+        def chunks_in_parent_only(work, count, rows):
+            def chunk(i):
+                if os.getpid() != parent:
+                    os.write(signal, b"1")
+                    raise MemoryError(f"chunk {i}")
+                select.select([signals], [], [], 10)
+                return work(i)
 
-        monkeypatch.setattr(stable, "_write_rows", rows_in_parent_only)
+            return pooled(chunk, count, rows)
+
+        monkeypatch.setattr(stable, "_pooled", chunks_in_parent_only)
         set_cpus(monkeypatch, 2)
         out = tmp_path / "out.csv"
-        assert main(["--seed", "5", "--out", str(out), "simulate", *BIG_PATH]) == 2
+        try:
+            assert main(["--seed", "5", "--out", str(out), "simulate", *BIG_PATH]) == 2
+        finally:
+            os.close(signals)
+            os.close(signal)
         assert json.loads(capsys.readouterr().err)["error"] == "runtime"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import select
 import warnings
 
 import numpy as np
@@ -331,58 +332,105 @@ class TestNodeCsv:
         assert_no_children()
 
     def test_slices_of_at_least_the_minimum(self, monkeypatch):
-        forks = []
-        fork_slice = stable._fork_slice
+        """A table has one worker per usable CPU, but at most one per
+        _SLICE_ROWS rows; the forks are counted in this process."""
+        forks, fork = [], os.fork
 
-        def counted(table):
-            forks.append(len(table))
-            return fork_slice(table)
+        def counted():
+            forks.append(1)
+            return fork()
 
-        monkeypatch.setattr(stable, "_fork_slice", counted)
+        monkeypatch.setattr(os, "fork", counted)
         col = np.arange(3 * stable._SLICE_ROWS - 1, dtype=float)
         set_cpus(monkeypatch, 4)
         stable._node_csv({}, "t", col)
-        assert len(forks) == 1 and min(forks) >= stable._SLICE_ROWS
+        assert len(forks) == 1
+        # the reader forks by the same rule
+        forks.clear()
+        PathSample.from_csv("t,x\n" + "".join(f"{x!r},{x!r}\n" for x in col.tolist()))
+        assert len(forks) == 1
         # without sched_getaffinity the CPU count decides
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         forks.clear()
-        stable._node_csv({}, "t", np.arange(3 * stable._SLICE_ROWS, dtype=float))
-        assert forks == [stable._SLICE_ROWS] * 2
-        # without os.fork there is one slice
-        monkeypatch.delattr(os, "fork")
+        big = np.arange(3 * stable._SLICE_ROWS, dtype=float)
+        stable._node_csv({}, "t", big)
+        assert len(forks) == 2
+        # more chunks than the ticket pipe holds (196 KB of tickets against
+        # a 64 KiB pipe): this process alone
         forks.clear()
+        monkeypatch.setattr(stable, "_CSV_ROWS", 2)
+        text = stable._node_csv({}, "t", big)
+        assert forks == [] and text == "t\n" + "".join(f"{x!r}\n" for x in big.tolist())
+        # without os.fork there is one worker
+        monkeypatch.delattr(os, "fork")
         text = stable._node_csv({}, "t", col)
-        assert forks == [] and text == "t\n" + "".join(f"{x!r}\n" for x in col.tolist())
-
-    def test_failing_child_raises_and_is_reaped(self, monkeypatch):
-        parent, write_rows = os.getpid(), stable._write_rows
-
-        def rows_in_parent_only(out, table):
-            if os.getpid() != parent:
-                raise MemoryError("slice")
-            write_rows(out, table)
-
-        monkeypatch.setattr(stable, "_write_rows", rows_in_parent_only)
-        set_cpus(monkeypatch, 3)
-        col = np.zeros(3 * stable._SLICE_ROWS)
-        with pytest.raises(RuntimeError, match="2 of 2 forked CSV slices failed"):
-            stable._node_csv({}, "t", col)
+        assert text == "t\n" + "".join(f"{x!r}\n" for x in col.tolist())
         assert_no_children()
 
-    def test_failing_parent_slice_reaps_its_children(self, monkeypatch):
-        """The parent raises before reading a pipe; each child, blocked on
-        its full pipe, gets EPIPE when the parent closes it, and exits."""
-        parent, write_rows = os.getpid(), stable._write_rows
+    def test_temporary_file_where_no_memfd(self, monkeypatch, node_columns):
+        """Without os.memfd_create a child's chunks come back through an
+        unlinked temporary file, to the same bytes and floats."""
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+        set_cpus(monkeypatch, 2)
+        cols, lines = node_columns
+        text = stable._node_csv({}, "t,x", *cols)
+        assert text == "t,x\n" + "".join(lines)
+        assert_reads_as_reference(text)
+        assert_no_children()
 
-        def rows_in_children_only(out, table):
-            if os.getpid() == parent:
-                raise MemoryError("slice 0")
-            write_rows(out, table)
+    def test_failing_child_raises_and_is_reaped(self, monkeypatch):
+        """A child that fails is a RuntimeError, in the writer and the
+        reader alike.  Each child's chunk raises MemoryError after it
+        signals a pipe, and this process waits (10 s at most) for both
+        signals before its first chunk, so each child claims one."""
+        parent, pooled = os.getpid(), stable._pooled
+        signals, signal = os.pipe()
 
-        monkeypatch.setattr(stable, "_write_rows", rows_in_children_only)
+        def chunks(work, count, rows):
+            waiting = [2]
+
+            def chunk(i):
+                if os.getpid() != parent:
+                    os.write(signal, b"1")
+                    raise MemoryError(f"chunk {i}")
+                while waiting[0] and select.select([signals], [], [], 10)[0]:
+                    waiting[0] -= len(os.read(signals, 1))
+                return work(i)
+
+            return pooled(chunk, count, rows)
+
+        monkeypatch.setattr(stable, "_pooled", chunks)
         set_cpus(monkeypatch, 3)
-        with pytest.raises(MemoryError, match="slice 0"):
+        col = np.zeros(3 * stable._SLICE_ROWS)
+        try:
+            with pytest.raises(RuntimeError, match="^2 of 2 forked CSV workers failed$"):
+                stable._node_csv({}, "t", col)
+            assert_no_children()
+            with pytest.raises(RuntimeError, match="^2 of 2 forked CSV workers failed$"):
+                PathSample.from_csv("t,x\n" + "0.0,0.0\n" * len(col))
+            assert_no_children()
+        finally:
+            os.close(signals)
+            os.close(signal)
+
+    def test_failing_parent_slice_reaps_its_children(self, monkeypatch):
+        """This process raises on its first chunk; it takes the tickets
+        left, so each child stops after the chunk it holds, and reaps them
+        before the error leaves."""
+        parent, pooled = os.getpid(), stable._pooled
+
+        def chunks(work, count, rows):
+            def chunk(i):
+                if os.getpid() == parent:
+                    raise MemoryError(f"chunk {i}")
+                return work(i)
+
+            return pooled(chunk, count, rows)
+
+        monkeypatch.setattr(stable, "_pooled", chunks)
+        set_cpus(monkeypatch, 3)
+        with pytest.raises(MemoryError, match="^chunk "):
             stable._node_csv({}, "t", np.zeros(3 * stable._SLICE_ROWS))
         assert_no_children()
 
@@ -499,6 +547,31 @@ class TestPathCsvReader:
         for k in range(7):
             for bad in ("0", "0,0,0", "x,0", "0,", "# killed_at=x", "t,x", ""):
                 assert_reads_as_reference("t,x\n" + "\n".join(good[:k] + [bad] + good[k:]))
+
+    @pytest.mark.usefixtures("no_fd_left")
+    @pytest.mark.parametrize("bad", [
+        {100_001: "x,0.5"},
+        {50_000: "0.5,"},
+        {20_000: "x,0.5", 110_000: "0.5,"},
+        {20_000: ",0.5", 110_000: "x,0.5"},
+        {row: f"{row},bad{row}" for row in range(stable._CSV_ROWS + 7, 122290, stable._CSV_ROWS)},
+    ])
+    def test_errors_at_scale(self, monkeypatch, node_columns, bad):
+        """Writer-shaped texts of 122 290 rows, parsed by up to 3 workers,
+        with bad fields (x, or empty) in late chunks, in two far-apart
+        chunks, or in every chunk but the first: for 1 to 4 CPUs the
+        reader raises the reference's ValueError, the first bad field in
+        line order, and leaves no child."""
+        lines = node_columns[1].copy()
+        for row, line in bad.items():
+            lines[row] = line + "\n"
+        text = "t,x\n" + "".join(lines)
+        expected = read_outcome(lambda: reference_from_csv(PathSample, text))
+        assert expected.startswith("could not convert string to float: ")
+        for k in (1, 2, 3, 4):
+            set_cpus(monkeypatch, k)
+            assert read_outcome(lambda: PathSample.from_csv(text)) == expected, k
+            assert_no_children()
 
     @pytest.mark.parametrize("text, message", [
         ("t,x\n0\n0,0,0\n", "a path CSV row must be t,x, got '0'"),
