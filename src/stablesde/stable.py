@@ -23,7 +23,8 @@ time instead, and any other text goes whole through the loop.  The writer
 and that fast path share one chunk pool, `_pooled`: a large table's
 chunks are claimed from one pipe of tickets by this process and by forked
 children, one worker per usable CPU, and each child's results come back
-through a file of its own, read after every child is reaped.  The bytes
+through an unlinked temporary file of its own, read after every child is
+reaped and placed by chunk index.  The bytes
 written and the floats read are the same for any number of workers.  On
 Python 3.12 and later a fork in a process with other threads warns with a
 DeprecationWarning, in reading as in writing.
@@ -143,51 +144,60 @@ def _node_csv(comments: dict, header: str, *columns) -> str:
     is not None, the header, then one row of float reprs per node, formatted
     _CSV_ROWS rows per % through `_pooled`."""
     lines = [f"# {key}={value}\n" for key, value in comments.items() if value is not None]
-    head = "".join([*lines, header, "\n"]).encode()
     table = np.column_stack([np.asarray(c, float) for c in columns])
     row = b",".join([b"%r"] * table.shape[1]) + b"\n"
+    chunks = [""] * -(-len(table) // _CSV_ROWS)
 
     def format_rows(i: int) -> bytes:
         part = table[i * _CSV_ROWS : (i + 1) * _CSV_ROWS]
         return row * len(part) % tuple(part.ravel().tolist())
 
-    count = -(-len(table) // _CSV_ROWS)
-    # no name holds the chunks, so they are freed before the decode
-    return b"".join([head, *_pooled(format_rows, count, len(table))]).decode()
+    def place(i: int, data: bytes) -> None:
+        # decoded as it comes, so that no bytes of the whole text are held
+        chunks[i] = data.decode()
+
+    _pooled(format_rows, place, len(chunks), len(table))
+    return "".join([*lines, header, "\n", *chunks])
 
 
-def _pooled(work, count: int, rows: int) -> list:
-    """[work(0), ..., work(count - 1)] for the count chunks of a table of
-    rows rows, each the object work returned in this process or, for a
-    chunk a forked child ran, the bytes of that object's buffer.
+def _pooled(work, place, count: int, rows: int) -> None:
+    """place(i, work(i)) for each of the count chunks i of a table of rows
+    rows, where what is placed is the object work returned in this process
+    or, for a chunk a forked child ran, the bytes of that object's buffer.
 
     There is one worker per usable CPU, but none beyond rows // _SLICE_ROWS,
     so a small table, one CPU or no os.fork leaves this process alone, and
     so do more chunks than one pipe holds tickets for.  Each worker claims
     its next chunk from one pipe of tickets, filled and closed before the
-    fork.  A child writes a record and the result of each chunk to a file
-    of its own, which never makes it wait; this process reads the files
-    only after it has reaped every child and places each result by its
-    index, so the results are the same for any number of workers.  A
-    ValueError of work, in whichever worker, is raised for the lowest such
-    index; a child that fails otherwise is a RuntimeError.  Every child is
-    reaped, and every descriptor closed, before this returns or raises."""
+    fork.  A child writes a record and the result of each chunk to an
+    unlinked temporary file of its own, which never makes it wait; this
+    process reads the files only after it has reaped every child and places
+    each result by its index, so the outcome is the same for any number of
+    workers.  A ValueError of work, in whichever worker, is raised for the
+    lowest such index; a child that fails otherwise is a RuntimeError.
+    Every child is reaped, and every descriptor closed, before this returns
+    or raises."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     children = min(cpus or 1, rows // _SLICE_ROWS) - 1 if hasattr(os, "fork") else 0
     tickets = _ticket_pipe(count) if children > 0 else None
     if tickets is None:
-        return [work(i) for i in range(count)]
-    results, pids, channels = [None] * count, [], []
+        for i in range(count):
+            place(i, work(i))
+        return
+    errors, pids, channels = {}, [], []
     try:
         try:
             for _ in range(children):
-                channels.append(_channel())
+                channels.append(tempfile.TemporaryFile())
                 pid = os.fork()
                 if pid == 0:
                     _run_child(_claims(work, tickets), channels[-1].fileno())
                 pids.append(pid)
             for i, result in _claims(work, tickets):
-                results[i] = result
+                if isinstance(result, ValueError):
+                    errors[i] = result
+                else:
+                    place(i, result)
         finally:
             # take the tickets a failure here left, so that the children stop
             while os.read(tickets, 1 << 16):
@@ -201,14 +211,15 @@ def _pooled(work, count: int, rows: int) -> list:
             while record := channel.read(_RECORD.size):
                 i, flag, length = _RECORD.unpack(record)
                 data = channel.read(length)
-                results[i] = ValueError(data.decode(errors="surrogatepass")) if flag else data
+                if flag:
+                    errors[i] = ValueError(data.decode(errors="surrogatepass"))
+                else:
+                    place(i, data)
     finally:
         for channel in channels:
             channel.close()
-    for result in results:
-        if isinstance(result, ValueError):
-            raise result
-    return results
+    if errors:
+        raise errors[min(errors)]
 
 
 def _ticket_pipe(count: int) -> int | None:
@@ -237,16 +248,6 @@ def _claims(work, tickets: int):
         except ValueError as err:
             result = err
         yield i, result
-
-
-def _channel():
-    """A read-write binary file in no directory: a memfd where
-    os.memfd_create exists (on a 2-vCPU VM, a paths-sized write and read
-    back took 5% less time than through a file in /tmp on ext4), else an
-    unlinked temporary file."""
-    if hasattr(os, "memfd_create"):
-        return open(os.memfd_create("stablesde-csv"), "w+b")
-    return tempfile.TemporaryFile()
 
 
 def _run_child(claims, channel: int) -> None:
@@ -337,14 +338,13 @@ class PathSample:
             parsed = np.empty(2 * len(ends))
 
             def parse(i: int) -> np.ndarray:
-                part = parsed[2 * _CSV_ROWS * i : 2 * _CSV_ROWS * (i + 1)]
                 fields = body[cuts[i] : cuts[i + 1] - 1].replace("\n", ",").split(",")
-                part[:] = np.fromiter(map(float, fields), float, len(part))
-                return part
+                return np.fromiter(map(float, fields), float, len(fields))
 
-            for i, part in enumerate(_pooled(parse, len(cuts) - 1, len(ends))):
-                if isinstance(part, bytes):  # parsed in a child
-                    parsed[2 * _CSV_ROWS * i : 2 * _CSV_ROWS * (i + 1)] = np.frombuffer(part)
+            def place(i: int, data) -> None:
+                parsed[2 * _CSV_ROWS * i : 2 * _CSV_ROWS * (i + 1)] = np.frombuffer(data)
+
+            _pooled(parse, place, len(cuts) - 1, len(ends))
             rows = np.concatenate((rows, parsed.reshape(-1, 2).T), axis=1)
         if not rows.shape[1]:
             raise ValueError("a path CSV needs at least one row")

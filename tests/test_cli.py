@@ -538,7 +538,7 @@ class TestLargePathCsv:
         parent, pooled = os.getpid(), stable._pooled
         signals, signal = os.pipe()
 
-        def chunks_in_parent_only(work, count, rows):
+        def chunks_in_parent_only(work, place, count, rows):
             def chunk(i):
                 if os.getpid() != parent:
                     os.write(signal, b"1")
@@ -546,7 +546,7 @@ class TestLargePathCsv:
                 select.select([signals], [], [], 10)
                 return work(i)
 
-            return pooled(chunk, count, rows)
+            return pooled(chunk, place, count, rows)
 
         monkeypatch.setattr(stable, "_pooled", chunks_in_parent_only)
         set_cpus(monkeypatch, 2)

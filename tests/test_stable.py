@@ -368,17 +368,6 @@ class TestNodeCsv:
         assert text == "t\n" + "".join(f"{x!r}\n" for x in col.tolist())
         assert_no_children()
 
-    def test_temporary_file_where_no_memfd(self, monkeypatch, node_columns):
-        """Without os.memfd_create a child's chunks come back through an
-        unlinked temporary file, to the same bytes and floats."""
-        monkeypatch.delattr(os, "memfd_create", raising=False)
-        set_cpus(monkeypatch, 2)
-        cols, lines = node_columns
-        text = stable._node_csv({}, "t,x", *cols)
-        assert text == "t,x\n" + "".join(lines)
-        assert_reads_as_reference(text)
-        assert_no_children()
-
     def test_failing_child_raises_and_is_reaped(self, monkeypatch):
         """A child that fails is a RuntimeError, in the writer and the
         reader alike.  Each child's chunk raises MemoryError after it
@@ -387,7 +376,7 @@ class TestNodeCsv:
         parent, pooled = os.getpid(), stable._pooled
         signals, signal = os.pipe()
 
-        def chunks(work, count, rows):
+        def chunks(work, place, count, rows):
             waiting = [2]
 
             def chunk(i):
@@ -398,7 +387,7 @@ class TestNodeCsv:
                     waiting[0] -= len(os.read(signals, 1))
                 return work(i)
 
-            return pooled(chunk, count, rows)
+            return pooled(chunk, place, count, rows)
 
         monkeypatch.setattr(stable, "_pooled", chunks)
         set_cpus(monkeypatch, 3)
@@ -420,13 +409,13 @@ class TestNodeCsv:
         before the error leaves."""
         parent, pooled = os.getpid(), stable._pooled
 
-        def chunks(work, count, rows):
+        def chunks(work, place, count, rows):
             def chunk(i):
                 if os.getpid() == parent:
                     raise MemoryError(f"chunk {i}")
                 return work(i)
 
-            return pooled(chunk, count, rows)
+            return pooled(chunk, place, count, rows)
 
         monkeypatch.setattr(stable, "_pooled", chunks)
         set_cpus(monkeypatch, 3)
@@ -519,11 +508,16 @@ HAND_MADE = [
 
 
 class TestPathCsvReader:
+    @pytest.mark.usefixtures("no_fd_left")
     @pytest.mark.parametrize("rows", ROW_COUNTS)
-    def test_writer_output(self, node_columns, rows):
-        # the bytes _node_csv writes for these columns (TestNodeCsv)
+    def test_writer_output(self, monkeypatch, node_columns, rows):
+        # the bytes _node_csv writes for these columns (TestNodeCsv), read
+        # by 1 to 4 workers
         _, lines = node_columns
-        assert_reads_as_reference("t,x\n" + "".join(lines[:rows]))
+        for k in (1, 2, 3, 4):
+            set_cpus(monkeypatch, k)
+            assert_reads_as_reference("t,x\n" + "".join(lines[:rows]))
+        assert_no_children()
 
     def test_special_values(self):
         path = PathSample(np.arange(len(SPECIAL), dtype=float), np.array(SPECIAL), horizon=20.0)
