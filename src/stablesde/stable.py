@@ -24,10 +24,10 @@ and that fast path share one chunk pool, `_pooled`: a large table's
 chunks are claimed from one pipe of tickets by this process and by forked
 children, one worker per usable CPU, and each child's results come back
 through an unlinked temporary file of its own, read after every child is
-reaped and placed by chunk index.  The bytes
-written and the floats read are the same for any number of workers.  On
-Python 3.12 and later a fork in a process with other threads warns with a
-DeprecationWarning, in reading as in writing.
+reaped and placed by chunk index.  The bytes written and the floats read
+are the same for any number of workers.  On Python 3.12 and later a fork
+in a process with other threads warns with a DeprecationWarning, in
+reading as in writing.
 
 On glibc the first `sample_block` of a process fixes two malloc thresholds,
 process-wide; nothing else in the package touches them, and elsewhere, or in
@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import heapq
+import io
 import math
 import os
 import struct
@@ -72,7 +74,7 @@ _CSV_ROWS = 4096
 #: two-column rows format in 37-69 ms, so the fork costs a worker of
 #: _SLICE_ROWS rows at most about a fifth of its work.
 _SLICE_ROWS = 32768
-#: bytes of a ticket of `_pooled`, a chunk index, and the record a child
+#: bytes of a ticket of `_pooled`, a chunk index, and the record a worker
 #: writes before each result: chunk index, 1 for a ValueError's message
 #: else 0, and the length of what follows
 _TICKET = 4
@@ -143,40 +145,44 @@ def _node_csv(comments: dict, header: str, *columns) -> str:
     """CSV text of a node table: a `# key=value` line for each comment that
     is not None, the header, then one row of float reprs per node, formatted
     _CSV_ROWS rows per % through `_pooled`."""
-    lines = [f"# {key}={value}\n" for key, value in comments.items() if value is not None]
+    buf = io.StringIO()
+    for key, value in comments.items():
+        if value is not None:
+            buf.write(f"# {key}={value}\n")
+    buf.write(header + "\n")
     table = np.column_stack([np.asarray(c, float) for c in columns])
     row = b",".join([b"%r"] * table.shape[1]) + b"\n"
-    chunks = [""] * -(-len(table) // _CSV_ROWS)
 
     def format_rows(i: int) -> bytes:
         part = table[i * _CSV_ROWS : (i + 1) * _CSV_ROWS]
         return row * len(part) % tuple(part.ravel().tolist())
 
     def place(i: int, data: bytes) -> None:
-        # decoded as it comes, so that no bytes of the whole text are held
-        chunks[i] = data.decode()
+        # chunks come in order, one at a time, so the only text of the
+        # whole table that is held is the buffer's
+        buf.write(data.decode())
 
-    _pooled(format_rows, place, len(chunks), len(table))
-    return "".join([*lines, header, "\n", *chunks])
+    _pooled(format_rows, place, -(-len(table) // _CSV_ROWS), len(table))
+    return buf.getvalue()
 
 
 def _pooled(work, place, count: int, rows: int) -> None:
-    """place(i, work(i)) for each of the count chunks i of a table of rows
-    rows, where what is placed is the object work returned in this process
-    or, for a chunk a forked child ran, the bytes of that object's buffer.
+    """place(i, data) for i = 0, ..., count - 1 in turn, where data is
+    work(i) when this process runs every chunk of the table of rows rows,
+    else the bytes of work(i)'s buffer.
 
     There is one worker per usable CPU, but none beyond rows // _SLICE_ROWS,
     so a small table, one CPU or no os.fork leaves this process alone, and
-    so do more chunks than one pipe holds tickets for.  Each worker claims
-    its next chunk from one pipe of tickets, filled and closed before the
-    fork.  A child writes a record and the result of each chunk to an
-    unlinked temporary file of its own, which never makes it wait; this
-    process reads the files only after it has reaped every child and places
-    each result by its index, so the outcome is the same for any number of
-    workers.  A ValueError of work, in whichever worker, is raised for the
-    lowest such index; a child that fails otherwise is a RuntimeError.
-    Every child is reaped, and every descriptor closed, before this returns
-    or raises."""
+    so do more chunks than one pipe holds tickets for.  Otherwise this
+    process and forked children claim chunks from one pipe of tickets,
+    filled and closed before the fork, and each worker writes a record and
+    the result of each chunk it runs to an unlinked temporary file of its
+    own, which never makes it wait.  The files are read only after every
+    child is reaped, merged by chunk index, so the results are placed alike
+    for any number of workers, and a ValueError of work, in whichever
+    worker, is raised at the lowest such index.  A child that fails
+    otherwise is a RuntimeError.  Every child is reaped, and every
+    descriptor closed, before this returns or raises."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     children = min(cpus or 1, rows // _SLICE_ROWS) - 1 if hasattr(os, "fork") else 0
     tickets = _ticket_pipe(count) if children > 0 else None
@@ -184,7 +190,7 @@ def _pooled(work, place, count: int, rows: int) -> None:
         for i in range(count):
             place(i, work(i))
         return
-    errors, pids, channels = {}, [], []
+    pids, channels = [], []
     try:
         try:
             for _ in range(children):
@@ -193,11 +199,8 @@ def _pooled(work, place, count: int, rows: int) -> None:
                 if pid == 0:
                     _run_child(_claims(work, tickets), channels[-1].fileno())
                 pids.append(pid)
-            for i, result in _claims(work, tickets):
-                if isinstance(result, ValueError):
-                    errors[i] = result
-                else:
-                    place(i, result)
+            channels.append(tempfile.TemporaryFile())
+            _write_records(_claims(work, tickets), channels[-1].fileno())
         finally:
             # take the tickets a failure here left, so that the children stop
             while os.read(tickets, 1 << 16):
@@ -206,20 +209,14 @@ def _pooled(work, place, count: int, rows: int) -> None:
             failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
         if failed:
             raise RuntimeError(f"{failed} of {len(pids)} forked CSV workers failed")
-        for channel in channels:
-            channel.seek(0)
-            while record := channel.read(_RECORD.size):
-                i, flag, length = _RECORD.unpack(record)
-                data = channel.read(length)
-                if flag:
-                    errors[i] = ValueError(data.decode(errors="surrogatepass"))
-                else:
-                    place(i, data)
+        # each worker claims rising tickets, so each file is in index order
+        for i, flag, data in heapq.merge(*map(_records, channels)):
+            if flag:
+                raise ValueError(data.decode(errors="surrogatepass"))
+            place(i, data)
     finally:
         for channel in channels:
             channel.close()
-    if errors:
-        raise errors[min(errors)]
 
 
 def _ticket_pipe(count: int) -> int | None:
@@ -250,24 +247,38 @@ def _claims(work, tickets: int):
         yield i, result
 
 
-def _run_child(claims, channel: int) -> None:
+def _write_records(claims, channel: int) -> None:
     """Write a record and the result's bytes, or a ValueError's message, to
-    channel for each of claims, then exit: with status 0 only if every
-    record was written whole.  Never returns."""
+    the file descriptor channel for each of claims."""
+    for i, result in claims:
+        flag = isinstance(result, ValueError)
+        if flag:
+            data = str(result).encode(errors="surrogatepass")
+        else:
+            data = memoryview(result).cast("B")
+        record = _RECORD.pack(i, flag, len(data))
+        if os.writev(channel, (record, data)) != len(record) + len(data):
+            raise OSError("short write to a CSV channel")
+
+
+def _run_child(claims, channel: int) -> None:
+    """_write_records(claims, channel), then exit: with status 0 only if
+    every record was written whole.  Never returns."""
     status = 1
     try:
-        for i, result in claims:
-            flag = isinstance(result, ValueError)
-            if flag:
-                data = str(result).encode(errors="surrogatepass")
-            else:
-                data = memoryview(result).cast("B")
-            record = _RECORD.pack(i, flag, len(data))
-            if os.writev(channel, (record, data)) != len(record) + len(data):
-                raise OSError("short write to a CSV channel")
+        _write_records(claims, channel)
         status = 0
     finally:
         os._exit(status)
+
+
+def _records(channel):
+    """(index, flag, data) of each record in the file channel, from its
+    start."""
+    channel.seek(0)
+    while record := channel.read(_RECORD.size):
+        i, flag, length = _RECORD.unpack(record)
+        yield i, flag, channel.read(length)
 
 
 @dataclass(frozen=True)
