@@ -22,12 +22,12 @@ chunk 0.
 time instead, and any other text goes whole through the loop.  The writer
 and that fast path share one chunk pool, `_pooled`: a large table's
 chunks are claimed from one pipe of tickets by this process and by forked
-children, one worker per usable CPU, and each child's results come back
-through an unlinked temporary file of its own, read after every child is
-reaped and placed by chunk index.  The bytes written and the floats read
-are the same for any number of workers.  On Python 3.12 and later a fork
-in a process with other threads warns with a DeprecationWarning, in
-reading as in writing.
+children, one worker per usable CPU, and each worker's results go to an
+unlinked temporary file of its own, read back in chunk order after every
+child is reaped.  The bytes written and the floats read are the same for
+any number of workers.  On Python 3.12 and later a fork in a process
+with other threads warns with a DeprecationWarning, in reading as in
+writing.
 
 On glibc the first `sample_block` of a process fixes two malloc thresholds,
 process-wide; nothing else in the package touches them, and elsewhere, or in
@@ -69,10 +69,11 @@ JUMP_FACTOR = 10.0
 _CSV_ROWS = 4096
 #: rows per worker of `_pooled`: a table has one worker per _SLICE_ROWS
 #: rows at most, so a child is forked only for 2 * _SLICE_ROWS rows or more.
-#: On a 2-vCPU VM, in a process of 150-200 MB, a pool of one child whose
-#: chunks do no work takes 6.6-7.7 ms (fork, exit and reap), and 32 768
-#: two-column rows format in 37-69 ms, so the fork costs a worker of
-#: _SLICE_ROWS rows at most about a fifth of its work.
+#: On a 2-vCPU VM, in a process of 156 MB, a pool of one child whose
+#: chunks do no work takes 11.0-12.7 ms (two temporary files, fork, exit
+#: and reap), and the same process formats 32 768 two-column rows in
+#: 91-93 ms, so the fork costs a worker of _SLICE_ROWS rows about an
+#: eighth of its work.
 _SLICE_ROWS = 32768
 #: bytes of a ticket of `_pooled`, a chunk index, and the record a worker
 #: writes before each result: chunk index, 1 for a ValueError's message
